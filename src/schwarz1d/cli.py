@@ -31,9 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
+from .discretize import PicardError, SingularSystemError
 from .geometry import Partition, build_uniform_partition, validate_partition
 from .problem import ProblemSpec, catalog_lookup, validate as validate_problem
-from .schwarz import IterationHistory, SchwarzConfig, run_elliptic, run_parabolic
+from .schwarz import (
+    IterationHistory,
+    SchwarzConfig,
+    SchwarzRunError,
+    run_elliptic,
+    run_parabolic,
+)
 from .transmission import TransmissionSpec
 
 __all__ = ["main", "load_config", "build_schwarz_config"]
@@ -111,7 +118,6 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
         picard_max=int(run.get("picard_max", 200)),
         guard_factor=float(run.get("guard_factor", 1e6)),
         rate_window=int(run.get("rate_window", 8)),
-        max_workers=int(run.get("max_workers", 1)),
     )
     return sc, problem_id
 
@@ -355,7 +361,8 @@ def main(argv=None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except (ConfigError, ValueError, LookupError, OSError) as exc:
+    except (ConfigError, ValueError, LookupError, OSError, SchwarzRunError, PicardError,
+            SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

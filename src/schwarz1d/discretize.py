@@ -89,15 +89,6 @@ class RobinBC:
 BCValue = Union[DirichletBC, RobinBC]
 
 
-def _bc_at(bc: BCValue, level: int) -> BCValue:
-    """Boundary condition at one time level of a trace."""
-    if isinstance(bc, DirichletBC):
-        v = bc.value
-        return bc if np.isscalar(v) else DirichletBC(float(np.asarray(v)[level]))
-    v = bc.flux
-    return bc if np.isscalar(v) else RobinBC(bc.p, float(np.asarray(v)[level]))
-
-
 @dataclass
 class BandedSystem:
     """Tridiagonal system: sub/main/sup diagonals and right-hand side.
@@ -122,9 +113,15 @@ class BandedSystem:
 
 
 class _Operator:
-    """Precomputed interior stencil of -(a u')' + b u' + (c + shift) u."""
+    """Tridiagonal matrix of -(a u')' + b u' + (c + shift) u with its boundary rows.
 
-    def __init__(self, spec: ProblemSpec, sg: SubGrid, c_shift: float = 0.0):
+    The matrix depends on the boundary-condition kinds and the Robin
+    parameters, not on the boundary data, so it is assembled once per
+    subdomain solve; ``system`` then fills in only the right-hand side.
+    """
+
+    def __init__(self, spec: ProblemSpec, sg: SubGrid, bc_left: BCValue,
+                 bc_right: BCValue, c_shift: float = 0.0):
         if sg.n < 5:
             raise ValueError(f"subdomain grid too coarse ({sg.n} nodes, need >= 5)")
         self.sg = sg
@@ -134,7 +131,7 @@ class _Operator:
         a_half = np.atleast_1d(np.asarray(spec.a(xh), dtype=float)) + np.zeros(sg.n - 1)
         b = np.atleast_1d(np.asarray(spec.b(x), dtype=float)) + np.zeros(sg.n)
         c = np.atleast_1d(np.asarray(spec.c(x), dtype=float)) + np.zeros(sg.n) + c_shift
-        self.a_nodes = np.atleast_1d(np.asarray(spec.a(x), dtype=float)) + np.zeros(sg.n)
+        a_nodes = np.atleast_1d(np.asarray(spec.a(x), dtype=float)) + np.zeros(sg.n)
 
         n = sg.n
         sub = np.zeros(n)  # sub[i] multiplies u_{i-1} in row i
@@ -144,68 +141,64 @@ class _Operator:
         sub[i] = -a_half[i - 1] / h**2 - b[i] / (2 * h)
         main[i] = (a_half[i - 1] + a_half[i]) / h**2 + c[i]
         sup[i] = -a_half[i] / h**2 + b[i] / (2 * h)
-        self._sub, self._main, self._sup = sub, main, sup
-        self.h = h
 
-        lam = spec.a.lower_bound
-        if lam is None:
-            lam = float(np.min(np.concatenate([a_half, self.a_nodes])))
-        b_max = float(np.max(np.abs(b)))
-        self.h_star = np.inf if b_max == 0.0 else 2.0 * lam / b_max
-        self.warnings: list[str] = []
-        if h > self.h_star:
-            self.warnings.append(
-                f"h = {h:g} above diagonal-dominance threshold h* = {self.h_star:g}"
-            )
-
-    def system(self, rhs_core: np.ndarray, bc_left: BCValue, bc_right: BCValue) -> BandedSystem:
-        n = self.sg.n
-        sub = self._sub.copy()
-        main = self._main.copy()
-        sup = self._sup.copy()
-        rhs = np.asarray(rhs_core, dtype=float).copy()
-
-        def robin_row(end: int, bc: RobinBC) -> None:
+        # per end: (row, boundary data, eliminated row, alpha, pivot); the
+        # eliminated row is None for Dirichlet
+        self._ends = []
+        for end, bc in ((0, bc_left), (n - 1, bc_right)):
+            if isinstance(bc, DirichletBC):  # u = value; the row's other entries stay 0
+                main[end] = 1.0
+                self._ends.append((end, np.asarray(bc.value, dtype=float), None, None, None))
+                continue
             # one-sided stencil written toward the interior; the third point
             # is eliminated with the neighboring interior row, which keeps
             # the matrix tridiagonal and the relation exact at the solution
-            alpha = self.a_nodes[end] / (2 * self.h)
+            alpha = a_nodes[end] / (2 * h)
             if end == 0:
-                s, d, t3, r = sub[1], main[1], sup[1], rhs[1]  # row 1: s*u0+d*u1+t3*u2
+                s, d, t3 = sub[1], main[1], sup[1]  # row 1: s*u0+d*u1+t3*u2
                 if abs(t3) < 1e-300:
                     raise SingularSystemError("cannot eliminate Robin stencil point")
                 main[0] = 3 * alpha + bc.p - alpha * s / t3
                 sup[0] = -4 * alpha - alpha * d / t3
-                rhs[0] = bc.flux - alpha * r / t3
+                self._ends.append((0, np.asarray(bc.flux, dtype=float), 1, alpha, t3))
             else:
                 m = n - 1
-                s, d, t3, r = sub[m - 1], main[m - 1], sup[m - 1], rhs[m - 1]
+                s, d, t3 = sub[m - 1], main[m - 1], sup[m - 1]
                 if abs(s) < 1e-300:
                     raise SingularSystemError("cannot eliminate Robin stencil point")
                 main[m] = 3 * alpha + bc.p - alpha * t3 / s
                 sub[m] = -4 * alpha - alpha * d / s
-                rhs[m] = bc.flux - alpha * r / s
+                self._ends.append((m, np.asarray(bc.flux, dtype=float), m - 1, alpha, s))
+        self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
 
-        if isinstance(bc_left, DirichletBC):
-            main[0], sup[0], rhs[0] = 1.0, 0.0, bc_left.value
-        else:
-            robin_row(0, bc_left)
-        if isinstance(bc_right, DirichletBC):
-            main[n - 1], sub[n - 1], rhs[n - 1] = 1.0, 0.0, bc_right.value
-        else:
-            robin_row(n - 1, bc_right)
+        lam = spec.a.lower_bound
+        if lam is None:
+            lam = float(np.min(np.concatenate([a_half, a_nodes])))
+        b_max = float(np.max(np.abs(b)))
+        h_star = np.inf if b_max == 0.0 else 2.0 * lam / b_max
+        warnings = []
+        if h > h_star:
+            warnings.append(f"h = {h:g} above diagonal-dominance threshold h* = {h_star:g}")
+        self.meta = {"warnings": warnings, "h": h, "h_star": h_star}
 
-        meta = {"warnings": list(self.warnings), "h": self.h, "h_star": self.h_star}
-        return BandedSystem(n=n, sub=sub[1:], main=main, sup=sup[:-1], rhs=rhs, meta=meta)
+    def system(self, rhs_core: np.ndarray, level: int = 0) -> BandedSystem:
+        """The system with ``rhs_core`` in the interior rows and the boundary
+        data of time ``level`` (ignored for scalar data) in the boundary rows."""
+        rhs = np.asarray(rhs_core, dtype=float).copy()
+        for end, data, row, alpha, pivot in self._ends:
+            value = data[level] if data.ndim else data
+            rhs[end] = value if row is None else value - alpha * rhs[row] / pivot
+        return BandedSystem(n=self.sg.n, sub=self._sub, main=self._main, sup=self._sup,
+                            rhs=rhs, meta=self.meta)
 
 
 def assemble_elliptic(spec: ProblemSpec, sg: SubGrid, bc_left: BCValue,
                       bc_right: BCValue, frozen_u: Field | None = None) -> BandedSystem:
     """Assemble the linearized elliptic system with F frozen at ``frozen_u``."""
-    op = _Operator(spec, sg)
+    op = _Operator(spec, sg, bc_left, bc_right)
     frozen = np.zeros(sg.n) if frozen_u is None else np.asarray(frozen_u, dtype=float)
     rhs_core = spec.source_values(sg.x) + np.atleast_1d(spec.F(sg.x, frozen)) + np.zeros(sg.n)
-    return op.system(rhs_core, bc_left, bc_right)
+    return op.system(rhs_core)
 
 
 def solve_banded(system: BandedSystem) -> Field:
@@ -223,17 +216,16 @@ def solve_banded(system: BandedSystem) -> Field:
     return u
 
 
-def _picard_solve(op: _Operator, rhs_fixed: np.ndarray, bc_left: BCValue,
-                  bc_right: BCValue, u_start: np.ndarray, picard_tol: float,
-                  picard_max: int) -> tuple[Field, int, list[float]]:
+def _picard_solve(op: _Operator, rhs_fixed: np.ndarray, level: int, u_start: np.ndarray,
+                  picard_tol: float, picard_max: int) -> tuple[Field, int, list[float]]:
     spec, x = op.spec, op.sg.x
     if spec.F.kind == "zero":
-        return solve_banded(op.system(rhs_fixed, bc_left, bc_right)), 1, [0.0]
+        return solve_banded(op.system(rhs_fixed, level)), 1, [0.0]
     u = u_start
     diffs: list[float] = []
     for m in range(1, picard_max + 1):
         rhs = rhs_fixed + np.atleast_1d(spec.F(x, u))
-        u_new = solve_banded(op.system(rhs, bc_left, bc_right))
+        u_new = solve_banded(op.system(rhs, level))
         diff = float(np.max(np.abs(u_new - u)))
         diffs.append(diff)
         u = u_new
@@ -254,11 +246,10 @@ def solve_semilinear_elliptic(spec: ProblemSpec, sg: SubGrid, bc_left: BCValue,
     Returns the converged field and the number of Picard steps.  With
     c > Lipschitz(F) the iteration contracts at rate ~ C / min(c).
     """
-    op = _Operator(spec, sg)
+    op = _Operator(spec, sg, bc_left, bc_right)
     rhs_fixed = spec.source_values(sg.x) + np.zeros(sg.n)
     start = np.zeros(sg.n) if u_start is None else np.asarray(u_start, dtype=float)
-    u, iters, _ = _picard_solve(op, rhs_fixed, bc_left, bc_right, start,
-                                picard_tol, picard_max)
+    u, iters, _ = _picard_solve(op, rhs_fixed, 0, start, picard_tol, picard_max)
     return u, iters
 
 
@@ -274,15 +265,14 @@ def solve_semilinear_parabolic(spec: ProblemSpec, sg: SubGrid, bc_left: BCValue,
     Returns the (nodes, len(t)) space-time field.
     """
     n_steps = len(t) - 1
-    op = _Operator(spec, sg, c_shift=1.0 / dt)
+    op = _Operator(spec, sg, bc_left, bc_right, c_shift=1.0 / dt)
     field = np.empty((sg.n, n_steps + 1))
     field[:, 0] = np.asarray(initial, dtype=float)
     for m in range(1, n_steps + 1):
         rhs_fixed = spec.source_values(sg.x, float(t[m])) + field[:, m - 1] / dt
         try:
-            u, _, _ = _picard_solve(op, rhs_fixed, _bc_at(bc_left, m),
-                                    _bc_at(bc_right, m), field[:, m - 1],
-                                    picard_tol, picard_max)
+            u, _, _ = _picard_solve(op, rhs_fixed, m, field[:, m - 1], picard_tol,
+                                    picard_max)
         except PicardError as exc:
             raise PicardError(f"time level {m} (t = {t[m]:g}): {exc}", exc.diffs,
                               time_level=m) from exc
@@ -307,7 +297,5 @@ def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
     if grid.t is None:
         raise ValueError("parabolic reference needs a grid with a time axis")
     initial = np.asarray(spec.g.value(sg.x, spec.length), dtype=float) + np.zeros(sg.n)
-    ones = np.ones(grid.n_steps + 1)
-    return solve_semilinear_parabolic(spec, sg, DirichletBC(g0 * ones),
-                                      DirichletBC(gL * ones), initial,
+    return solve_semilinear_parabolic(spec, sg, DirichletBC(g0), DirichletBC(gL), initial,
                                       grid.dt, grid.t, picard_tol, picard_max)

@@ -23,7 +23,7 @@ Parabolic mode needs no sign condition on c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -525,8 +525,3 @@ def validate(spec: ProblemSpec, n_samples: int = 2048,
         violations.append("finite: boundary data or source is not finite on [0, L]")
 
     return violations
-
-
-def with_g(spec: ProblemSpec, g: DataFn) -> ProblemSpec:
-    """Copy of spec with different boundary/initial data."""
-    return replace(spec, g=g)

@@ -1,12 +1,12 @@
 """Jacobi-type overlapping Schwarz iteration with error tracking.
 
 Every sweep solves all subdomains independently, each taking its
-interface data from the neighbors' previous iterate (so the sweep is
-order-independent and may run its solves concurrently), then compares
-against a monodomain reference computed once with the same
-discretization.  Stopping: the error norm E_k falls below ``stop_tol``
-(converged), grows past ``guard_factor`` times E_1 (diverged), or the
-iteration budget runs out (stalled).
+interface data from the neighbors' previous iterate (so the sweep does
+not depend on the order of the subdomains), then compares against a
+monodomain reference computed once with the same discretization.
+Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
+past ``guard_factor`` times E_1 (diverged), or the iteration budget runs
+out (stalled).
 
 Error norms per mode and transmission kind:
 
@@ -32,9 +32,8 @@ magnitudes and E_k oscillates between parities.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy.integrate import simpson
@@ -47,7 +46,7 @@ from .discretize import (
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
 )
-from .geometry import Grid, Partition, build_grid, validate_partition
+from .geometry import Partition, SubGrid, build_grid, validate_partition
 from .problem import DataFn, ProblemSpec, validate as validate_problem
 
 __all__ = [
@@ -81,7 +80,9 @@ class SchwarzConfig:
     "reference" (seed the exchange with the reference solution's own
     data; the iteration must then sit still at the fixed point).
     ``alpha`` is the decay rate of the parabolic time weight and the
-    left end of the seminorm window.
+    left end of the seminorm window.  The subdomains are solved one after
+    another in one thread; each sweep reads only the previous iterate, so
+    their order does not change the result.
     """
 
     problem: ProblemSpec
@@ -97,8 +98,6 @@ class SchwarzConfig:
     picard_max: int = 200
     guard_factor: float = 1e6
     rate_window: int = 8
-    keep_fields: bool = False
-    max_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
@@ -118,13 +117,9 @@ class IterationHistory:
     sub_norms: list[list[float]]
     wall_times: list[float]
     verdict: str
-    grid: Grid
-    reference: np.ndarray
     final_fields: list[np.ndarray]
     rate_per_iteration: float
     rate_per_double: float
-    rate_hit_zero: bool
-    error_fields: list[list[np.ndarray]] | None = None
 
     @property
     def iterations(self) -> int:
@@ -241,16 +236,14 @@ def double_sweep_ratio(E, window: int) -> float:
 # the engine
 # --------------------------------------------------------------------------
 
-class _Side:
-    """One boundary of one subdomain: outer Dirichlet or an interface."""
+class _SubPlan(NamedTuple):
+    """What the solves of one subdomain need that stays fixed for a run."""
 
-    def __init__(self, outer_value: float | None = None, neighbor: int | None = None):
-        self.outer_value = outer_value
-        self.neighbor = neighbor
-
-    @property
-    def is_interface(self) -> bool:
-        return self.neighbor is not None
+    sg: SubGrid
+    ref: np.ndarray  # the reference restricted to the subdomain
+    neighbors: tuple  # (left, right) neighbor index, None on the outer boundary
+    outer_bcs: tuple  # (left, right) DirichletBC on the outer boundary, else None
+    initial: np.ndarray | None  # parabolic initial profile
 
 
 class _Runner:
@@ -291,71 +284,61 @@ class _Runner:
             if missing:
                 raise ValueError(f"transmission table missing interfaces {missing}")
 
-        self.reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
-        g0, gL = prob.boundary_values()
-        self.sides: list[tuple[_Side, _Side]] = []
-        self.ref_parts: list[np.ndarray] = []
-        for l, (lo_pt, hi_pt) in enumerate(part.subdomains):
-            lo, hi = grid.sub_ranges[l]
-            self.ref_parts.append(self.reference[lo:hi + 1].copy())
-            left = (_Side(outer_value=g0) if lo == 0
-                    else _Side(neighbor=self._neighbor_at(l, lo_pt)))
-            right = (_Side(outer_value=gL) if hi == grid.n_cells
-                     else _Side(neighbor=self._neighbor_at(l, hi_pt)))
-            self.sides.append((left, right))
+        reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
+        outer = [DirichletBC(g) for g in prob.boundary_values()]
+        neighbor_at = {(l, idx): m for (l, m), idx in grid.interface_index.items()}
+        self.plans: list[_SubPlan] = []
+        for l, (lo, hi) in enumerate(grid.sub_ranges):
+            sg = grid.subgrid(l)
+            neighbors = (neighbor_at.get((l, lo)), neighbor_at.get((l, hi)))
+            initial = None
+            if mode == "parabolic":
+                initial = np.asarray(prob.g.value(sg.x, prob.length),
+                                     dtype=float) + np.zeros(sg.n)
+            self.plans.append(_SubPlan(
+                sg=sg,
+                ref=reference[lo:hi + 1],
+                neighbors=neighbors,
+                outer_bcs=tuple(bc if m is None else None for m, bc in zip(neighbors, outer)),
+                initial=initial,
+            ))
 
         if cfg.transmission.is_robin:
             self.norm_kind = "sup" if mode == "elliptic" else "laplace-seminorm2"
         else:
             self.norm_kind = "sup" if mode == "elliptic" else "weighted-sup2"
 
-    def _neighbor_at(self, l: int, point: float) -> int:
-        part = self.grid.partition
-        for (ll, m), pts in part.interfaces.items():
-            if ll == l and any(abs(p - point) <= 1e-12 * part.length for p in pts):
-                return m
-        raise ValueError(f"no neighbor found for subdomain {l} at {point:g}")
-
     # -- data exchange ----------------------------------------------------
 
-    def _interface_bc(self, l: int, side: _Side, fields: list[np.ndarray] | None):
-        cfg, grid = self.cfg, self.grid
-        m = side.neighbor
-        if fields is not None:
-            datum = tx.extract(cfg.transmission, grid, cfg.problem, l, m, fields[m])
-        else:
-            datum = tx.initial_guess_data(cfg.u0, cfg.transmission, grid,
-                                          cfg.problem, l, m)
-        if self.mode == "parabolic" and np.isscalar(datum):
-            datum = np.full(grid.n_steps + 1, float(datum))
-        if cfg.transmission.is_robin:
-            return RobinBC(cfg.transmission.p_effective((l, m)), datum)
-        return DirichletBC(datum)
-
     def _bc_pair(self, l: int, fields: list[np.ndarray] | None):
+        cfg, grid = self.cfg, self.grid
+        plan = self.plans[l]
         out = []
-        for side in self.sides[l]:
-            if side.is_interface:
-                out.append(self._interface_bc(l, side, fields))
+        for m, outer_bc in zip(plan.neighbors, plan.outer_bcs):
+            if m is None:
+                out.append(outer_bc)
+                continue
+            if fields is not None:
+                datum = tx.extract(cfg.transmission, grid, cfg.problem, l, m, fields[m])
             else:
-                value = side.outer_value
-                if self.mode == "parabolic":
-                    value = np.full(self.grid.n_steps + 1, float(value))
-                out.append(DirichletBC(value))
+                datum = tx.initial_guess_data(cfg.u0, cfg.transmission, grid,
+                                              cfg.problem, l, m)
+            if cfg.transmission.is_robin:
+                out.append(RobinBC(cfg.transmission.p_effective((l, m)), datum))
+            else:
+                out.append(DirichletBC(datum))
         return out
 
     def _solve_one(self, l: int, bcs, warm) -> np.ndarray:
         cfg, grid = self.cfg, self.grid
-        sg = grid.subgrid(l)
+        plan = self.plans[l]
         if self.mode == "elliptic":
-            u, _ = solve_semilinear_elliptic(cfg.problem, sg, bcs[0], bcs[1],
+            u, _ = solve_semilinear_elliptic(cfg.problem, plan.sg, bcs[0], bcs[1],
                                              cfg.picard_tol, cfg.picard_max,
                                              u_start=warm)
             return u
-        initial = np.asarray(cfg.problem.g.value(sg.x, cfg.problem.length),
-                             dtype=float) + np.zeros(sg.n)
-        return solve_semilinear_parabolic(cfg.problem, sg, bcs[0], bcs[1], initial,
-                                          grid.dt, grid.t, cfg.picard_tol,
+        return solve_semilinear_parabolic(cfg.problem, plan.sg, bcs[0], bcs[1],
+                                          plan.initial, grid.dt, grid.t, cfg.picard_tol,
                                           cfg.picard_max)
 
     # -- norms -------------------------------------------------------------
@@ -366,7 +349,7 @@ class _Runner:
         if self.norm_kind == "weighted-sup2":
             return weighted_sup_norm(err, self.cfg.alpha, self.grid.t)
         profile = seminorm_sq_profile(err, self.cfg.alpha, self.grid.t)
-        return float(np.trapezoid(profile, self.grid.subgrid(l).x))
+        return float(np.trapezoid(profile, self.plans[l].sg.x))
 
     def _combine(self, sub_norms: list[float]) -> float:
         if self.norm_kind == "laplace-seminorm2":
@@ -377,13 +360,12 @@ class _Runner:
 
     def run(self) -> IterationHistory:
         cfg = self.cfg
-        count = self.grid.partition.count
-        fields = [r.copy() for r in self.ref_parts] if cfg.u0 == "reference" else None
+        count = len(self.plans)
+        fields = [p.ref.copy() for p in self.plans] if cfg.u0 == "reference" else None
 
         E: list[float] = []
         sub_norms: list[list[float]] = []
         wall: list[float] = []
-        kept: list[list[np.ndarray]] | None = [] if cfg.keep_fields else None
         verdict = "stalled"
 
         for k in range(1, cfg.k_max + 1):
@@ -391,28 +373,21 @@ class _Runner:
             bc_all = [self._bc_pair(l, fields) for l in range(count)]
             warm = fields if (fields is not None and self.mode == "elliptic") else [None] * count
 
-            def solve(l: int) -> np.ndarray:
+            new_fields = []
+            for l in range(count):
                 try:
-                    return self._solve_one(l, bc_all[l], warm[l])
+                    new_fields.append(self._solve_one(l, bc_all[l], warm[l]))
                 except Exception as exc:
                     raise SchwarzRunError(
                         f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1
                     ) from exc
 
-            if cfg.max_workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-                    new_fields = list(pool.map(solve, range(count)))
-            else:
-                new_fields = [solve(l) for l in range(count)]
-
-            errs = [new_fields[l] - self.ref_parts[l] for l in range(count)]
+            errs = [new_fields[l] - self.plans[l].ref for l in range(count)]
             norms = [self._sub_norm(l, errs[l]) for l in range(count)]
             Ek = self._combine(norms)
             E.append(Ek)
             sub_norms.append(norms)
             wall.append(time.perf_counter() - tic)
-            if kept is not None:
-                kept.append([e.copy() for e in errs])
             fields = new_fields
 
             if Ek <= cfg.stop_tol:
@@ -429,13 +404,9 @@ class _Runner:
             sub_norms=sub_norms,
             wall_times=wall,
             verdict=verdict,
-            grid=self.grid,
-            reference=self.reference,
             final_fields=fields,
             rate_per_iteration=fit_contraction_rate(E, window),
             rate_per_double=double_sweep_ratio(E, window),
-            rate_hit_zero=any(v == 0.0 for v in E),
-            error_fields=kept,
         )
 
 

@@ -36,9 +36,6 @@ __all__ = [
     "normal_derivative",
 ]
 
-#: one real per interface (elliptic) or one per time level (parabolic)
-InterfaceDatum = "float | np.ndarray"
-
 
 class TransmissionError(ValueError):
     """Bad transmission parameters or an interface outside the neighbor grid."""

@@ -5,6 +5,9 @@ import pytest
 
 from schwarz1d.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> str:
     path = tmp_path / name
@@ -200,3 +203,43 @@ def test_run_stalled_exits_one(tmp_path, capsys):
     cfg["run"]["max_iters"] = 3  # cannot converge that fast
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
     assert "stalled" in capsys.readouterr().err
+
+
+def test_run_engine_failure_reports_error_without_traceback(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "heat_dirichlet.json").read_text())
+    cfg["run"]["picard_max"] = 1  # the reference solve's Picard loop fails at once
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Picard" in err
+    assert "Traceback" not in err
+
+
+# Recorded with `schwarz1d --quiet <command> --config configs/<name>.json
+# --out tests/data/<name>`.  Measured columns are compared to 1e-12 relative
+# because another LAPACK build may round the last digit differently.
+_MEASURED = {"norm", "E_k", "rate", "rate_double", "tau"}
+
+
+@pytest.mark.parametrize("name, command, csv, code", [
+    ("laplace_dirichlet", "run", "history.csv", 0),
+    ("counterexample_divergent", "run", "history.csv", 2),
+    ("counterexample_rho_sweep", "sweep", "sweep.csv", 0),
+])
+def test_shipped_config_reproduces_recorded_csv(tmp_path, name, command, csv, code):
+    config = str(CONFIGS / f"{name}.json")
+    assert main(["--quiet", command, "--config", config, "--out", str(tmp_path)]) == code
+    got = (tmp_path / csv).read_text().splitlines()
+    want = (DATA / name / csv).read_text().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    header = want[0].split(",")
+    for got_row, want_row in zip(got[1:], want[1:]):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert len(got_cells) == len(want_cells) == len(header)
+        for column, g, w in zip(header, got_cells, want_cells):
+            if column in _MEASURED and w:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), (column, want_row)
+            else:
+                assert g == w, (column, want_row)
