@@ -67,6 +67,6 @@ from .schwarz import (
     seminorm_sq_profile,
     weighted_sup_norm,
 )
-from .transmission import TransmissionError, TransmissionSpec, extract, initial_guess_data
+from .transmission import TransmissionError, TransmissionSpec, extract
 
 __version__ = "0.1.0"

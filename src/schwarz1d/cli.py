@@ -122,48 +122,24 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     return sc, problem_id
 
 
-def _oracle_case_from_config(cfg: dict):
-    """AnalyticCase when the config matches the two-subdomain model, else None."""
-    if cfg.get("problem") != "example31":
+def _oracle_tau(sc: SchwarzConfig, problem_id: str) -> float | None:
+    """Closed-form tau when the run is the analytic two-subdomain model, else None."""
+    L = sc.problem.length
+    if problem_id != "example31" or sc.partition.count != 2:
         return None
-    part = cfg.get("partition", {})
-    intervals = part.get("intervals")
-    if not intervals or len(intervals) != 2:
+    (a0, L2), (L1, b1) = sc.partition.subdomains
+    if abs(a0) > 1e-12 or abs(b1 - L) > 1e-12 or not 0.0 < L1 < L2 < L:
         return None
-    (a0, b0), (a1, b1) = intervals
-    problem = catalog_lookup("example31")
-    L = problem.length
-    if abs(a0) > 1e-12 or abs(b1 - L) > 1e-12:
-        return None
-    L2, L1 = float(b0), float(a1)
-    if not 0.0 < L1 < L2 < L:
-        return None
-    tdict = cfg.get("transmission", {})
-    kind, body = next(iter(tdict.items())) if tdict else ("dirichlet", {})
-    if kind == "dirichlet":
-        return oracle.AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=1.0), "dirichlet"
-    p = body.get("p")
-    if isinstance(p, dict):
-        try:
-            p_val, q_val = float(p["0,1"]), float(p["1,0"])
-        except KeyError:
-            return None
-    else:
-        p_val = q_val = float(p)
-    rho = float(body.get("rho", 1.0)) if kind == "scaled_robin" else 1.0
-    return oracle.AnalyticCase(L=L, L1=L1, L2=L2, p=p_val, q=q_val, rho=rho), "robin"
-
-
-def _oracle_tau(cfg: dict) -> float | None:
-    found = _oracle_case_from_config(cfg)
-    if found is None:
-        return None
-    case, kind = found
+    tsp = sc.transmission
     try:
-        if kind == "dirichlet":
-            return oracle.dirichlet_tau_factors(case).tau
-        return oracle.tau_factors(case).tau
-    except oracle.DegenerateParameterError:
+        if not tsp.is_robin:
+            return oracle.dirichlet_tau_factors(
+                oracle.AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=1.0)).tau
+        p = tsp.p if isinstance(tsp.p, dict) else {(0, 1): tsp.p, (1, 0): tsp.p}
+        rho = tsp.rho if tsp.kind == "scaled_robin" else 1.0
+        return oracle.tau_factors(oracle.AnalyticCase(
+            L=L, L1=L1, L2=L2, p=float(p[(0, 1)]), q=float(p[(1, 0)]), rho=rho)).tau
+    except (KeyError, oracle.DegenerateParameterError):
         return None
 
 
@@ -188,11 +164,10 @@ def _write_history_csv(path: Path, hist: IterationHistory) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _summary_text(problem_id: str, cfg: dict, hist: IterationHistory) -> str:
-    tkind = next(iter(cfg.get("transmission", {"dirichlet": {}})))
+def _summary_text(problem_id: str, sc: SchwarzConfig, hist: IterationHistory) -> str:
     lines = [
         f"problem:        {problem_id}",
-        f"transmission:   {tkind}",
+        f"transmission:   {sc.transmission.kind}",
         f"norm:           {hist.norm_kind}",
         f"verdict:        {hist.verdict}",
         f"iterations:     {hist.iterations}",
@@ -201,7 +176,7 @@ def _summary_text(problem_id: str, cfg: dict, hist: IterationHistory) -> str:
         f"rate/double:    {_fmt(hist.rate_per_double)}",
         f"wall time (s):  {sum(hist.wall_times):.3f}",
     ]
-    tau = _oracle_tau(cfg)
+    tau = _oracle_tau(sc, problem_id)
     if tau is not None:
         lines.append(f"oracle tau:     {_fmt(tau)}")
     return "\n".join(lines) + "\n"
@@ -218,7 +193,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     _write_history_csv(out / "history.csv", hist)
-    summary = _summary_text(problem_id, cfg, hist)
+    summary = _summary_text(problem_id, sc, hist)
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     if not args.quiet:
         print(summary, end="")
@@ -282,22 +257,26 @@ def _cmd_sweep(args) -> int:
     axis, values = sweep.get("axis"), sweep.get("values")
     if not axis or not values:
         raise ConfigError("sweep needs config.sweep.axis and a nonempty value list")
+    try:
+        labels = [_fmt(float(value)) for value in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep values must be numbers, got {values!r}") from None
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged = None
-    for value in values:
+    for value, label in zip(values, labels):
         point = _apply_axis(cfg, axis, value)
-        tau = _oracle_tau(point)
+        tau = None
         try:
-            sc, _ = build_schwarz_config(point)
+            sc, problem_id = build_schwarz_config(point)
+            tau = _oracle_tau(sc, problem_id)
             hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
-            rows.append(",".join([axis, _fmt(float(value)), hist.verdict,
-                                  str(hist.iterations), _fmt(hist.rate_per_double),
-                                  _fmt(tau), ""]))
+            rows.append(",".join([axis, label, hist.verdict, str(hist.iterations),
+                                  _fmt(hist.rate_per_double), _fmt(tau), ""]))
             if first_converged is None and hist.verdict == "converged":
                 first_converged = value
         except Exception as exc:  # record the failure, keep sweeping
-            rows.append(",".join([axis, _fmt(float(value)), "error", "", "",
-                                  _fmt(tau), str(exc).replace(",", ";")]))
+            rows.append(",".join([axis, label, "error", "", "", _fmt(tau),
+                                  str(exc).replace(",", ";")]))
     out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")

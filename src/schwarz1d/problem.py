@@ -199,7 +199,7 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class DataFn:
-    """Closed-form boundary/initial/source data with an analytic slope.
+    """Closed-form boundary/initial/source data and initial iterates.
 
     kinds:
         ``zero``        -- 0
@@ -207,8 +207,9 @@ class DataFn:
         ``sine``        -- amplitude * sin(mode * pi * x / L)
         ``polynomial``  -- sum(coeffs[i] * x**i)
 
-    The analytic derivative is needed wherever a Robin transmission
-    operator is applied to closed-form data (initial guesses).
+    Data are only ever evaluated at grid nodes; derivatives (e.g. for the
+    Robin transmission of an initial iterate) come from the same discrete
+    stencils that act on computed fields.
     """
 
     kind: str
@@ -245,16 +246,6 @@ class DataFn:
         if self.kind == "sine":
             return self.amplitude * np.sin(self.mode * math.pi * x / length)
         return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
-
-    def slope(self, x, length: float):
-        x = np.asarray(x, dtype=float)
-        if self.kind in ("zero", "constant"):
-            return np.zeros_like(x) if x.ndim else 0.0
-        if self.kind == "sine":
-            w = self.mode * math.pi / length
-            return self.amplitude * w * np.cos(w * x)
-        dcoeffs = [i * c for i, c in enumerate(self.coeffs)][1:] or [0.0]
-        return np.polynomial.polynomial.polyval(x, np.array(dcoeffs))
 
     def to_dict(self) -> dict:
         if self.kind == "zero":
@@ -465,18 +456,19 @@ def catalog_lookup(problem_id: str) -> ProblemSpec:
 # assumption checks
 # --------------------------------------------------------------------------
 
-def validate(spec: ProblemSpec, n_samples: int = 2048,
-             rng: np.random.Generator | None = None) -> list[str]:
+_VALIDATE_SAMPLES = 2048
+
+
+def validate(spec: ProblemSpec, rng: np.random.Generator | None = None) -> list[str]:
     """Check the well-posedness assumptions by dense sampling.
 
     Returns a list of human-readable violations; empty means all checks
-    passed on a grid of ``n_samples`` points (>= 1000) plus a randomized
-    Lipschitz spot check of the nonlinearity.
+    passed on a grid of 2048 points (and the midpoints between them) plus
+    a randomized Lipschitz spot check of the nonlinearity.
     """
-    n_samples = max(int(n_samples), 1000)
     rng = rng if rng is not None else np.random.default_rng(0)
     violations: list[str] = []
-    x = np.linspace(0.0, spec.length, n_samples)
+    x = np.linspace(0.0, spec.length, _VALIDATE_SAMPLES)
     xh = 0.5 * (x[:-1] + x[1:])
 
     for name, fn in (("a", spec.a), ("b", spec.b), ("c", spec.c)):

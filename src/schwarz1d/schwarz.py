@@ -1,9 +1,10 @@
 """Jacobi-type overlapping Schwarz iteration with error tracking.
 
 Every sweep solves all subdomains independently, each taking its
-interface data from the neighbors' previous iterate (so the sweep does
-not depend on the order of the subdomains), then compares against a
-monodomain reference computed once with the same discretization.
+interface data from the neighbors' previous iterate (the initial iterate
+u^0 for the first sweep; the sweep does not depend on the order of the
+subdomains), then compares against a monodomain reference computed once
+with the same discretization.
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
 past ``guard_factor`` times E_1 (diverged), or the iteration budget runs
 out (stalled).
@@ -41,7 +42,9 @@ from scipy.integrate import simpson
 from . import transmission as tx
 from .discretize import (
     DirichletBC,
+    PicardError,
     RobinBC,
+    SingularSystemError,
     reference_solve,
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
@@ -64,7 +67,10 @@ __all__ = [
 
 
 class SchwarzRunError(RuntimeError):
-    """A subdomain solve failed; carries the iteration and subdomain index."""
+    """A solve failed; carries the iteration and 1-based subdomain index.
+
+    Both are 0 when the monodomain reference solve failed.
+    """
 
     def __init__(self, message: str, iteration: int, subdomain: int):
         super().__init__(message)
@@ -76,9 +82,12 @@ class SchwarzRunError(RuntimeError):
 class SchwarzConfig:
     """Everything one run needs.
 
-    ``u0`` is a DataFn, one of the shorthands "zero" / "one" / "sine", or
-    "reference" (seed the exchange with the reference solution's own
-    data; the iteration must then sit still at the fixed point).
+    ``u0`` is the initial iterate: a DataFn, one of the shorthands
+    "zero" / "one" / "sine", or "reference" (the reference solution
+    itself, so the iteration must sit still at the fixed point).  It is
+    sampled on each subdomain's nodes, and the first sweep takes its
+    interface data from it through the same transmission stencil as
+    every later sweep.
     ``alpha`` is the decay rate of the parabolic time weight and the
     left end of the seminorm window.  The subdomains are solved one after
     another in one thread; each sweep reads only the previous iterate, so
@@ -157,24 +166,27 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _seminorm_windows(alpha: float, alpha_samples: int, points_per_unit: int):
-    starts = np.geomspace(alpha, 10.0 * alpha, alpha_samples)
-    return [np.linspace(s, s + 1.0, points_per_unit + 1) for s in starts]
+_WINDOW_STARTS = 9  # log-spaced window starts sampled in [alpha, 10 alpha]
+_WINDOW_INTERVALS = 64  # Simpson intervals per unit window
 
 
-def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray,
-                        alpha_samples: int = 9, points_per_unit: int = 64) -> np.ndarray:
+def _seminorm_windows(alpha: float):
+    starts = np.geomspace(alpha, 10.0 * alpha, _WINDOW_STARTS)
+    return [np.linspace(s, s + 1.0, _WINDOW_INTERVALS + 1) for s in starts]
+
+
+def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray) -> np.ndarray:
     """Per-node squared seminorm |f(x_i, .)|_alpha^2 of a (nodes, time) field.
 
     The Laplace transform uses trapezoidal quadrature on the time grid;
-    the window integral uses composite Simpson with ``points_per_unit``
-    intervals per unit window; the sup over window starts is sampled on a
-    log-spaced set in [alpha, 10 alpha] (for transforms decreasing in y,
-    e.g. signals of one sign, it is attained at the left end).
+    the window integral uses composite Simpson with 64 intervals per unit
+    window; the sup over window starts is sampled at 9 log-spaced points
+    in [alpha, 10 alpha] (for transforms decreasing in y, e.g. signals of
+    one sign, it is attained at the left end).
     """
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     t = np.asarray(t, dtype=float)
-    windows = _seminorm_windows(alpha, alpha_samples, points_per_unit)
+    windows = _seminorm_windows(alpha)
     y_all = np.concatenate(windows)
     kernel = np.exp(-np.outer(y_all, t)) * _trapezoid_weights(t)[None, :]
     transforms = fields @ kernel.T  # (nodes, len(y_all))
@@ -186,11 +198,9 @@ def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray,
     return best
 
 
-def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray,
-                     alpha_samples: int = 9, points_per_unit: int = 64) -> float:
+def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray) -> float:
     """Seminorm |f|_alpha of one time series on the truncated horizon."""
-    sq = seminorm_sq_profile(np.asarray(series)[None, :], alpha, t,
-                             alpha_samples, points_per_unit)
+    sq = seminorm_sq_profile(np.asarray(series)[None, :], alpha, t)
     return float(np.sqrt(max(sq[0], 0.0)))
 
 
@@ -244,6 +254,7 @@ class _SubPlan(NamedTuple):
     neighbors: tuple  # (left, right) neighbor index, None on the outer boundary
     outer_bcs: tuple  # (left, right) DirichletBC on the outer boundary, else None
     initial: np.ndarray | None  # parabolic initial profile
+    start: np.ndarray  # the initial iterate u^0 on the subdomain
 
 
 class _Runner:
@@ -259,6 +270,11 @@ class _Runner:
             raise ValueError("partition fails validation: " + "; ".join(bad))
         if abs(part.length - prob.length) > 1e-12 * prob.length:
             raise ValueError("partition length differs from problem domain length")
+        u0 = cfg.u0
+        if isinstance(u0, str) and u0 != "reference":
+            u0 = DataFn.from_dict(u0)
+        elif not isinstance(u0, (str, DataFn)):
+            raise ValueError(f"initial guess must be a DataFn or shorthand, got {u0!r}")
 
         self.cfg = cfg
         self.mode = mode
@@ -284,7 +300,10 @@ class _Runner:
             if missing:
                 raise ValueError(f"transmission table missing interfaces {missing}")
 
-        reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
+        try:
+            reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
+        except (PicardError, SingularSystemError) as exc:
+            raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
         outer = [DirichletBC(g) for g in prob.boundary_values()]
         neighbor_at = {(l, idx): m for (l, m), idx in grid.interface_index.items()}
         self.plans: list[_SubPlan] = []
@@ -295,12 +314,15 @@ class _Runner:
             if mode == "parabolic":
                 initial = np.asarray(prob.g.value(sg.x, prob.length),
                                      dtype=float) + np.zeros(sg.n)
+            ref = reference[lo:hi + 1]
             self.plans.append(_SubPlan(
                 sg=sg,
-                ref=reference[lo:hi + 1],
+                ref=ref,
                 neighbors=neighbors,
                 outer_bcs=tuple(bc if m is None else None for m, bc in zip(neighbors, outer)),
                 initial=initial,
+                start=ref if u0 == "reference" else np.asarray(
+                    u0.value(sg.x, prob.length), dtype=float),
             ))
 
         if cfg.transmission.is_robin:
@@ -310,7 +332,7 @@ class _Runner:
 
     # -- data exchange ----------------------------------------------------
 
-    def _bc_pair(self, l: int, fields: list[np.ndarray] | None):
+    def _bc_pair(self, l: int, fields: list[np.ndarray]):
         cfg, grid = self.cfg, self.grid
         plan = self.plans[l]
         out = []
@@ -318,11 +340,7 @@ class _Runner:
             if m is None:
                 out.append(outer_bc)
                 continue
-            if fields is not None:
-                datum = tx.extract(cfg.transmission, grid, cfg.problem, l, m, fields[m])
-            else:
-                datum = tx.initial_guess_data(cfg.u0, cfg.transmission, grid,
-                                              cfg.problem, l, m)
+            datum = tx.extract(cfg.transmission, grid, cfg.problem, l, m, fields[m])
             if cfg.transmission.is_robin:
                 out.append(RobinBC(cfg.transmission.p_effective((l, m)), datum))
             else:
@@ -361,7 +379,7 @@ class _Runner:
     def run(self) -> IterationHistory:
         cfg = self.cfg
         count = len(self.plans)
-        fields = [p.ref.copy() for p in self.plans] if cfg.u0 == "reference" else None
+        fields = [p.start for p in self.plans]
 
         E: list[float] = []
         sub_norms: list[list[float]] = []
@@ -371,12 +389,11 @@ class _Runner:
         for k in range(1, cfg.k_max + 1):
             tic = time.perf_counter()
             bc_all = [self._bc_pair(l, fields) for l in range(count)]
-            warm = fields if (fields is not None and self.mode == "elliptic") else [None] * count
 
             new_fields = []
             for l in range(count):
                 try:
-                    new_fields.append(self._solve_one(l, bc_all[l], warm[l]))
+                    new_fields.append(self._solve_one(l, bc_all[l], fields[l]))
                 except Exception as exc:
                     raise SchwarzRunError(
                         f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1

@@ -14,7 +14,9 @@ one-sided three-point stencil pointing into the receiving subdomain --
 the identical formula the assembly uses for its Robin boundary row -- so
 the exchange is bit-consistent with the subdomain solves: feeding both
 sides the restriction of one global field reproduces the assembly value
-exactly, not just to O(h^2).
+exactly, not just to O(h^2).  There is no second path for the initial
+guess: the engine samples u^0 on the grid and applies ``extract`` to it,
+so the first sweep sees the same discrete operator as every later one.
 
 ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 """
@@ -26,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid
-from .problem import DataFn, ProblemSpec, _named_data
+from .problem import ProblemSpec
 
 __all__ = [
     "TransmissionSpec",
     "TransmissionError",
     "extract",
-    "initial_guess_data",
     "normal_derivative",
 ]
 
@@ -105,14 +106,16 @@ class TransmissionSpec:
         kind, body = next(iter(d.items()))
         if kind == "dirichlet":
             return cls.dirichlet()
+        if kind not in ("robin", "scaled_robin"):
+            raise TransmissionError(f"unknown transmission kind {kind!r}")
+        if not isinstance(body, dict) or "p" not in body:
+            raise TransmissionError(f"{kind} transmission needs a 'p' entry, got {body!r}")
         p = body["p"]
         if isinstance(p, dict):
             p = {tuple(int(s) for s in k.split(",")): float(v) for k, v in p.items()}
         if kind == "robin":
             return cls.robin(p)
-        if kind == "scaled_robin":
-            return cls.scaled_robin(p, body["rho"])
-        raise TransmissionError(f"unknown transmission kind {kind!r}")
+        return cls.scaled_robin(p, body["rho"])
 
 
 def normal_derivative(values: np.ndarray, j: int, h: float, normal: int):
@@ -137,7 +140,6 @@ def extract(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec, l: int,
     (vector, or (nodes, time levels) matrix for space-time fields).  The
     returned datum is a scalar or a per-time-level array.
     """
-    part = grid.partition
     gamma_idx = grid.interface_index[(l, neighbor)]
     nb_lo, nb_hi = grid.sub_ranges[neighbor]
     if not nb_lo < gamma_idx < nb_hi:
@@ -154,26 +156,3 @@ def extract(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec, l: int,
     p_eff = tspec.p_effective((l, neighbor))
     dudn = normal_derivative(neighbor_field, j, grid.h, normal)
     return a_val * dudn + p_eff * neighbor_field[j]
-
-
-def initial_guess_data(u0, tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec,
-                       l: int, neighbor: int):
-    """Apply the transmission operator to a closed-form initial guess.
-
-    ``u0`` is a DataFn or one of the shorthands "zero" / "one" / "sine";
-    Dirichlet takes its value at the interface point, Robin combines the
-    analytic slope (no stencil) with the trace.
-    """
-    if isinstance(u0, str):
-        u0 = _named_data(u0)
-    if not isinstance(u0, DataFn):
-        raise TransmissionError(f"initial guess must be a DataFn or shorthand, got {u0!r}")
-    gamma = grid.partition.interface_point(l, neighbor)
-    value = float(u0.value(gamma, spec.length))
-    if tspec.kind == "dirichlet":
-        return value
-    lo, hi = grid.sub_ranges[l]
-    normal = 1 if grid.interface_index[(l, neighbor)] == hi else -1
-    a_val = float(spec.a(gamma))
-    slope = float(u0.slope(gamma, spec.length))
-    return a_val * normal * slope + tspec.p_effective((l, neighbor)) * value

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from schwarz1d.cli import main
+from schwarz1d.geometry import build_uniform_partition
+from schwarz1d.oracle import AnalyticCase, tau_factors
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -211,9 +213,63 @@ def test_run_engine_failure_reports_error_without_traceback(tmp_path, capsys):
     cfg["output"]["dir"] = str(tmp_path / "o")
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: reference solve: time level 1")
     assert "Picard" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("u0", [0.5, "foo"])
+def test_run_bad_initial_guess_exits_one(tmp_path, capsys, u0):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["run"]["u0"] = u0
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_uniform_two_subdomain_example31_reports_oracle_tau(tmp_path):
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["partition"] = {"uniform": {"count": 2, "overlap": 0.2}}
+    cfg["grid"]["h"] = 0.01
+    cfg["run"]["max_iters"] = 60
+    main(["--quiet", "run", "--config", write_config(tmp_path, cfg)])
+    (_, L2), (L1, _) = build_uniform_partition(2.0, 2, 0.2).subdomains
+    want = tau_factors(AnalyticCase(L=2.0, L1=L1, L2=L2, p=1.0, q=50.0)).tau
+    lines = (out / "summary.txt").read_text().splitlines()
+    got = [float(line.split(":")[1]) for line in lines if line.startswith("oracle tau:")]
+    assert got == [pytest.approx(want, rel=1e-15)]
+
+
+def test_sweep_point_without_robin_p_is_recorded_not_raised(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["transmission"] = {"robin": {"q": 1.0}}
+    cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["error", "error"]
+    assert all("needs a 'p' entry" in r.split(",", 6)[6] for r in rows)
+
+
+def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
+    import schwarz1d.cli as cli
+
+    def boom(sc):
+        raise AssertionError("no point may run")
+
+    monkeypatch.setattr(cli, "run_elliptic", boom)
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["sweep"] = {"axis": "transmission.p", "values": [1.0, {"0,1": 1.0, "1,0": 50.0}]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep values must be numbers")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # Recorded with `schwarz1d --quiet <command> --config configs/<name>.json

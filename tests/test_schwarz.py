@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schwarz1d.geometry import Partition, build_uniform_partition
+from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
 from schwarz1d.problem import catalog_lookup
 from schwarz1d.schwarz import (
@@ -162,6 +162,56 @@ def test_reference_initial_guess_is_a_fixed_point_elliptic():
                             stop_tol=1e-300)
         hist = run_elliptic(cfg)
         assert max(hist.E) <= 10 * cfg.picard_tol
+
+
+def test_first_robin_sweep_applies_the_transmission_stencil_to_u0():
+    # -u'' = 0 with zero data: the reference is 0 and each first iterate is
+    # linear, so the discrete solve is exact.  Subdomain 0 = (0, L2) solves
+    # u(0) = 0, u'(L2) + p u(L2) = g0, so max|u| = |g0| L2 / (1 + p L2);
+    # subdomain 1 = (L1, 1) solves -u'(L1) + p u(L1) = g1, u(1) = 0, so
+    # max|u| = |g1| (1 - L1) / (1 + p (1 - L1)).  g0 and g1 are the one-sided
+    # stencil plus p u applied to u0 = sin(pi x) sampled on the grid.
+    p, h = 2.0, 0.02
+    prob = catalog_lookup("laplace1d")
+    part = build_uniform_partition(1.0, 2, 0.1)
+    cfg = SchwarzConfig(problem=prob, partition=part, h_target=h,
+                        transmission=TransmissionSpec.robin(p), u0="sine", k_max=1)
+    hist = run_elliptic(cfg)
+    grid = build_grid(part, h)
+    u = np.sin(np.pi * grid.x)
+    j0, j1 = grid.interface_index[(0, 1)], grid.interface_index[(1, 0)]
+    L2, L1 = grid.x[j0], grid.x[j1]
+    g0 = (3 * u[j0] - 4 * u[j0 - 1] + u[j0 - 2]) / (2 * grid.h) + p * u[j0]
+    g1 = (3 * u[j1] - 4 * u[j1 + 1] + u[j1 + 2]) / (2 * grid.h) + p * u[j1]
+    expected = max(abs(g0) * L2 / (1 + p * L2), abs(g1) * (1 - L1) / (1 + p * (1 - L1)))
+    assert hist.iterations == 1
+    np.testing.assert_allclose(hist.E[0], expected, rtol=1e-12)
+
+
+def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
+    import schwarz1d.schwarz as engine
+
+    def boom(*args, **kwargs):
+        raise AssertionError("no solve may run for a bad initial guess")
+
+    monkeypatch.setattr(engine, "reference_solve", boom)
+    with pytest.raises(ValueError, match="initial guess must be a DataFn or shorthand, got 0.5"):
+        run_elliptic(laplace_cfg(u0=0.5))
+    with pytest.raises(ValueError, match="unknown data shorthand 'foo'"):
+        run_elliptic(laplace_cfg(u0="foo"))
+
+
+def test_reference_failure_is_labelled(monkeypatch):
+    import schwarz1d.schwarz as engine
+    from schwarz1d.discretize import SingularSystemError
+
+    def boom(*args, **kwargs):
+        raise SingularSystemError("synthetic reference failure")
+
+    monkeypatch.setattr(engine, "reference_solve", boom)
+    with pytest.raises(SchwarzRunError, match=r"^reference solve: synthetic") as err:
+        run_elliptic(laplace_cfg())
+    assert (err.value.iteration, err.value.subdomain) == (0, 0)
 
 
 def test_jacobi_order_determinism_bitwise():

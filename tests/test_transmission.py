@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schwarz1d.geometry import Partition, build_grid
-from schwarz1d.problem import DataFn, catalog_lookup
+from schwarz1d.problem import catalog_lookup
 from schwarz1d.transmission import (
     TransmissionError,
     TransmissionSpec,
     extract,
-    initial_guess_data,
     normal_derivative,
 )
 
@@ -121,32 +120,6 @@ def test_stencil_needs_two_interior_nodes():
     values = np.array([1.0, 2.0, 3.0])
     with pytest.raises(TransmissionError):
         normal_derivative(values, 1, 0.1, 1)  # j - 2 out of range
-
-
-def test_initial_guess_trivials(setup):
-    spec, part, grid = setup
-    for tsp in (TransmissionSpec.dirichlet(), TransmissionSpec.robin(4.0)):
-        assert initial_guess_data("zero", tsp, grid, spec, 0, 1) == 0.0
-    datum = initial_guess_data("sine", TransmissionSpec.dirichlet(), grid, spec, 0, 1)
-    np.testing.assert_allclose(datum, math.sin(math.pi * 1.0 / 2.0))
-
-
-def test_initial_guess_robin_uses_analytic_slope(setup):
-    spec, part, grid = setup
-    p = 3.0
-    datum = initial_guess_data(DataFn.sine(), TransmissionSpec.robin(p), grid, spec, 0, 1)
-    x0, L = 1.0, 2.0
-    expected = (math.pi / L) * math.cos(math.pi * x0 / L) + p * math.sin(math.pi * x0 / L)
-    np.testing.assert_allclose(datum, expected, rtol=1e-13)
-
-
-def test_initial_guess_robin_left_end(setup):
-    spec, part, grid = setup
-    p = 3.0
-    datum = initial_guess_data(DataFn.sine(), TransmissionSpec.robin(p), grid, spec, 1, 0)
-    x0, L = 0.75, 2.0
-    expected = -(math.pi / L) * math.cos(math.pi * x0 / L) + p * math.sin(math.pi * x0 / L)
-    np.testing.assert_allclose(datum, expected, rtol=1e-13)
 
 
 @given(st.floats(0.1, 50.0), st.floats(0.5, 20.0))
