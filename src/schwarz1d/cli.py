@@ -33,7 +33,7 @@ import numpy as np
 from . import oracle
 from .discretize import PicardError, SingularSystemError
 from .geometry import Partition, build_uniform_partition, validate_partition
-from .problem import ProblemSpec, catalog_lookup, validate as validate_problem
+from .problem import DataFn, ProblemSpec, catalog_lookup, validate as validate_problem
 from .schwarz import (
     IterationHistory,
     SchwarzConfig,
@@ -104,13 +104,14 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     if "h" not in grid:
         raise ConfigError("config needs grid.h")
     run = cfg.get("run", {})
+    u0 = run.get("u0", "zero")  # a shorthand string or "reference" stays as it is
     sc = SchwarzConfig(
         problem=problem,
         partition=partition,
         h_target=float(grid["h"]),
         dt_target=float(grid["dt"]) if grid.get("dt") is not None else None,
         transmission=transmission,
-        u0=run.get("u0", "zero"),
+        u0=DataFn.from_dict(u0) if isinstance(u0, dict) else u0,
         k_max=int(run.get("max_iters", 200)),
         stop_tol=float(run.get("stop_tol", 1e-10)),
         alpha=float(run.get("alpha", 10.0)),

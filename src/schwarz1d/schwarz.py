@@ -6,8 +6,9 @@ u^0 for the first sweep; the sweep does not depend on the order of the
 subdomains), then compares against a monodomain reference computed once
 with the same discretization.
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
-past ``guard_factor`` times E_1 (diverged), or the iteration budget runs
-out (stalled).
+past ``guard_factor`` times E_1 or stops being finite (diverged; so does
+a subdomain solve whose field is not finite, and that iteration is not
+recorded), or the iteration budget runs out (stalled).
 
 Error norms per mode and transmission kind:
 
@@ -32,6 +33,7 @@ magnitudes and E_k oscillates between parities.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -42,6 +44,8 @@ from scipy.integrate import simpson
 from . import transmission as tx
 from .discretize import (
     DirichletBC,
+    NonFiniteError,
+    Operator,
     PicardError,
     RobinBC,
     SingularSystemError,
@@ -69,7 +73,8 @@ __all__ = [
 class SchwarzRunError(RuntimeError):
     """A solve failed; carries the iteration and 1-based subdomain index.
 
-    Both are 0 when the monodomain reference solve failed.
+    Both are 0 when the monodomain reference solve failed; the iteration
+    is 0 when a subdomain's operator could not be built.
     """
 
     def __init__(self, message: str, iteration: int, subdomain: int):
@@ -247,9 +252,15 @@ def double_sweep_ratio(E, window: int) -> float:
 # --------------------------------------------------------------------------
 
 class _SubPlan(NamedTuple):
-    """What the solves of one subdomain need that stays fixed for a run."""
+    """What the solves of one subdomain need that stays fixed for a run.
+
+    ``op`` is the subdomain's matrix, assembled and LU-factored once: the
+    boundary-condition kinds and Robin parameters of a subdomain (and 1/dt)
+    do not change between sweeps, only the interface data do.
+    """
 
     sg: SubGrid
+    op: Operator
     ref: np.ndarray  # the reference restricted to the subdomain
     neighbors: tuple  # (left, right) neighbor index, None on the outer boundary
     outer_bcs: tuple  # (left, right) DirichletBC on the outer boundary, else None
@@ -306,10 +317,18 @@ class _Runner:
             raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
         outer = [DirichletBC(g) for g in prob.boundary_values()]
         neighbor_at = {(l, idx): m for (l, m), idx in grid.interface_index.items()}
+        tsp = cfg.transmission
+        c_shift = 1.0 / grid.dt if mode == "parabolic" else 0.0
         self.plans: list[_SubPlan] = []
         for l, (lo, hi) in enumerate(grid.sub_ranges):
             sg = grid.subgrid(l)
             neighbors = (neighbor_at.get((l, lo)), neighbor_at.get((l, hi)))
+            robin_p = tuple(None if m is None or not tsp.is_robin else tsp.p_effective((l, m))
+                            for m in neighbors)
+            try:
+                op = Operator(prob, sg, robin_p, c_shift)
+            except (SingularSystemError, ValueError) as exc:
+                raise SchwarzRunError(f"subdomain {l + 1}: {exc}", 0, l + 1) from exc
             initial = None
             if mode == "parabolic":
                 initial = np.asarray(prob.g.value(sg.x, prob.length),
@@ -317,6 +336,7 @@ class _Runner:
             ref = reference[lo:hi + 1]
             self.plans.append(_SubPlan(
                 sg=sg,
+                op=op,
                 ref=ref,
                 neighbors=neighbors,
                 outer_bcs=tuple(bc if m is None else None for m, bc in zip(neighbors, outer)),
@@ -353,11 +373,26 @@ class _Runner:
         if self.mode == "elliptic":
             u, _ = solve_semilinear_elliptic(cfg.problem, plan.sg, bcs[0], bcs[1],
                                              cfg.picard_tol, cfg.picard_max,
-                                             u_start=warm)
+                                             u_start=warm, op=plan.op)
             return u
         return solve_semilinear_parabolic(cfg.problem, plan.sg, bcs[0], bcs[1],
                                           plan.initial, grid.dt, grid.t, cfg.picard_tol,
-                                          cfg.picard_max)
+                                          cfg.picard_max, op=plan.op)
+
+    def _sweep(self, k: int, fields: list[np.ndarray]) -> list[np.ndarray] | None:
+        """Sweep k from ``fields``; None when a subdomain field is not finite."""
+        bc_all = [self._bc_pair(l, fields) for l in range(len(self.plans))]
+        new_fields = []
+        for l, bcs in enumerate(bc_all):
+            try:
+                new_fields.append(self._solve_one(l, bcs, fields[l]))
+            except NonFiniteError:
+                return None
+            except Exception as exc:
+                raise SchwarzRunError(
+                    f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1
+                ) from exc
+        return new_fields
 
     # -- norms -------------------------------------------------------------
 
@@ -388,20 +423,16 @@ class _Runner:
 
         for k in range(1, cfg.k_max + 1):
             tic = time.perf_counter()
-            bc_all = [self._bc_pair(l, fields) for l in range(count)]
-
-            new_fields = []
-            for l in range(count):
-                try:
-                    new_fields.append(self._solve_one(l, bc_all[l], fields[l]))
-                except Exception as exc:
-                    raise SchwarzRunError(
-                        f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1
-                    ) from exc
-
+            new_fields = self._sweep(k, fields)
+            if new_fields is None:
+                verdict = "diverged"
+                break
             errs = [new_fields[l] - self.plans[l].ref for l in range(count)]
             norms = [self._sub_norm(l, errs[l]) for l in range(count)]
             Ek = self._combine(norms)
+            if not math.isfinite(Ek):
+                verdict = "diverged"
+                break
             E.append(Ek)
             sub_norms.append(norms)
             wall.append(time.perf_counter() - tic)

@@ -115,6 +115,8 @@ class TransmissionSpec:
             p = {tuple(int(s) for s in k.split(",")): float(v) for k, v in p.items()}
         if kind == "robin":
             return cls.robin(p)
+        if "rho" not in body:
+            raise TransmissionError(f"scaled_robin transmission needs a 'rho' entry, got {body!r}")
         return cls.scaled_robin(p, body["rho"])
 
 

@@ -1,11 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from schwarz1d.cli import main
+from schwarz1d.cli import build_schwarz_config, main
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
+from schwarz1d.problem import DataFn
+from schwarz1d.schwarz import run_elliptic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -229,6 +232,60 @@ def test_run_bad_initial_guess_exits_one(tmp_path, capsys, u0):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_without_guard_ends_diverged_at_first_non_finite_iterate(tmp_path):
+    # with the guard out of reach the interface data grow by tau per double
+    # sweep until a solve overflows; that is divergence, not a failure
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["run"].update(guard_factor=1e308, max_iters=20000)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 2
+    rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert len(rows) > 2 * 300  # far past where the default guard stops
+    assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows)
+    assert {r[5] for r in rows} == {"diverged"}
+    assert float(rows[-1][3]) > 1e300
+    assert "verdict:        diverged" in (out / "summary.txt").read_text()
+
+
+def test_subdomain_operator_failure_names_the_subdomain(tmp_path, capsys):
+    # b = 2a/h zeroes the super-diagonal, so the left Robin row of subdomain
+    # 2 cannot eliminate its third stencil point
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
+                      "b": {"constant": 128.0}, "c": {"constant": 0.0},
+                      "F": {"zero": {}}, "g": {"zero": {}}}
+    cfg["partition"] = {"uniform": {"count": 2, "overlap": 0.125}}
+    cfg["grid"]["h"] = 1.0 / 64
+    cfg["transmission"] = {"robin": {"p": 1.0}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "subdomain 2: cannot eliminate Robin stencil point" in err
+    assert "Traceback" not in err
+
+
+def test_scaled_robin_without_rho_names_the_missing_entry(tmp_path, capsys):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["transmission"] = {"scaled_robin": {"p": 1.0}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scaled_robin transmission needs a 'rho' entry")
+    assert "Traceback" not in err
+
+
+def test_run_accepts_inline_initial_iterate(tmp_path):
+    out = tmp_path / "out"
+    cfg = laplace_config(str(out))
+    cfg["transmission"] = {"robin": {"p": 2.0}}
+    cfg["run"]["u0"] = {"sine": {"amplitude": 2.0}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+    got = [float(line.split(",")[3]) for line in
+           (out / "history.csv").read_text().splitlines()[1::2]]
+    sc, _ = build_schwarz_config(cfg)
+    assert sc.u0 == DataFn.sine(2.0)
+    assert got == run_elliptic(sc).E
+
+
 def test_run_uniform_two_subdomain_example31_reports_oracle_tau(tmp_path):
     out = tmp_path / "out"
     cfg = divergent_config(str(out))
@@ -282,6 +339,8 @@ _MEASURED = {"norm", "E_k", "rate", "rate_double", "tau"}
     ("laplace_dirichlet", "run", "history.csv", 0),
     ("counterexample_divergent", "run", "history.csv", 2),
     ("counterexample_rho_sweep", "sweep", "sweep.csv", 0),
+    ("heat_dirichlet", "run", "history.csv", 0),
+    ("heat_robin", "run", "history.csv", 0),
 ])
 def test_shipped_config_reproduces_recorded_csv(tmp_path, name, command, csv, code):
     config = str(CONFIGS / f"{name}.json")

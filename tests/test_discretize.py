@@ -7,6 +7,8 @@ import pytest
 from schwarz1d.discretize import (
     BandedSystem,
     DirichletBC,
+    NonFiniteError,
+    Operator,
     PicardError,
     RobinBC,
     SingularSystemError,
@@ -111,6 +113,53 @@ def test_singular_system_raises():
                        rhs=np.ones(3))
     with pytest.raises(SingularSystemError):
         solve_banded(sys)
+
+
+def test_one_and_two_node_systems():
+    for n in (1, 2):
+        sys = BandedSystem(n=n, sub=np.full(n - 1, -1.0), main=np.arange(2.0, n + 2),
+                           sup=np.full(n - 1, 0.5), rhs=np.arange(1.0, n + 1))
+        np.testing.assert_allclose(solve_banded(sys), dense_solve(sys.dense(), sys.rhs),
+                                   rtol=1e-14)
+
+
+# --------------------------------------------------------------------------
+# factored operators
+# --------------------------------------------------------------------------
+
+def test_reused_operator_reproduces_a_fresh_solve_bitwise():
+    spec = replace(catalog_lookup("heat-semilinear"), time_horizon=0.1)
+    sg = subgrid(1.0, 20)
+    t = np.linspace(0, 0.1, 11)
+    left, right = DirichletBC(np.linspace(0.0, 0.1, 11)), RobinBC(2.0, np.ones(11))
+    initial = np.sin(np.pi * sg.x)
+    op = Operator(spec, sg, (None, 2.0), c_shift=1.0 / 0.01)
+    fresh = solve_semilinear_parabolic(spec, sg, left, right, initial, 0.01, t)
+    for _ in range(2):
+        reused = solve_semilinear_parabolic(spec, sg, left, right, initial, 0.01, t, op=op)
+        assert np.array_equal(reused, fresh)
+
+
+def test_operator_rejects_other_boundary_conditions():
+    spec = simple_spec(c=1.0)
+    sg = subgrid(1.0, 10)
+    op = Operator(spec, sg, (None, 2.0))
+    for right in (DirichletBC(1.0), RobinBC(3.0, 1.0)):
+        with pytest.raises(ValueError, match="operator built for"):
+            solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), right, op=op)
+    with pytest.raises(ValueError, match="shift"):
+        solve_semilinear_parabolic(spec, sg, DirichletBC(0.0), RobinBC(2.0, 1.0),
+                                   np.zeros(sg.n), 0.01, np.linspace(0, 0.1, 11), op=op)
+
+
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+def test_non_finite_data_raise_non_finite_error(F):
+    spec = simple_spec(c=4.0, F=F)
+    sg = subgrid(1.0, 10)
+    for value in (np.inf, np.nan):
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            solve_semilinear_elliptic(spec, sg, DirichletBC(value), DirichletBC(0.0))
+    assert issubclass(NonFiniteError, SingularSystemError)
 
 
 # --------------------------------------------------------------------------
