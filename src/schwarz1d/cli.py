@@ -72,6 +72,23 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The object ``cfg[key]``, {} when absent."""
+    body = cfg.get(key, {})
+    if not isinstance(body, dict):
+        raise ConfigError(f"config section {key!r} must be an object, got {body!r}")
+    return body
+
+
+def _number(section: dict, key: str, default, cast=float):
+    """``section[key]`` (``default`` when absent) converted by ``cast``."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
     spec = cfg.get("problem")
     if isinstance(spec, str):
@@ -86,12 +103,18 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("config needs a 'partition' ({uniform: ...} or {intervals: ...})")
     kind, body = next(iter(spec.items()))
+    if kind not in ("uniform", "intervals"):
+        raise ConfigError(f"unknown partition kind {kind!r}")
+    try:
+        if kind == "uniform":
+            count, overlap = int(body["count"]), float(body["overlap"])
+        else:
+            subs = tuple((float(lo), float(hi)) for lo, hi in body)
+    except (TypeError, ValueError, LookupError):
+        raise ConfigError(f"bad {kind} partition {body!r}") from None
     if kind == "uniform":
-        return build_uniform_partition(length, int(body["count"]), float(body["overlap"]))
-    if kind == "intervals":
-        subs = tuple((float(lo), float(hi)) for lo, hi in body)
-        return Partition(length=length, subdomains=subs)
-    raise ConfigError(f"unknown partition kind {kind!r}")
+        return build_uniform_partition(length, count, overlap)
+    return Partition(length=length, subdomains=subs)
 
 
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
@@ -100,25 +123,25 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     partition = _partition_from_config(cfg, problem.length)
     tdict = cfg.get("transmission", {"dirichlet": {}})
     transmission = TransmissionSpec.from_dict(tdict)
-    grid = cfg.get("grid", {})
+    grid = _section(cfg, "grid")
     if "h" not in grid:
         raise ConfigError("config needs grid.h")
-    run = cfg.get("run", {})
+    run = _section(cfg, "run")
     u0 = run.get("u0", "zero")  # a shorthand string or "reference" stays as it is
     sc = SchwarzConfig(
         problem=problem,
         partition=partition,
-        h_target=float(grid["h"]),
-        dt_target=float(grid["dt"]) if grid.get("dt") is not None else None,
+        h_target=_number(grid, "h", None),
+        dt_target=_number(grid, "dt", None) if grid.get("dt") is not None else None,
         transmission=transmission,
         u0=DataFn.from_dict(u0) if isinstance(u0, dict) else u0,
-        k_max=int(run.get("max_iters", 200)),
-        stop_tol=float(run.get("stop_tol", 1e-10)),
-        alpha=float(run.get("alpha", 10.0)),
-        picard_tol=float(run.get("picard_tol", 1e-10)),
-        picard_max=int(run.get("picard_max", 200)),
-        guard_factor=float(run.get("guard_factor", 1e6)),
-        rate_window=int(run.get("rate_window", 8)),
+        k_max=_number(run, "max_iters", 200, int),
+        stop_tol=_number(run, "stop_tol", 1e-10),
+        alpha=_number(run, "alpha", 10.0),
+        picard_tol=_number(run, "picard_tol", 1e-10),
+        picard_max=_number(run, "picard_max", 200, int),
+        guard_factor=_number(run, "guard_factor", 1e6),
+        rate_window=_number(run, "rate_window", 8, int),
     )
     return sc, problem_id
 
@@ -190,8 +213,8 @@ def _summary_text(problem_id: str, sc: SchwarzConfig, hist: IterationHistory) ->
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     sc, problem_id = build_schwarz_config(cfg)
+    out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
-    out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     _write_history_csv(out / "history.csv", hist)
     summary = _summary_text(problem_id, sc, hist)
@@ -223,20 +246,19 @@ _AXIS_HELP = ("transmission.rho, transmission.p, partition.overlap, "
 
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
-    if axis == "transmission.rho":
-        kind, body = next(iter(out["transmission"].items()))
+    if axis in ("transmission.rho", "transmission.p"):
+        tdict = out.get("transmission", {"dirichlet": {}})
+        if not (isinstance(tdict, dict) and len(tdict) == 1
+                and isinstance(next(iter(tdict.values())), dict)):
+            raise ConfigError(f"bad transmission spec: {tdict!r}")
+        kind, body = next(iter(tdict.items()))
+        leaf = axis.split(".")[1]
         if kind == "dirichlet":
-            raise ConfigError("cannot sweep rho on a Dirichlet config")
-        out["transmission"] = {"scaled_robin": {**body, "rho": value}}
-        return out
-    if axis == "transmission.p":
-        kind, body = next(iter(out["transmission"].items()))
-        if kind == "dirichlet":
-            raise ConfigError("cannot sweep p on a Dirichlet config")
-        out["transmission"] = {kind: {**body, "p": value}}
+            raise ConfigError(f"cannot sweep {leaf} on a Dirichlet config")
+        out["transmission"] = {"scaled_robin" if leaf == "rho" else kind: {**body, leaf: value}}
         return out
     if axis == "partition.overlap":
-        if "uniform" not in out.get("partition", {}):
+        if not isinstance(_section(out, "partition").get("uniform"), dict):
             raise ConfigError("partition.overlap sweep needs a uniform partition")
         out["partition"]["uniform"]["overlap"] = value
         return out
@@ -254,14 +276,15 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    sweep = cfg.get("sweep", {})
+    sweep = _section(cfg, "sweep")
     axis, values = sweep.get("axis"), sweep.get("values")
     if not axis or not values:
         raise ConfigError("sweep needs config.sweep.axis and a nonempty value list")
-    try:
-        labels = [_fmt(float(value)) for value in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"sweep values must be numbers, got {values!r}") from None
+    if not (isinstance(values, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise ConfigError(f"sweep values must be numbers in a list, got {values!r}")
+    labels = [_fmt(float(value)) for value in values]
+    out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged = None
     for value, label in zip(values, labels):
@@ -278,7 +301,6 @@ def _cmd_sweep(args) -> int:
         except Exception as exc:  # record the failure, keep sweeping
             rows.append(",".join([axis, label, "error", "", "", _fmt(tau),
                                   str(exc).replace(",", ";")]))
-    out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     if not args.quiet:

@@ -43,17 +43,15 @@ from scipy.integrate import simpson
 
 from . import transmission as tx
 from .discretize import (
-    DirichletBC,
     NonFiniteError,
     Operator,
     PicardError,
-    RobinBC,
     SingularSystemError,
     reference_solve,
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
 )
-from .geometry import Partition, SubGrid, build_grid, validate_partition
+from .geometry import Partition, build_grid, validate_partition
 from .problem import DataFn, ProblemSpec, validate as validate_problem
 
 __all__ = [
@@ -120,6 +118,10 @@ class SchwarzConfig:
             raise ValueError("stop_tol must be positive")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if self.picard_max < 1:
+            raise ValueError("picard_max must be >= 1")
+        if not self.picard_tol > 0:
+            raise ValueError("picard_tol must be positive")
 
 
 @dataclass
@@ -254,17 +256,19 @@ def double_sweep_ratio(E, window: int) -> float:
 class _SubPlan(NamedTuple):
     """What the solves of one subdomain need that stays fixed for a run.
 
-    ``op`` is the subdomain's matrix, assembled and LU-factored once: the
-    boundary-condition kinds and Robin parameters of a subdomain (and 1/dt)
-    do not change between sweeps, only the interface data do.
+    ``op`` is the subdomain's operator (its grid, matrix and LU factors),
+    built once: which end is a Robin row, the Robin parameters and 1/dt do
+    not change between sweeps, only the interface data do.  A sweep maps
+    the neighbors' fields to boundary data (``outer`` on the outer
+    boundary, ``transmission.extract`` at an interface) and solves ``op``
+    with them.  A parabolic solve starts from ``ref[:, 0]``, the initial
+    profile the reference starts from.
     """
 
-    sg: SubGrid
     op: Operator
     ref: np.ndarray  # the reference restricted to the subdomain
     neighbors: tuple  # (left, right) neighbor index, None on the outer boundary
-    outer_bcs: tuple  # (left, right) DirichletBC on the outer boundary, else None
-    initial: np.ndarray | None  # parabolic initial profile
+    outer: tuple  # (left, right) Dirichlet value g on the outer boundary, else None
     start: np.ndarray  # the initial iterate u^0 on the subdomain
 
 
@@ -315,7 +319,7 @@ class _Runner:
             reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
         except (PicardError, SingularSystemError) as exc:
             raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
-        outer = [DirichletBC(g) for g in prob.boundary_values()]
+        outer = prob.boundary_values()
         neighbor_at = {(l, idx): m for (l, m), idx in grid.interface_index.items()}
         tsp = cfg.transmission
         c_shift = 1.0 / grid.dt if mode == "parabolic" else 0.0
@@ -329,18 +333,12 @@ class _Runner:
                 op = Operator(prob, sg, robin_p, c_shift)
             except (SingularSystemError, ValueError) as exc:
                 raise SchwarzRunError(f"subdomain {l + 1}: {exc}", 0, l + 1) from exc
-            initial = None
-            if mode == "parabolic":
-                initial = np.asarray(prob.g.value(sg.x, prob.length),
-                                     dtype=float) + np.zeros(sg.n)
             ref = reference[lo:hi + 1]
             self.plans.append(_SubPlan(
-                sg=sg,
                 op=op,
                 ref=ref,
                 neighbors=neighbors,
-                outer_bcs=tuple(bc if m is None else None for m, bc in zip(neighbors, outer)),
-                initial=initial,
+                outer=tuple(g if m is None else None for m, g in zip(neighbors, outer)),
                 start=ref if u0 == "reference" else np.asarray(
                     u0.value(sg.x, prob.length), dtype=float),
             ))
@@ -352,40 +350,31 @@ class _Runner:
 
     # -- data exchange ----------------------------------------------------
 
-    def _bc_pair(self, l: int, fields: list[np.ndarray]):
-        cfg, grid = self.cfg, self.grid
+    def _bc_pair(self, l: int, fields: list[np.ndarray]) -> list:
+        """Boundary data (left, right) of subdomain l from the neighbors' fields."""
+        cfg = self.cfg
         plan = self.plans[l]
-        out = []
-        for m, outer_bc in zip(plan.neighbors, plan.outer_bcs):
-            if m is None:
-                out.append(outer_bc)
-                continue
-            datum = tx.extract(cfg.transmission, grid, cfg.problem, l, m, fields[m])
-            if cfg.transmission.is_robin:
-                out.append(RobinBC(cfg.transmission.p_effective((l, m)), datum))
-            else:
-                out.append(DirichletBC(datum))
-        return out
+        return [g if m is None else tx.extract(cfg.transmission, self.grid, cfg.problem,
+                                               l, m, fields[m])
+                for m, g in zip(plan.neighbors, plan.outer)]
 
-    def _solve_one(self, l: int, bcs, warm) -> np.ndarray:
+    def _solve_one(self, l: int, data, warm) -> np.ndarray:
         cfg, grid = self.cfg, self.grid
         plan = self.plans[l]
         if self.mode == "elliptic":
-            u, _ = solve_semilinear_elliptic(cfg.problem, plan.sg, bcs[0], bcs[1],
-                                             cfg.picard_tol, cfg.picard_max,
-                                             u_start=warm, op=plan.op)
+            u, _ = solve_semilinear_elliptic(plan.op, data[0], data[1], cfg.picard_tol,
+                                             cfg.picard_max, u_start=warm)
             return u
-        return solve_semilinear_parabolic(cfg.problem, plan.sg, bcs[0], bcs[1],
-                                          plan.initial, grid.dt, grid.t, cfg.picard_tol,
-                                          cfg.picard_max, op=plan.op)
+        return solve_semilinear_parabolic(plan.op, data[0], data[1], plan.ref[:, 0],
+                                          grid.dt, grid.t, cfg.picard_tol, cfg.picard_max)
 
     def _sweep(self, k: int, fields: list[np.ndarray]) -> list[np.ndarray] | None:
         """Sweep k from ``fields``; None when a subdomain field is not finite."""
-        bc_all = [self._bc_pair(l, fields) for l in range(len(self.plans))]
+        data_all = [self._bc_pair(l, fields) for l in range(len(self.plans))]
         new_fields = []
-        for l, bcs in enumerate(bc_all):
+        for l, data in enumerate(data_all):
             try:
-                new_fields.append(self._solve_one(l, bcs, fields[l]))
+                new_fields.append(self._solve_one(l, data, fields[l]))
             except NonFiniteError:
                 return None
             except Exception as exc:
@@ -402,7 +391,7 @@ class _Runner:
         if self.norm_kind == "weighted-sup2":
             return weighted_sup_norm(err, self.cfg.alpha, self.grid.t)
         profile = seminorm_sq_profile(err, self.cfg.alpha, self.grid.t)
-        return float(np.trapezoid(profile, self.plans[l].sg.x))
+        return float(np.trapezoid(profile, self.plans[l].op.sg.x))
 
     def _combine(self, sub_norms: list[float]) -> float:
         if self.norm_kind == "laplace-seminorm2":

@@ -23,6 +23,7 @@ ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ __all__ = [
 
 class TransmissionError(ValueError):
     """Bad transmission parameters or an interface outside the neighbor grid."""
+
+
+def _positive_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,11 @@ class TransmissionSpec:
             raise TransmissionError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
-            if not all(v > 0 for v in values):
-                raise TransmissionError("Robin parameters p must be positive")
-            if not self.rho > 0:
-                raise TransmissionError("rho must be positive")
+            if not all(_positive_number(v) for v in values):
+                raise TransmissionError(f"Robin parameters p must be positive numbers, "
+                                        f"got {self.p!r}")
+            if not _positive_number(self.rho):
+                raise TransmissionError(f"rho must be a positive number, got {self.rho!r}")
 
     @classmethod
     def dirichlet(cls) -> "TransmissionSpec":
@@ -75,6 +81,8 @@ class TransmissionSpec:
 
     @classmethod
     def scaled_robin(cls, p, rho: float) -> "TransmissionSpec":
+        if not _positive_number(rho):
+            raise TransmissionError(f"rho must be a positive number, got {rho!r}")
         return cls(kind="scaled_robin", p=p, rho=float(rho))
 
     @property
@@ -112,7 +120,7 @@ class TransmissionSpec:
             raise TransmissionError(f"{kind} transmission needs a 'p' entry, got {body!r}")
         p = body["p"]
         if isinstance(p, dict):
-            p = {tuple(int(s) for s in k.split(",")): float(v) for k, v in p.items()}
+            p = {tuple(int(s) for s in k.split(",")): v for k, v in p.items()}
         if kind == "robin":
             return cls.robin(p)
         if "rho" not in body:

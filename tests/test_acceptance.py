@@ -203,7 +203,7 @@ def test_criterion_5_parabolic_convergence(kind):
 
 def test_criterion_6_discretization_order():
     from helpers import fitted_order, manufactured_elliptic, manufactured_parabolic
-    from schwarz1d.discretize import DirichletBC, solve_semilinear_elliptic, \
+    from schwarz1d.discretize import Operator, solve_semilinear_elliptic, \
         solve_semilinear_parabolic
     from schwarz1d.geometry import SubGrid
 
@@ -218,7 +218,7 @@ def test_criterion_6_discretization_order():
         errs, hs = [], []
         for n in (50, 100, 200):
             sg = subgrid(spec.length, n)
-            u, _ = solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0))
+            u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, None)), 0.0, 0.0)
             errs.append(float(np.max(np.abs(u - sol.u(sg.x)))))
             hs.append(sg.h)
         order = fitted_order(hs, errs)
@@ -231,9 +231,9 @@ def test_criterion_6_discretization_order():
     errs, dts = [], []
     for steps in (25, 50, 100):
         t = np.linspace(0.0, 1.0, steps + 1)
-        zeros = np.zeros(steps + 1)
-        field = solve_semilinear_parabolic(spec, sg, DirichletBC(zeros), DirichletBC(zeros),
-                                           np.sin(np.pi * sg.x), 1.0 / steps, t)
+        dt = 1.0 / steps
+        op = Operator(spec, sg, (None, None), c_shift=1.0 / dt)
+        field = solve_semilinear_parabolic(op, 0.0, 0.0, np.sin(np.pi * sg.x), dt, t)
         exact = np.exp(-t)[None, :] * np.sin(np.pi * sg.x)[:, None]
         errs.append(float(np.max(np.abs(field - exact))))
         dts.append(1.0 / steps)

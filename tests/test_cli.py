@@ -329,6 +329,57 @@ def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, setting, value, message", [
+    pytest.param("elliptic-semilinear", "picard_max", 0, "picard_max must be >= 1",
+                 id="semilinear-picard_max-0"),
+    pytest.param("laplace1d", "picard_max", 0, "picard_max must be >= 1",
+                 id="linear-picard_max-0"),
+    pytest.param("elliptic-semilinear", "picard_tol", 0.0, "picard_tol must be positive",
+                 id="semilinear-picard_tol-0"),
+])
+def test_run_rejects_picard_settings_out_of_range(tmp_path, capsys, problem, setting, value,
+                                                  message):
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["problem"] = problem
+    cfg["run"][setting] = value
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, section, body", [
+    pytest.param("run", "run", None, id="run-null"),
+    pytest.param("sweep", "sweep", None, id="sweep-null"),
+    pytest.param("run", "grid", None, id="grid-null"),
+    pytest.param("run", "grid", {"h": None}, id="grid-h-null"),
+    pytest.param("run", "output", None, id="output-null"),
+    pytest.param("run", "partition", {"uniform": None}, id="partition-uniform-null"),
+    pytest.param("run", "partition", {"intervals": [1.0, 2.0]}, id="partition-intervals-flat"),
+    pytest.param("run", "transmission", {"robin": {"p": "x"}}, id="robin-p-string"),
+    pytest.param("run", "transmission", {"scaled_robin": {"p": 1.0, "rho": "x"}},
+                 id="scaled-robin-rho-string"),
+    pytest.param("sweep", "sweep", {"axis": "transmission.rho", "values": "12"},
+                 id="sweep-values-string"),
+    pytest.param("sweep", "transmission", None, id="sweep-transmission-null"),
+])
+def test_malformed_config_section_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
+                                                              command, section, body):
+    import schwarz1d.cli as cli
+
+    def boom(sc):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(cli, "run_elliptic", boom)
+    cfg = divergent_config(str(tmp_path / "o"))
+    cfg["sweep"] = {"axis": "transmission.rho", "values": [1.0, 2.0]}
+    cfg[section] = body
+    assert main(["--quiet", command, "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # Recorded with `schwarz1d --quiet <command> --config configs/<name>.json
 # --out tests/data/<name>`.  Measured columns are compared to 1e-12 relative
 # because another LAPACK build may round the last digit differently.

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from schwarz1d.discretize import (
-    BandedSystem,
-    DirichletBC,
     NonFiniteError,
     Operator,
     PicardError,
-    RobinBC,
     SingularSystemError,
-    assemble_elliptic,
     reference_solve,
     solve_banded,
     solve_semilinear_elliptic,
@@ -48,129 +44,131 @@ def simple_spec(a=1.0, b=0.0, c=0.0, F=None, length=1.0, source=None) -> Problem
     )
 
 
+def dirichlet(spec, sg, c_shift=0.0) -> Operator:
+    return Operator(spec, sg, (None, None), c_shift)
+
+
+def frozen_rhs(op: Operator, frozen_u, left: float, right: float) -> np.ndarray:
+    """Right-hand side of the linearized system with F frozen at ``frozen_u``."""
+    x = op.sg.x
+    rhs = op.spec.source_values(x) + np.atleast_1d(op.spec.F(x, frozen_u)) + np.zeros(op.n)
+    return op.system(rhs, left, right)
+
+
+def random_operator(rng, robin_p=None) -> Operator:
+    """An operator with random coefficients, end kinds, Robin p and shift."""
+    n_cells = int(rng.integers(4, 50))
+    length = float(rng.uniform(0.5, 2.0))
+    spec = simple_spec(a=rng.uniform(0.5, 2.0), b=rng.uniform(-5.0, 5.0),
+                       c=rng.uniform(0.5, 5.0), length=length)
+    if robin_p is None:
+        robin_p = tuple(None if rng.random() < 0.5 else float(rng.uniform(0.1, 10.0))
+                        for _ in range(2))
+    c_shift = 0.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 100.0))
+    return Operator(spec, subgrid(length, n_cells), robin_p, c_shift)
+
+
 # --------------------------------------------------------------------------
-# solve_banded
+# operators and solve_banded
 # --------------------------------------------------------------------------
 
-def test_identity_system_returns_rhs():
-    r = np.array([3.0, -1.0, 2.0, 0.5])
-    sys = BandedSystem(n=4, sub=np.zeros(3), main=np.ones(4), sup=np.zeros(3), rhs=r)
-    np.testing.assert_array_equal(solve_banded(sys), r)
+def test_dirichlet_rows_are_identity_rows():
+    # a Dirichlet end is the row u = value; the fill writes the data there and
+    # leaves the interior rows as given
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        op = random_operator(rng, robin_p=(None, None))
+        np.testing.assert_array_equal(op.dense()[[0, -1]], np.eye(op.n)[[0, -1]])
+        interior = rng.uniform(-5, 5, op.n)
+        left, right = rng.uniform(-5, 5, 2)
+        rhs = op.system(interior.copy(), left, right)
+        np.testing.assert_array_equal(rhs, np.r_[left, interior[1:-1], right])
 
 
 def test_discrete_laplacian_exact_for_quadratic():
-    # -u'' with u* = x(1 - x) gives f = 2; the three-point stencil is exact
-    n = 8
-    h = 1.0 / n
-    x = np.linspace(0, 1, n + 1)
-    inner = x[1:-1]
-    sys = BandedSystem(
-        n=n - 1,
-        sub=np.full(n - 2, -1.0 / h**2),
-        main=np.full(n - 1, 2.0 / h**2),
-        sup=np.full(n - 2, -1.0 / h**2),
-        rhs=np.full(n - 1, 2.0),
-    )
-    np.testing.assert_allclose(solve_banded(sys), inner * (1 - inner), atol=1e-13)
+    # -u'' + s u = 2 + s u* with u* = x(1 - x): the three-point stencil and the
+    # one-sided Robin stencil are exact for quadratics; u* vanishes at both ends
+    # and has du*/dn = -1 there, so the Dirichlet data are 0 and the Robin fluxes -1
+    shift = 3.0
+    for robin_p in ((None, None), (1.5, None), (None, 0.5), (2.0, 3.0)):
+        op = Operator(simple_spec(), subgrid(1.0, 8), robin_p, c_shift=shift)
+        x = op.sg.x
+        exact = x * (1 - x)
+        left, right = (0.0 if p is None else -1.0 for p in robin_p)
+        rhs = op.system(2.0 + shift * exact, left, right)
+        np.testing.assert_allclose(solve_banded(op.lu, rhs), exact, atol=1e-13)
 
 
 def test_against_dense_elimination_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        n = int(rng.integers(2, 51))
-        sub = rng.uniform(-1, 1, n - 1)
-        sup = rng.uniform(-1, 1, n - 1)
-        main = np.zeros(n)
-        main[:-1] += np.abs(sup)
-        main[1:] += np.abs(sub)
-        main += rng.uniform(0.5, 2.0, n)  # strictly dominant
-        main *= rng.choice([-1.0, 1.0], n)
-        rhs = rng.uniform(-5, 5, n)
-        sys = BandedSystem(n=n, sub=sub, main=main, sup=sup, rhs=rhs)
-        x_banded = solve_banded(sys)
-        x_dense = dense_solve(sys.dense(), rhs)
+        op = random_operator(rng)
+        # a solution of order one keeps the absolute bound as strict as for
+        # matrices with entries of order one, whatever 1/h^2 is
+        rhs = op.dense() @ rng.uniform(-5, 5, op.n)
+        x_banded = solve_banded(op.lu, rhs)
+        x_dense = dense_solve(op.dense(), rhs)
         assert np.max(np.abs(x_banded - x_dense)) <= 1e-10
 
 
 def test_residual_postcondition():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        n = int(rng.integers(3, 40))
-        sub = rng.uniform(-1, 1, n - 1)
-        sup = rng.uniform(-1, 1, n - 1)
-        main = 3.0 + rng.uniform(0, 1, n)
-        rhs = rng.uniform(-5, 5, n)
-        sys = BandedSystem(n=n, sub=sub, main=main, sup=sup, rhs=rhs)
-        x = solve_banded(sys)
-        A = sys.dense()
+        op = random_operator(rng)
+        rhs = rng.uniform(-5, 5, op.n)
+        x = solve_banded(op.lu, rhs)
+        A = op.dense()
         res = np.max(np.abs(A @ x - rhs))
         norm_a = np.max(np.sum(np.abs(A), axis=1))
         assert res <= 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
 
 
 def test_singular_system_raises():
-    sys = BandedSystem(n=3, sub=np.zeros(2), main=np.zeros(3), sup=np.zeros(2),
-                       rhs=np.ones(3))
-    with pytest.raises(SingularSystemError):
-        solve_banded(sys)
+    # Neumann rows at both ends of -u'' = 0: constants span the kernel
+    spec = catalog_lookup("laplace1d")
+    for n_cells in (4, 8, 16):
+        with pytest.raises(SingularSystemError, match="zero pivot"):
+            Operator(spec, subgrid(1.0, n_cells), (0.0, 0.0))
+    with pytest.raises(ValueError, match="too coarse"):
+        Operator(spec, subgrid(1.0, 3), (None, None))
 
-
-def test_one_and_two_node_systems():
-    for n in (1, 2):
-        sys = BandedSystem(n=n, sub=np.full(n - 1, -1.0), main=np.arange(2.0, n + 2),
-                           sup=np.full(n - 1, 0.5), rhs=np.arange(1.0, n + 1))
-        np.testing.assert_allclose(solve_banded(sys), dense_solve(sys.dense(), sys.rhs),
-                                   rtol=1e-14)
-
-
-# --------------------------------------------------------------------------
-# factored operators
-# --------------------------------------------------------------------------
 
 def test_reused_operator_reproduces_a_fresh_solve_bitwise():
     spec = replace(catalog_lookup("heat-semilinear"), time_horizon=0.1)
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
-    left, right = DirichletBC(np.linspace(0.0, 0.1, 11)), RobinBC(2.0, np.ones(11))
+    left, right = np.linspace(0.0, 0.1, 11), np.ones(11)
     initial = np.sin(np.pi * sg.x)
     op = Operator(spec, sg, (None, 2.0), c_shift=1.0 / 0.01)
-    fresh = solve_semilinear_parabolic(spec, sg, left, right, initial, 0.01, t)
+    fresh = solve_semilinear_parabolic(Operator(spec, sg, (None, 2.0), c_shift=1.0 / 0.01),
+                                       left, right, initial, 0.01, t)
     for _ in range(2):
-        reused = solve_semilinear_parabolic(spec, sg, left, right, initial, 0.01, t, op=op)
+        reused = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
         assert np.array_equal(reused, fresh)
 
 
-def test_operator_rejects_other_boundary_conditions():
-    spec = simple_spec(c=1.0)
-    sg = subgrid(1.0, 10)
-    op = Operator(spec, sg, (None, 2.0))
-    for right in (DirichletBC(1.0), RobinBC(3.0, 1.0)):
-        with pytest.raises(ValueError, match="operator built for"):
-            solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), right, op=op)
+def test_parabolic_solve_rejects_operator_of_other_shift():
+    op = Operator(simple_spec(c=1.0), subgrid(1.0, 10), (None, 2.0))
     with pytest.raises(ValueError, match="shift"):
-        solve_semilinear_parabolic(spec, sg, DirichletBC(0.0), RobinBC(2.0, 1.0),
-                                   np.zeros(sg.n), 0.01, np.linspace(0, 0.1, 11), op=op)
+        solve_semilinear_parabolic(op, 0.0, 1.0, np.zeros(op.n), 0.01,
+                                   np.linspace(0, 0.1, 11))
 
 
 @pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
 def test_non_finite_data_raise_non_finite_error(F):
-    spec = simple_spec(c=4.0, F=F)
-    sg = subgrid(1.0, 10)
+    op = Operator(simple_spec(c=4.0, F=F), subgrid(1.0, 10), (None, None))
     for value in (np.inf, np.nan):
         with pytest.raises(NonFiniteError, match="non-finite"):
-            solve_semilinear_elliptic(spec, sg, DirichletBC(value), DirichletBC(0.0))
+            solve_semilinear_elliptic(op, value, 0.0)
     assert issubclass(NonFiniteError, SingularSystemError)
 
 
 # --------------------------------------------------------------------------
-# elliptic assembly
+# elliptic solves
 # --------------------------------------------------------------------------
 
 def test_laplace_dirichlet_exact_for_linear_solution():
-    spec = simple_spec()
-    sg = subgrid(1.0, 4)
-    sys = assemble_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(1.0))
-    u = solve_banded(sys)
+    u, _ = solve_semilinear_elliptic(dirichlet(simple_spec(), subgrid(1.0, 4)), 0.0, 1.0)
     np.testing.assert_allclose(u, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-14)
 
 
@@ -181,7 +179,7 @@ def test_manufactured_solution_second_order(problem_id):
     errs, hs = [], []
     for n in (50, 100, 200):
         sg = subgrid(spec.length, n)
-        u, _ = solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0))
+        u, _ = solve_semilinear_elliptic(dirichlet(spec, sg), 0.0, 0.0)
         errs.append(np.max(np.abs(u - sol.u(sg.x))))
         hs.append(sg.h)
     assert fitted_order(hs, errs) >= 1.9
@@ -192,8 +190,7 @@ def test_robin_right_end_exact_for_linear_solution():
     p, g0 = 1.0, 3.0
     spec = simple_spec()
     sg = subgrid(1.0, 16)
-    sys = assemble_elliptic(spec, sg, DirichletBC(0.0), RobinBC(p, g0))
-    u = solve_banded(sys)
+    u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, p)), 0.0, g0)
     np.testing.assert_allclose(u, g0 * sg.x / (1 + p), atol=1e-12)
     # the solved field satisfies the one-sided Robin relation itself
     h = sg.h
@@ -209,8 +206,7 @@ def test_robin_discretization_second_order():
     errs, hs = [], []
     for n in (25, 50, 100, 200):
         sg = subgrid(1.0, n)
-        sys = assemble_elliptic(spec, sg, DirichletBC(2.0), RobinBC(p, flux))
-        u = solve_banded(sys)
+        u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, p)), 2.0, flux)
         errs.append(np.max(np.abs(u - (np.sin(sg.x) + 2.0))))
         hs.append(sg.h)
     assert fitted_order(hs, errs) >= 1.9
@@ -219,10 +215,8 @@ def test_robin_discretization_second_order():
 def test_dominance_threshold_warning_recorded():
     spec = simple_spec(b=30.0, c=1.0)
     sg = subgrid(1.0, 10)  # h = 0.1 > h* = 2/30
-    sys = assemble_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0))
-    assert any("h*" in w for w in sys.meta["warnings"])
-    fine = assemble_elliptic(spec, subgrid(1.0, 1000), DirichletBC(0.0), DirichletBC(0.0))
-    assert fine.meta["warnings"] == []
+    assert any("h*" in w for w in dirichlet(spec, sg).meta["warnings"])
+    assert dirichlet(spec, subgrid(1.0, 1000)).meta["warnings"] == []
 
 
 # --------------------------------------------------------------------------
@@ -231,8 +225,7 @@ def test_dominance_threshold_warning_recorded():
 
 def test_zero_nonlinearity_takes_one_picard_step():
     spec = simple_spec(c=1.0, source=lambda x: np.ones_like(x))
-    u, iters = solve_semilinear_elliptic(spec, subgrid(1.0, 32),
-                                         DirichletBC(0.0), DirichletBC(0.0))
+    u, iters = solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0)
     assert iters == 1
 
 
@@ -242,9 +235,9 @@ def test_linear_nonlinearity_matches_absorbed_coefficient_oracle():
     spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x: np.sin(np.pi * x))
     oracle_spec = simple_spec(c=c - s, source=lambda x: np.sin(np.pi * x))
     sg = subgrid(1.0, 64)
-    u, iters = solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0))
-    sys = assemble_elliptic(oracle_spec, sg, DirichletBC(0.0), DirichletBC(0.0))
-    np.testing.assert_allclose(u, solve_banded(sys), atol=1e-9)
+    u, iters = solve_semilinear_elliptic(dirichlet(spec, sg), 0.0, 0.0)
+    oracle, _ = solve_semilinear_elliptic(dirichlet(oracle_spec, sg), 0.0, 0.0)
+    np.testing.assert_allclose(u, oracle, atol=1e-9)
     # contraction ratio of the fixed-point map is at most s/c (+ mesh effects)
     assert iters <= math.ceil(math.log(1e-10) / math.log(s / c + 0.1)) + 2
 
@@ -252,12 +245,11 @@ def test_linear_nonlinearity_matches_absorbed_coefficient_oracle():
 def test_picard_iteration_ratio_bounded_by_s_over_c():
     s, c = 2.0, 5.0
     spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x: np.cos(np.pi * x))
-    sg = subgrid(1.0, 100)
+    op = dirichlet(spec, subgrid(1.0, 100))
     op_diffs = []
-    u = np.zeros(sg.n)
+    u = np.zeros(op.n)
     for _ in range(12):
-        sys = assemble_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0), frozen_u=u)
-        u_new = solve_banded(sys)
+        u_new = solve_banded(op.lu, frozen_rhs(op, u, 0.0, 0.0))
         op_diffs.append(np.max(np.abs(u_new - u)))
         u = u_new
     ratios = [d2 / d1 for d1, d2 in zip(op_diffs[1:-1], op_diffs[2:]) if d1 > 1e-14]
@@ -266,10 +258,9 @@ def test_picard_iteration_ratio_bounded_by_s_over_c():
 
 def test_sine_nonlinearity_residual_small():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(1.0), source=lambda x: np.sin(np.pi * x))
-    sg = subgrid(1.0, 80)
-    u, _ = solve_semilinear_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0))
-    sys = assemble_elliptic(spec, sg, DirichletBC(0.0), DirichletBC(0.0), frozen_u=u)
-    residual = np.max(np.abs(sys.dense() @ u - sys.rhs))
+    op = dirichlet(spec, subgrid(1.0, 80))
+    u, _ = solve_semilinear_elliptic(op, 0.0, 0.0)
+    residual = np.max(np.abs(op.dense() @ u - frozen_rhs(op, u, 0.0, 0.0)))
     assert residual <= 1e-8
 
 
@@ -277,8 +268,7 @@ def test_picard_step_count_mesh_independent():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x: np.cos(np.pi * x))
     counts = set()
     for n in (40, 80, 160):
-        _, iters = solve_semilinear_elliptic(spec, subgrid(1.0, n),
-                                             DirichletBC(0.0), DirichletBC(0.0))
+        _, iters = solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, n)), 0.0, 0.0)
         counts.add(iters)
     assert max(counts) - min(counts) <= 1
 
@@ -286,8 +276,7 @@ def test_picard_step_count_mesh_independent():
 def test_picard_failure_carries_history():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x: np.ones_like(x))
     with pytest.raises(PicardError) as err:
-        solve_semilinear_elliptic(spec, subgrid(1.0, 32), DirichletBC(0.0),
-                                  DirichletBC(0.0), picard_max=2)
+        solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0, picard_max=2)
     assert len(err.value.diffs) == 2
 
 
@@ -306,8 +295,7 @@ def test_heat_mode_decay_matches_eigenvalue_oracle():
     n, dt = 50, 0.01
     sg = subgrid(1.0, n)
     t = np.linspace(0, 0.05, 6)
-    zeros = np.zeros(6)
-    field = solve_semilinear_parabolic(spec, sg, DirichletBC(zeros), DirichletBC(zeros),
+    field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), np.zeros(6), 0.0,
                                        np.sin(np.pi * sg.x), dt, t)
     mu_h = 2.0 / sg.h**2 * (1 - math.cos(math.pi * sg.h))
     lam = 1.0 / (1.0 + dt * mu_h)
@@ -326,8 +314,7 @@ def test_zero_data_gives_zero_field():
     )
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
-    zeros = np.zeros(11)
-    field = solve_semilinear_parabolic(spec, sg, DirichletBC(zeros), DirichletBC(zeros),
+    field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), np.zeros(11), 0.0,
                                        np.zeros(sg.n), 0.01, t)
     assert np.max(np.abs(field)) == 0.0
 
@@ -341,10 +328,8 @@ def test_manufactured_parabolic_first_order_in_dt():
     for steps in (25, 50, 100):
         dt = 1.0 / steps
         t = np.linspace(0, 1.0, steps + 1)
-        zeros = np.zeros(steps + 1)
-        field = solve_semilinear_parabolic(spec, sg, DirichletBC(zeros),
-                                           DirichletBC(zeros), np.sin(np.pi * sg.x),
-                                           dt, t)
+        field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), 0.0, 0.0,
+                                           np.sin(np.pi * sg.x), dt, t)
         exact = np.exp(-t)[None, :] * np.sin(np.pi * sg.x)[:, None]
         errs.append(np.max(np.abs(field - exact)))
         dts.append(dt)
@@ -355,9 +340,8 @@ def test_parabolic_picard_failure_names_the_level():
     spec = replace(catalog_lookup("heat-semilinear"), time_horizon=0.1)
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
-    zeros = np.zeros(11)
     with pytest.raises(PicardError, match="time level"):
-        solve_semilinear_parabolic(spec, sg, DirichletBC(zeros), DirichletBC(zeros),
+        solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), 0.0, 0.0,
                                    np.sin(np.pi * sg.x), 0.01, t, picard_max=1)
 
 
@@ -382,14 +366,12 @@ def test_reference_laplace_ramp_exact():
 
 
 def test_reference_restriction_solves_subdomain_system():
-    # plugging the reference into a subdomain assembly leaves no residual
+    # plugging the reference into a subdomain operator leaves no residual
     spec = catalog_lookup("example31")
     part = build_uniform_partition(spec.length, 2, 0.2)
     grid = build_grid(part, 0.01)
     u = reference_solve(spec, grid)
     lo, hi = grid.sub_ranges[0]
-    sg = grid.subgrid(0)
-    sys = assemble_elliptic(spec, sg, DirichletBC(u[lo]), DirichletBC(u[hi]),
-                            frozen_u=u[lo:hi + 1])
-    res = sys.dense() @ u[lo:hi + 1] - sys.rhs
+    op = dirichlet(spec, grid.subgrid(0))
+    res = op.dense() @ u[lo:hi + 1] - frozen_rhs(op, u[lo:hi + 1], u[lo], u[hi])
     assert np.max(np.abs(res)) < 1e-9

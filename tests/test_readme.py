@@ -1,0 +1,24 @@
+"""The README's code examples run and print what the README says they print."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def python_block(heading: str) -> str:
+    """The first ```python block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_example_prints_divergence():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(python_block("## Library use"), "README.md", "exec"), {})
+    verdict, rate = out.getvalue().splitlines()[0].split()
+    assert verdict == "diverged"
+    assert rate.startswith("1.2077")
