@@ -11,7 +11,8 @@ Subcommands:
 * ``sweep``    -- re-run a config along one parameter axis; writes
                   sweep.csv with the engine verdict/rate per grid point
                   and the closed-form tau wherever the config matches the
-                  analytic two-subdomain geometry.
+                  analytic two-subdomain geometry.  Exit 1 when no point
+                  converged or diverged.
 * ``validate`` -- check problem assumptions and partition rules; exit 0
                   iff no violations.
 
@@ -80,13 +81,21 @@ def _section(cfg: dict, key: str) -> dict:
     return body
 
 
-def _number(section: dict, key: str, default, cast=float):
-    """``section[key]`` (``default`` when absent) converted by ``cast``."""
+def _number(section: dict, key: str, default) -> float:
+    """``section[key]`` (``default`` when absent) as a float."""
     value = section.get(key, default)
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int; a ConfigError unless it is an integral number, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float)
+                                       and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
@@ -107,13 +116,13 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
         raise ConfigError(f"unknown partition kind {kind!r}")
     try:
         if kind == "uniform":
-            count, overlap = int(body["count"]), float(body["overlap"])
+            count, overlap = body["count"], float(body["overlap"])
         else:
             subs = tuple((float(lo), float(hi)) for lo, hi in body)
     except (TypeError, ValueError, LookupError):
         raise ConfigError(f"bad {kind} partition {body!r}") from None
     if kind == "uniform":
-        return build_uniform_partition(length, count, overlap)
+        return build_uniform_partition(length, _integer(count, "count"), overlap)
     return Partition(length=length, subdomains=subs)
 
 
@@ -135,13 +144,13 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
         dt_target=_number(grid, "dt", None) if grid.get("dt") is not None else None,
         transmission=transmission,
         u0=DataFn.from_dict(u0) if isinstance(u0, dict) else u0,
-        k_max=_number(run, "max_iters", 200, int),
+        k_max=_integer(run.get("max_iters", 200), "max_iters"),
         stop_tol=_number(run, "stop_tol", 1e-10),
         alpha=_number(run, "alpha", 10.0),
         picard_tol=_number(run, "picard_tol", 1e-10),
-        picard_max=_number(run, "picard_max", 200, int),
+        picard_max=_integer(run.get("picard_max", 200), "picard_max"),
         guard_factor=_number(run, "guard_factor", 1e6),
-        rate_window=_number(run, "rate_window", 8, int),
+        rate_window=_integer(run.get("rate_window", 8), "rate_window"),
     )
     return sc, problem_id
 
@@ -286,7 +295,7 @@ def _cmd_sweep(args) -> int:
     labels = [_fmt(float(value)) for value in values]
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
-    first_converged = None
+    first_converged, verdicts = None, 0
     for value, label in zip(values, labels):
         point = _apply_axis(cfg, axis, value)
         tau = None
@@ -298,6 +307,7 @@ def _cmd_sweep(args) -> int:
                                   _fmt(hist.rate_per_double), _fmt(tau), ""]))
             if first_converged is None and hist.verdict == "converged":
                 first_converged = value
+            verdicts += hist.verdict in ("converged", "diverged")
         except Exception as exc:  # record the failure, keep sweeping
             rows.append(",".join([axis, label, "error", "", "", _fmt(tau),
                                   str(exc).replace(",", ";")]))
@@ -307,6 +317,9 @@ def _cmd_sweep(args) -> int:
         print("\n".join(rows))
         if first_converged is not None:
             print(f"# first converged at {axis} = {first_converged}")
+    if not verdicts:
+        print("error: no sweep point reached a verdict", file=sys.stderr)
+        return 1
     return 0
 
 

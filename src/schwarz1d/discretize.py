@@ -233,6 +233,8 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     steps.  With c > Lipschitz(F) the iteration contracts at rate
     ~ C / min(c).  Raises NonFiniteError when the field is not finite.
     """
+    if picard_max < 1:
+        raise ValueError(f"picard_max must be >= 1, got {picard_max}")
     sg = op.sg
     rhs_fixed = op.spec.source_values(sg.x) + np.zeros(sg.n)
     start = np.zeros(sg.n) if u_start is None else np.asarray(u_start, dtype=float)
@@ -257,6 +259,8 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     source.  Returns the (nodes, len(t)) space-time field; raises
     NonFiniteError when it is not finite.
     """
+    if picard_max < 1:
+        raise ValueError(f"picard_max must be >= 1, got {picard_max}")
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
     spec, sg = op.spec, op.sg

@@ -37,6 +37,8 @@ __all__ = [
 
 # coincidence tolerance for endpoint comparisons, relative to L
 _EPS = 1e-12
+# cell counts build_grid tries beyond the smallest one that meets h_target
+_SNAP_CANDIDATES = 5000
 
 
 class PartitionError(ValueError):
@@ -105,9 +107,6 @@ class Partition:
                 f"expected one interface point between subdomains {l} and {m}, got {pts}"
             )
         return pts[0]
-
-    def to_dict(self) -> dict:
-        return {"intervals": [list(s) for s in self.subdomains], "L": self.length}
 
 
 def build_uniform_partition(length: float, count: int, overlap: float) -> Partition:
@@ -212,8 +211,6 @@ class SubGrid:
 
     x: np.ndarray
     h: float
-    lo: int  # global index of x[0]
-    hi: int  # global index of x[-1]
 
     @property
     def n(self) -> int:
@@ -224,7 +221,6 @@ class SubGrid:
 class Grid:
     """Uniform global grid with all subdomain endpoints on nodes."""
 
-    partition: Partition
     h: float
     n_cells: int
     x: np.ndarray
@@ -236,19 +232,19 @@ class Grid:
 
     def subgrid(self, l: int) -> SubGrid:
         lo, hi = self.sub_ranges[l]
-        return SubGrid(x=self.x[lo:hi + 1], h=self.h, lo=lo, hi=hi)
+        return SubGrid(x=self.x[lo:hi + 1], h=self.h)
 
     def monodomain(self) -> SubGrid:
-        return SubGrid(x=self.x, h=self.h, lo=0, hi=self.n_cells)
+        return SubGrid(x=self.x, h=self.h)
 
 
 def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
-               time_horizon: float | None = None, max_extra: int = 5000) -> Grid:
+               time_horizon: float | None = None) -> Grid:
     """Uniform grid with h <= h_target and every endpoint snapped to a node.
 
     Searches the smallest cell count N >= L/h_target for which all interior
     subdomain endpoints land on nodes (relative tolerance 1e-9); raises
-    GridError when no such N exists within ``max_extra`` candidates.  The
+    GridError when no such N exists within ``_SNAP_CANDIDATES`` more.  The
     optional time axis uses dt = T / ceil(T / dt_target) <= dt_target.
     """
     if not h_target > 0:
@@ -258,7 +254,7 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
                         if 0.0 < p < length})
     n_min = max(2, math.ceil(length / h_target - 1e-12))
     n_cells = None
-    for n in range(n_min, n_min + max_extra + 1):
+    for n in range(n_min, n_min + _SNAP_CANDIDATES + 1):
         idx = np.array(endpoints) * n / length
         if np.all(np.abs(idx - np.round(idx)) <= 1e-9 * max(1.0, n)):
             n_cells = n
@@ -266,7 +262,7 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     if n_cells is None:
         raise GridError(
             f"subdomain endpoints {endpoints} not snappable onto a uniform grid "
-            f"with N in [{n_min}, {n_min + max_extra}]"
+            f"with N in [{n_min}, {n_min + _SNAP_CANDIDATES}]"
         )
     h = length / n_cells
     x = np.linspace(0.0, length, n_cells + 1)
@@ -289,5 +285,5 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
         dt = time_horizon / n_steps
         t = np.linspace(0.0, time_horizon, n_steps + 1)
 
-    return Grid(partition=part, h=h, n_cells=n_cells, x=x, sub_ranges=sub_ranges,
+    return Grid(h=h, n_cells=n_cells, x=x, sub_ranges=sub_ranges,
                 interface_index=interface_index, dt=dt, n_steps=n_steps, t=t)

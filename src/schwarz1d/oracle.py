@@ -32,7 +32,7 @@ for validating the numerical engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -86,9 +86,6 @@ class AnalyticCase:
             raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-
-    def with_rho(self, rho: float) -> "AnalyticCase":
-        return replace(self, rho=rho)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ on an interval (0, L), with Dirichlet data g on the outer boundary.  In
 parabolic mode a d/dt term is added on the left and u(x, 0) = g(x) is the
 initial state.  Coefficients and data functions come from small closed
 sets of evaluable forms, so problem instances stay declarative, cheap to
-validate by sampling, and serializable into experiment configs.
+validate by sampling, and writable inline in experiment configs.
 
 Well-posedness conditions enforced by :func:`validate`:
 
@@ -23,7 +23,7 @@ Parabolic mode needs no sign condition on c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,13 @@ __all__ = [
 
 class UnknownProblemError(LookupError):
     """Raised by catalog_lookup for ids that are not in the catalog."""
+
+
+def _entry(body, key: str, what: str):
+    """``body[key]``, or a ValueError naming the missing entry."""
+    if not isinstance(body, dict) or key not in body:
+        raise ValueError(f"{what} needs a {key!r} entry, got {body!r}")
+    return body[key]
 
 
 @dataclass(frozen=True)
@@ -93,17 +100,6 @@ class CoefficientFn:
             return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
         return self.value * np.exp(self.rate * x)
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            body: dict = {"value": self.value}
-        elif self.kind == "polynomial":
-            body = {"coeffs": list(self.coeffs)}
-        else:
-            body = {"value": self.value, "rate": self.rate}
-        if self.lower_bound is not None:
-            body["lower_bound"] = self.lower_bound
-        return {self.kind: body}
-
     @classmethod
     def from_dict(cls, d) -> "CoefficientFn":
         if isinstance(d, (int, float)):
@@ -111,16 +107,17 @@ class CoefficientFn:
         if not isinstance(d, dict) or len(d) != 1:
             raise ValueError(f"bad coefficient spec: {d!r}")
         kind, body = next(iter(d.items()))
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown coefficient kind {kind!r}")
         if isinstance(body, (int, float)):
             body = {"value": body} if kind != "polynomial" else {"coeffs": body}
-        lb = body.get("lower_bound")
+        what = f"{kind} coefficient"
+        lb = body.get("lower_bound") if isinstance(body, dict) else None
         if kind == "constant":
-            return cls.constant(body["value"], lb)
+            return cls.constant(_entry(body, "value", what), lb)
         if kind == "polynomial":
-            return cls.polynomial(body["coeffs"], lb)
-        if kind == "scaled-exp":
-            return cls.scaled_exp(body["value"], body.get("rate", 0.0), lb)
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+            return cls.polynomial(_entry(body, "coeffs", what), lb)
+        return cls.scaled_exp(_entry(body, "value", what), body.get("rate", 0.0), lb)
 
 
 @dataclass(frozen=True)
@@ -128,27 +125,21 @@ class Nonlinearity:
     """Zeroth-order term F(x, u), uniformly Lipschitz in u.
 
     kinds:
-        ``zero``         -- F = 0, Lipschitz bound 0
+        ``zero``         -- F = 0
         ``linear-in-u``  -- F = param * u
         ``sine``         -- F = param * sin(u)
-        ``custom``       -- arbitrary callable fn(x, u) with a declared bound
 
-    For the built-in kinds the Lipschitz bound is |param| and is filled in
-    automatically; custom nonlinearities must declare theirs.
+    The Lipschitz bound in u is |param| for the last two and 0 for ``zero``.
     """
 
     kind: str
     param: float = 0.0
-    lipschitz: float = 0.0
-    fn: Callable | None = field(default=None, compare=False)
+
+    _KINDS = ("zero", "linear-in-u", "sine")
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "linear-in-u", "sine", "custom"):
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom nonlinearity needs a callable")
-        if self.lipschitz < 0:
-            raise ValueError("Lipschitz bound must be nonnegative")
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -156,45 +147,35 @@ class Nonlinearity:
 
     @classmethod
     def linear(cls, slope: float) -> "Nonlinearity":
-        return cls(kind="linear-in-u", param=float(slope), lipschitz=abs(float(slope)))
+        return cls(kind="linear-in-u", param=float(slope))
 
     @classmethod
     def sine(cls, amplitude: float) -> "Nonlinearity":
-        return cls(kind="sine", param=float(amplitude), lipschitz=abs(float(amplitude)))
+        return cls(kind="sine", param=float(amplitude))
 
-    @classmethod
-    def custom(cls, fn: Callable, lipschitz: float) -> "Nonlinearity":
-        return cls(kind="custom", fn=fn, lipschitz=float(lipschitz))
+    @property
+    def lipschitz(self) -> float:
+        """Uniform Lipschitz bound C of F in u."""
+        return 0.0 if self.kind == "zero" else abs(self.param)
 
     def __call__(self, x, u):
         if self.kind == "zero":
             return np.zeros_like(np.asarray(u, dtype=float))
         if self.kind == "linear-in-u":
             return self.param * np.asarray(u, dtype=float)
-        if self.kind == "sine":
-            return self.param * np.sin(u)
-        return self.fn(x, u)
-
-    def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom nonlinearity is not serializable")
-        if self.kind == "zero":
-            return {"zero": {}}
-        return {self.kind: {"param": self.param}}
+        return self.param * np.sin(u)
 
     @classmethod
     def from_dict(cls, d) -> "Nonlinearity":
         if not isinstance(d, dict) or len(d) != 1:
             raise ValueError(f"bad nonlinearity spec: {d!r}")
         kind, body = next(iter(d.items()))
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if kind == "zero":
             return cls.zero()
-        param = body["param"] if isinstance(body, dict) else body
-        if kind == "linear-in-u":
-            return cls.linear(param)
-        if kind == "sine":
-            return cls.sine(param)
-        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        param = _entry(body, "param", f"{kind} nonlinearity") if isinstance(body, dict) else body
+        return cls.linear(param) if kind == "linear-in-u" else cls.sine(param)
 
 
 @dataclass(frozen=True)
@@ -247,15 +228,6 @@ class DataFn:
             return self.amplitude * np.sin(self.mode * math.pi * x / length)
         return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
 
-    def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"zero": {}}
-        if self.kind == "constant":
-            return {"constant": {"value": self.amplitude}}
-        if self.kind == "sine":
-            return {"sine": {"amplitude": self.amplitude, "mode": self.mode}}
-        return {"polynomial": {"coeffs": list(self.coeffs)}}
-
     @classmethod
     def from_dict(cls, d) -> "DataFn":
         if isinstance(d, str):
@@ -268,12 +240,14 @@ class DataFn:
         if kind == "zero":
             return cls.zero()
         if kind == "constant":
-            return cls.constant(body["value"] if isinstance(body, dict) else body)
+            return cls.constant(_entry(body, "value", "constant data")
+                                if isinstance(body, dict) else body)
         if kind == "sine":
             body = body if isinstance(body, dict) else {"amplitude": body}
             return cls.sine(body.get("amplitude", 1.0), body.get("mode", 1))
         if kind == "polynomial":
-            return cls.polynomial(body["coeffs"] if isinstance(body, dict) else body)
+            return cls.polynomial(_entry(body, "coeffs", "polynomial data")
+                                  if isinstance(body, dict) else body)
         raise ValueError(f"unknown data kind {kind!r}")
 
 
@@ -288,8 +262,8 @@ def _named_data(name: str) -> DataFn:
 class ProblemSpec:
     """A fully specified model problem instance.
 
-    ``source`` may be a DataFn (serializable) or, for manufactured-solution
-    studies, any callable ``f(x)`` or ``f(x, t)``.
+    ``source`` may be a DataFn or, for manufactured-solution studies, any
+    callable ``f(x)`` or ``f(x, t)``.
     """
 
     mode: str  # "elliptic" | "parabolic"
@@ -301,7 +275,6 @@ class ProblemSpec:
     length: float
     time_horizon: float | None = None
     source: DataFn | Callable | None = None
-    tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in ("elliptic", "parabolic"):
@@ -328,28 +301,10 @@ class ProblemSpec:
         return (float(self.g.value(0.0, self.length)),
                 float(self.g.value(self.length, self.length)))
 
-    def to_dict(self) -> dict:
-        if self.source is not None and not isinstance(self.source, DataFn):
-            raise ValueError("callable source terms are not serializable")
-        d = {
-            "mode": self.mode,
-            "L": self.length,
-            "a": self.a.to_dict(),
-            "b": self.b.to_dict(),
-            "c": self.c.to_dict(),
-            "F": self.F.to_dict(),
-            "g": self.g.to_dict(),
-        }
-        if self.time_horizon is not None:
-            d["T"] = self.time_horizon
-        if self.source is not None:
-            d["source"] = self.source.to_dict()
-        if self.tags:
-            d["tags"] = list(self.tags)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
+        for key in ("mode", "L", "a", "b", "c"):
+            _entry(d, key, "inline problem")
         return cls(
             mode=d["mode"],
             a=CoefficientFn.from_dict(d["a"]),
@@ -360,7 +315,6 @@ class ProblemSpec:
             length=float(d["L"]),
             time_horizon=float(d["T"]) if d.get("T") is not None else None,
             source=DataFn.from_dict(d["source"]) if d.get("source") is not None else None,
-            tags=tuple(d.get("tags", ())),
         )
 
 
@@ -373,7 +327,7 @@ def _example31() -> ProblemSpec:
     # divergence form as -(u')' + 3u' + 4u = -f.  Its homogeneous solutions
     # exp(4x), exp(-x) make this the model with closed-form interface maps
     # (see the oracle module); the transmission-side divergence it exhibits
-    # is the point of the entry, hence the counterexample-family tag.
+    # is the point of the entry.
     return ProblemSpec(
         mode="elliptic",
         a=CoefficientFn.constant(1.0, lower_bound=1.0),
@@ -383,7 +337,6 @@ def _example31() -> ProblemSpec:
         g=DataFn.zero(),
         length=2.0,
         source=DataFn.sine(-1.0, 1),  # -f with f(x) = sin(pi x / L)
-        tags=("counterexample-family",),
     )
 
 

@@ -97,16 +97,6 @@ class TransmissionSpec:
         scale = self.rho if self.kind == "scaled_robin" else 1.0
         return float(p) * scale
 
-    def to_dict(self) -> dict:
-        if self.kind == "dirichlet":
-            return {"dirichlet": {}}
-        p = ({f"{k[0]},{k[1]}": v for k, v in self.p.items()}
-             if isinstance(self.p, dict) else self.p)
-        body: dict = {"p": p}
-        if self.kind == "scaled_robin":
-            body["rho"] = self.rho
-        return {self.kind: body}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
         if not isinstance(d, dict) or len(d) != 1:

@@ -209,7 +209,7 @@ def test_criterion_6_discretization_order():
 
     def subgrid(length, n):
         x = np.linspace(0.0, length, n + 1)
-        return SubGrid(x=x, h=length / n, lo=0, hi=n)
+        return SubGrid(x=x, h=length / n)
 
     ok = True
     details = []

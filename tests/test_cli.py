@@ -305,7 +305,7 @@ def test_sweep_point_without_robin_p_is_recorded_not_raised(tmp_path, capsys):
     cfg = divergent_config(str(out))
     cfg["transmission"] = {"robin": {"q": 1.0}}
     cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2]}
-    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["error", "error"]
@@ -327,6 +327,60 @@ def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, mo
     assert err.startswith("error: sweep values must be numbers")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_without_any_verdict_exits_one(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "counterexample_rho_sweep.json").read_text())
+    cfg["run"] = None
+    out = tmp_path / "out"
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no sweep point reached a verdict\n"
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(cfg["sweep"]["values"])
+    assert all(row.split(",")[2] == "error" for row in rows)
+    assert all("config section 'run' must be an object" in row for row in rows)
+
+
+@pytest.mark.parametrize("section, setting, value", [
+    pytest.param("run", "max_iters", 2.9, id="max_iters-2.9"),
+    pytest.param("run", "max_iters", True, id="max_iters-true"),
+    pytest.param("run", "rate_window", 4.5, id="rate_window-4.5"),
+    pytest.param("run", "picard_max", 3.5, id="picard_max-3.5"),
+    pytest.param("partition", "count", 2.7, id="count-2.7"),
+])
+def test_non_integral_integer_setting_exits_one(tmp_path, capsys, section, setting, value):
+    cfg = laplace_config(str(tmp_path / "o"))
+    body = cfg["partition"]["uniform"] if section == "partition" else cfg["run"]
+    body[setting] = value
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {setting} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_settings_are_accepted(tmp_path):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["run"].update(max_iters=100.0, rate_window=8.0, picard_max=200.0)
+    cfg["partition"]["uniform"]["count"] = 2.0
+    sc, _ = build_schwarz_config(cfg)
+    assert (sc.k_max, sc.rate_window, sc.picard_max, sc.partition.count) == (100, 8, 200, 2)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda p: p.pop("a"), "inline problem needs a 'a' entry", id="no-a"),
+    pytest.param(lambda p: p.update(c={"constant": {}}),
+                 "constant coefficient needs a 'value' entry", id="constant-no-value"),
+])
+def test_inline_problem_missing_entry_is_named(tmp_path, capsys, edit, message):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
+                      "b": {"constant": 0.0}, "c": {"constant": 0.0}}
+    edit(cfg["problem"])
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("problem, setting, value, message", [

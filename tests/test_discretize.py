@@ -28,7 +28,7 @@ from helpers import dense_solve, fitted_order, manufactured_elliptic, manufactur
 
 def subgrid(length: float, n_cells: int) -> SubGrid:
     x = np.linspace(0.0, length, n_cells + 1)
-    return SubGrid(x=x, h=length / n_cells, lo=0, hi=n_cells)
+    return SubGrid(x=x, h=length / n_cells)
 
 
 def simple_spec(a=1.0, b=0.0, c=0.0, F=None, length=1.0, source=None) -> ProblemSpec:
@@ -280,6 +280,12 @@ def test_picard_failure_carries_history():
     assert len(err.value.diffs) == 2
 
 
+def test_elliptic_solve_rejects_picard_max_below_one():
+    op = dirichlet(catalog_lookup("elliptic-semilinear"), subgrid(1.0, 32))
+    with pytest.raises(ValueError, match="picard_max must be >= 1"):
+        solve_semilinear_elliptic(op, 0.0, 0.0, picard_max=0)
+
+
 # --------------------------------------------------------------------------
 # parabolic stepping
 # --------------------------------------------------------------------------
@@ -343,6 +349,15 @@ def test_parabolic_picard_failure_names_the_level():
     with pytest.raises(PicardError, match="time level"):
         solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), 0.0, 0.0,
                                    np.sin(np.pi * sg.x), 0.01, t, picard_max=1)
+
+
+def test_parabolic_solve_rejects_picard_max_below_one():
+    spec = replace(catalog_lookup("heat-semilinear"), time_horizon=0.1)
+    sg = subgrid(1.0, 20)
+    t = np.linspace(0, 0.1, 11)
+    with pytest.raises(ValueError, match="picard_max must be >= 1"):
+        solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), 0.0, 0.0,
+                                   np.sin(np.pi * sg.x), 0.01, t, picard_max=0)
 
 
 # --------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_grid_time_axis():
 def test_grid_unsnappable_endpoints_raise():
     part = Partition(length=1.0, subdomains=((0.0, 1 / np.sqrt(2)), (0.5, 1.0)))
     with pytest.raises(GridError, match="not snappable"):
-        build_grid(part, 0.1, max_extra=200)
+        build_grid(part, 0.1)
 
 
 def test_grid_needs_horizon_with_dt():

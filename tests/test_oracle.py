@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_threshold_large_domain_expansion():
 def test_rho_rescue_at_oracle_level():
     case = AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)
     assert tau_factors(case).tau > 1.0
-    taus = [tau_factors(case.with_rho(2.0 ** k)).tau for k in range(11)]
+    taus = [tau_factors(replace(case, rho=2.0 ** k)).tau for k in range(11)]
     assert any(t < 1.0 for t in taus)
     crossing = next(k for k, t in enumerate(taus) if t < 1.0)
     assert crossing <= 10

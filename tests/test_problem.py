@@ -38,7 +38,6 @@ def test_example31_encodes_the_operator():
     # stored right-hand side is the negated forcing: source(x) = -sin(pi x / L)
     x = np.linspace(0, 2, 7)
     np.testing.assert_allclose(spec.source_values(x), -np.sin(np.pi * x / 2), atol=1e-15)
-    assert "counterexample-family" in spec.tags
 
 
 def test_laplace1d_is_trivial_diffusion():
@@ -129,24 +128,55 @@ def test_datafn_values():
     np.testing.assert_allclose(p.value(2.0, 1.0), 13.0)
 
 
+# every catalog entry written as an inline problem in README's forms
+_DIFFUSION = {"constant": {"value": 1.0, "lower_bound": 1.0}}
+_INLINE = {
+    "example31": {"mode": "elliptic", "L": 2.0, "a": _DIFFUSION, "b": {"constant": 3.0},
+                  "c": {"constant": 4.0}, "F": {"zero": {}}, "g": {"zero": {}},
+                  "source": {"sine": {"amplitude": -1.0, "mode": 1}}},
+    "laplace1d": {"mode": "elliptic", "L": 1.0, "a": _DIFFUSION, "b": {"constant": 0.0},
+                  "c": {"constant": 0.0}},
+    "heat-semilinear": {"mode": "parabolic", "L": 1.0, "T": 2.0, "a": _DIFFUSION,
+                        "b": {"constant": 0.0}, "c": {"constant": 0.0},
+                        "F": {"sine": {"param": 1.0}},
+                        "g": {"sine": {"amplitude": 1.0, "mode": 1}}},
+    "elliptic-semilinear": {"mode": "elliptic", "L": 1.0, "a": _DIFFUSION,
+                            "b": {"constant": 1.0}, "c": {"constant": 4.0},
+                            "F": {"sine": {"param": 2.0}}, "g": {"zero": {}},
+                            "source": {"sine": {"amplitude": 1.0, "mode": 1}}},
+}
+
+
 @pytest.mark.parametrize("problem_id", catalog_ids())
-def test_serialization_round_trip(problem_id):
-    spec = catalog_lookup(problem_id)
-    again = ProblemSpec.from_dict(spec.to_dict())
-    assert again == spec
+def test_from_dict_of_readme_form_equals_catalog_entry(problem_id):
+    assert ProblemSpec.from_dict(_INLINE[problem_id]) == catalog_lookup(problem_id)
 
 
-def test_custom_nonlinearity_not_serializable():
-    nl = Nonlinearity.custom(lambda x, u: 0.0 * u, lipschitz=0.0)
-    with pytest.raises(ValueError):
-        nl.to_dict()
+# the problem and coefficient entries are checked through the CLI in test_cli.py
+@pytest.mark.parametrize("body, message", [
+    pytest.param({**_INLINE["laplace1d"], "F": {"sine": {}}},
+                 "sine nonlinearity needs a 'param'", id="nonlinearity-param"),
+    pytest.param({**_INLINE["laplace1d"], "g": {"polynomial": {}}},
+                 "polynomial data needs a 'coeffs'", id="data-coeffs"),
+])
+def test_from_dict_names_the_missing_entry(body, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec.from_dict(body)
+
+
+def test_lipschitz_bound_is_derived_from_param():
+    assert Nonlinearity.zero().lipschitz == 0.0
+    assert Nonlinearity.linear(-3.0).lipschitz == 3.0
+    assert Nonlinearity.sine(2.0).lipschitz == 2.0
+    with pytest.raises(TypeError):
+        Nonlinearity(kind="sine", param=1.0, lipschitz=5.0)
 
 
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError):
         CoefficientFn(kind="cosine")
     with pytest.raises(ValueError):
-        Nonlinearity(kind="custom")  # missing callable
+        Nonlinearity(kind="custom")  # only closed forms are accepted
     with pytest.raises(ValueError):
         ProblemSpec(
             mode="elliptic",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from schwarz1d.transmission import (
 @pytest.fixture
 def setup():
     """Two subdomains of (0, 2) with interfaces at 1.0 and 0.75."""
-    spec = catalog_lookup("laplace1d")
-    spec = type(spec).from_dict({**spec.to_dict(), "L": 2.0})
+    spec = replace(catalog_lookup("laplace1d"), length=2.0)
     part = Partition(length=2.0, subdomains=((0.0, 1.0), (0.75, 2.0)))
     grid = build_grid(part, 0.05)
     return spec, part, grid
@@ -124,8 +124,7 @@ def test_stencil_needs_two_interior_nodes():
 
 @given(st.floats(0.1, 50.0), st.floats(0.5, 20.0))
 def test_scaled_robin_identity_for_all_parameters(p, rho):
-    spec = catalog_lookup("laplace1d")
-    spec = type(spec).from_dict({**spec.to_dict(), "L": 2.0})
+    spec = replace(catalog_lookup("laplace1d"), length=2.0)
     part = Partition(length=2.0, subdomains=((0.0, 1.0), (0.75, 2.0)))
     grid = build_grid(part, 0.05)
     lo, hi = grid.sub_ranges[1]
@@ -135,11 +134,14 @@ def test_scaled_robin_identity_for_all_parameters(p, rho):
     np.testing.assert_allclose(a, b, rtol=0, atol=0)
 
 
-def test_serialization_round_trip():
-    for tsp in (
-        TransmissionSpec.dirichlet(),
-        TransmissionSpec.robin(2.0),
-        TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
-        TransmissionSpec.scaled_robin(2.0, rho=8.0),
-    ):
-        assert TransmissionSpec.from_dict(tsp.to_dict()) == tsp
+# the four transmission forms of README's config schema
+@pytest.mark.parametrize("literal, want", [
+    pytest.param({"dirichlet": {}}, TransmissionSpec.dirichlet(), id="dirichlet"),
+    pytest.param({"robin": {"p": 1.0}}, TransmissionSpec.robin(1.0), id="robin"),
+    pytest.param({"robin": {"p": {"0,1": 1.0, "1,0": 50.0}}},
+                 TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}), id="robin-table"),
+    pytest.param({"scaled_robin": {"p": 2.0, "rho": 8.0}},
+                 TransmissionSpec.scaled_robin(2.0, rho=8.0), id="scaled-robin"),
+])
+def test_from_dict_reads_readme_forms(literal, want):
+    assert TransmissionSpec.from_dict(literal) == want
