@@ -223,7 +223,13 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     sc, problem_id = build_schwarz_config(cfg)
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
-    hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
+    try:
+        hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
+    except SchwarzRunError as exc:
+        if exc.history is not None:  # keep the iterations before the failed sweep
+            out.mkdir(parents=True, exist_ok=True)
+            _write_history_csv(out / "history.csv", exc.history)
+        raise
     out.mkdir(parents=True, exist_ok=True)
     _write_history_csv(out / "history.csv", hist)
     summary = _summary_text(problem_id, sc, hist)

@@ -27,7 +27,8 @@ first order in dt.
 The matrix of a subdomain never changes during a run: which end is a
 Robin row, the Robin parameters and 1/dt fix it; only the boundary data
 change from sweep to sweep.  An ``Operator`` assembles it once and
-LU-factors it with LAPACK ``gttrf``.  The solves take the operator and
+LU-factors it with LAPACK ``gttrf``; it also samples a source that cannot
+depend on time once, as ``source``.  The solves take the operator and
 the boundary data (the Dirichlet value or the Robin flux of each end);
 each Picard step fills the boundary rows of the right-hand side and costs
 one ``gttrs`` solve.
@@ -91,9 +92,13 @@ class Operator:
     depend on the boundary data, so the engine builds one Operator per
     subdomain per run; its LU factors ``lu`` serve every Picard step, time
     level and Schwarz iteration, and ``system`` fills in only the boundary
-    rows of a right-hand side.  ``meta`` records the diagonal-dominance
-    threshold h* = 2 lambda / max|b| and a warning when h exceeds it.
-    Raises SingularSystemError when the matrix has a zero pivot.
+    rows of a right-hand side.  ``source`` is the source sampled on the
+    nodes when it is None or a DataFn, which cannot depend on time, and
+    None for a callable source, which the solves sample per call or time
+    level; it is read-only, so a solve must copy it before writing.
+    ``meta`` records the diagonal-dominance threshold h* = 2 lambda / max|b|
+    and a warning when h exceeds it.  Raises SingularSystemError when the
+    matrix has a zero pivot.
     """
 
     def __init__(self, spec: ProblemSpec, sg: SubGrid, robin_p: tuple,
@@ -153,6 +158,10 @@ class Operator:
         if info > 0:
             raise SingularSystemError(f"singular operator: zero pivot in row {info}")
         self.lu = (dl, d, du, du2, ipiv)
+        self.source = None
+        if not callable(spec.source):
+            self.source = spec.source_values(x)
+            self.source.setflags(write=False)
 
         lam = spec.a.lower_bound
         if lam is None:
@@ -171,8 +180,9 @@ class Operator:
         in place.  ``left``/``right`` is the Dirichlet value or the Robin
         flux of that end.
         """
-        for (end, row, alpha, pivot), value in zip(self._ends, (left, right)):
-            rhs[end] = value if row is None else value - alpha * rhs[row] / pivot
+        (end0, row0, alpha0, pivot0), (end1, row1, alpha1, pivot1) = self._ends
+        rhs[end0] = left if row0 is None else left - alpha0 * rhs[row0] / pivot0
+        rhs[end1] = right if row1 is None else right - alpha1 * rhs[row1] / pivot1
         return rhs
 
     def dense(self) -> np.ndarray:
@@ -208,8 +218,11 @@ def _picard_solve(op: Operator, rhs_fixed: np.ndarray, left: float, right: float
     u = u_start
     diffs: list[float] = []
     for m in range(1, picard_max + 1):
-        u_new = solve_banded(op.lu, op.system(rhs_fixed + F(x, u), left, right))
-        diff = float(np.abs(u_new - u).max())
+        rhs = F(x, u)  # a new array, so the right-hand side is built in it
+        rhs += rhs_fixed
+        u_new = solve_banded(op.lu, op.system(rhs, left, right))
+        step = u_new - u
+        diff = float(np.maximum.reduce(np.abs(step, out=step)))
         if not math.isfinite(diff):
             raise NonFiniteError("banded solve produced non-finite values")
         diffs.append(diff)
@@ -236,7 +249,10 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     if picard_max < 1:
         raise ValueError(f"picard_max must be >= 1, got {picard_max}")
     sg = op.sg
-    rhs_fixed = op.spec.source_values(sg.x) + np.zeros(sg.n)
+    source = op.spec.source_values(sg.x) if op.source is None else op.source
+    # a copy, since the F-zero path fills the boundary rows in place; adding
+    # +0.0 also turns a -0.0 source value into 0.0
+    rhs_fixed = source + np.zeros(sg.n)
     start = np.zeros(sg.n) if u_start is None else np.asarray(u_start, dtype=float)
     u, iters = _picard_solve(op, rhs_fixed, float(left), float(right), start, picard_tol,
                              picard_max)
@@ -256,7 +272,8 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     ``right`` is the Dirichlet value or the Robin flux of each end, one
     scalar or one value per time level of ``t``.  Each level solves a
     semilinear elliptic problem with the previous level folded into the
-    source.  Returns the (nodes, len(t)) space-time field; raises
+    source.  The source is ``op.source`` at every level unless it is
+    callable.  Returns the (nodes, len(t)) space-time field; raises
     NonFiniteError when it is not finite.
     """
     if picard_max < 1:
@@ -266,21 +283,20 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     spec, sg = op.spec, op.sg
     n_steps = len(t) - 1
     left, right = _per_level(left, n_steps + 1), _per_level(right, n_steps + 1)
-    # a source that is None or a DataFn cannot depend on time: sample it once
-    source = None if callable(spec.source) else spec.source_values(sg.x)
-    field = np.empty((sg.n, n_steps + 1))
-    field[:, 0] = np.asarray(initial, dtype=float)
+    # time-major, so each level's row is contiguous
+    field = np.empty((n_steps + 1, sg.n))
+    field[0] = np.asarray(initial, dtype=float)
     for m in range(1, n_steps + 1):
-        src = spec.source_values(sg.x, float(t[m])) if source is None else source
-        rhs_fixed = src + field[:, m - 1] / dt
+        src = spec.source_values(sg.x, float(t[m])) if op.source is None else op.source
+        rhs_fixed = src + field[m - 1] / dt
         try:
-            u, _ = _picard_solve(op, rhs_fixed, left[m], right[m], field[:, m - 1],
+            u, _ = _picard_solve(op, rhs_fixed, left[m], right[m], field[m - 1],
                                  picard_tol, picard_max)
         except PicardError as exc:
             raise PicardError(f"time level {m} (t = {t[m]:g}): {exc}", exc.diffs,
                               time_level=m) from exc
-        field[:, m] = u
-    return _check_finite(field)
+        field[m] = u
+    return _check_finite(np.ascontiguousarray(field.T))
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

@@ -51,6 +51,24 @@ def _entry(body, key: str, what: str):
     return body[key]
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, or a ValueError naming the entry and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _numbers(value, what: str) -> tuple[float, ...]:
+    """A list of numbers as floats, or a ValueError naming the entry and the value."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CoefficientFn:
     """A PDE coefficient from a closed set of smooth evaluable forms.
@@ -113,11 +131,14 @@ class CoefficientFn:
             body = {"value": body} if kind != "polynomial" else {"coeffs": body}
         what = f"{kind} coefficient"
         lb = body.get("lower_bound") if isinstance(body, dict) else None
+        if lb is not None:
+            lb = _number(lb, f"{what} lower_bound")
         if kind == "constant":
-            return cls.constant(_entry(body, "value", what), lb)
+            return cls.constant(_number(_entry(body, "value", what), f"{what} value"), lb)
         if kind == "polynomial":
-            return cls.polynomial(_entry(body, "coeffs", what), lb)
-        return cls.scaled_exp(_entry(body, "value", what), body.get("rate", 0.0), lb)
+            return cls.polynomial(_numbers(_entry(body, "coeffs", what), f"{what} coeffs"), lb)
+        return cls.scaled_exp(_number(_entry(body, "value", what), f"{what} value"),
+                              _number(body.get("rate", 0.0), f"{what} rate"), lb)
 
 
 @dataclass(frozen=True)
@@ -130,6 +151,7 @@ class Nonlinearity:
         ``sine``         -- F = param * sin(u)
 
     The Lipschitz bound in u is |param| for the last two and 0 for ``zero``.
+    A call returns a new array, which the Picard loop may write into.
     """
 
     kind: str
@@ -174,7 +196,9 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if kind == "zero":
             return cls.zero()
-        param = _entry(body, "param", f"{kind} nonlinearity") if isinstance(body, dict) else body
+        what = f"{kind} nonlinearity"
+        param = _number(_entry(body, "param", what) if isinstance(body, dict) else body,
+                        f"{what} param")
         return cls.linear(param) if kind == "linear-in-u" else cls.sine(param)
 
 
@@ -240,14 +264,19 @@ class DataFn:
         if kind == "zero":
             return cls.zero()
         if kind == "constant":
-            return cls.constant(_entry(body, "value", "constant data")
-                                if isinstance(body, dict) else body)
+            return cls.constant(_number(_entry(body, "value", "constant data")
+                                        if isinstance(body, dict) else body,
+                                        "constant data value"))
         if kind == "sine":
             body = body if isinstance(body, dict) else {"amplitude": body}
-            return cls.sine(body.get("amplitude", 1.0), body.get("mode", 1))
+            mode = _number(body.get("mode", 1), "sine data mode")
+            if not mode.is_integer():
+                raise ValueError(f"sine data mode must be an integer, got {body['mode']!r}")
+            return cls.sine(_number(body.get("amplitude", 1.0), "sine data amplitude"), mode)
         if kind == "polynomial":
-            return cls.polynomial(_entry(body, "coeffs", "polynomial data")
-                                  if isinstance(body, dict) else body)
+            return cls.polynomial(_numbers(_entry(body, "coeffs", "polynomial data")
+                                           if isinstance(body, dict) else body,
+                                           "polynomial data coeffs"))
         raise ValueError(f"unknown data kind {kind!r}")
 
 
@@ -312,8 +341,8 @@ class ProblemSpec:
             c=CoefficientFn.from_dict(d["c"]),
             F=Nonlinearity.from_dict(d.get("F", {"zero": {}})),
             g=DataFn.from_dict(d.get("g", {"zero": {}})),
-            length=float(d["L"]),
-            time_horizon=float(d["T"]) if d.get("T") is not None else None,
+            length=_number(d["L"], "inline problem L"),
+            time_horizon=_number(d["T"], "inline problem T") if d.get("T") is not None else None,
             source=DataFn.from_dict(d["source"]) if d.get("source") is not None else None,
         )
 

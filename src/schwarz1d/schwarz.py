@@ -33,13 +33,13 @@ magnitudes and E_k oscillates between parities.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import transmission as tx
 from .discretize import (
@@ -72,13 +72,16 @@ class SchwarzRunError(RuntimeError):
     """A solve failed; carries the iteration and 1-based subdomain index.
 
     Both are 0 when the monodomain reference solve failed; the iteration
-    is 0 when a subdomain's operator could not be built.
+    is 0 when a subdomain's operator could not be built.  When a sweep
+    failed, ``history`` holds the iterations before it, with verdict
+    "error"; otherwise it is None.
     """
 
     def __init__(self, message: str, iteration: int, subdomain: int):
         super().__init__(message)
         self.iteration = iteration
         self.subdomain = subdomain
+        self.history: IterationHistory | None = None
 
 
 @dataclass
@@ -177,9 +180,42 @@ _WINDOW_STARTS = 9  # log-spaced window starts sampled in [alpha, 10 alpha]
 _WINDOW_INTERVALS = 64  # Simpson intervals per unit window
 
 
-def _seminorm_windows(alpha: float):
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of the rows of ``y`` over the points ``x``.
+
+    ``x`` may be non-uniform and must have an odd number of points.  Each
+    pair of intervals (h0, h1) integrates the parabola through its three
+    points, so the rule is exact for quadratics, and for cubics when every
+    middle point is its pair's midpoint.  The arithmetic is that of
+    scipy.integrate.simpson (scipy 1.17) for an odd point count, in the
+    same order, so the results agree bitwise.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[:, 0:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[:, 1::2] * (hsum * (hsum / hprod))
+                        + y[:, 2::2] * (2.0 - h0divh1))
+    return np.sum(tmp, axis=1)
+
+
+@functools.lru_cache(maxsize=1)
+def _seminorm_plan(alpha: float, t_bytes: bytes) -> tuple[list[np.ndarray], np.ndarray]:
+    """Window abscissae and the trapezoidal Laplace kernel for (alpha, t).
+
+    Both depend only on alpha and the time grid, which stay fixed for a
+    run, so one cached entry serves every norm of that run.  The arrays
+    are read-only because every caller shares them.
+    """
+    t = np.frombuffer(t_bytes, dtype=float)
     starts = np.geomspace(alpha, 10.0 * alpha, _WINDOW_STARTS)
-    return [np.linspace(s, s + 1.0, _WINDOW_INTERVALS + 1) for s in starts]
+    windows = [np.linspace(s, s + 1.0, _WINDOW_INTERVALS + 1) for s in starts]
+    kernel = np.exp(-np.outer(np.concatenate(windows), t)) * _trapezoid_weights(t)[None, :]
+    for a in (*windows, kernel):
+        a.setflags(write=False)
+    return windows, kernel
 
 
 def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray) -> np.ndarray:
@@ -189,19 +225,19 @@ def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray) -> np.n
     the window integral uses composite Simpson with 64 intervals per unit
     window; the sup over window starts is sampled at 9 log-spaced points
     in [alpha, 10 alpha] (for transforms decreasing in y, e.g. signals of
-    one sign, it is attained at the left end).
+    one sign, it is attained at the left end).  The windows and the
+    transform kernel are built once per (alpha, t) and cached for the
+    next call with the same pair, so the norms of one run share them.
     """
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    t = np.asarray(t, dtype=float)
-    windows = _seminorm_windows(alpha)
-    y_all = np.concatenate(windows)
-    kernel = np.exp(-np.outer(y_all, t)) * _trapezoid_weights(t)[None, :]
-    transforms = fields @ kernel.T  # (nodes, len(y_all))
+    t = np.ascontiguousarray(t, dtype=float)
+    windows, kernel = _seminorm_plan(float(alpha), t.tobytes())
+    transforms = fields @ kernel.T  # (nodes, all window points)
     best = np.full(fields.shape[0], -np.inf)
     ny = windows[0].size
     for i, y in enumerate(windows):
         block = transforms[:, i * ny:(i + 1) * ny] ** 2
-        best = np.maximum(best, simpson(block, x=y, axis=1))
+        best = np.maximum(best, _simpson(block, y))
     return best
 
 
@@ -412,7 +448,11 @@ class _Runner:
 
         for k in range(1, cfg.k_max + 1):
             tic = time.perf_counter()
-            new_fields = self._sweep(k, fields)
+            try:
+                new_fields = self._sweep(k, fields)
+            except SchwarzRunError as exc:
+                exc.history = self._history(E, sub_norms, wall, "error", fields)
+                raise
             if new_fields is None:
                 verdict = "diverged"
                 break
@@ -434,7 +474,11 @@ class _Runner:
                 verdict = "diverged"
                 break
 
-        window = cfg.rate_window
+        return self._history(E, sub_norms, wall, verdict, fields)
+
+    def _history(self, E: list[float], sub_norms: list[list[float]], wall: list[float],
+                 verdict: str, fields: list[np.ndarray]) -> IterationHistory:
+        window = self.cfg.rate_window
         return IterationHistory(
             norm_kind=self.norm_kind,
             E=E,

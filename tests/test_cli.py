@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,6 +384,65 @@ def test_inline_problem_missing_entry_is_named(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda p: p.update(a={"constant": {"value": None}}),
+                 "constant coefficient value must be a number, got None", id="a-value-null"),
+    pytest.param(lambda p: p.update(F={"sine": {"param": [1]}}),
+                 "sine nonlinearity param must be a number, got [1]", id="F-param-list"),
+    pytest.param(lambda p: p.update(source={"polynomial": {"coeffs": 3}}),
+                 "polynomial data coeffs must be a list of numbers, got 3",
+                 id="source-coeffs-number"),
+    pytest.param(lambda p: p.update(g={"sine": {"mode": None}}),
+                 "sine data mode must be a number, got None", id="g-mode-null"),
+    pytest.param(lambda p: p.update(L=None), "inline problem L must be a number, got None",
+                 id="L-null"),
+])
+def test_inline_problem_number_of_wrong_type_is_named(tmp_path, capsys, edit, message):
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
+                      "b": {"constant": 0.0}, "c": {"constant": 4.0}}
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    edit(cfg["problem"])
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys):
+    # a Picard budget too small for one late sweep: the run fails at
+    # iteration 40, and the 39 iterations before it stay in history.csv
+    cfg = json.loads((CONFIGS / "counterexample_divergent.json").read_text())
+    cfg["problem"] = {"mode": "elliptic", "L": 2.0,
+                      "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+                      "b": {"constant": 3.0}, "c": {"constant": 4.0},
+                      "F": {"sine": {"param": 0.5}},
+                      "source": {"sine": {"amplitude": -1.0, "mode": 1}}}
+    cfg["run"].update(picard_max=12, guard_factor=1e300)
+    out = tmp_path / "o"
+    cfg["output"]["dir"] = str(out)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iteration 40, subdomain 1: Picard iteration did not reach")
+    assert "Traceback" not in err
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0] == "k,l,norm,E_k,rate,verdict"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(k, l) for k in range(1, 40)
+                                                      for l in (1, 2)]
+    assert all(math.isfinite(float(r[2])) and r[5] == "error" for r in rows)
+    assert not (out / "summary.txt").exists()
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    code = "import sys, schwarz1d.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("problem, setting, value, message", [

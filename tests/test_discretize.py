@@ -147,6 +147,20 @@ def test_reused_operator_reproduces_a_fresh_solve_bitwise():
         assert np.array_equal(reused, fresh)
 
 
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+def test_operator_source_survives_repeated_solves(F):
+    # the F-zero solve fills the boundary rows of its right-hand side in
+    # place; it must do so on a copy of the operator's sampled source
+    spec = simple_spec(b=1.0, c=4.0, F=F, source=DataFn.sine(-3.0, 2))
+    sg = subgrid(1.0, 24)
+    op = Operator(spec, sg, (None, 2.0))
+    for left, right in ((0.0, 0.0), (5.0, -2.0), (-1.0, 7.0)):
+        u, _ = solve_semilinear_elliptic(op, left, right)
+    fresh, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, 2.0)), -1.0, 7.0)
+    assert np.array_equal(u, fresh)
+    assert np.array_equal(op.source, -3.0 * np.sin(2 * np.pi * sg.x))
+
+
 def test_parabolic_solve_rejects_operator_of_other_shift():
     op = Operator(simple_spec(c=1.0), subgrid(1.0, 10), (None, 2.0))
     with pytest.raises(ValueError, match="shift"):

@@ -10,6 +10,7 @@ from schwarz1d.problem import catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
+    _simpson,
     double_sweep_ratio,
     fit_contraction_rate,
     laplace_seminorm,
@@ -101,6 +102,52 @@ def test_seminorm_profile_matches_scalar_function():
     for i in range(2):
         np.testing.assert_allclose(math.sqrt(prof[i]),
                                    laplace_seminorm(rows[i], 9.0, t), rtol=1e-12)
+
+
+def _polynomial_integrals(x, degree, rng):
+    """Rows of random polynomials of ``degree`` on ``x`` and their exact integrals."""
+    P = np.polynomial.polynomial
+    coeffs = rng.normal(size=(4, degree + 1))
+    y = np.array([P.polyval(x, c) for c in coeffs])
+    exact = [P.polyval(x[-1], P.polyint(c)) - P.polyval(x[0], P.polyint(c)) for c in coeffs]
+    return y, exact
+
+
+@pytest.mark.parametrize("panels", [1, 4, 32])
+def test_simpson_rule_exactness_on_non_uniform_points(panels):
+    rng = np.random.default_rng(panels)
+    edges = np.sort(np.concatenate([[0.5, 2.0], rng.uniform(0.5, 2.0, panels - 1)]))
+    # panels of unequal width, each with its middle point at the midpoint:
+    # the parabola through the three points then also integrates cubics exactly
+    x = np.empty(2 * panels + 1)
+    x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    y, exact = _polynomial_integrals(x, 3, rng)
+    np.testing.assert_allclose(_simpson(y, x), exact, rtol=1e-12, atol=1e-12)
+    # middle points anywhere inside the panel: exact for quadratics
+    x[1::2] = edges[:-1] + rng.uniform(0.1, 0.9, panels) * np.diff(edges)
+    y, exact = _polynomial_integrals(x, 2, rng)
+    np.testing.assert_allclose(_simpson(y, x), exact, rtol=1e-12, atol=1e-12)
+
+
+def test_seminorm_cache_follows_alpha_and_time_grid():
+    # two grids of one length but different horizons, and two alphas, in
+    # turn: every call must see its own windows and kernel
+    grids = {T: np.linspace(0.0, T, 1601) for T in (2.0, 3.0)}
+    first = {}
+    for _ in range(2):
+        for T, t in grids.items():
+            for alpha in (2.0, 5.0):
+                got = seminorm_sq_profile(np.exp(-t), alpha, t)
+                first.setdefault((T, alpha), got)
+                assert np.array_equal(got, first[(T, alpha)])
+    for (T, alpha), got in first.items():
+        # transform of exp(-t) on [0, T]: (1 - exp(-(y+1) T)) / (y+1), which
+        # decreases in y, so the sup sits on the first window [alpha, alpha + 1]
+        y = np.linspace(alpha, alpha + 1.0, 20001)
+        transform = (1.0 - np.exp(-(y + 1.0) * T)) / (y + 1.0)
+        # the trapezoidal transform is off by about (dt (y+1))^2 / 12 relative,
+        # 1.5e-5 at dt = 3/1600, y = 6; squaring doubles that
+        np.testing.assert_allclose(got[0], np.trapezoid(transform**2, y), rtol=1e-4)
 
 
 # --------------------------------------------------------------------------
