@@ -81,9 +81,8 @@ def _section(cfg: dict, key: str) -> dict:
     return body
 
 
-def _number(section: dict, key: str, default) -> float:
-    """``section[key]`` (``default`` when absent) as a float."""
-    value = section.get(key, default)
+def _number(value, key: str) -> float:
+    """``value`` as a float; a ConfigError names ``key`` when it is not a number."""
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -126,33 +125,31 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
     return Partition(length=length, subdomains=subs)
 
 
+# how each run.<key> is read; an absent key keeps SchwarzConfig's default
+_RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), _integer),
+                 **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"), _number),
+                 "u0": lambda u0, key: DataFn.from_dict(u0) if isinstance(u0, dict) else u0}
+
+
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     """Translate a config dict into a SchwarzConfig; returns (config, problem id)."""
     problem, problem_id = _problem_from_config(cfg)
     partition = _partition_from_config(cfg, problem.length)
-    tdict = cfg.get("transmission", {"dirichlet": {}})
-    transmission = TransmissionSpec.from_dict(tdict)
+    transmission = TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
     grid = _section(cfg, "grid")
     if "h" not in grid:
         raise ConfigError("config needs grid.h")
     run = _section(cfg, "run")
-    u0 = run.get("u0", "zero")  # a shorthand string or "reference" stays as it is
-    sc = SchwarzConfig(
+    settings = {"k_max" if key == "max_iters" else key: convert(run[key], key)
+                for key, convert in _RUN_SETTINGS.items() if key in run}
+    return SchwarzConfig(
         problem=problem,
         partition=partition,
-        h_target=_number(grid, "h", None),
-        dt_target=_number(grid, "dt", None) if grid.get("dt") is not None else None,
+        h_target=_number(grid["h"], "h"),
+        dt_target=_number(grid["dt"], "dt") if grid.get("dt") is not None else None,
         transmission=transmission,
-        u0=DataFn.from_dict(u0) if isinstance(u0, dict) else u0,
-        k_max=_integer(run.get("max_iters", 200), "max_iters"),
-        stop_tol=_number(run, "stop_tol", 1e-10),
-        alpha=_number(run, "alpha", 10.0),
-        picard_tol=_number(run, "picard_tol", 1e-10),
-        picard_max=_integer(run.get("picard_max", 200), "picard_max"),
-        guard_factor=_number(run, "guard_factor", 1e6),
-        rate_window=_integer(run.get("rate_window", 8), "rate_window"),
-    )
-    return sc, problem_id
+        **settings,
+    ), problem_id
 
 
 def _oracle_tau(sc: SchwarzConfig, problem_id: str) -> float | None:

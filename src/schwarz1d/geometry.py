@@ -230,9 +230,13 @@ class Grid:
     n_steps: int | None = None
     t: np.ndarray | None = None
 
-    def subgrid(self, l: int) -> SubGrid:
+    def nodes(self, l: int) -> slice:
+        """Slice of the global nodes that belong to subdomain l."""
         lo, hi = self.sub_ranges[l]
-        return SubGrid(x=self.x[lo:hi + 1], h=self.h)
+        return slice(lo, hi + 1)
+
+    def subgrid(self, l: int) -> SubGrid:
+        return SubGrid(x=self.x[self.nodes(l)], h=self.h)
 
     def monodomain(self) -> SubGrid:
         return SubGrid(x=self.x, h=self.h)

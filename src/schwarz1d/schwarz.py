@@ -295,16 +295,15 @@ class _SubPlan(NamedTuple):
     ``op`` is the subdomain's operator (its grid, matrix and LU factors),
     built once: which end is a Robin row, the Robin parameters and 1/dt do
     not change between sweeps, only the interface data do.  A sweep maps
-    the neighbors' fields to boundary data (``outer`` on the outer
-    boundary, ``transmission.extract`` at an interface) and solves ``op``
-    with them.  A parabolic solve starts from ``ref[:, 0]``, the initial
-    profile the reference starts from.
+    the neighbors' fields to boundary data (``transmission.extract`` at a
+    ``Link`` end, whose ``p`` is also the Robin parameter of ``op``) and
+    solves ``op`` with them.  A parabolic solve starts from ``ref[:, 0]``,
+    the initial profile the reference starts from.
     """
 
     op: Operator
     ref: np.ndarray  # the reference restricted to the subdomain
-    neighbors: tuple  # (left, right) neighbor index, None on the outer boundary
-    outer: tuple  # (left, right) Dirichlet value g on the outer boundary, else None
+    sides: tuple  # (left, right): a transmission.Link, or the outer value g
     start: np.ndarray  # the initial iterate u^0 on the subdomain
 
 
@@ -337,62 +336,40 @@ class _Runner:
             self.grid = build_grid(part, cfg.h_target)
         grid = self.grid
 
-        depth_needed = 2 if cfg.transmission.is_robin else 1
-        for (l, m), idx in grid.interface_index.items():
-            lo, hi = grid.sub_ranges[m]
-            if min(idx - lo, hi - idx) < depth_needed:
-                raise ValueError(
-                    f"interface of subdomain {l} lies only {min(idx - lo, hi - idx)} "
-                    f"node(s) inside neighbor {m}; need >= {depth_needed} "
-                    "(refine h or widen the overlap)"
-                )
-        if cfg.transmission.is_robin and isinstance(cfg.transmission.p, dict):
-            missing = [k for k in grid.interface_index if k not in cfg.transmission.p]
-            if missing:
-                raise ValueError(f"transmission table missing interfaces {missing}")
+        ends = tx.links(cfg.transmission, grid, prob)
 
         try:
             reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
         except (PicardError, SingularSystemError) as exc:
             raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
         outer = prob.boundary_values()
-        neighbor_at = {(l, idx): m for (l, m), idx in grid.interface_index.items()}
-        tsp = cfg.transmission
         c_shift = 1.0 / grid.dt if mode == "parabolic" else 0.0
         self.plans: list[_SubPlan] = []
-        for l, (lo, hi) in enumerate(grid.sub_ranges):
+        for l, pair in enumerate(ends):
             sg = grid.subgrid(l)
-            neighbors = (neighbor_at.get((l, lo)), neighbor_at.get((l, hi)))
-            robin_p = tuple(None if m is None or not tsp.is_robin else tsp.p_effective((l, m))
-                            for m in neighbors)
+            robin_p = tuple(None if link is None else link.p for link in pair)
             try:
                 op = Operator(prob, sg, robin_p, c_shift)
             except (SingularSystemError, ValueError) as exc:
                 raise SchwarzRunError(f"subdomain {l + 1}: {exc}", 0, l + 1) from exc
-            ref = reference[lo:hi + 1]
+            ref = reference[grid.nodes(l)]
             self.plans.append(_SubPlan(
                 op=op,
                 ref=ref,
-                neighbors=neighbors,
-                outer=tuple(g if m is None else None for m, g in zip(neighbors, outer)),
+                sides=tuple(g if link is None else link for link, g in zip(pair, outer)),
                 start=ref if u0 == "reference" else np.asarray(
                     u0.value(sg.x, prob.length), dtype=float),
             ))
 
-        if cfg.transmission.is_robin:
-            self.norm_kind = "sup" if mode == "elliptic" else "laplace-seminorm2"
-        else:
-            self.norm_kind = "sup" if mode == "elliptic" else "weighted-sup2"
+        self.norm_kind = ("sup" if mode == "elliptic" else "laplace-seminorm2"
+                          if cfg.transmission.is_robin else "weighted-sup2")
 
     # -- data exchange ----------------------------------------------------
 
     def _bc_pair(self, l: int, fields: list[np.ndarray]) -> list:
         """Boundary data (left, right) of subdomain l from the neighbors' fields."""
-        cfg = self.cfg
-        plan = self.plans[l]
-        return [g if m is None else tx.extract(cfg.transmission, self.grid, cfg.problem,
-                                               l, m, fields[m])
-                for m, g in zip(plan.neighbors, plan.outer)]
+        return [tx.extract(side, fields[side.m]) if isinstance(side, tx.Link) else side
+                for side in self.plans[l].sides]
 
     def _solve_one(self, l: int, data, warm) -> np.ndarray:
         cfg, grid = self.cfg, self.grid

@@ -14,9 +14,9 @@ one-sided three-point stencil pointing into the receiving subdomain --
 the identical formula the assembly uses for its Robin boundary row -- so
 the exchange is bit-consistent with the subdomain solves: feeding both
 sides the restriction of one global field reproduces the assembly value
-exactly, not just to O(h^2).  There is no second path for the initial
-guess: the engine samples u^0 on the grid and applies ``extract`` to it,
-so the first sweep sees the same discrete operator as every later one.
+exactly, not just to O(h^2).  ``links`` resolves and checks every
+interface once per run; ``extract`` only does arithmetic on a neighbor's
+field, and the engine's Robin rows read the same ``Link.p`` it uses.
 
 ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +35,14 @@ from .problem import ProblemSpec
 __all__ = [
     "TransmissionSpec",
     "TransmissionError",
+    "Link",
+    "links",
     "extract",
-    "normal_derivative",
 ]
 
 
 class TransmissionError(ValueError):
-    """Bad transmission parameters or an interface outside the neighbor grid."""
+    """Bad transmission parameters, or an interface too close to its neighbor's end."""
 
 
 def _positive_number(v) -> bool:
@@ -51,9 +53,9 @@ def _positive_number(v) -> bool:
 class TransmissionSpec:
     """Which operator each interface uses.
 
-    ``p`` is either one positive number for every interface or a table
-    keyed by the (receiving, neighbor) index pair.  ``rho`` rescales every
-    Robin parameter (ScaledRobin); Dirichlet ignores both.
+    ``p`` is one positive number for every interface or a table keyed by
+    the (receiving, neighbor) pair of exactly the interfaces.  ``rho``
+    rescales every Robin parameter (ScaledRobin); Dirichlet ignores both.
     """
 
     kind: str  # "dirichlet" | "robin" | "scaled_robin"
@@ -89,14 +91,6 @@ class TransmissionSpec:
     def is_robin(self) -> bool:
         return self.kind != "dirichlet"
 
-    def p_effective(self, key: tuple[int, int]) -> float:
-        """Robin coefficient at one interface, rho scaling applied."""
-        if not self.is_robin:
-            raise TransmissionError("Dirichlet transmission has no Robin parameter")
-        p = self.p[key] if isinstance(self.p, dict) else self.p
-        scale = self.rho if self.kind == "scaled_robin" else 1.0
-        return float(p) * scale
-
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
         if not isinstance(d, dict) or len(d) != 1:
@@ -110,7 +104,7 @@ class TransmissionSpec:
             raise TransmissionError(f"{kind} transmission needs a 'p' entry, got {body!r}")
         p = body["p"]
         if isinstance(p, dict):
-            p = {tuple(int(s) for s in k.split(",")): v for k, v in p.items()}
+            p = {_pair(k): v for k, v in p.items()}
         if kind == "robin":
             return cls.robin(p)
         if "rho" not in body:
@@ -118,41 +112,68 @@ class TransmissionSpec:
         return cls.scaled_robin(p, body["rho"])
 
 
-def normal_derivative(values: np.ndarray, j: int, h: float, normal: int):
-    """One-sided second-order du/dn at local node j of ``values``.
+def _pair(key) -> tuple[int, int]:
+    """A Robin table key "l,m" as the index pair (l, m)."""
+    try:
+        l, m = (int(s) for s in key.split(","))
+        return l, m
+    except (AttributeError, ValueError):
+        raise TransmissionError(f'Robin table key {key!r} must have the form "l,m" '
+                                "(receiving and neighbor subdomain index)") from None
 
-    The stencil runs from j into the domain the normal points out of:
-    (3 u_j - 4 u_{j-n} + u_{j-2n}) / (2h).  ``values`` may be a vector or
-    a (nodes, time) matrix; the derivative is taken along axis 0.
+
+class Link(NamedTuple):
+    """Interface end of a receiving subdomain: neighbor ``m``, node ``j`` among
+    its nodes, outward ``normal`` (+1 right, -1 left), a(gamma) and the Robin
+    ``p`` with rho applied (None for Dirichlet), and the grid step ``h``."""
+
+    m: int
+    j: int
+    normal: int
+    a: float | None
+    p: float | None
+    h: float
+
+
+def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]:
+    """(left, right) ``Link`` of every subdomain, None on the outer boundary.
+
+    Raises TransmissionError when an interface lies fewer nodes inside its
+    neighbor than the stencil needs (1 for Dirichlet, 2 for Robin), or
+    when a Robin table does not name exactly the interfaces.
     """
-    if normal not in (-1, 1):
-        raise TransmissionError(f"normal sign must be +-1, got {normal}")
-    if not (0 <= j - 2 * normal < values.shape[0] and 0 <= j < values.shape[0]):
-        raise TransmissionError("one-sided stencil leaves the neighbor grid")
-    return (3.0 * values[j] - 4.0 * values[j - normal] + values[j - 2 * normal]) / (2.0 * h)
+    if tspec.is_robin and isinstance(tspec.p, dict):
+        missing = [k for k in grid.interface_index if k not in tspec.p]
+        if missing:
+            raise TransmissionError(f"transmission table missing interfaces {missing}")
+        extra = [k for k in tspec.p if k not in grid.interface_index]
+        if extra:
+            raise TransmissionError(f"transmission table names non-interface pairs {extra}")
+    depth = 2 if tspec.is_robin else 1
+    scale = tspec.rho if tspec.kind == "scaled_robin" else 1.0
+    ends = [[None, None] for _ in grid.sub_ranges]
+    for (l, m), idx in grid.interface_index.items():
+        lo, hi = grid.sub_ranges[m]
+        inside = min(idx - lo, hi - idx)
+        if inside < depth:
+            raise TransmissionError(
+                f"interface of subdomain {l} lies only {inside} node(s) inside "
+                f"neighbor {m}; need >= {depth} (refine h or widen the overlap)"
+            )
+        a = p = None
+        if tspec.is_robin:
+            a = float(spec.a(grid.x[idx]))
+            p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * scale
+        right = idx == grid.sub_ranges[l][1]
+        ends[l][right] = Link(m, idx - lo, 1 if right else -1, a, p, grid.h)
+    return [tuple(pair) for pair in ends]
 
 
-def extract(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec, l: int,
-            neighbor: int, neighbor_field: np.ndarray):
-    """Interface datum for receiving subdomain l from its neighbor's field.
-
-    ``neighbor_field`` is the neighbor's current iterate on its own nodes
-    (vector, or (nodes, time levels) matrix for space-time fields).  The
-    returned datum is a scalar or a per-time-level array.
-    """
-    gamma_idx = grid.interface_index[(l, neighbor)]
-    nb_lo, nb_hi = grid.sub_ranges[neighbor]
-    if not nb_lo < gamma_idx < nb_hi:
-        raise TransmissionError(
-            f"interface node {gamma_idx} is not strictly inside neighbor {neighbor}"
-        )
-    j = gamma_idx - nb_lo
-    if tspec.kind == "dirichlet":
-        return neighbor_field[j]
-
-    lo, hi = grid.sub_ranges[l]
-    normal = 1 if gamma_idx == hi else -1
-    a_val = float(spec.a(grid.x[gamma_idx]))
-    p_eff = tspec.p_effective((l, neighbor))
-    dudn = normal_derivative(neighbor_field, j, grid.h, normal)
-    return a_val * dudn + p_eff * neighbor_field[j]
+def extract(link: Link, neighbor_field: np.ndarray):
+    """Datum at ``link`` from the neighbor's iterate on its own nodes, a
+    vector or a (nodes, time levels) matrix (then one datum per level)."""
+    u, j, n = neighbor_field, link.j, link.normal
+    if link.p is None:
+        return u[j]
+    dudn = (3.0 * u[j] - 4.0 * u[j - n] + u[j - 2 * n]) / (2.0 * link.h)
+    return link.a * dudn + link.p * u[j]

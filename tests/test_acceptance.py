@@ -29,7 +29,7 @@ from schwarz1d.schwarz import (
     run_elliptic,
     run_parabolic,
 )
-from schwarz1d.transmission import TransmissionSpec, extract
+from schwarz1d.transmission import TransmissionSpec, extract, links
 
 DIVERGENT = dict(L1=1.9, L2=1.95, p=1.0, q=50.0)  # large-q regime past L1*
 
@@ -257,13 +257,12 @@ def test_criterion_7_property_suites():
     rng = np.random.default_rng(2)
     lo, hi = grid.sub_ranges[1]
     u, v = rng.normal(size=hi - lo + 1), rng.normal(size=hi - lo + 1)
-    tsp = TransmissionSpec.robin(3.0)
-    lin = abs(extract(tsp, grid, prob, 0, 1, 2.0 * u - 0.5 * v)
-              - (2.0 * extract(tsp, grid, prob, 0, 1, u)
-                 - 0.5 * extract(tsp, grid, prob, 0, 1, v)))
+    link = links(TransmissionSpec.robin(3.0), grid, prob)[0][1]  # 0's right end, from 1
+    lin = abs(extract(link, 2.0 * u - 0.5 * v)
+              - (2.0 * extract(link, u) - 0.5 * extract(link, v)))
     checks["linearity"] = lin < 1e-12
-    same = extract(TransmissionSpec.scaled_robin(3.0, rho=8.0), grid, prob, 0, 1, u) \
-        == extract(TransmissionSpec.robin(24.0), grid, prob, 0, 1, u)
+    same = extract(links(TransmissionSpec.scaled_robin(3.0, rho=8.0), grid, prob)[0][1], u) \
+        == extract(links(TransmissionSpec.robin(24.0), grid, prob)[0][1], u)
     checks["scaled==robin(rho p)"] = bool(same)
 
     # fixed-point invariance (elliptic Robin + parabolic Dirichlet)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from schwarz1d.cli import build_schwarz_config, main
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
 from schwarz1d.problem import DataFn
-from schwarz1d.schwarz import run_elliptic
+from schwarz1d.schwarz import SchwarzConfig, run_elliptic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -368,6 +369,42 @@ def test_integral_float_settings_are_accepted(tmp_path):
     sc, _ = build_schwarz_config(cfg)
     assert (sc.k_max, sc.rate_window, sc.picard_max, sc.partition.count) == (100, 8, 200, 2)
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("run", [{}, None], ids=["empty", "absent"])
+def test_run_section_defaults_are_schwarz_config_defaults(tmp_path, run):
+    cfg = laplace_config(str(tmp_path / "o"))
+    if run is None:
+        del cfg["run"]
+    else:
+        cfg["run"] = run
+    sc, _ = build_schwarz_config(cfg)
+    defaults = {f.name: f.default for f in dataclasses.fields(SchwarzConfig)
+                if f.default is not dataclasses.MISSING}
+    assert set(defaults) >= {"u0", "k_max", "stop_tol", "alpha", "picard_tol", "picard_max",
+                             "guard_factor", "rate_window"}
+    assert {name: getattr(sc, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": {"a": 1.0, "1,0": 50.0}}}),
+                 'Robin table key \'a\' must have the form "l,m" (receiving and neighbor '
+                 "subdomain index)", id="key-not-a-pair"),
+    pytest.param(lambda c: c["transmission"]["robin"]["p"].update({"5,6": 2.0}),
+                 "transmission table names non-interface pairs [(5, 6)]",
+                 id="pair-not-an-interface"),
+    pytest.param(lambda c: c["transmission"]["robin"]["p"].pop("1,0"),
+                 "transmission table missing interfaces [(1, 0)]", id="interface-missing"),
+    pytest.param(lambda c: c["grid"].update(h=0.05),
+                 "interface of subdomain 0 lies only 1 node(s) inside neighbor 1; need >= 2 "
+                 "(refine h or widen the overlap)", id="interface-too-shallow"),
+])
+def test_bad_interface_setup_exits_one_naming_it(tmp_path, capsys, edit, message):
+    cfg = divergent_config(str(tmp_path / "o"))
+    edit(cfg)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("edit, message", [
