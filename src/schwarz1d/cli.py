@@ -17,7 +17,10 @@ Subcommands:
                   iff no violations.
 
 Configs are JSON with a ``schema_version`` field; see README for the
-schema.  CSV output never contains wall-clock times, so identical
+schema.  Every config value goes through the ``read_*`` helpers of the
+problem module, so a number is a JSON number, never ``true`` or
+``"0.01"``; a bad value is a ValueError, printed as ``error: ...`` with
+exit 1.  CSV output never contains wall-clock times, so identical
 configs produce byte-identical files.
 """
 
@@ -31,10 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
+from . import oracle, transmission as tx
 from .discretize import PicardError, SingularSystemError
-from .geometry import Partition, build_uniform_partition, validate_partition
-from .problem import DataFn, ProblemSpec, catalog_lookup, validate as validate_problem
+from .geometry import Partition, build_grid, build_uniform_partition, validate_partition
+from .problem import (DataFn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
+                      read_kind, read_number, validate as validate_problem)
 from .schwarz import (
     IterationHistory,
     SchwarzConfig,
@@ -42,15 +46,10 @@ from .schwarz import (
     run_elliptic,
     run_parabolic,
 )
-from .transmission import TransmissionSpec
 
 __all__ = ["main", "load_config", "build_schwarz_config"]
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment config."""
 
 
 # --------------------------------------------------------------------------
@@ -62,14 +61,14 @@ def load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     return cfg
 
 
@@ -77,24 +76,8 @@ def _section(cfg: dict, key: str) -> dict:
     """The object ``cfg[key]``, {} when absent."""
     body = cfg.get(key, {})
     if not isinstance(body, dict):
-        raise ConfigError(f"config section {key!r} must be an object, got {body!r}")
+        raise ValueError(f"config section {key!r} must be an object, got {body!r}")
     return body
-
-
-def _number(value, key: str) -> float:
-    """``value`` as a float; a ConfigError names ``key`` when it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
-def _integer(value, key: str) -> int:
-    """``value`` as an int; a ConfigError unless it is an integral number, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float)
-                                       and value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
@@ -103,31 +86,26 @@ def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
         return catalog_lookup(spec), spec
     if isinstance(spec, dict):
         return ProblemSpec.from_dict(spec), "(inline)"
-    raise ConfigError("config needs a 'problem' (catalog id or inline object)")
+    raise ValueError("config needs a 'problem' (catalog id or inline object)")
 
 
 def _partition_from_config(cfg: dict, length: float) -> Partition:
-    spec = cfg.get("partition")
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("config needs a 'partition' ({uniform: ...} or {intervals: ...})")
-    kind, body = next(iter(spec.items()))
-    if kind not in ("uniform", "intervals"):
-        raise ConfigError(f"unknown partition kind {kind!r}")
-    try:
-        if kind == "uniform":
-            count, overlap = body["count"], float(body["overlap"])
-        else:
-            subs = tuple((float(lo), float(hi)) for lo, hi in body)
-    except (TypeError, ValueError, LookupError):
-        raise ConfigError(f"bad {kind} partition {body!r}") from None
+    kind, body = read_kind(cfg.get("partition"), dict.fromkeys(("uniform", "intervals")),
+                           "partition")
     if kind == "uniform":
-        return build_uniform_partition(length, _integer(count, "count"), overlap)
-    return Partition(length=length, subdomains=subs)
+        return build_uniform_partition(
+            length, read_integer(read_entry(body, "count", "uniform partition"), "count"),
+            read_number(read_entry(body, "overlap", "uniform partition"), "overlap"))
+    if not (isinstance(body, list) and all(isinstance(s, list) and len(s) == 2 for s in body)):
+        raise ValueError(f"bad intervals partition {body!r}")
+    return Partition(length=length, subdomains=tuple(
+        (read_number(lo, "interval end"), read_number(hi, "interval end")) for lo, hi in body))
 
 
 # how each run.<key> is read; an absent key keeps SchwarzConfig's default
-_RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), _integer),
-                 **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"), _number),
+_RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), read_integer),
+                 **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"),
+                                 read_number),
                  "u0": lambda u0, key: DataFn.from_dict(u0) if isinstance(u0, dict) else u0}
 
 
@@ -135,18 +113,16 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     """Translate a config dict into a SchwarzConfig; returns (config, problem id)."""
     problem, problem_id = _problem_from_config(cfg)
     partition = _partition_from_config(cfg, problem.length)
-    transmission = TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
+    transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
     grid = _section(cfg, "grid")
-    if "h" not in grid:
-        raise ConfigError("config needs grid.h")
     run = _section(cfg, "run")
     settings = {"k_max" if key == "max_iters" else key: convert(run[key], key)
                 for key, convert in _RUN_SETTINGS.items() if key in run}
     return SchwarzConfig(
         problem=problem,
         partition=partition,
-        h_target=_number(grid["h"], "h"),
-        dt_target=_number(grid["dt"], "dt") if grid.get("dt") is not None else None,
+        h_target=read_number(read_entry(grid, "h", "grid"), "h"),
+        dt_target=read_number(grid["dt"], "dt") if grid.get("dt") is not None else None,
         transmission=transmission,
         **settings,
     ), problem_id
@@ -154,23 +130,22 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
 
 def _oracle_tau(sc: SchwarzConfig, problem_id: str) -> float | None:
     """Closed-form tau when the run is the analytic two-subdomain model, else None."""
-    L = sc.problem.length
-    if problem_id != "example31" or sc.partition.count != 2:
+    part = sc.partition
+    if problem_id != "example31" or part.count != 2 or validate_partition(part):
         return None
-    (a0, L2), (L1, b1) = sc.partition.subdomains
-    if abs(a0) > 1e-12 or abs(b1 - L) > 1e-12 or not 0.0 < L1 < L2 < L:
-        return None
-    tsp = sc.transmission
+    left = int(part.subdomains[1][0] < part.subdomains[0][0])  # the subdomain at x = 0
+    right = 1 - left
     try:
-        if not tsp.is_robin:
-            return oracle.dirichlet_tau_factors(
-                oracle.AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=1.0)).tau
-        p = tsp.p if isinstance(tsp.p, dict) else {(0, 1): tsp.p, (1, 0): tsp.p}
-        rho = tsp.rho if tsp.kind == "scaled_robin" else 1.0
-        return oracle.tau_factors(oracle.AnalyticCase(
-            L=L, L1=L1, L2=L2, p=float(p[(0, 1)]), q=float(p[(1, 0)]), rho=rho)).tau
-    except (KeyError, oracle.DegenerateParameterError):
-        return None
+        (L2,), (L1,) = part.interfaces[(left, right)], part.interfaces[(right, left)]
+        # p and q as the run's Robin rows read them (rho applied); a Dirichlet
+        # link has p = None, and its tau does not depend on p and q
+        ends = tx.links(sc.transmission, build_grid(part, sc.h_target), sc.problem)
+        case = oracle.AnalyticCase(L=part.length, L1=L1, L2=L2, p=ends[left][1].p or 1.0,
+                                   q=ends[right][0].p or 1.0)
+        return (oracle.tau_factors(case) if sc.transmission.is_robin
+                else oracle.dirichlet_tau_factors(case)).tau
+    except (KeyError, ValueError):  # no two-interface chain, a run that cannot start,
+        return None                 # or a degenerate tau
 
 
 # --------------------------------------------------------------------------
@@ -260,28 +235,27 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
     if axis in ("transmission.rho", "transmission.p"):
         tdict = out.get("transmission", {"dirichlet": {}})
-        if not (isinstance(tdict, dict) and len(tdict) == 1
-                and isinstance(next(iter(tdict.values())), dict)):
-            raise ConfigError(f"bad transmission spec: {tdict!r}")
-        kind, body = next(iter(tdict.items()))
+        kind, body = read_kind(tdict, tx.TransmissionSpec._KINDS, "transmission")
         leaf = axis.split(".")[1]
         if kind == "dirichlet":
-            raise ConfigError(f"cannot sweep {leaf} on a Dirichlet config")
+            raise ValueError(f"cannot sweep {leaf} on a Dirichlet config")
+        if not isinstance(body, dict):
+            raise ValueError(f"bad transmission spec: {tdict!r}")
         out["transmission"] = {"scaled_robin" if leaf == "rho" else kind: {**body, leaf: value}}
         return out
     if axis == "partition.overlap":
         if not isinstance(_section(out, "partition").get("uniform"), dict):
-            raise ConfigError("partition.overlap sweep needs a uniform partition")
+            raise ValueError("partition.overlap sweep needs a uniform partition")
         out["partition"]["uniform"]["overlap"] = value
         return out
     node = out
     *head, leaf = axis.split(".")
     for part in head:
         if not isinstance(node.get(part), dict):
-            raise ConfigError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
+            raise ValueError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
         node = node[part]
     if leaf not in node:
-        raise ConfigError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
+        raise ValueError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
     node[leaf] = value
     return out
 
@@ -291,10 +265,9 @@ def _cmd_sweep(args) -> int:
     sweep = _section(cfg, "sweep")
     axis, values = sweep.get("axis"), sweep.get("values")
     if not axis or not values:
-        raise ConfigError("sweep needs config.sweep.axis and a nonempty value list")
-    if not (isinstance(values, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-        raise ConfigError(f"sweep values must be numbers in a list, got {values!r}")
+        raise ValueError("sweep needs config.sweep.axis and a nonempty value list")
+    if not (isinstance(values, list) and all(map(is_number, values))):
+        raise ValueError(f"sweep values must be numbers in a list, got {values!r}")
     labels = [_fmt(float(value)) for value in values]
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
@@ -334,7 +307,7 @@ def _cmd_validate(args) -> int:
     try:
         partition = _partition_from_config(cfg, problem.length)
         violations += validate_partition(partition)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         violations.append(str(exc))
     for v in violations:
         print(v)
@@ -379,7 +352,7 @@ def main(argv=None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except (ConfigError, ValueError, LookupError, OSError, SchwarzRunError, PicardError,
+    except (ValueError, LookupError, OSError, SchwarzRunError, PicardError,
             SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

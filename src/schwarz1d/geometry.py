@@ -10,7 +10,7 @@ rules before the iteration engine will accept it:
    disjoint),
 4. every interface point Gamma_{l,l'} -- an interior boundary point of
    Omega_l that lies in the closure of Omega_{l'} -- is strictly inside
-   Omega_{l'}.
+   Omega_{l'}, and Omega_l has at most one in each neighbor Omega_{l'}.
 
 In one dimension the valid partitions are exactly overlapping chains.
 Grids snap every subdomain endpoint onto a node so interface data can be
@@ -100,14 +100,6 @@ class Partition:
     def count(self) -> int:
         return len(self.subdomains)
 
-    def interface_point(self, l: int, m: int) -> float:
-        pts = self.interfaces.get((l, m), ())
-        if len(pts) != 1:
-            raise PartitionError(
-                f"expected one interface point between subdomains {l} and {m}, got {pts}"
-            )
-        return pts[0]
-
 
 def build_uniform_partition(length: float, count: int, overlap: float) -> Partition:
     """Equal-width chain where consecutive subdomains overlap by ``overlap``.
@@ -185,9 +177,15 @@ def validate_partition(part: Partition) -> list[str]:
                         f"of {l}) intersect on ({lo:g}, {hi:g})"
                     )
 
-    # rule 4: interfaces strictly interior to the neighbor
+    # rule 4: interfaces strictly interior to the neighbor, at most one per
+    # neighbor (the exchange holds one datum per pair (l, m))
     for (l, m), pts in part.interfaces.items():
         lo, hi = subs[m]
+        if len(pts) > 1:
+            violations.append(
+                f"interface placement: subdomain {l} has {len(pts)} interface points "
+                f"{pts} in subdomain {m}; at most one is allowed"
+            )
         for p in pts:
             if not (p - lo > tol and hi - p > tol):
                 violations.append(
@@ -275,9 +273,7 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
         return int(round(p * n_cells / length))
 
     sub_ranges = tuple((node_of(lo), node_of(hi)) for lo, hi in part.subdomains)
-    interface_index = {
-        key: node_of(part.interface_point(*key)) for key in part.interfaces
-    }
+    interface_index = {key: node_of(p) for key, (p,) in part.interfaces.items()}
 
     dt = n_steps = t = None
     if dt_target is not None:

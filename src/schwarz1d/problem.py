@@ -23,6 +23,7 @@ Parabolic mode needs no sign condition on c.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,29 +45,59 @@ class UnknownProblemError(LookupError):
     """Raised by catalog_lookup for ids that are not in the catalog."""
 
 
-def _entry(body, key: str, what: str):
+# --------------------------------------------------------------------------
+# config readers, shared by every from_dict and the CLI
+# --------------------------------------------------------------------------
+
+def is_number(value) -> bool:
+    """True for a real number that is not a bool (JSON ``true`` is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def read_number(value, what: str) -> float:
+    """``value`` as a float, or a ValueError naming the entry and the value."""
+    if not is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def read_integer(value, what: str) -> int:
+    """An integral number (``200`` or ``200.0``, not ``2.9`` or ``true``) as an int."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or read_number(value, what).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def read_numbers(value, what: str) -> tuple[float, ...]:
+    """A list of numbers as floats, or a ValueError naming the entry and the value."""
+    if not isinstance(value, (list, tuple)) or not all(map(is_number, value)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def read_entry(body, key: str, what: str):
     """``body[key]``, or a ValueError naming the missing entry."""
     if not isinstance(body, dict) or key not in body:
         raise ValueError(f"{what} needs a {key!r} entry, got {body!r}")
     return body[key]
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float, or a ValueError naming the entry and the value."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+def read_kind(d, kinds: dict, what: str) -> tuple[str, object]:
+    """(kind, body) of a one-entry ``{kind: body}`` object with a known kind.
 
-
-def _numbers(value, what: str) -> tuple[float, ...]:
-    """A list of numbers as floats, or a ValueError naming the entry and the value."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}") from None
+    ``kinds`` maps each kind to the entry a bare body stands for, or None:
+    with ``{"constant": "value"}``, ``{"constant": 2.0}`` reads as
+    ``{"constant": {"value": 2.0}}``.
+    """
+    if not isinstance(d, dict) or len(d) != 1:
+        raise ValueError(f"bad {what} spec: {d!r}")
+    kind, body = next(iter(d.items()))
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    if kinds[kind] is not None and not isinstance(body, dict):
+        body = {kinds[kind]: body}
+    return kind, body
 
 
 @dataclass(frozen=True)
@@ -89,7 +120,7 @@ class CoefficientFn:
     rate: float = 0.0
     lower_bound: float | None = None
 
-    _KINDS = ("constant", "polynomial", "scaled-exp")
+    _KINDS = {"constant": "value", "polynomial": None, "scaled-exp": "value"}
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -120,25 +151,19 @@ class CoefficientFn:
 
     @classmethod
     def from_dict(cls, d) -> "CoefficientFn":
-        if isinstance(d, (int, float)):
-            return cls.constant(float(d))
-        if not isinstance(d, dict) or len(d) != 1:
-            raise ValueError(f"bad coefficient spec: {d!r}")
-        kind, body = next(iter(d.items()))
-        if kind not in cls._KINDS:
-            raise ValueError(f"unknown coefficient kind {kind!r}")
-        if isinstance(body, (int, float)):
-            body = {"value": body} if kind != "polynomial" else {"coeffs": body}
+        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS,
+                               "coefficient")
         what = f"{kind} coefficient"
         lb = body.get("lower_bound") if isinstance(body, dict) else None
         if lb is not None:
-            lb = _number(lb, f"{what} lower_bound")
-        if kind == "constant":
-            return cls.constant(_number(_entry(body, "value", what), f"{what} value"), lb)
+            lb = read_number(lb, f"{what} lower_bound")
         if kind == "polynomial":
-            return cls.polynomial(_numbers(_entry(body, "coeffs", what), f"{what} coeffs"), lb)
-        return cls.scaled_exp(_number(_entry(body, "value", what), f"{what} value"),
-                              _number(body.get("rate", 0.0), f"{what} rate"), lb)
+            return cls.polynomial(read_numbers(read_entry(body, "coeffs", what),
+                                               f"{what} coeffs"), lb)
+        value = read_number(read_entry(body, "value", what), f"{what} value")
+        if kind == "constant":
+            return cls.constant(value, lb)
+        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"), lb)
 
 
 @dataclass(frozen=True)
@@ -157,7 +182,7 @@ class Nonlinearity:
     kind: str
     param: float = 0.0
 
-    _KINDS = ("zero", "linear-in-u", "sine")
+    _KINDS = {"zero": None, "linear-in-u": "param", "sine": "param"}
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -189,16 +214,11 @@ class Nonlinearity:
 
     @classmethod
     def from_dict(cls, d) -> "Nonlinearity":
-        if not isinstance(d, dict) or len(d) != 1:
-            raise ValueError(f"bad nonlinearity spec: {d!r}")
-        kind, body = next(iter(d.items()))
-        if kind not in cls._KINDS:
-            raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        kind, body = read_kind(d, cls._KINDS, "nonlinearity")
         if kind == "zero":
             return cls.zero()
         what = f"{kind} nonlinearity"
-        param = _number(_entry(body, "param", what) if isinstance(body, dict) else body,
-                        f"{what} param")
+        param = read_number(read_entry(body, "param", what), f"{what} param")
         return cls.linear(param) if kind == "linear-in-u" else cls.sine(param)
 
 
@@ -222,8 +242,10 @@ class DataFn:
     mode: int = 1
     coeffs: tuple[float, ...] = ()
 
+    _KINDS = {"zero": None, "constant": "value", "sine": "amplitude", "polynomial": "coeffs"}
+
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "constant", "sine", "polynomial"):
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
 
     @classmethod
@@ -256,28 +278,17 @@ class DataFn:
     def from_dict(cls, d) -> "DataFn":
         if isinstance(d, str):
             return _named_data(d)
-        if isinstance(d, (int, float)):
-            return cls.constant(float(d))
-        if not isinstance(d, dict) or len(d) != 1:
-            raise ValueError(f"bad data spec: {d!r}")
-        kind, body = next(iter(d.items()))
+        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, "data")
         if kind == "zero":
             return cls.zero()
-        if kind == "constant":
-            return cls.constant(_number(_entry(body, "value", "constant data")
-                                        if isinstance(body, dict) else body,
-                                        "constant data value"))
+        what = f"{kind} data"
         if kind == "sine":
-            body = body if isinstance(body, dict) else {"amplitude": body}
-            mode = _number(body.get("mode", 1), "sine data mode")
-            if not mode.is_integer():
-                raise ValueError(f"sine data mode must be an integer, got {body['mode']!r}")
-            return cls.sine(_number(body.get("amplitude", 1.0), "sine data amplitude"), mode)
+            return cls.sine(read_number(body.get("amplitude", 1.0), f"{what} amplitude"),
+                            read_integer(body.get("mode", 1), f"{what} mode"))
         if kind == "polynomial":
-            return cls.polynomial(_numbers(_entry(body, "coeffs", "polynomial data")
-                                           if isinstance(body, dict) else body,
-                                           "polynomial data coeffs"))
-        raise ValueError(f"unknown data kind {kind!r}")
+            return cls.polynomial(read_numbers(read_entry(body, "coeffs", what),
+                                               f"{what} coeffs"))
+        return cls.constant(read_number(read_entry(body, "value", what), f"{what} value"))
 
 
 def _named_data(name: str) -> DataFn:
@@ -333,7 +344,7 @@ class ProblemSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
         for key in ("mode", "L", "a", "b", "c"):
-            _entry(d, key, "inline problem")
+            read_entry(d, key, "inline problem")
         return cls(
             mode=d["mode"],
             a=CoefficientFn.from_dict(d["a"]),
@@ -341,8 +352,9 @@ class ProblemSpec:
             c=CoefficientFn.from_dict(d["c"]),
             F=Nonlinearity.from_dict(d.get("F", {"zero": {}})),
             g=DataFn.from_dict(d.get("g", {"zero": {}})),
-            length=_number(d["L"], "inline problem L"),
-            time_horizon=_number(d["T"], "inline problem T") if d.get("T") is not None else None,
+            length=read_number(d["L"], "inline problem L"),
+            time_horizon=(read_number(d["T"], "inline problem T") if d.get("T") is not None
+                          else None),
             source=DataFn.from_dict(d["source"]) if d.get("source") is not None else None,
         )
 

@@ -125,6 +125,10 @@ class SchwarzConfig:
             raise ValueError("picard_max must be >= 1")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
+        if not self.guard_factor > 1:
+            raise ValueError("guard_factor must be > 1")
+        if self.rate_window < 1:
+            raise ValueError("rate_window must be >= 1")
 
 
 @dataclass

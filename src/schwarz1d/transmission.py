@@ -23,14 +23,13 @@ ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Grid
-from .problem import ProblemSpec
+from .problem import ProblemSpec, is_number, read_entry, read_kind
 
 __all__ = [
     "TransmissionSpec",
@@ -46,7 +45,7 @@ class TransmissionError(ValueError):
 
 
 def _positive_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0
+    return is_number(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,10 @@ class TransmissionSpec:
     p: float | dict = 1.0
     rho: float = 1.0
 
+    _KINDS = dict.fromkeys(("dirichlet", "robin", "scaled_robin"))
+
     def __post_init__(self) -> None:
-        if self.kind not in ("dirichlet", "robin", "scaled_robin"):
+        if self.kind not in self._KINDS:
             raise TransmissionError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
@@ -83,9 +84,7 @@ class TransmissionSpec:
 
     @classmethod
     def scaled_robin(cls, p, rho: float) -> "TransmissionSpec":
-        if not _positive_number(rho):
-            raise TransmissionError(f"rho must be a positive number, got {rho!r}")
-        return cls(kind="scaled_robin", p=p, rho=float(rho))
+        return cls(kind="scaled_robin", p=p, rho=rho)
 
     @property
     def is_robin(self) -> bool:
@@ -93,23 +92,16 @@ class TransmissionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
-        if not isinstance(d, dict) or len(d) != 1:
-            raise TransmissionError(f"bad transmission spec: {d!r}")
-        kind, body = next(iter(d.items()))
+        kind, body = read_kind(d, cls._KINDS, "transmission")
         if kind == "dirichlet":
             return cls.dirichlet()
-        if kind not in ("robin", "scaled_robin"):
-            raise TransmissionError(f"unknown transmission kind {kind!r}")
-        if not isinstance(body, dict) or "p" not in body:
-            raise TransmissionError(f"{kind} transmission needs a 'p' entry, got {body!r}")
-        p = body["p"]
+        what = f"{kind} transmission"
+        p = read_entry(body, "p", what)
         if isinstance(p, dict):
             p = {_pair(k): v for k, v in p.items()}
         if kind == "robin":
             return cls.robin(p)
-        if "rho" not in body:
-            raise TransmissionError(f"scaled_robin transmission needs a 'rho' entry, got {body!r}")
-        return cls.scaled_robin(p, body["rho"])
+        return cls.scaled_robin(p, read_entry(body, "rho", what))
 
 
 def _pair(key) -> tuple[int, int]:

@@ -371,6 +371,13 @@ def test_integral_float_settings_are_accepted(tmp_path):
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
 
 
+def test_integer_setting_beyond_float_range_is_accepted():
+    # an int is integral as it stands; it is never converted to a float
+    cfg = laplace_config("o")
+    cfg["run"]["max_iters"] = 10**400
+    assert build_schwarz_config(cfg)[0].k_max == 10**400
+
+
 @pytest.mark.parametrize("run", [{}, None], ids=["empty", "absent"])
 def test_run_section_defaults_are_schwarz_config_defaults(tmp_path, run):
     cfg = laplace_config(str(tmp_path / "o"))
@@ -435,6 +442,15 @@ def test_inline_problem_missing_entry_is_named(tmp_path, capsys, edit, message):
                  "sine data mode must be a number, got None", id="g-mode-null"),
     pytest.param(lambda p: p.update(L=None), "inline problem L must be a number, got None",
                  id="L-null"),
+    # JSON true and numeric strings are not numbers
+    pytest.param(lambda p: p.update(L="1.0"), "inline problem L must be a number, got '1.0'",
+                 id="L-string"),
+    pytest.param(lambda p: p.update(a={"constant": True}),
+                 "constant coefficient value must be a number, got True", id="a-value-true"),
+    pytest.param(lambda p: p.update(g={"sine": {"mode": True}}),
+                 "sine data mode must be an integer, got True", id="g-mode-true"),
+    pytest.param(lambda p: p.update(g={"sine": {"mode": "2"}}),
+                 "sine data mode must be a number, got '2'", id="g-mode-string"),
 ])
 def test_inline_problem_number_of_wrong_type_is_named(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -533,6 +549,79 @@ def test_malformed_config_section_exits_one_without_traceback(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+# JSON true and numeric strings are not numbers, in any section
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: c["run"].update(stop_tol=True),
+                 "stop_tol must be a number, got True", id="stop_tol-true"),
+    pytest.param(lambda c: c["grid"].update(h="0.01"), "h must be a number, got '0.01'",
+                 id="h-string"),
+    pytest.param(lambda c: c["partition"]["uniform"].update(overlap="0.2"),
+                 "overlap must be a number, got '0.2'", id="overlap-string"),
+    pytest.param(lambda c: c.update(partition={"intervals": [["0.0", 0.6], [0.4, "1.0"]]}),
+                 "interval end must be a number, got '0.0'", id="interval-end-string"),
+])
+def test_config_value_of_wrong_json_type_exits_one(tmp_path, capsys, edit, message):
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    edit(cfg)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("intervals", [
+    pytest.param([[0.0, 1.0], [0.3, 0.6]], id="two-subdomains"),
+    pytest.param([[0.0, 0.5], [0.4, 1.0], [0.6, 0.7]], id="three-subdomains"),
+])
+def test_nested_subdomain_fails_validation(tmp_path, capsys, intervals):
+    # the nested subdomain has both its ends inside one neighbor, but the
+    # exchange holds one datum per (receiving, neighbor) pair
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["partition"] = {"intervals": intervals}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", cfg_path]) == 1
+    assert "interface placement: subdomain" in capsys.readouterr().out
+    assert main(["--quiet", "run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition fails validation: interface placement")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    pytest.param("guard_factor", 0, "guard_factor must be > 1", id="guard_factor-0"),
+    pytest.param("guard_factor", 1.0, "guard_factor must be > 1", id="guard_factor-1"),
+    pytest.param("rate_window", 0, "rate_window must be >= 1", id="rate_window-0"),
+    pytest.param("rate_window", -3, "rate_window must be >= 1", id="rate_window-negative"),
+])
+def test_run_rejects_verdict_settings_out_of_range(tmp_path, capsys, setting, value, message):
+    # with guard_factor <= 1 this Dirichlet run, which contracts, would be
+    # called diverged; rate_window < 1 used to be clamped silently
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["run"][setting] = value
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_oracle_tau_does_not_depend_on_subdomain_order(tmp_path, shipped_run):
+    # the shipped divergent run with its two subdomains listed right to left;
+    # the table names the same interfaces, so the run and its tau are the same
+    cfg = json.loads((CONFIGS / "counterexample_divergent.json").read_text())
+    cfg["partition"] = {"intervals": [[1.9, 2.0], [0.0, 1.95]]}
+    cfg["transmission"] = {"robin": {"p": {"1,0": 1.0, "0,1": 50.0}}}
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 2
+    _, forward = shipped_run("counterexample_divergent")
+
+    def summary(out):
+        lines = (out / "summary.txt").read_text().splitlines()
+        return [line for line in lines if not line.startswith("wall time")]
+
+    assert "oracle tau:     1.2077311921632212" in summary(tmp_path / "o")
+    assert summary(tmp_path / "o") == summary(forward)
+
+
 # Recorded with `schwarz1d --quiet <command> --config configs/<name>.json
 # --out tests/data/<name>`.  Measured columns are compared to 1e-12 relative
 # because another LAPACK build may round the last digit differently.
@@ -546,10 +635,10 @@ _MEASURED = {"norm", "E_k", "rate", "rate_double", "tau"}
     ("heat_dirichlet", "run", "history.csv", 0),
     ("heat_robin", "run", "history.csv", 0),
 ])
-def test_shipped_config_reproduces_recorded_csv(tmp_path, name, command, csv, code):
-    config = str(CONFIGS / f"{name}.json")
-    assert main(["--quiet", command, "--config", config, "--out", str(tmp_path)]) == code
-    got = (tmp_path / csv).read_text().splitlines()
+def test_shipped_config_reproduces_recorded_csv(shipped_run, name, command, csv, code):
+    got_code, out = shipped_run(name, command)
+    assert got_code == code
+    got = (out / csv).read_text().splitlines()
     want = (DATA / name / csv).read_text().splitlines()
     assert got[0] == want[0]
     assert len(got) == len(want)

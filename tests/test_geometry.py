@@ -15,8 +15,9 @@ from schwarz1d.geometry import (
 def test_uniform_two_subdomain_example():
     part = build_uniform_partition(2.0, 2, 0.2)
     np.testing.assert_allclose(part.subdomains, [(0.0, 1.1), (0.9, 2.0)])
-    np.testing.assert_allclose(part.interface_point(0, 1), 1.1)
-    np.testing.assert_allclose(part.interface_point(1, 0), 0.9)
+    assert part.interfaces.keys() == {(0, 1), (1, 0)}
+    np.testing.assert_allclose(part.interfaces[(0, 1)], [1.1])
+    np.testing.assert_allclose(part.interfaces[(1, 0)], [0.9])
     assert part.neighbor_sets == (frozenset({1}), frozenset({0}))
 
 
