@@ -13,8 +13,9 @@ Subcommands:
                   and the closed-form tau wherever the config matches the
                   analytic two-subdomain geometry.  Exit 1 when no point
                   converged or diverged.
-* ``validate`` -- check problem assumptions and partition rules; exit 0
-                  iff no violations.
+* ``validate`` -- check problem assumptions and partition rules, and
+                  read the config as ``run`` does; exit 0 iff no
+                  violations.
 
 Configs are JSON with a ``schema_version`` field; see README for the
 schema.  Every config value goes through the ``read_*`` helpers of the
@@ -268,7 +269,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs config.sweep.axis and a nonempty value list")
     if not (isinstance(values, list) and all(map(is_number, values))):
         raise ValueError(f"sweep values must be numbers in a list, got {values!r}")
-    labels = [_fmt(float(value)) for value in values]
+    labels = [_fmt(read_number(value, "sweep value")) for value in values]
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged, verdicts = None, 0
@@ -304,9 +305,9 @@ def _cmd_validate(args) -> int:
     problem, _ = _problem_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     violations = validate_problem(problem, rng=rng)
-    try:
-        partition = _partition_from_config(cfg, problem.length)
-        violations += validate_partition(partition)
+    try:  # read as run reads it, so a value run rejects fails here too
+        sc, _ = build_schwarz_config(cfg)
+        violations += validate_partition(sc.partition)
     except ValueError as exc:
         violations.append(str(exc))
     for v in violations:

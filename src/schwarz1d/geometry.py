@@ -20,6 +20,7 @@ exchanged without interpolation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,8 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
         raise PartitionError("need at least two subdomains")
     if not overlap > 0:
         raise PartitionError("overlap must be positive")
-    limit = length / (2 * count)
+    # a count past the float range leaves no room for any overlap
+    limit = length / (2 * count) if count <= sys.float_info.max else 0.0
     if not overlap < limit:
         raise PartitionError(
             f"overlap {overlap:g} too large: requires overlap < L/(2I) = {limit:g} "

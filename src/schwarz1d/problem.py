@@ -55,10 +55,17 @@ def is_number(value) -> bool:
 
 
 def read_number(value, what: str) -> float:
-    """``value`` as a float, or a ValueError naming the entry and the value."""
+    """``value`` as a float, or a ValueError naming the entry and the value.
+
+    A JSON integer too large for a float (``1`` followed by 400 zeros) is
+    an error too, not an OverflowError.
+    """
     if not is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a finite number, got {value!r}") from None
 
 
 def read_integer(value, what: str) -> int:
@@ -73,7 +80,7 @@ def read_numbers(value, what: str) -> tuple[float, ...]:
     """A list of numbers as floats, or a ValueError naming the entry and the value."""
     if not isinstance(value, (list, tuple)) or not all(map(is_number, value)):
         raise ValueError(f"{what} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(read_number(v, what) for v in value)
 
 
 def read_entry(body, key: str, what: str):

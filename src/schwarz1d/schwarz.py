@@ -133,7 +133,13 @@ class SchwarzConfig:
 
 @dataclass
 class IterationHistory:
-    """Per-iteration record of one Schwarz run."""
+    """Per-iteration record of one Schwarz run.
+
+    ``final_fields`` is the iterate of the last recorded iteration, one
+    field per subdomain.  It is empty when the run ended in a sweep that
+    was not recorded: a failed solve, or a field or an error norm that is
+    not finite.
+    """
 
     norm_kind: str
     E: list[float]
@@ -169,8 +175,9 @@ class IterationHistory:
 
 def weighted_sup_norm(e: np.ndarray, alpha: float, t: np.ndarray) -> float:
     """max over nodes and time levels of e^2 * exp(-alpha t)."""
-    e = np.atleast_2d(np.asarray(e, dtype=float))
-    return float(np.max(e**2 * np.exp(-alpha * np.asarray(t))))
+    sq = np.square(np.atleast_2d(np.asarray(e, dtype=float)))
+    sq *= np.exp(-alpha * np.asarray(t))
+    return float(np.max(sq))
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -216,7 +223,11 @@ def _seminorm_plan(alpha: float, t_bytes: bytes) -> tuple[list[np.ndarray], np.n
     t = np.frombuffer(t_bytes, dtype=float)
     starts = np.geomspace(alpha, 10.0 * alpha, _WINDOW_STARTS)
     windows = [np.linspace(s, s + 1.0, _WINDOW_INTERVALS + 1) for s in starts]
-    kernel = np.exp(-np.outer(np.concatenate(windows), t)) * _trapezoid_weights(t)[None, :]
+    # exp(-y t) times the trapezoidal weights, built in one (window points, t) array
+    kernel = np.outer(np.concatenate(windows), t)
+    np.negative(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel *= _trapezoid_weights(t)
     for a in (*windows, kernel):
         a.setflags(write=False)
     return windows, kernel
@@ -312,6 +323,16 @@ class _SubPlan(NamedTuple):
 
 
 class _Runner:
+    """One run: the checks, the grid, the reference and a ``_SubPlan`` per
+    subdomain are set up once; ``run`` then sweeps until a verdict.
+
+    A sweep first takes every subdomain's interface data from the previous
+    iterate.  A parabolic sweep then drops that iterate, since its solves
+    start from the initial profile, so one space-time iterate is held at a
+    time; an elliptic sweep keeps it to warm-start each Picard loop.  The
+    error of each subdomain goes straight into its norm, one at a time.
+    """
+
     def __init__(self, cfg: SchwarzConfig, mode: str):
         prob, part = cfg.problem, cfg.partition
         if prob.mode != mode:
@@ -371,9 +392,13 @@ class _Runner:
     # -- data exchange ----------------------------------------------------
 
     def _bc_pair(self, l: int, fields: list[np.ndarray]) -> list:
-        """Boundary data (left, right) of subdomain l from the neighbors' fields."""
-        return [tx.extract(side, fields[side.m]) if isinstance(side, tx.Link) else side
-                for side in self.plans[l].sides]
+        """Boundary data (left, right) of subdomain l from the neighbors' fields.
+
+        Each datum is a copy, so it does not keep the neighbor's field alive:
+        a Dirichlet datum of a space-time field would be a view of its row.
+        """
+        return [np.array(tx.extract(side, fields[side.m])) if isinstance(side, tx.Link)
+                else side for side in self.plans[l].sides]
 
     def _solve_one(self, l: int, data, warm) -> np.ndarray:
         cfg, grid = self.cfg, self.grid
@@ -385,13 +410,14 @@ class _Runner:
         return solve_semilinear_parabolic(plan.op, data[0], data[1], plan.ref[:, 0],
                                           grid.dt, grid.t, cfg.picard_tol, cfg.picard_max)
 
-    def _sweep(self, k: int, fields: list[np.ndarray]) -> list[np.ndarray] | None:
-        """Sweep k from ``fields``; None when a subdomain field is not finite."""
-        data_all = [self._bc_pair(l, fields) for l in range(len(self.plans))]
+    def _sweep(self, k: int, data_all: list, warm: list) -> list[np.ndarray] | None:
+        """Sweep k from the boundary data of every subdomain and the warm
+        starts of the elliptic Picard loops; None when a subdomain field is
+        not finite."""
         new_fields = []
         for l, data in enumerate(data_all):
             try:
-                new_fields.append(self._solve_one(l, data, fields[l]))
+                new_fields.append(self._solve_one(l, data, warm[l]))
             except NonFiniteError:
                 return None
             except Exception as exc:
@@ -429,24 +455,29 @@ class _Runner:
 
         for k in range(1, cfg.k_max + 1):
             tic = time.perf_counter()
+            data_all = [self._bc_pair(l, fields) for l in range(count)]
+            # a parabolic solve never warm-starts, so the previous iterate is
+            # dropped before the new one is built
+            warm = fields if self.mode == "elliptic" else [None] * count
+            fields = []
             try:
-                new_fields = self._sweep(k, fields)
+                fields = self._sweep(k, data_all, warm)
             except SchwarzRunError as exc:
-                exc.history = self._history(E, sub_norms, wall, "error", fields)
+                exc.history = self._history(E, sub_norms, wall, "error", [])
                 raise
-            if new_fields is None:
-                verdict = "diverged"
+            if fields is None:
+                verdict, fields = "diverged", []
                 break
-            errs = [new_fields[l] - self.plans[l].ref for l in range(count)]
-            norms = [self._sub_norm(l, errs[l]) for l in range(count)]
+            # one subdomain's error at a time, straight into its norm
+            norms = [self._sub_norm(l, fields[l] - plan.ref)
+                     for l, plan in enumerate(self.plans)]
             Ek = self._combine(norms)
             if not math.isfinite(Ek):
-                verdict = "diverged"
+                verdict, fields = "diverged", []
                 break
             E.append(Ek)
             sub_norms.append(norms)
             wall.append(time.perf_counter() - tic)
-            fields = new_fields
 
             if Ek <= cfg.stop_tol:
                 verdict = "converged"

@@ -23,6 +23,7 @@ ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,7 +46,8 @@ class TransmissionError(ValueError):
 
 
 def _positive_number(v) -> bool:
-    return is_number(v) and v > 0
+    """A number above 0 that a float holds (not an integer past the float range)."""
+    return is_number(v) and 0 < v <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,11 @@ class TransmissionSpec:
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
             if not all(_positive_number(v) for v in values):
-                raise TransmissionError(f"Robin parameters p must be positive numbers, "
-                                        f"got {self.p!r}")
+                raise TransmissionError(f"Robin parameters p must be positive finite "
+                                        f"numbers, got {self.p!r}")
             if not _positive_number(self.rho):
-                raise TransmissionError(f"rho must be a positive number, got {self.rho!r}")
+                raise TransmissionError(f"rho must be a positive finite number, "
+                                        f"got {self.rho!r}")
 
     @classmethod
     def dirichlet(cls) -> "TransmissionSpec":

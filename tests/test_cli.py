@@ -378,6 +378,59 @@ def test_integer_setting_beyond_float_range_is_accepted():
     assert build_schwarz_config(cfg)[0].k_max == 10**400
 
 
+HUGE = 10**400  # a JSON integer no float holds
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: c["grid"].update(h=HUGE), "h must be a finite number, got 1000",
+                 id="grid-h"),
+    pytest.param(lambda c: c["run"].update(u0={"polynomial": {"coeffs": [1.0, HUGE]}}),
+                 "polynomial data coeffs must be a finite number, got 1000", id="number-list"),
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": HUGE}}),
+                 "Robin parameters p must be positive finite numbers, got 1000", id="robin-p"),
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": {"0,1": HUGE, "1,0": 1.0}}}),
+                 "Robin parameters p must be positive finite numbers, got {(0, 1): 1000",
+                 id="robin-table"),
+    pytest.param(lambda c: c.update(transmission={"scaled_robin": {"p": 1.0, "rho": HUGE}}),
+                 "rho must be a positive finite number, got 1000", id="rho"),
+    pytest.param(lambda c: c["partition"]["uniform"].update(count=HUGE),
+                 "overlap 0.2 too large: requires overlap < L/(2I) = 0 to keep interfaces "
+                 "separated and avoid triple overlap", id="partition-count"),
+])
+def test_number_beyond_float_range_exits_one(tmp_path, capsys, edit, message):
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    edit(cfg)
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["transmission"] = {"robin": {"p": 1.0}}
+    cfg["sweep"] = {"axis": "transmission.rho", "values": [1.0, HUGE]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep value must be a finite number")
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    pytest.param("guard_factor", 0, "guard_factor must be > 1", id="guard_factor-0"),
+    pytest.param("stop_tol", True, "stop_tol must be a number, got True", id="stop_tol-true"),
+])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, setting, value, message):
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["run"][setting] = value
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["--quiet", "run", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("run", [{}, None], ids=["empty", "absent"])
 def test_run_section_defaults_are_schwarz_config_defaults(tmp_path, run):
     cfg = laplace_config(str(tmp_path / "o"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
-from schwarz1d.problem import catalog_lookup
+from schwarz1d.discretize import reference_solve
+from schwarz1d.problem import ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
+    _seminorm_plan,
     _simpson,
+    _trapezoid_weights,
     double_sweep_ratio,
     fit_contraction_rate,
     laplace_seminorm,
@@ -148,6 +152,21 @@ def test_seminorm_cache_follows_alpha_and_time_grid():
         # the trapezoidal transform is off by about (dt (y+1))^2 / 12 relative,
         # 1.5e-5 at dt = 3/1600, y = 6; squaring doubles that
         np.testing.assert_allclose(got[0], np.trapezoid(transform**2, y), rtol=1e-4)
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 2.0, 801),
+                               np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 300)])],
+                         ids=["uniform", "graded"])
+def test_norms_built_in_place_equal_the_one_line_expressions(t):
+    alpha = 7.0
+    windows, kernel = _seminorm_plan(alpha, t.tobytes())
+    expected = np.exp(-np.outer(np.concatenate(windows), t)) * _trapezoid_weights(t)[None, :]
+    assert kernel.tobytes() == expected.tobytes()
+    e = np.random.default_rng(3).normal(size=(6, t.size))
+    before = e.copy()
+    assert weighted_sup_norm(e, alpha, t) == float(np.max(e**2 * np.exp(-alpha * t)))
+    assert weighted_sup_norm(e[2], alpha, t) == float(np.max(e[2]**2 * np.exp(-alpha * t)))
+    assert e.tobytes() == before.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -380,3 +399,73 @@ def test_parabolic_reference_initial_guess_is_fixed_point():
 def test_parabolic_needs_time_axis():
     with pytest.raises(ValueError, match="dt_target"):
         run_parabolic(heat_cfg(dt_target=None))
+
+
+# --------------------------------------------------------------------------
+# final iterate and working set
+# --------------------------------------------------------------------------
+
+def test_final_fields_are_the_last_recorded_iterate():
+    cfg = laplace_cfg()
+    hist = run_elliptic(cfg)
+    assert hist.verdict == "converged"
+    grid = build_grid(cfg.partition, cfg.h_target)
+    reference = reference_solve(cfg.problem, grid)
+    assert len(hist.final_fields) == 2
+    assert [float(np.max(np.abs(f - reference[grid.nodes(l)])))
+            for l, f in enumerate(hist.final_fields)] == hist.sub_norms[-1]
+
+
+def test_final_fields_are_empty_after_a_non_finite_sweep():
+    # tau = 1.93 per double sweep and no guard in reach: the interface data
+    # grow until a solve overflows, and that sweep is not recorded
+    prob = catalog_lookup("example31")
+    part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
+    cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.01,
+                        transmission=TransmissionSpec.robin({(0, 1): 0.1, (1, 0): 500.0}),
+                        u0="one", k_max=20000, guard_factor=1e308)
+    hist = run_elliptic(cfg)
+    assert hist.verdict == "diverged"
+    assert 300 < hist.iterations < cfg.k_max
+    assert hist.E[-1] <= cfg.guard_factor * hist.E[0]  # not stopped by the guard
+    assert hist.final_fields == []
+
+
+def test_final_fields_are_empty_after_a_failed_sweep():
+    # a Picard budget too small for a late sweep of this semilinear problem
+    prob = ProblemSpec.from_dict({
+        "mode": "elliptic", "L": 2.0, "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+        "b": {"constant": 3.0}, "c": {"constant": 4.0}, "F": {"sine": {"param": 0.5}},
+        "source": {"sine": {"amplitude": -1.0, "mode": 1}}})
+    part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
+    cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.005,
+                        transmission=TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
+                        u0="one", k_max=300, picard_max=12, guard_factor=1e300)
+    with pytest.raises(SchwarzRunError) as err:
+        run_elliptic(cfg)
+    assert err.value.iteration > 1
+    assert err.value.history.iterations == err.value.iteration - 1
+    assert err.value.history.final_fields == []
+
+
+def test_parabolic_robin_run_holds_one_iterate_at_a_time():
+    # the traced peak of a whole run, the Laplace kernel built inside it,
+    # stays within what must be live at once: the kernel, the new iterate,
+    # one subdomain's error and the monodomain reference; 10% slack covers
+    # the small per-call arrays
+    cfg = heat_cfg(partition=build_uniform_partition(1.0, 3, 0.15), dt_target=0.002,
+                   transmission=TransmissionSpec.robin(1.0), k_max=2)
+    _seminorm_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        hist = run_parabolic(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.iterations == 2 and len(hist.final_fields) == 3
+    grid = build_grid(cfg.partition, cfg.h_target, cfg.dt_target, cfg.problem.time_horizon)
+    _, kernel = _seminorm_plan(cfg.alpha, grid.t.tobytes())
+    iterate = sum(f.nbytes for f in hist.final_fields)
+    error = max(f.nbytes for f in hist.final_fields)
+    reference = grid.x.size * grid.t.size * 8
+    assert peak <= 1.1 * (kernel.nbytes + iterate + error + reference)
