@@ -32,14 +32,25 @@ depend on time once, as ``source``.  The solves take the operator and
 the boundary data (the Dirichlet value or the Robin flux of each end);
 each Picard step fills the boundary rows of the right-hand side and costs
 one ``gttrs`` solve.
+
+``gttrf`` and ``gttrs`` are the ``dgttrf`` / ``dgttrs`` of scipy's LAPACK
+extension module ``scipy.linalg._flapack``, the very objects that
+``scipy.linalg.get_lapack_funcs`` returns.  The module loads that one
+extension by its file instead of importing ``scipy.linalg``, whose
+``__init__`` pulls in the rest of scipy's linear algebra, its array-API
+layer, ``numpy.f2py`` and ``numpy.testing``: about 25 MB of memory and a
+quarter of a second at every start, for two routines.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .geometry import SubGrid
 from .problem import ProblemSpec
@@ -59,7 +70,25 @@ __all__ = [
 #: parabolic solves a (nodes, time levels) matrix.
 Field = np.ndarray
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without importing scipy.linalg.
+
+    ``import scipy`` above has run scipy's own set-up of its shared
+    libraries (which Windows wheels need); the extension is found in
+    scipy's ``linalg`` directory and loaded under its real name.
+    """
+    name = "scipy.linalg._flapack"
+    spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"{name} not found in {scipy.__path__[0]}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_gttrf, _gttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
 class SingularSystemError(RuntimeError):

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .problem import is_positive_number
+
 __all__ = [
     "AnalyticCase",
     "InterfaceState",
@@ -57,7 +59,8 @@ for _r in ROOTS:  # residual check of the hard-coded roots
 
 
 class DegenerateParameterError(ValueError):
-    """Robin parameters make an interface-map denominator vanish."""
+    """Robin parameters outside the model: p, q or rho is not a positive
+    finite number, or an interface-map denominator vanishes."""
 
 
 class TauFactors(NamedTuple):
@@ -71,7 +74,10 @@ class AnalyticCase:
     """Two-subdomain geometry (0, L2) | (L1, L) with Robin parameters.
 
     ``p`` acts at x = L2 (left subdomain's interface), ``q`` at x = L1
-    (right subdomain's interface); ``rho`` rescales both.
+    (right subdomain's interface); ``rho`` rescales both.  All three must
+    be positive finite numbers, the rule a run applies to its Robin
+    parameters; a non-positive q can make the right subdomain's problem
+    singular.
     """
 
     L: float
@@ -84,8 +90,12 @@ class AnalyticCase:
     def __post_init__(self) -> None:
         if not (0.0 < self.L1 < self.L2 < self.L):
             raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not (is_positive_number(self.p) and is_positive_number(self.q)):
+            raise DegenerateParameterError(f"Robin parameters p and q must be positive finite "
+                                           f"numbers, got p={self.p!r}, q={self.q!r}")
+        if not is_positive_number(self.rho):
+            raise DegenerateParameterError(f"rho must be a positive finite number, "
+                                           f"got {self.rho!r}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,12 @@ class UnknownProblemError(LookupError):
 def is_number(value) -> bool:
     """True for a real number that is not a bool (JSON ``true`` is no number)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_positive_number(value) -> bool:
+    """A number above 0 that a float holds (not NaN, infinity or an integer
+    past the float range)."""
+    return is_number(value) and 0 < value <= sys.float_info.max
 
 
 def read_number(value, what: str) -> float:

@@ -23,14 +23,13 @@ ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Grid
-from .problem import ProblemSpec, is_number, read_entry, read_kind
+from .problem import ProblemSpec, is_positive_number, read_entry, read_kind
 
 __all__ = [
     "TransmissionSpec",
@@ -43,11 +42,6 @@ __all__ = [
 
 class TransmissionError(ValueError):
     """Bad transmission parameters, or an interface too close to its neighbor's end."""
-
-
-def _positive_number(v) -> bool:
-    """A number above 0 that a float holds (not an integer past the float range)."""
-    return is_number(v) and 0 < v <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,10 @@ class TransmissionSpec:
             raise TransmissionError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
-            if not all(_positive_number(v) for v in values):
+            if not all(is_positive_number(v) for v in values):
                 raise TransmissionError(f"Robin parameters p must be positive finite "
                                         f"numbers, got {self.p!r}")
-            if not _positive_number(self.rho):
+            if not is_positive_number(self.rho):
                 raise TransmissionError(f"rho must be a positive finite number, "
                                         f"got {self.rho!r}")
 

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,24 @@ settings.register_profile(
 settings.load_profile("default")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``fresh_python(code, *args)`` -> stdout of ``python -c code *args`` in a
+    new interpreter that imports this checkout's package, for checks of
+    what an import loads."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+
+    def run(code: str, *args: str) -> str:
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

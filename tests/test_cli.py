@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +125,27 @@ def test_tau_degenerate_exits_one(capsys):
     dw = 4 * math.exp(4 * (L1 - L)) + math.exp(-(L1 - L))
     assert main(["tau", "--L", "2", "--L1", "1", "--L2", "1.5",
                  "--p", "1", "--q", str(dw / w)]) == 1
+
+
+_BAD_PQ = "Robin parameters p and q must be positive finite numbers"
+_BAD_RHO = "rho must be a positive finite number"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--p", "nan", _BAD_PQ, id="p-nan"),
+    pytest.param("--p", "-1", _BAD_PQ, id="p-negative"),
+    pytest.param("--q", "inf", _BAD_PQ, id="q-inf"),
+    pytest.param("--q", "0", _BAD_PQ, id="q-zero"),
+    pytest.param("--rho", "inf", _BAD_RHO, id="rho-inf"),
+    pytest.param("--rho", "nan", _BAD_RHO, id="rho-nan"),
+])
+def test_tau_rejects_robin_parameters_that_run_rejects(capsys, flag, value, message):
+    values = {"--p": "1", "--q": "50", "--rho": "1", flag: value}
+    argv = ["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95"]
+    assert main(argv + [s for item in values.items() for s in item]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}, got ")
 
 
 def test_sweep_rho_locates_empirical_threshold(tmp_path, capsys):
@@ -541,14 +559,16 @@ def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys)
     assert not (out / "summary.txt").exists()
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    code = "import sys, schwarz1d.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+_CLI_IMPORT_LOADS = "import sys, schwarz1d.cli; print(sys.argv[1] in sys.modules)"
+
+
+def test_cli_import_does_not_load_scipy_integrate(fresh_python):
+    assert fresh_python(_CLI_IMPORT_LOADS, "scipy.integrate").strip() == "False"
+
+
+def test_cli_import_does_not_load_scipy_linalg(fresh_python):
+    # gttrf / gttrs come from scipy's LAPACK extension alone
+    assert fresh_python(_CLI_IMPORT_LOADS, "scipy.linalg").strip() == "False"
 
 
 @pytest.mark.parametrize("problem, setting, value, message", [

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from schwarz1d import discretize
 from schwarz1d.discretize import (
     NonFiniteError,
     Operator,
@@ -145,6 +146,51 @@ def test_reused_operator_reproduces_a_fresh_solve_bitwise():
     for _ in range(2):
         reused = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
         assert np.array_equal(reused, fresh)
+
+
+_LAPACK_IS_SCIPYS = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg first":
+    import scipy.linalg
+from schwarz1d import discretize
+assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "scipy.linalg first")
+from scipy.linalg import lapack
+
+assert discretize._gttrf.__doc__ == lapack.dgttrf.__doc__
+assert discretize._gttrs.__doc__ == lapack.dgttrs.__doc__
+n, h = 9, 1e-3
+interior = np.full(n - 2, -1 / h**2)
+systems = {
+    # Dirichlet rows (diagonal 1) beside interior rows of size 1/h^2
+    "pivots": (np.r_[interior, 0.0], np.r_[1.0, np.full(n - 2, 2 / h**2), 1.0],
+               np.r_[0.0, interior]),
+    "no pivots": (np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.5)),
+}
+rhs = np.sin(np.arange(n) + 0.5)
+for name, (dl, d, du) in systems.items():
+    ours, scipys = discretize._gttrf(dl, d, du), lapack.dgttrf(dl, d, du)
+    assert scipys[-1] == 0
+    assert (scipys[4] != np.arange(1, n + 1)).any() == (name == "pivots")
+    assert [np.asarray(a).tobytes() for a in ours] == [np.asarray(a).tobytes() for a in scipys]
+    x, x_scipy = discretize._gttrs(*ours[:5], rhs), lapack.dgttrs(*scipys[:5], rhs)
+    assert x_scipy[1] == 0
+    assert x[0].tobytes() == x_scipy[0].tobytes()
+print("same")
+"""
+
+
+@pytest.mark.parametrize("order", ["package first", "scipy.linalg first"])
+def test_lapack_routines_are_scipys_own(fresh_python, order):
+    # the package loads scipy's LAPACK extension without scipy.linalg; its
+    # gttrf / gttrs must be scipy's, bit for bit, whichever is imported first
+    assert fresh_python(_LAPACK_IS_SCIPYS, order) == "same\n"
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch, tmp_path):
+    monkeypatch.setattr(discretize.scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found"):
+        discretize._load_flapack()
 
 
 @pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])

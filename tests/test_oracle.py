@@ -124,6 +124,17 @@ def test_degenerate_denominator_raises():
         tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=q_bad))
 
 
+def test_vanishing_denominator_raises_for_positive_q():
+    # the model's roots keep both denominators positive for positive p and q;
+    # with roots 4 and 1 a positive q zeroes the second one
+    L, L1, L2, roots = 2.0, 1.0, 1.5, (4.0, 1.0)
+    w, dw = (math.exp(4 * (L1 - L)) - math.exp(L1 - L),
+             4 * math.exp(4 * (L1 - L)) - math.exp(L1 - L))
+    assert dw / w > 0
+    with pytest.raises(DegenerateParameterError, match="denominator vanishes"):
+        tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=dw / w), roots)
+
+
 def test_divergence_threshold_closed_form():
     L = 2.0
     expected = math.log((math.exp(5 * L) + 1) / 2) / 5
