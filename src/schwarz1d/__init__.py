@@ -17,7 +17,7 @@ everything else is imported from its module.
 from .geometry import Partition
 from .oracle import AnalyticCase, classical_laplace_rate, divergence_threshold_L1, tau_factors
 from .problem import catalog_lookup, validate
-from .schwarz import SchwarzConfig, run_elliptic, run_parabolic
+from .schwarz import SchwarzConfig, plan, run_elliptic, run_parabolic
 from .transmission import TransmissionSpec
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "catalog_lookup",
     "classical_laplace_rate",
     "divergence_threshold_L1",
+    "plan",
     "run_elliptic",
     "run_parabolic",
     "tau_factors",

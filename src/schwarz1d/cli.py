@@ -11,11 +11,14 @@ Subcommands:
 * ``sweep``    -- re-run a config along one parameter axis; writes
                   sweep.csv with the engine verdict/rate per grid point
                   and the closed-form tau wherever the config matches the
-                  analytic two-subdomain geometry.  Exit 1 when no point
-                  converged or diverged.
-* ``validate`` -- check problem assumptions and partition rules, and
-                  read the config as ``run`` does; exit 0 iff no
-                  violations.
+                  analytic two-subdomain geometry (empty for a point
+                  whose plan fails).  Exit 1 when no point converged or
+                  diverged.
+* ``validate`` -- make every check ``run`` makes before its first solve
+                  and build every subdomain operator; on a violation
+                  print the message ``run`` would print after
+                  ``error:`` and exit 1, else print each operator's
+                  ``h > h*`` warning and exit 0.
 
 Configs are JSON with a ``schema_version`` field; see README for the
 schema.  Every config value goes through the ``read_*`` helpers of the
@@ -37,13 +40,15 @@ import numpy as np
 
 from . import oracle, transmission as tx
 from .discretize import PicardError, SingularSystemError
-from .geometry import Partition, build_grid, build_uniform_partition, validate_partition
+from .geometry import Partition, build_uniform_partition
 from .problem import (DataFn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
-                      read_kind, read_number, validate as validate_problem)
+                      read_kind, read_number)
 from .schwarz import (
     IterationHistory,
+    Plan,
     SchwarzConfig,
     SchwarzRunError,
+    plan,
     run_elliptic,
     run_parabolic,
 )
@@ -129,24 +134,23 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     ), problem_id
 
 
-def _oracle_tau(sc: SchwarzConfig, problem_id: str) -> float | None:
+def _oracle_tau(p: Plan, problem_id: str) -> float | None:
     """Closed-form tau when the run is the analytic two-subdomain model, else None."""
-    part = sc.partition
-    if problem_id != "example31" or part.count != 2 or validate_partition(part):
+    part = p.cfg.partition
+    if problem_id != "example31" or part.count != 2:
         return None
     left = int(part.subdomains[1][0] < part.subdomains[0][0])  # the subdomain at x = 0
     right = 1 - left
+    (L2,), (L1,) = part.interfaces[(left, right)], part.interfaces[(right, left)]
     try:
-        (L2,), (L1,) = part.interfaces[(left, right)], part.interfaces[(right, left)]
         # p and q as the run's Robin rows read them (rho applied); a Dirichlet
         # link has p = None, and its tau does not depend on p and q
-        ends = tx.links(sc.transmission, build_grid(part, sc.h_target), sc.problem)
-        case = oracle.AnalyticCase(L=part.length, L1=L1, L2=L2, p=ends[left][1].p or 1.0,
-                                   q=ends[right][0].p or 1.0)
-        return (oracle.tau_factors(case) if sc.transmission.is_robin
+        case = oracle.AnalyticCase(L=part.length, L1=L1, L2=L2, p=p.links[left][1].p or 1.0,
+                                   q=p.links[right][0].p or 1.0)
+        return (oracle.tau_factors(case) if p.cfg.transmission.is_robin
                 else oracle.dirichlet_tau_factors(case)).tau
-    except (KeyError, ValueError):  # no two-interface chain, a run that cannot start,
-        return None                 # or a degenerate tau
+    except ValueError:  # a degenerate tau
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +174,10 @@ def _write_history_csv(path: Path, hist: IterationHistory) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _summary_text(problem_id: str, sc: SchwarzConfig, hist: IterationHistory) -> str:
+def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
     lines = [
         f"problem:        {problem_id}",
-        f"transmission:   {sc.transmission.kind}",
+        f"transmission:   {p.cfg.transmission.kind}",
         f"norm:           {hist.norm_kind}",
         f"verdict:        {hist.verdict}",
         f"iterations:     {hist.iterations}",
@@ -182,7 +186,7 @@ def _summary_text(problem_id: str, sc: SchwarzConfig, hist: IterationHistory) ->
         f"rate/double:    {_fmt(hist.rate_per_double)}",
         f"wall time (s):  {sum(hist.wall_times):.3f}",
     ]
-    tau = _oracle_tau(sc, problem_id)
+    tau = _oracle_tau(p, problem_id)
     if tau is not None:
         lines.append(f"oracle tau:     {_fmt(tau)}")
     return "\n".join(lines) + "\n"
@@ -195,9 +199,10 @@ def _summary_text(problem_id: str, sc: SchwarzConfig, hist: IterationHistory) ->
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     sc, problem_id = build_schwarz_config(cfg)
+    p = plan(sc)
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     try:
-        hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
+        hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
     except SchwarzRunError as exc:
         if exc.history is not None:  # keep the iterations before the failed sweep
             out.mkdir(parents=True, exist_ok=True)
@@ -205,7 +210,7 @@ def _cmd_run(args) -> int:
         raise
     out.mkdir(parents=True, exist_ok=True)
     _write_history_csv(out / "history.csv", hist)
-    summary = _summary_text(problem_id, sc, hist)
+    summary = _summary_text(problem_id, p, hist)
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     if not args.quiet:
         print(summary, end="")
@@ -275,11 +280,12 @@ def _cmd_sweep(args) -> int:
     first_converged, verdicts = None, 0
     for value, label in zip(values, labels):
         point = _apply_axis(cfg, axis, value)
-        tau = None
+        tau = p = hist = None  # a failed plan has no tau; the last point's is dropped
         try:
             sc, problem_id = build_schwarz_config(point)
-            tau = _oracle_tau(sc, problem_id)
-            hist = run_parabolic(sc) if sc.problem.mode == "parabolic" else run_elliptic(sc)
+            p = plan(sc)
+            tau = _oracle_tau(p, problem_id)
+            hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
             rows.append(",".join([axis, label, hist.verdict, str(hist.iterations),
                                   _fmt(hist.rate_per_double), _fmt(tau), ""]))
             if first_converged is None and hist.verdict == "converged":
@@ -302,20 +308,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    problem, _ = _problem_from_config(cfg)
-    rng = np.random.default_rng(args.seed)
-    violations = validate_problem(problem, rng=rng)
-    try:  # read as run reads it, so a value run rejects fails here too
-        sc, _ = build_schwarz_config(cfg)
-        violations += validate_partition(sc.partition)
-    except ValueError as exc:
-        violations.append(str(exc))
-    for v in violations:
-        print(v)
-    if violations:
+    try:  # every check run makes before its first solve
+        p = plan(build_schwarz_config(cfg)[0])
+    except (ValueError, LookupError) as exc:
+        print(exc)
         return 1
+    for l, op in enumerate(p.ops, start=1):
+        for warning in op.meta["warnings"]:
+            print(f"warning: subdomain {l}: {warning}")
     if not args.quiet:
-        print("ok: all assumption and partition checks passed")
+        print("ok: every check run makes before its first solve passed")
     return 0
 
 
@@ -324,8 +326,6 @@ def main(argv=None) -> int:
         prog="schwarz1d",
         description="Overlapping Schwarz experiments on 1D semilinear problems",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized validation checks")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
 
-    p_val = sub.add_parser("validate", help="check problem assumptions and partition rules")
+    p_val = sub.add_parser("validate", help="make every check run makes before its first solve")
     p_val.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)

@@ -51,13 +51,15 @@ from .discretize import (
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
 )
-from .geometry import Partition, build_grid, validate_partition
+from .geometry import Grid, Partition, build_grid, validate_partition
 from .problem import DataFn, ProblemSpec, validate as validate_problem
 
 __all__ = [
     "SchwarzConfig",
     "IterationHistory",
     "SchwarzRunError",
+    "Plan",
+    "plan",
     "run_elliptic",
     "run_parabolic",
     "weighted_sup_norm",
@@ -71,10 +73,9 @@ __all__ = [
 class SchwarzRunError(RuntimeError):
     """A solve failed; carries the iteration and 1-based subdomain index.
 
-    Both are 0 when the monodomain reference solve failed; the iteration
-    is 0 when a subdomain's operator could not be built.  When a sweep
+    Both are 0 when the monodomain reference solve failed.  When a sweep
     failed, ``history`` holds the iterations before it, with verdict
-    "error"; otherwise it is None.
+    "error"; otherwise it is None.  Setup errors are ``plan``'s ValueErrors.
     """
 
     def __init__(self, message: str, iteration: int, subdomain: int):
@@ -304,27 +305,68 @@ def double_sweep_ratio(E, window: int) -> float:
 # the engine
 # --------------------------------------------------------------------------
 
-class _SubPlan(NamedTuple):
-    """What the solves of one subdomain need that stays fixed for a run.
+class Plan(NamedTuple):
+    """What a run fixes before its first solve; ``plan(cfg)`` builds it.
 
-    ``op`` is the subdomain's operator (its grid, matrix and LU factors),
-    built once: which end is a Robin row, the Robin parameters and 1/dt do
-    not change between sweeps, only the interface data do.  A sweep maps
-    the neighbors' fields to boundary data (``transmission.extract`` at a
-    ``Link`` end, whose ``p`` is also the Robin parameter of ``op``) and
-    solves ``op`` with them.  A parabolic solve starts from ``ref[:, 0]``,
-    the initial profile the reference starts from.
+    ``links[l]`` holds subdomain l's ends (left, right): a
+    ``transmission.Link``, or None at the outer boundary.  ``ops[l]`` is
+    its operator (grid, matrix and LU factors), whose Robin rows read the
+    same ``Link.p`` as ``transmission.extract``; only the interface data
+    change between sweeps.  ``u0`` is a DataFn or "reference".
     """
 
-    op: Operator
-    ref: np.ndarray  # the reference restricted to the subdomain
-    sides: tuple  # (left, right): a transmission.Link, or the outer value g
-    start: np.ndarray  # the initial iterate u^0 on the subdomain
+    cfg: SchwarzConfig
+    grid: Grid
+    links: list
+    ops: list[Operator]
+    u0: Union[DataFn, str]
+    norm_kind: str
+
+
+def plan(cfg: SchwarzConfig) -> Plan:
+    """Make every check of a run and build its operators; solve nothing.
+
+    Every defect of ``cfg`` that would stop a run before its first solve
+    is a ValueError here.
+    """
+    prob, part = cfg.problem, cfg.partition
+    bad = validate_problem(prob)
+    if bad:
+        raise ValueError("problem fails validation: " + "; ".join(bad))
+    bad = validate_partition(part)
+    if bad:
+        raise ValueError("partition fails validation: " + "; ".join(bad))
+    if abs(part.length - prob.length) > 1e-12 * prob.length:
+        raise ValueError("partition length differs from problem domain length")
+    u0 = cfg.u0
+    if isinstance(u0, str) and u0 != "reference":
+        u0 = DataFn.from_dict(u0)
+    elif not isinstance(u0, (str, DataFn)):
+        raise ValueError(f"initial guess must be a DataFn or shorthand, got {u0!r}")
+    parabolic = prob.mode == "parabolic"
+    if parabolic and cfg.dt_target is None:
+        raise ValueError("parabolic runs need dt_target (grid.dt)")
+    if not parabolic and cfg.dt_target is not None:
+        raise ValueError("elliptic runs take no dt_target (grid.dt)")
+    grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
+
+    links = tx.links(cfg.transmission, grid, prob)
+    ops = []
+    for l, pair in enumerate(links):
+        robin_p = tuple(None if link is None else link.p for link in pair)
+        try:
+            ops.append(Operator(prob, grid.subgrid(l), robin_p,
+                                1.0 / grid.dt if parabolic else 0.0))
+        except (SingularSystemError, ValueError) as exc:
+            raise ValueError(f"subdomain {l + 1}: {exc}") from exc
+    norm_kind = ("sup" if not parabolic else "laplace-seminorm2"
+                 if cfg.transmission.is_robin else "weighted-sup2")
+    return Plan(cfg, grid, links, ops, u0, norm_kind)
 
 
 class _Runner:
-    """One run: the checks, the grid, the reference and a ``_SubPlan`` per
-    subdomain are set up once; ``run`` then sweeps until a verdict.
+    """One run of a ``Plan``: the reference and each subdomain's sides are
+    set up once; ``run`` then sweeps until a verdict.
 
     A sweep first takes every subdomain's interface data from the previous
     iterate.  A parabolic sweep then drops that iterate, since its solves
@@ -333,61 +375,20 @@ class _Runner:
     error of each subdomain goes straight into its norm, one at a time.
     """
 
-    def __init__(self, cfg: SchwarzConfig, mode: str):
-        prob, part = cfg.problem, cfg.partition
-        if prob.mode != mode:
-            raise ValueError(f"run_{mode} needs a {mode} problem, got {prob.mode}")
-        bad = validate_problem(prob)
-        if bad:
-            raise ValueError("problem fails validation: " + "; ".join(bad))
-        bad = validate_partition(part)
-        if bad:
-            raise ValueError("partition fails validation: " + "; ".join(bad))
-        if abs(part.length - prob.length) > 1e-12 * prob.length:
-            raise ValueError("partition length differs from problem domain length")
-        u0 = cfg.u0
-        if isinstance(u0, str) and u0 != "reference":
-            u0 = DataFn.from_dict(u0)
-        elif not isinstance(u0, (str, DataFn)):
-            raise ValueError(f"initial guess must be a DataFn or shorthand, got {u0!r}")
-
-        self.cfg = cfg
-        self.mode = mode
-        if mode == "parabolic":
-            if cfg.dt_target is None or prob.time_horizon is None:
-                raise ValueError("parabolic runs need dt_target and a time horizon")
-            self.grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
-        else:
-            self.grid = build_grid(part, cfg.h_target)
-        grid = self.grid
-
-        ends = tx.links(cfg.transmission, grid, prob)
-
+    def __init__(self, plan: Plan, mode: str):
+        cfg, grid = plan.cfg, plan.grid
+        if cfg.problem.mode != mode:
+            raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
         try:
-            reference = reference_solve(prob, grid, cfg.picard_tol, cfg.picard_max)
+            reference = reference_solve(cfg.problem, grid, cfg.picard_tol, cfg.picard_max)
         except (PicardError, SingularSystemError) as exc:
             raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
-        outer = prob.boundary_values()
-        c_shift = 1.0 / grid.dt if mode == "parabolic" else 0.0
-        self.plans: list[_SubPlan] = []
-        for l, pair in enumerate(ends):
-            sg = grid.subgrid(l)
-            robin_p = tuple(None if link is None else link.p for link in pair)
-            try:
-                op = Operator(prob, sg, robin_p, c_shift)
-            except (SingularSystemError, ValueError) as exc:
-                raise SchwarzRunError(f"subdomain {l + 1}: {exc}", 0, l + 1) from exc
-            ref = reference[grid.nodes(l)]
-            self.plans.append(_SubPlan(
-                op=op,
-                ref=ref,
-                sides=tuple(g if link is None else link for link, g in zip(pair, outer)),
-                start=ref if u0 == "reference" else np.asarray(
-                    u0.value(sg.x, prob.length), dtype=float),
-            ))
-
-        self.norm_kind = ("sup" if mode == "elliptic" else "laplace-seminorm2"
-                          if cfg.transmission.is_robin else "weighted-sup2")
+        self.plan, self.cfg, self.grid, self.mode = plan, cfg, grid, mode
+        self.refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
+        # (left, right): a transmission.Link, or the outer value g
+        outer = cfg.problem.boundary_values()
+        self.sides = [tuple(g if link is None else link for link, g in zip(pair, outer))
+                      for pair in plan.links]
 
     # -- data exchange ----------------------------------------------------
 
@@ -398,16 +399,15 @@ class _Runner:
         a Dirichlet datum of a space-time field would be a view of its row.
         """
         return [np.array(tx.extract(side, fields[side.m])) if isinstance(side, tx.Link)
-                else side for side in self.plans[l].sides]
+                else side for side in self.sides[l]]
 
     def _solve_one(self, l: int, data, warm) -> np.ndarray:
-        cfg, grid = self.cfg, self.grid
-        plan = self.plans[l]
+        cfg, grid, op = self.cfg, self.grid, self.plan.ops[l]
         if self.mode == "elliptic":
-            u, _ = solve_semilinear_elliptic(plan.op, data[0], data[1], cfg.picard_tol,
+            u, _ = solve_semilinear_elliptic(op, data[0], data[1], cfg.picard_tol,
                                              cfg.picard_max, u_start=warm)
             return u
-        return solve_semilinear_parabolic(plan.op, data[0], data[1], plan.ref[:, 0],
+        return solve_semilinear_parabolic(op, data[0], data[1], self.refs[l][:, 0],
                                           grid.dt, grid.t, cfg.picard_tol, cfg.picard_max)
 
     def _sweep(self, k: int, data_all: list, warm: list) -> list[np.ndarray] | None:
@@ -429,24 +429,26 @@ class _Runner:
     # -- norms -------------------------------------------------------------
 
     def _sub_norm(self, l: int, err: np.ndarray) -> float:
-        if self.norm_kind == "sup":
+        if self.plan.norm_kind == "sup":
             return float(np.max(np.abs(err)))
-        if self.norm_kind == "weighted-sup2":
+        if self.plan.norm_kind == "weighted-sup2":
             return weighted_sup_norm(err, self.cfg.alpha, self.grid.t)
         profile = seminorm_sq_profile(err, self.cfg.alpha, self.grid.t)
-        return float(np.trapezoid(profile, self.plans[l].op.sg.x))
+        return float(np.trapezoid(profile, self.plan.ops[l].sg.x))
 
     def _combine(self, sub_norms: list[float]) -> float:
-        if self.norm_kind == "laplace-seminorm2":
+        if self.plan.norm_kind == "laplace-seminorm2":
             return float(sum(sub_norms))
         return float(max(sub_norms))
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> IterationHistory:
-        cfg = self.cfg
-        count = len(self.plans)
-        fields = [p.start for p in self.plans]
+        cfg, u0 = self.cfg, self.plan.u0
+        count = len(self.refs)
+        fields = [ref if u0 == "reference" else
+                  np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
+                  for ref, op in zip(self.refs, self.plan.ops)]
 
         E: list[float] = []
         sub_norms: list[list[float]] = []
@@ -469,8 +471,7 @@ class _Runner:
                 verdict, fields = "diverged", []
                 break
             # one subdomain's error at a time, straight into its norm
-            norms = [self._sub_norm(l, fields[l] - plan.ref)
-                     for l, plan in enumerate(self.plans)]
+            norms = [self._sub_norm(l, fields[l] - ref) for l, ref in enumerate(self.refs)]
             Ek = self._combine(norms)
             if not math.isfinite(Ek):
                 verdict, fields = "diverged", []
@@ -492,7 +493,7 @@ class _Runner:
                  verdict: str, fields: list[np.ndarray]) -> IterationHistory:
         window = self.cfg.rate_window
         return IterationHistory(
-            norm_kind=self.norm_kind,
+            norm_kind=self.plan.norm_kind,
             E=E,
             sub_norms=sub_norms,
             wall_times=wall,
@@ -503,11 +504,11 @@ class _Runner:
         )
 
 
-def run_elliptic(cfg: SchwarzConfig) -> IterationHistory:
-    """Run the elliptic Schwarz iteration until a verdict."""
-    return _Runner(cfg, "elliptic").run()
+def run_elliptic(plan: Plan) -> IterationHistory:
+    """Run the elliptic Schwarz iteration of ``plan`` until a verdict."""
+    return _Runner(plan, "elliptic").run()
 
 
-def run_parabolic(cfg: SchwarzConfig) -> IterationHistory:
-    """Run waveform relaxation: whole time-window solves, trace exchange."""
-    return _Runner(cfg, "parabolic").run()
+def run_parabolic(plan: Plan) -> IterationHistory:
+    """Run waveform relaxation on ``plan``: whole time-window solves, trace exchange."""
+    return _Runner(plan, "parabolic").run()

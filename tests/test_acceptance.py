@@ -27,6 +27,7 @@ from schwarz1d.problem import catalog_ids, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     laplace_seminorm,
+    plan,
     run_elliptic,
     run_parabolic,
 )
@@ -73,8 +74,8 @@ def test_criterion_1_oracle_engine_agreement():
     details = []
     for c, tau in zip(cases, taus):
         tic = time.perf_counter()
-        r_h = run_elliptic(two_subdomain_cfg(**c, h=1e-3)).rate_per_double
-        r_h2 = run_elliptic(two_subdomain_cfg(**c, h=5e-4)).rate_per_double
+        r_h = run_elliptic(plan(two_subdomain_cfg(**c, h=1e-3))).rate_per_double
+        r_h2 = run_elliptic(plan(two_subdomain_cfg(**c, h=5e-4))).rate_per_double
         elapsed = time.perf_counter() - tic
         rich = (4.0 * r_h2 - r_h) / 3.0
         rel_h = abs(r_h - tau) / tau
@@ -89,7 +90,7 @@ def test_criterion_1_oracle_engine_agreement():
 # --------------------------------------------------------------------------
 
 def test_criterion_2_divergence_reproduction(tmp_path):
-    hist = run_elliptic(two_subdomain_cfg(**DIVERGENT, h=1e-3, stop_tol=1e-10))
+    hist = run_elliptic(plan(two_subdomain_cfg(**DIVERGENT, h=1e-3, stop_tol=1e-10)))
     tau = tau_factors(AnalyticCase(L=2.0, **DIVERGENT)).tau
     rel = abs(hist.rate_per_double - tau) / tau
     # the two interface factors differ hugely in magnitude, so E oscillates
@@ -129,7 +130,7 @@ def test_criterion_3_rho_rescue():
     for rho in rhos:
         cfg = two_subdomain_cfg(**DIVERGENT, h=1e-3, rho=rho,
                                 stop_tol=1e-9, k_max=200)
-        verdicts.append(run_elliptic(cfg).verdict)
+        verdicts.append(run_elliptic(plan(cfg)).verdict)
     taus = [tau_factors(AnalyticCase(L=2.0, **DIVERGENT, rho=rho)).tau for rho in rhos]
 
     converged_idx = [i for i, v in enumerate(verdicts) if v == "converged"]
@@ -165,7 +166,7 @@ def test_criterion_4_classical_elliptic_convergence():
                                 h_target=prob.length / 200,
                                 transmission=TransmissionSpec.dirichlet(),
                                 u0="one", stop_tol=1e-9, k_max=400)
-            hist = run_elliptic(cfg)
+            hist = run_elliptic(plan(cfg))
             good = hist.verdict == "converged" and hist.rate_per_double < 1.0
             ok &= good
             details.append(f"{problem_id}/I={count}:{hist.verdict}"
@@ -273,23 +274,23 @@ def test_criterion_7_property_suites():
     # fixed-point invariance (elliptic Robin + parabolic Dirichlet)
     cfg = two_subdomain_cfg(1.7, 1.9, 1.0, 50.0, h=0.01, u0="reference",
                             k_max=3, stop_tol=1e-300)
-    checks["fixed point elliptic"] = max(run_elliptic(cfg).E) <= 10 * cfg.picard_tol
+    checks["fixed point elliptic"] = max(run_elliptic(plan(cfg)).E) <= 10 * cfg.picard_tol
     hp = catalog_lookup("heat-semilinear")
     pp = build_uniform_partition(1.0, 2, 0.2)
     pcfg = SchwarzConfig(problem=replace(hp, time_horizon=1.0), partition=pp,
                          h_target=0.02, dt_target=0.01,
                          transmission=TransmissionSpec.dirichlet(),
                          u0="reference", k_max=3, stop_tol=1e-300)
-    checks["fixed point parabolic"] = max(run_parabolic(pcfg).E) <= 10 * pcfg.picard_tol
+    checks["fixed point parabolic"] = max(run_parabolic(plan(pcfg)).E) <= 10 * pcfg.picard_tol
 
     # deterministic sweeps regardless of the order of the subdomains
     part3 = build_uniform_partition(1.0, 3, 0.08)
     base = dict(problem=catalog_lookup("elliptic-semilinear"), h_target=0.01,
                 transmission=TransmissionSpec.robin(2.0), u0="one",
                 stop_tol=1e-9, k_max=30)
-    fwd = run_elliptic(SchwarzConfig(**base, partition=part3))
-    rev = run_elliptic(SchwarzConfig(**base, partition=Partition(
-        length=part3.length, subdomains=part3.subdomains[::-1])))
+    fwd = run_elliptic(plan(SchwarzConfig(**base, partition=part3)))
+    rev = run_elliptic(plan(SchwarzConfig(**base, partition=Partition(
+        length=part3.length, subdomains=part3.subdomains[::-1]))))
     checks["determinism"] = fwd.E == rev.E and all(
         np.array_equal(a, b) for a, b in zip(fwd.final_fields, rev.final_fields[::-1]))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ from schwarz1d.cli import build_schwarz_config, main
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
 from schwarz1d.problem import DataFn
-from schwarz1d.schwarz import SchwarzConfig, run_elliptic
+from schwarz1d.schwarz import SchwarzConfig, plan, run_elliptic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -31,6 +32,25 @@ def laplace_config(out_dir: str) -> dict:
         "run": {"u0": "one", "max_iters": 100, "stop_tol": 1e-10},
         "output": {"dir": out_dir},
     }
+
+
+def shipped_config(name: str, out_dir: str) -> dict:
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["output"]["dir"] = out_dir
+    return cfg
+
+
+def singular_robin_config(out_dir: str) -> dict:
+    # b = 2a/h zeroes the super-diagonal, so the left Robin row of subdomain
+    # 2 cannot eliminate its third stencil point
+    cfg = laplace_config(out_dir)
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
+                      "b": {"constant": 128.0}, "c": {"constant": 0.0},
+                      "F": {"zero": {}}, "g": {"zero": {}}}
+    cfg["partition"] = {"uniform": {"count": 2, "overlap": 0.125}}
+    cfg["grid"]["h"] = 1.0 / 64
+    cfg["transmission"] = {"robin": {"p": 1.0}}
+    return cfg
 
 
 def divergent_config(out_dir: str) -> dict:
@@ -270,15 +290,7 @@ def test_run_without_guard_ends_diverged_at_first_non_finite_iterate(tmp_path):
 
 
 def test_subdomain_operator_failure_names_the_subdomain(tmp_path, capsys):
-    # b = 2a/h zeroes the super-diagonal, so the left Robin row of subdomain
-    # 2 cannot eliminate its third stencil point
-    cfg = laplace_config(str(tmp_path / "o"))
-    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
-                      "b": {"constant": 128.0}, "c": {"constant": 0.0},
-                      "F": {"zero": {}}, "g": {"zero": {}}}
-    cfg["partition"] = {"uniform": {"count": 2, "overlap": 0.125}}
-    cfg["grid"]["h"] = 1.0 / 64
-    cfg["transmission"] = {"robin": {"p": 1.0}}
+    cfg = singular_robin_config(str(tmp_path / "o"))
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -305,7 +317,7 @@ def test_run_accepts_inline_initial_iterate(tmp_path):
            (out / "history.csv").read_text().splitlines()[1::2]]
     sc, _ = build_schwarz_config(cfg)
     assert sc.u0 == DataFn.sine(2.0)
-    assert got == run_elliptic(sc).E
+    assert got == run_elliptic(plan(sc)).E
 
 
 def test_run_uniform_two_subdomain_example31_reports_oracle_tau(tmp_path):
@@ -332,6 +344,17 @@ def test_sweep_point_without_robin_p_is_recorded_not_raised(tmp_path, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["error", "error"]
     assert all("needs a 'p' entry" in r.split(",", 6)[6] for r in rows)
+
+
+def test_sweep_point_whose_plan_fails_has_no_tau(tmp_path):
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["run"]["u0"] = 0.5
+    cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    rows = [r.split(",", 6) for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[2:6] for r in rows] == [["error", "", "", ""]] * 2
+    assert all(r[6] == "initial guess must be a DataFn or shorthand; got 0.5" for r in rows)
 
 
 def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
@@ -447,6 +470,68 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, setting, value, mes
     assert capsys.readouterr().out == f"{message}\n"
     assert main(["--quiet", "run", "--config", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("make, edit", [
+    pytest.param(divergent_config, lambda c: c["transmission"]["robin"]["p"].pop("1,0"),
+                 id="robin-table-misses-an-interface"),
+    pytest.param(divergent_config,
+                 lambda c: c["transmission"]["robin"]["p"].update({"5,6": 2.0}),
+                 id="robin-table-names-a-non-interface"),
+    pytest.param(functools.partial(shipped_config, "counterexample_divergent"),
+                 lambda c: c["grid"].update(h=0.05), id="interface-too-shallow"),
+    pytest.param(functools.partial(shipped_config, "heat_dirichlet"),
+                 lambda c: c["grid"].pop("dt"), id="parabolic-without-dt"),
+    pytest.param(laplace_config, lambda c: c["run"].update(u0=0.5), id="u0-number"),
+    pytest.param(laplace_config, lambda c: c.update(problem="nope"), id="unknown-problem"),
+    pytest.param(singular_robin_config, lambda c: None, id="singular-robin-elimination"),
+    # an elliptic run has no time axis, so a grid.dt would be ignored
+    pytest.param(functools.partial(shipped_config, "laplace_dirichlet"),
+                 lambda c: c["grid"].update(dt=0.5), id="elliptic-with-dt"),
+])
+def test_validate_prints_what_run_prints_before_its_first_solve(tmp_path, capsys, make, edit):
+    cfg = make(str(tmp_path / "o"))
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["--quiet", "run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == err[len("error: "):]
+
+
+def test_validate_prints_each_operator_warning(tmp_path, capsys):
+    # h = 0.02 is above the diagonal-dominance threshold h* = 2 a / |b| = 0.01
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0},
+                      "b": {"constant": 200.0}, "c": {"constant": 0.0}}
+    cfg["grid"]["h"] = 0.02
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"warning: subdomain {l}: h = 0.02 above diagonal-dominance threshold h* = 0.01"
+        for l in (1, 2)] + ["ok: every check run makes before its first solve passed"]
+
+
+@pytest.mark.parametrize("name, command, code, calls", [
+    ("counterexample_divergent", "run", 2, 1),
+    ("counterexample_rho_sweep", "sweep", 0, 11),
+])
+def test_each_interface_is_resolved_once_per_run(tmp_path, monkeypatch, name, command, code,
+                                                 calls):
+    import schwarz1d.transmission as tx
+
+    count = []
+    links = tx.links
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return links(*args, **kwargs)
+
+    monkeypatch.setattr(tx, "links", counted)
+    assert main(["--quiet", command, "--config", str(CONFIGS / f"{name}.json"),
+                 "--out", str(tmp_path)]) == code
+    assert len(count) == calls
 
 
 @pytest.mark.parametrize("run", [{}, None], ids=["empty", "absent"])

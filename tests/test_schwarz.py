@@ -8,7 +8,7 @@ import pytest
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
 from schwarz1d.discretize import reference_solve
-from schwarz1d.problem import ProblemSpec, catalog_lookup
+from schwarz1d.problem import DataFn, ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
@@ -18,6 +18,7 @@ from schwarz1d.schwarz import (
     double_sweep_ratio,
     fit_contraction_rate,
     laplace_seminorm,
+    plan,
     run_elliptic,
     run_parabolic,
     seminorm_sq_profile,
@@ -184,7 +185,7 @@ def laplace_cfg(**kw):
 
 
 def test_laplace_dirichlet_matches_classical_rate():
-    hist = run_elliptic(laplace_cfg())
+    hist = run_elliptic(plan(laplace_cfg()))
     assert hist.verdict == "converged"
     expected = classical_laplace_rate(1.0, 0.4, 0.6)
     np.testing.assert_allclose(hist.rate_per_double, expected, rtol=2e-2)
@@ -193,7 +194,7 @@ def test_laplace_dirichlet_matches_classical_rate():
 
 
 def test_monotone_decrease_for_dirichlet_elliptic():
-    hist = run_elliptic(laplace_cfg())
+    hist = run_elliptic(plan(laplace_cfg()))
     tail = hist.E[2:]
     assert all(b < a for a, b in zip(tail, tail[1:]))
 
@@ -206,7 +207,7 @@ def test_dirichlet_errors_eventually_monotone_across_catalog(problem_id, count):
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=prob.length / 100,
                         transmission=TransmissionSpec.dirichlet(), u0="one",
                         stop_tol=1e-9, k_max=200)
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     assert hist.verdict == "converged"
     # Jacobi chains improve the max norm every double sweep; between sweeps
     # the norm may sit exactly flat while data crosses the middle subdomains
@@ -226,7 +227,7 @@ def test_reference_initial_guess_is_a_fixed_point_elliptic():
         cfg = SchwarzConfig(problem=prob, partition=part, h_target=prob.length / 100,
                             transmission=tsp, u0="reference", k_max=3,
                             stop_tol=1e-300)
-        hist = run_elliptic(cfg)
+        hist = run_elliptic(plan(cfg))
         assert max(hist.E) <= 10 * cfg.picard_tol
 
 
@@ -242,7 +243,7 @@ def test_first_robin_sweep_applies_the_transmission_stencil_to_u0():
     part = build_uniform_partition(1.0, 2, 0.1)
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=h,
                         transmission=TransmissionSpec.robin(p), u0="sine", k_max=1)
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     grid = build_grid(part, h)
     u = np.sin(np.pi * grid.x)
     j0, j1 = grid.interface_index[(0, 1)], grid.interface_index[(1, 0)]
@@ -262,9 +263,9 @@ def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(engine, "reference_solve", boom)
     with pytest.raises(ValueError, match="initial guess must be a DataFn or shorthand, got 0.5"):
-        run_elliptic(laplace_cfg(u0=0.5))
+        run_elliptic(plan(laplace_cfg(u0=0.5)))
     with pytest.raises(ValueError, match="unknown data shorthand 'foo'"):
-        run_elliptic(laplace_cfg(u0="foo"))
+        run_elliptic(plan(laplace_cfg(u0="foo")))
 
 
 def test_reference_failure_is_labelled(monkeypatch):
@@ -276,7 +277,7 @@ def test_reference_failure_is_labelled(monkeypatch):
 
     monkeypatch.setattr(engine, "reference_solve", boom)
     with pytest.raises(SchwarzRunError, match=r"^reference solve: synthetic") as err:
-        run_elliptic(laplace_cfg())
+        run_elliptic(plan(laplace_cfg()))
     assert (err.value.iteration, err.value.subdomain) == (0, 0)
 
 
@@ -289,7 +290,7 @@ def test_jacobi_order_determinism_bitwise():
         cfg = SchwarzConfig(problem=prob, partition=partition, h_target=0.01,
                             transmission=TransmissionSpec.robin(2.0), u0="one",
                             stop_tol=1e-9, k_max=40)
-        return run_elliptic(cfg)
+        return run_elliptic(plan(cfg))
     fwd = run(part)
     rev = run(Partition(length=part.length, subdomains=part.subdomains[::-1]))
     assert fwd.E == rev.E
@@ -304,7 +305,7 @@ def test_divergent_robin_run_matches_oracle_and_guard():
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.005,
                         transmission=TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
                         u0="one", stop_tol=1e-10, k_max=300, rate_window=10)
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     assert hist.verdict == "diverged"
     assert hist.E[-1] > cfg.guard_factor * hist.E[0]
     tau = tau_factors(AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)).tau
@@ -317,7 +318,7 @@ def test_convergent_robin_run_matches_oracle():
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.002,
                         transmission=TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
                         u0="one", stop_tol=1e-8, k_max=100, rate_window=10)
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     assert hist.verdict == "converged"
     tau = tau_factors(AnalyticCase(L=2.0, L1=1.7, L2=1.9, p=1.0, q=50.0)).tau
     np.testing.assert_allclose(hist.rate_per_double, tau, rtol=5e-2)
@@ -332,24 +333,48 @@ def test_subdomain_failure_names_iteration_and_subdomain(monkeypatch):
     # reference_solve is untouched; only the sweep's subdomain solves fail
     monkeypatch.setattr(engine, "solve_semilinear_elliptic", boom)
     with pytest.raises(SchwarzRunError, match=r"iteration 1, subdomain 1"):
-        run_elliptic(laplace_cfg())
+        run_elliptic(plan(laplace_cfg()))
 
 
 def test_engine_rejects_invalid_setup():
     prob = catalog_lookup("laplace1d")
     part = build_uniform_partition(1.0, 2, 0.2)
-    with pytest.raises(ValueError, match="elliptic"):
-        cfg = SchwarzConfig(problem=catalog_lookup("heat-semilinear"), partition=part,
-                            h_target=0.01, transmission=TransmissionSpec.dirichlet())
-        run_elliptic(cfg)
+    # a valid parabolic plan, run by the elliptic engine
+    heat = plan(SchwarzConfig(problem=catalog_lookup("heat-semilinear"), partition=part,
+                              h_target=0.01, dt_target=0.01,
+                              transmission=TransmissionSpec.dirichlet()))
+    with pytest.raises(ValueError, match="run_elliptic needs a elliptic problem, got parabolic"):
+        run_elliptic(heat)
     bad_part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
     with pytest.raises(ValueError, match="partition"):
-        run_elliptic(SchwarzConfig(problem=prob, partition=bad_part, h_target=0.01,
-                                   transmission=TransmissionSpec.dirichlet()))
+        run_elliptic(plan(SchwarzConfig(problem=prob, partition=bad_part, h_target=0.01,
+                                        transmission=TransmissionSpec.dirichlet())))
+
+
+def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
+    import schwarz1d.discretize as discretize
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a plan solves nothing")
+
+    monkeypatch.setattr(discretize, "solve_banded", boom)
+    cfg = laplace_cfg(transmission=TransmissionSpec.robin(2.0))
+    p = plan(cfg)
+    assert p.cfg is cfg and p.norm_kind == "sup" and p.u0 == DataFn.constant(1.0)
+    assert [op.sg.x.tolist() for op in p.ops] == [p.grid.subgrid(l).x.tolist() for l in (0, 1)]
+    (outer0, link0), (link1, outer1) = p.links
+    assert outer0 is None and outer1 is None
+    assert (link0.m, link0.p, link1.m, link1.p) == (1, 2.0, 0, 2.0)
+    assert [op.robin_p for op in p.ops] == [(None, 2.0), (2.0, None)]
+
+
+def test_elliptic_plan_rejects_a_time_step():
+    with pytest.raises(ValueError, match=r"^elliptic runs take no dt_target \(grid.dt\)$"):
+        plan(laplace_cfg(dt_target=0.01))
 
 
 def test_csv_rows_shape():
-    hist = run_elliptic(laplace_cfg(k_max=6, stop_tol=1e-300))
+    hist = run_elliptic(plan(laplace_cfg(k_max=6, stop_tol=1e-300)))
     rows = hist.to_csv_rows()
     assert len(rows) == hist.iterations * 2
     k, l, norm, ek, rate, verdict = rows[0]
@@ -373,7 +398,7 @@ def heat_cfg(**kw):
 
 
 def test_parabolic_dirichlet_weighted_norm_decays_geometrically():
-    hist = run_parabolic(heat_cfg())
+    hist = run_parabolic(plan(heat_cfg()))
     assert hist.norm_kind == "weighted-sup2"
     assert hist.verdict == "converged"
     ratios = [hist.rate_so_far(k) for k in range(3, hist.iterations + 1)]
@@ -381,7 +406,7 @@ def test_parabolic_dirichlet_weighted_norm_decays_geometrically():
 
 
 def test_parabolic_robin_seminorm_history_decreases():
-    hist = run_parabolic(heat_cfg(transmission=TransmissionSpec.robin(1.0)))
+    hist = run_parabolic(plan(heat_cfg(transmission=TransmissionSpec.robin(1.0))))
     assert hist.norm_kind == "laplace-seminorm2"
     assert hist.verdict == "converged"
     tail = hist.E[1:]
@@ -390,15 +415,15 @@ def test_parabolic_robin_seminorm_history_decreases():
 
 def test_parabolic_reference_initial_guess_is_fixed_point():
     for tsp in (TransmissionSpec.dirichlet(), TransmissionSpec.robin(1.0)):
-        hist = run_parabolic(heat_cfg(transmission=tsp, u0="reference", k_max=3,
-                                      stop_tol=1e-300))
+        hist = run_parabolic(plan(heat_cfg(transmission=tsp, u0="reference", k_max=3,
+                                           stop_tol=1e-300)))
         cfg_tol = 1e-10
         assert max(hist.E) <= 10 * cfg_tol
 
 
 def test_parabolic_needs_time_axis():
     with pytest.raises(ValueError, match="dt_target"):
-        run_parabolic(heat_cfg(dt_target=None))
+        run_parabolic(plan(heat_cfg(dt_target=None)))
 
 
 # --------------------------------------------------------------------------
@@ -407,7 +432,7 @@ def test_parabolic_needs_time_axis():
 
 def test_final_fields_are_the_last_recorded_iterate():
     cfg = laplace_cfg()
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     assert hist.verdict == "converged"
     grid = build_grid(cfg.partition, cfg.h_target)
     reference = reference_solve(cfg.problem, grid)
@@ -424,7 +449,7 @@ def test_final_fields_are_empty_after_a_non_finite_sweep():
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.01,
                         transmission=TransmissionSpec.robin({(0, 1): 0.1, (1, 0): 500.0}),
                         u0="one", k_max=20000, guard_factor=1e308)
-    hist = run_elliptic(cfg)
+    hist = run_elliptic(plan(cfg))
     assert hist.verdict == "diverged"
     assert 300 < hist.iterations < cfg.k_max
     assert hist.E[-1] <= cfg.guard_factor * hist.E[0]  # not stopped by the guard
@@ -442,7 +467,7 @@ def test_final_fields_are_empty_after_a_failed_sweep():
                         transmission=TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
                         u0="one", k_max=300, picard_max=12, guard_factor=1e300)
     with pytest.raises(SchwarzRunError) as err:
-        run_elliptic(cfg)
+        run_elliptic(plan(cfg))
     assert err.value.iteration > 1
     assert err.value.history.iterations == err.value.iteration - 1
     assert err.value.history.final_fields == []
@@ -458,7 +483,7 @@ def test_parabolic_robin_run_holds_one_iterate_at_a_time():
     _seminorm_plan.cache_clear()
     tracemalloc.start()
     try:
-        hist = run_parabolic(cfg)
+        hist = run_parabolic(plan(cfg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
