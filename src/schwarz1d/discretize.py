@@ -29,9 +29,17 @@ Robin row, the Robin parameters and 1/dt fix it; only the boundary data
 change from sweep to sweep.  An ``Operator`` assembles it once and
 LU-factors it with LAPACK ``gttrf``; it also samples a source that cannot
 depend on time once, as ``source``.  The solves take the operator and
-the boundary data (the Dirichlet value or the Robin flux of each end);
-each Picard step fills the boundary rows of the right-hand side and costs
-one ``gttrs`` solve.
+the boundary data (the Dirichlet value or the Robin flux of each end).
+
+Both solves are one march over time levels: a parabolic solve marches
+all levels of its time axis, an elliptic solve (and with it the
+elliptic reference) one level.  The systems have ~100 nodes in the
+parabolic runs, so a numpy call costs more than its arithmetic; the
+march therefore makes its right-hand-side and difference buffers once
+per solve and only ``gttrs`` returns a new array per Picard step.  Each
+Picard step calls ``solve_banded`` once, through this module's
+attribute, which a tracer may replace: the count of those calls is the
+number of Picard steps.
 
 ``gttrf`` and ``gttrs`` are the ``dgttrf`` / ``dgttrs`` of scipy's LAPACK
 extension module ``scipy.linalg._flapack``, the very objects that
@@ -156,7 +164,8 @@ class Operator:
         sup[i] = -a_half[i] / h**2 + b[i] / (2 * h)
 
         # per end: (row, eliminated row, alpha, pivot); the eliminated row is
-        # None for Dirichlet
+        # None for Dirichlet.  alpha and pivot are Python floats, whose
+        # arithmetic in system() is cheaper than numpy scalars' and the same
         self._ends = []
         for end, p in ((0, self.robin_p[0]), (n - 1, self.robin_p[1])):
             if p is None:  # u = value; the row's other entries stay 0
@@ -173,7 +182,7 @@ class Operator:
                     raise SingularSystemError("cannot eliminate Robin stencil point")
                 main[0] = 3 * alpha + p - alpha * s / t3
                 sup[0] = -4 * alpha - alpha * d / t3
-                self._ends.append((0, 1, alpha, t3))
+                self._ends.append((0, 1, float(alpha), float(t3)))
             else:
                 m = n - 1
                 s, d, t3 = sub[m - 1], main[m - 1], sup[m - 1]
@@ -181,7 +190,7 @@ class Operator:
                     raise SingularSystemError("cannot eliminate Robin stencil point")
                 main[m] = 3 * alpha + p - alpha * t3 / s
                 sub[m] = -4 * alpha - alpha * d / s
-                self._ends.append((m, m - 1, alpha, s))
+                self._ends.append((m, m - 1, float(alpha), float(s)))
         self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
         dl, d, du, du2, ipiv, info = _gttrf(self._sub, self._main, self._sup)
         if info > 0:
@@ -210,8 +219,8 @@ class Operator:
         flux of that end.
         """
         (end0, row0, alpha0, pivot0), (end1, row1, alpha1, pivot1) = self._ends
-        rhs[end0] = left if row0 is None else left - alpha0 * rhs[row0] / pivot0
-        rhs[end1] = right if row1 is None else right - alpha1 * rhs[row1] / pivot1
+        rhs[end0] = left if row0 is None else left - alpha0 * rhs.item(row0) / pivot0
+        rhs[end1] = right if row1 is None else right - alpha1 * rhs.item(row1) / pivot1
         return rhs
 
     def dense(self) -> np.ndarray:
@@ -237,31 +246,65 @@ def _check_finite(u: Field) -> Field:
     return u
 
 
-def _picard_solve(op: Operator, rhs_fixed: np.ndarray, left: float, right: float,
-                  u_start: np.ndarray, picard_tol: float,
-                  picard_max: int) -> tuple[Field, int]:
-    """Solve one level; ``rhs_fixed`` is overwritten when F is zero."""
-    F, x = op.spec.F, op.sg.x
-    if F.kind == "zero":
-        return solve_banded(op.lu, op.system(rhs_fixed, left, right)), 1
-    u = u_start
-    diffs: list[float] = []
-    for m in range(1, picard_max + 1):
-        rhs = F(x, u)  # a new array, so the right-hand side is built in it
-        rhs += rhs_fixed
-        u_new = solve_banded(op.lu, op.system(rhs, left, right))
-        step = u_new - u
-        diff = float(np.maximum.reduce(np.abs(step, out=step)))
-        if not math.isfinite(diff):
-            raise NonFiniteError("banded solve produced non-finite values")
-        diffs.append(diff)
-        u = u_new
-        if diff <= picard_tol:
-            return u, m
-    raise PicardError(
-        f"Picard iteration did not reach {picard_tol:g} in {picard_max} steps "
-        f"(last diff {diffs[-1]:g})", diffs,
-    )
+def _march(op: Operator, left: list[float], right: list[float], t, u: Field | None,
+           dt: float | None, picard_tol: float, picard_max: int,
+           field: np.ndarray | None = None) -> tuple[Field, int]:
+    """Solve the levels m = 1, 2, ... of ``t`` in turn; return the last one's
+    field and Picard steps.
+
+    ``left``/``right``/``t`` hold one entry per level, entry 0 unused.  The
+    fixed part of a level's right-hand side is its source at t[m] plus the
+    previous level over ``dt``, or with ``dt`` None (one elliptic level)
+    the source plus 0.0, which turns -0.0 into 0.0.  ``u`` is the previous
+    level (None: zero) and starts the level's Picard loop; row m of
+    ``field`` receives level m.  The buffers are made once per call; ufuncs
+    get their ``out`` by position, which costs less than the keyword.
+    """
+    if picard_max < 1:
+        raise ValueError(f"picard_max must be >= 1, got {picard_max}")
+    F, x, lu, source, system = op.spec.F, op.sg.x, op.lu, op.source, op.system
+    add, subtract, absolute = np.add, np.subtract, np.abs
+    # a ufunc takes a 0-d array operand faster than a Python float, same bits
+    shift = None if dt is None else np.array(dt)
+    fixed = np.empty(op.n)
+    linear = F.kind == "zero"
+    if not linear:  # F zero: system() fills fixed in place, so no more buffers
+        rhs, work = np.empty(op.n), np.empty(op.n)
+        diffs = [0.0] * picard_max  # a failing level fills all of it
+        if u is None:
+            u = np.zeros(op.n)
+    steps = 1
+    for m in range(1, len(t)):
+        src = op.spec.source_values(x, float(t[m])) if source is None else source
+        if shift is None:
+            add(src, 0.0, fixed)
+        else:
+            add(src, np.divide(u, shift, fixed), fixed)
+        lo, hi = left[m], right[m]
+        if linear:
+            u = solve_banded(lu, system(fixed, lo, hi))
+        else:
+            for steps in range(1, picard_max + 1):
+                add(F(x, u, rhs), fixed, rhs)
+                u_new = solve_banded(lu, system(rhs, lo, hi))
+                absolute(subtract(u_new, u, work), work)
+                # argmax stops at the first NaN, as np.max would return it
+                diff = diffs[steps - 1] = work.item(work.argmax())
+                u = u_new
+                if diff <= picard_tol:
+                    break
+                if not math.isfinite(diff):
+                    raise NonFiniteError("banded solve produced non-finite values")
+            else:
+                message = (f"Picard iteration did not reach {picard_tol:g} in "
+                           f"{picard_max} steps (last diff {diff:g})")
+                if dt is None:
+                    raise PicardError(message, diffs)
+                raise PicardError(f"time level {m} (t = {t[m]:g}): {message}", diffs,
+                                  time_level=m)
+        if field is not None:
+            field[m] = u
+    return u, steps
 
 
 def solve_semilinear_elliptic(op: Operator, left: float, right: float,
@@ -275,17 +318,11 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     steps.  With c > Lipschitz(F) the iteration contracts at rate
     ~ C / min(c).  Raises NonFiniteError when the field is not finite.
     """
-    if picard_max < 1:
-        raise ValueError(f"picard_max must be >= 1, got {picard_max}")
-    sg = op.sg
-    source = op.spec.source_values(sg.x) if op.source is None else op.source
-    # a copy, since the F-zero path fills the boundary rows in place; adding
-    # +0.0 also turns a -0.0 source value into 0.0
-    rhs_fixed = source + np.zeros(sg.n)
-    start = np.zeros(sg.n) if u_start is None else np.asarray(u_start, dtype=float)
-    u, iters = _picard_solve(op, rhs_fixed, float(left), float(right), start, picard_tol,
-                             picard_max)
-    return _check_finite(u), iters
+    start = None if u_start is None else np.asarray(u_start, dtype=float)
+    # one level, whose source is sampled at t = 0
+    u, steps = _march(op, [None, float(left)], [None, float(right)], (0.0, 0.0), start, None,
+                      picard_tol, picard_max)
+    return _check_finite(u), steps
 
 
 def _per_level(value, levels: int) -> list[float]:
@@ -305,26 +342,14 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     callable.  Returns the (nodes, len(t)) space-time field; raises
     NonFiniteError when it is not finite.
     """
-    if picard_max < 1:
-        raise ValueError(f"picard_max must be >= 1, got {picard_max}")
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
-    spec, sg = op.spec, op.sg
-    n_steps = len(t) - 1
-    left, right = _per_level(left, n_steps + 1), _per_level(right, n_steps + 1)
+    levels = len(t)
     # time-major, so each level's row is contiguous
-    field = np.empty((n_steps + 1, sg.n))
+    field = np.empty((levels, op.n))
     field[0] = np.asarray(initial, dtype=float)
-    for m in range(1, n_steps + 1):
-        src = spec.source_values(sg.x, float(t[m])) if op.source is None else op.source
-        rhs_fixed = src + field[m - 1] / dt
-        try:
-            u, _ = _picard_solve(op, rhs_fixed, left[m], right[m], field[m - 1],
-                                 picard_tol, picard_max)
-        except PicardError as exc:
-            raise PicardError(f"time level {m} (t = {t[m]:g}): {exc}", exc.diffs,
-                              time_level=m) from exc
-        field[m] = u
+    _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
+           picard_tol, picard_max, field)
     return _check_finite(np.ascontiguousarray(field.T))
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -190,17 +190,21 @@ class Nonlinearity:
         ``sine``         -- F = param * sin(u)
 
     The Lipschitz bound in u is |param| for the last two and 0 for ``zero``.
-    A call returns a new array, which the Picard loop may write into.
+    A call returns a new array, or fills and returns ``out`` (an array of
+    u's shape) with the same bits.
     """
 
     kind: str
     param: float = 0.0
+    # param as a 0-d array: a ufunc takes it faster than a Python float
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     _KINDS = {"zero": None, "linear-in-u": "param", "sine": "param"}
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        object.__setattr__(self, "_factor", np.array(self.param, dtype=float))
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -219,12 +223,17 @@ class Nonlinearity:
         """Uniform Lipschitz bound C of F in u."""
         return 0.0 if self.kind == "zero" else abs(self.param)
 
-    def __call__(self, x, u):
+    def __call__(self, x, u, out=None):
+        if out is None:
+            out = np.empty_like(np.asarray(u, dtype=float))
+        # out goes by position: the keyword costs about as much as the
+        # arithmetic on a subdomain's ~100 nodes
         if self.kind == "zero":
-            return np.zeros_like(np.asarray(u, dtype=float))
+            out.fill(0.0)
+            return out
         if self.kind == "linear-in-u":
-            return self.param * np.asarray(u, dtype=float)
-        return self.param * np.sin(u)
+            return np.multiply(self._factor, u, out)
+        return np.multiply(self._factor, np.sin(u, out), out)
 
     @classmethod
     def from_dict(cls, d) -> "Nonlinearity":

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the math, not against the
 package internals: dense Gaussian elimination for linear solves,
-hand-differentiated manufactured solutions, and the closed-form
-contraction factors in their published algebraic form.
+hand-differentiated manufactured solutions, the closed-form contraction
+factors in their published algebraic form, and the Picard march written
+plainly, one new array per operation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from schwarz1d.discretize import solve_banded
 from schwarz1d.problem import ProblemSpec
 
 
@@ -111,3 +113,40 @@ def manufactured_parabolic(spec: ProblemSpec) -> tuple[ProblemSpec, "object"]:
 def fitted_order(hs, errs) -> float:
     """Least-squares slope of log err against log h (the observed order)."""
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+def plain_picard_march(op, left, right, u, t, dt=None, picard_tol=1e-10, picard_max=200):
+    """The semilinear solves as a plain Picard march that allocates on every step.
+
+    Level m = 1 .. len(t) - 1 solves  A u = F(x, u) + fixed  on ``op``, with
+    the boundary data ``left``/``right`` (a scalar, or one value per level of
+    ``t``).  ``fixed`` is the source at t[m] plus the previous level over
+    ``dt``; with ``dt`` None (one elliptic level) it is the source plus 0.0,
+    which turns -0.0 into 0.0.  A level with F zero is one solve.  Otherwise
+    Picard steps, started from the previous level, repeat until
+    max|u_new - u| <= picard_tol.  ``u`` is level 0 (None: zero).  Returns the
+    levels as a (nodes, len(t)) array and the Picard steps of each level.
+    """
+    spec, x = op.spec, op.sg.x
+    left, right = (np.broadcast_to(np.asarray(v, dtype=float), (len(t),)) for v in (left, right))
+    u = np.zeros(op.n) if u is None else np.array(u, dtype=float)
+    levels, steps = [u], []
+    for m in range(1, len(t)):
+        source = spec.source_values(x, float(t[m]))
+        fixed = source + 0.0 if dt is None else source + u / dt
+        data = float(left[m]), float(right[m])
+        if spec.F.kind == "zero":
+            u = solve_banded(op.lu, op.system(fixed.copy(), *data))
+            steps.append(1)
+        else:
+            for step in range(1, picard_max + 1):
+                u_new = solve_banded(op.lu, op.system(spec.F(x, u) + fixed, *data))
+                diff = np.max(np.abs(u_new - u))
+                u = u_new
+                if diff <= picard_tol:
+                    break
+            else:
+                raise AssertionError(f"level {m}: no Picard convergence in {picard_max} steps")
+            steps.append(step)
+        levels.append(u)
+    return np.array(levels).T, steps

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -24,7 +25,13 @@ from schwarz1d.problem import (
     catalog_lookup,
 )
 
-from helpers import dense_solve, fitted_order, manufactured_elliptic, manufactured_parabolic
+from helpers import (
+    dense_solve,
+    fitted_order,
+    manufactured_elliptic,
+    manufactured_parabolic,
+    plain_picard_march,
+)
 
 
 def subgrid(length: float, n_cells: int) -> SubGrid:
@@ -223,6 +230,120 @@ def test_non_finite_data_raise_non_finite_error(F):
     assert issubclass(NonFiniteError, SingularSystemError)
 
 
+def heat_operator(F, robin_p=(None, 2.0), n_cells=20, dt=0.01, source=None) -> Operator:
+    spec = replace(catalog_lookup("heat-semilinear"), F=F, time_horizon=0.1, source=source)
+    return Operator(spec, subgrid(1.0, n_cells), robin_p, c_shift=1.0 / dt)
+
+
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_datum_at_an_interior_time_level_raises_non_finite_error(F, value):
+    op = heat_operator(F)
+    t = np.linspace(0, 0.1, 11)
+    left = np.zeros(11)
+    left[4] = value
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        solve_semilinear_parabolic(op, left, 0.0, np.sin(np.pi * op.sg.x), 0.01, t)
+
+
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+def test_non_finite_source_at_an_interior_node_raises_non_finite_error(F):
+    def source(x, t):
+        values = np.zeros_like(x)
+        if t == 0.04:
+            values[7] = np.nan
+        return values
+
+    op = heat_operator(F, source=source)
+    t = np.linspace(0, 0.1, 11)
+    assert t[4] == 0.04
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        solve_semilinear_parabolic(op, 0.0, 0.0, np.sin(np.pi * op.sg.x), 0.01, t)
+
+
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+def test_nan_only_in_the_last_entry_of_the_picard_difference_is_found(monkeypatch, F):
+    # the right end is a Dirichlet row, so the first solve overwrites the NaN
+    # of the initial state there and is finite: the difference of the first
+    # Picard step is NaN in its last entry alone
+    op = heat_operator(F, robin_p=(2.0, None))
+    initial = np.sin(np.pi * op.sg.x)
+    initial[-1] = np.nan
+    solves = []
+    original = discretize.solve_banded
+
+    def recorded(lu, rhs):
+        solves.append(original(lu, rhs))
+        return solves[-1]
+
+    monkeypatch.setattr(discretize, "solve_banded", recorded)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        solve_semilinear_parabolic(op, 0.0, 0.0, initial, 0.01, np.linspace(0, 0.1, 11))
+    assert np.isfinite(solves[0]).all()
+    if F.kind != "zero":  # the first Picard step already raises
+        assert len(solves) == 1
+
+
+# --------------------------------------------------------------------------
+# the march against the plain Picard algorithm
+# --------------------------------------------------------------------------
+
+MARCH_F = {"zero": Nonlinearity.zero(), "linear": Nonlinearity.linear(1.5),
+           "sine1": Nonlinearity.sine(1.0), "sine2": Nonlinearity.sine(2.0)}
+MARCH_ENDS = {"dirichlet": (None, None), "robin-left": (2.0, None), "robin-right": (None, 0.5),
+              "robin": (1.5, 3.0)}
+MARCH_SOURCES = {"data": DataFn.sine(-3.0, 2),
+                 "callable": lambda x, t: np.cos(3.0 * x) * (1.0 + 5.0 * t) - 0.5,
+                 "minus-zero": DataFn.constant(-0.0)}
+
+
+def counted_solves(monkeypatch) -> list:
+    """Count the package's solve_banded calls (the plain march calls its own)."""
+    calls = []
+    original = discretize.solve_banded
+
+    def counted(lu, rhs):
+        calls.append(1)
+        return original(lu, rhs)
+
+    monkeypatch.setattr(discretize, "solve_banded", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", MARCH_SOURCES)
+@pytest.mark.parametrize("ends", MARCH_ENDS)
+@pytest.mark.parametrize("F", MARCH_F)
+def test_parabolic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, source):
+    op = heat_operator(MARCH_F[F], robin_p=MARCH_ENDS[ends], n_cells=24,
+                       source=MARCH_SOURCES[source])
+    t = np.linspace(0, 0.1, 11)
+    initial = np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x
+    for left, right in ((0.25, -1.0), (np.linspace(0.0, 1.0, 11), np.cos(5.0 * t))):
+        calls = counted_solves(monkeypatch)
+        field = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
+        plain, steps = plain_picard_march(op, left, right, initial, t, dt=0.01)
+        assert field.tobytes() == plain.tobytes()
+        assert len(calls) == sum(steps)
+        if F != "zero":
+            assert max(steps) > 1
+
+
+@pytest.mark.parametrize("source", MARCH_SOURCES)
+@pytest.mark.parametrize("ends", MARCH_ENDS)
+@pytest.mark.parametrize("F", MARCH_F)
+def test_elliptic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, source):
+    spec = simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=MARCH_SOURCES[source])
+    op = Operator(spec, subgrid(1.0, 24), MARCH_ENDS[ends])
+    # zero data with the -0.0 source give a field of signed zeros
+    for (left, right), start in itertools.product(((0.25, -1.0), (0.0, 0.0)),
+                                                  (None, np.cos(op.sg.x))):
+        calls = counted_solves(monkeypatch)
+        u, iters = solve_semilinear_elliptic(op, left, right, u_start=start)
+        plain, steps = plain_picard_march(op, left, right, start, (0.0, 0.0))
+        assert u.tobytes() == plain[:, 1].tobytes()
+        assert [iters] == steps == [len(calls)]
+
+
 # --------------------------------------------------------------------------
 # elliptic solves
 # --------------------------------------------------------------------------
@@ -409,6 +530,21 @@ def test_parabolic_picard_failure_names_the_level():
     with pytest.raises(PicardError, match="time level"):
         solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), 0.0, 0.0,
                                    np.sin(np.pi * sg.x), 0.01, t, picard_max=1)
+
+
+def test_parabolic_picard_failure_at_an_interior_level_keeps_its_history():
+    # zero data and state take one step per level until the left datum jumps
+    # to 1 at level 5, whose Picard loop needs more than three steps
+    op = heat_operator(Nonlinearity.sine(1.0), robin_p=(None, None))
+    t = np.linspace(0, 0.1, 11)
+    left = np.where(np.arange(11) >= 5, 1.0, 0.0)
+    with pytest.raises(PicardError) as err:
+        solve_semilinear_parabolic(op, left, 0.0, np.zeros(op.n), 0.01, t, picard_max=3)
+    assert str(err.value).startswith(
+        "time level 5 (t = 0.05): Picard iteration did not reach 1e-10 in 3 steps (last diff ")
+    assert err.value.time_level == 5
+    assert len(err.value.diffs) == 3
+    assert err.value.diffs[0] > err.value.diffs[1] > err.value.diffs[2] > 1e-10
 
 
 def test_parabolic_solve_rejects_picard_max_below_one():

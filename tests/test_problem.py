@@ -71,6 +71,21 @@ def test_catalog_lipschitz_property_on_random_triples(problem_id):
     assert np.all(lhs <= spec.F.lipschitz * np.abs(z - zp) + 1e-12)
 
 
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.linear(1.0),
+                               Nonlinearity.linear(-2.5), Nonlinearity.linear(0.0),
+                               Nonlinearity.sine(1.0), Nonlinearity.sine(2.0),
+                               Nonlinearity.sine(-0.3)], ids=repr)
+def test_nonlinearity_fills_out_with_the_bits_of_a_new_array(F):
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.0, 105)
+    u = np.concatenate([rng.uniform(-50.0, 50.0, 100), [0.0, -0.0, 1e-310, -1e300, 7.0]])
+    plain = {"zero": np.zeros(105), "linear-in-u": F.param * u,
+             "sine": F.param * np.sin(u)}[F.kind]
+    out = np.full(105, np.nan)
+    assert F(x, u, out) is out
+    assert out.tobytes() == F(x, u).tobytes() == plain.tobytes()
+
+
 def test_elliptic_c_below_lipschitz_bound_is_flagged():
     spec = ProblemSpec(
         mode="elliptic",
