@@ -12,8 +12,10 @@ Subcommands:
                   sweep.csv with the engine verdict/rate per grid point
                   and the closed-form tau wherever the config matches the
                   analytic two-subdomain geometry (empty for a point
-                  whose plan fails).  Exit 1 when no point converged or
-                  diverged.
+                  whose plan fails).  Consecutive points with the same
+                  problem, partition, grid and Picard settings share one
+                  monodomain reference.  Exit 1 when no point converged
+                  or diverged.
 * ``validate`` -- make every check ``run`` makes before its first solve
                   and build every subdomain operator; on a violation
                   print the message ``run`` would print after
@@ -51,6 +53,7 @@ from .schwarz import (
     plan,
     run_elliptic,
     run_parabolic,
+    solve_reference,
 )
 
 __all__ = ["main", "load_config", "build_schwarz_config"]
@@ -278,6 +281,9 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out or _section(cfg, "output").get("dir", "out"))
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged, verdicts = None, 0
+    # the last reference solved and its plan's reference_key: an axis that
+    # leaves the problem, partition and grid alone (rho, p, alpha) solves it once
+    reference = key = None
     for value, label in zip(values, labels):
         point = _apply_axis(cfg, axis, value)
         tau = p = hist = None  # a failed plan has no tau; the last point's is dropped
@@ -285,7 +291,11 @@ def _cmd_sweep(args) -> int:
             sc, problem_id = build_schwarz_config(point)
             p = plan(sc)
             tau = _oracle_tau(p, problem_id)
-            hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
+            if p.reference_key != key:
+                reference = key = None  # freed before the next one is solved
+                reference, key = solve_reference(p), p.reference_key
+            run = run_parabolic if sc.problem.mode == "parabolic" else run_elliptic
+            hist = run(p, reference)
             rows.append(",".join([axis, label, hist.verdict, str(hist.iterations),
                                   _fmt(hist.rate_per_double), _fmt(tau), ""]))
             if first_converged is None and hist.verdict == "converged":

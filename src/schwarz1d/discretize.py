@@ -35,11 +35,12 @@ Both solves are one march over time levels: a parabolic solve marches
 all levels of its time axis, an elliptic solve (and with it the
 elliptic reference) one level.  The systems have ~100 nodes in the
 parabolic runs, so a numpy call costs more than its arithmetic; the
-march therefore makes its right-hand-side and difference buffers once
-per solve and only ``gttrs`` returns a new array per Picard step.  Each
-Picard step calls ``solve_banded`` once, through this module's
-attribute, which a tracer may replace: the count of those calls is the
-number of Picard steps.
+march therefore makes its buffers once per solve and allocates nothing
+per Picard step: ``gttrs`` solves in place, into the right-hand side,
+and the Picard loop rotates two such buffers, so it never writes into
+the caller's start vector.  Each Picard step calls ``solve_banded``
+once, through this module's attribute, which a tracer may replace: the
+count of those calls is the number of Picard steps.
 
 ``gttrf`` and ``gttrs`` are the ``dgttrf`` / ``dgttrs`` of scipy's LAPACK
 extension module ``scipy.linalg._flapack``, the very objects that
@@ -234,10 +235,15 @@ class Operator:
 def solve_banded(lu, rhs: np.ndarray) -> Field:
     """Solve with an operator's LAPACK gttrf factors ``lu`` (one gttrs call).
 
-    The result is not checked for finiteness: the subdomain solves check
-    their whole field once.
+    The solve overwrites ``rhs`` with the solution and returns it, so a
+    caller that needs the right-hand side afterwards passes a copy.  (A
+    ``rhs`` that is not a contiguous float64 vector is copied by the
+    LAPACK wrapper and left as it was.)  The result is not checked for
+    finiteness: the subdomain solves check their levels' Picard
+    differences or their whole field.
     """
-    return _gttrs(*lu, rhs)[0]
+    # trans and overwrite_b by position: the keyword costs more than the copy
+    return _gttrs(*lu, rhs, "N", 1)[0]
 
 
 def _check_finite(u: Field) -> Field:
@@ -256,9 +262,11 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
     fixed part of a level's right-hand side is its source at t[m] plus the
     previous level over ``dt``, or with ``dt`` None (one elliptic level)
     the source plus 0.0, which turns -0.0 into 0.0.  ``u`` is the previous
-    level (None: zero) and starts the level's Picard loop; row m of
-    ``field`` receives level m.  The buffers are made once per call; ufuncs
-    get their ``out`` by position, which costs less than the keyword.
+    level (None: zero) and starts the level's Picard loop; it is only
+    read.  Row m of ``field`` receives level m.  The buffers are made once
+    per call: each Picard step builds its right-hand side in the buffer
+    that does not hold ``u`` and solves it in place, so the two swap roles.
+    ufuncs get their ``out`` by position, which costs less than the keyword.
     """
     if picard_max < 1:
         raise ValueError(f"picard_max must be >= 1, got {picard_max}")
@@ -268,8 +276,8 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
     shift = None if dt is None else np.array(dt)
     fixed = np.empty(op.n)
     linear = F.kind == "zero"
-    if not linear:  # F zero: system() fills fixed in place, so no more buffers
-        rhs, work = np.empty(op.n), np.empty(op.n)
+    if not linear:  # F zero: fixed is solved in place, so no more buffers
+        rhs, spare, work = np.empty(op.n), np.empty(op.n), np.empty(op.n)
         diffs = [0.0] * picard_max  # a failing level fills all of it
         if u is None:
             u = np.zeros(op.n)
@@ -290,7 +298,7 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
                 absolute(subtract(u_new, u, work), work)
                 # argmax stops at the first NaN, as np.max would return it
                 diff = diffs[steps - 1] = work.item(work.argmax())
-                u = u_new
+                u, rhs, spare = u_new, spare, rhs
                 if diff <= picard_tol:
                     break
                 if not math.isfinite(diff):
@@ -340,7 +348,10 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     semilinear elliptic problem with the previous level folded into the
     source.  The source is ``op.source`` at every level unless it is
     callable.  Returns the (nodes, len(t)) space-time field; raises
-    NonFiniteError when it is not finite.
+    NonFiniteError when it is not finite.  With F nonzero every level's
+    Picard difference max|u_new - u| is finite or raises, and a finite
+    difference proves both of its levels finite, so only a field with
+    F zero (or no level after the initial one) is scanned.
     """
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
@@ -350,7 +361,8 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     field[0] = np.asarray(initial, dtype=float)
     _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
            picard_tol, picard_max, field)
-    return _check_finite(np.ascontiguousarray(field.T))
+    field = np.ascontiguousarray(field.T)
+    return _check_finite(field) if op.spec.F.kind == "zero" or levels == 1 else field
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

@@ -60,6 +60,7 @@ __all__ = [
     "SchwarzRunError",
     "Plan",
     "plan",
+    "solve_reference",
     "run_elliptic",
     "run_parabolic",
     "weighted_sup_norm",
@@ -322,6 +323,15 @@ class Plan(NamedTuple):
     u0: Union[DataFn, str]
     norm_kind: str
 
+    @property
+    def reference_key(self) -> tuple:
+        """What the monodomain reference depends on; plans with equal keys
+        share it (the transmission, ``u0`` and the run settings other than
+        the Picard ones do not enter it)."""
+        cfg = self.cfg
+        return (cfg.problem, cfg.partition, cfg.h_target, cfg.dt_target, cfg.picard_tol,
+                cfg.picard_max)
+
 
 def plan(cfg: SchwarzConfig) -> Plan:
     """Make every check of a run and build its operators; solve nothing.
@@ -364,6 +374,18 @@ def plan(cfg: SchwarzConfig) -> Plan:
     return Plan(cfg, grid, links, ops, u0, norm_kind)
 
 
+def solve_reference(plan: Plan) -> np.ndarray:
+    """The monodomain reference of ``plan``'s run, on its whole grid.
+
+    A failed solve is ``SchwarzRunError("reference solve: ...", 0, 0)``.
+    """
+    cfg = plan.cfg
+    try:
+        return reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
+    except (PicardError, SingularSystemError) as exc:
+        raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
+
+
 class _Runner:
     """One run of a ``Plan``: the reference and each subdomain's sides are
     set up once; ``run`` then sweeps until a verdict.
@@ -372,19 +394,21 @@ class _Runner:
     iterate.  A parabolic sweep then drops that iterate, since its solves
     start from the initial profile, so one space-time iterate is held at a
     time; an elliptic sweep keeps it to warm-start each Picard loop.  The
-    error of each subdomain goes straight into its norm, one at a time.
+    error of each subdomain goes straight into its norm, one at a time;
+    a sup norm forms it in a scratch vector of its subdomain.  The
+    reference is only read.
     """
 
-    def __init__(self, plan: Plan, mode: str):
+    def __init__(self, plan: Plan, mode: str, reference: np.ndarray | None = None):
         cfg, grid = plan.cfg, plan.grid
         if cfg.problem.mode != mode:
             raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
-        try:
-            reference = reference_solve(cfg.problem, grid, cfg.picard_tol, cfg.picard_max)
-        except (PicardError, SingularSystemError) as exc:
-            raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
+        if reference is None:
+            reference = solve_reference(plan)
         self.plan, self.cfg, self.grid, self.mode = plan, cfg, grid, mode
         self.refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
+        self.scratch = ([np.empty_like(ref) for ref in self.refs]
+                        if plan.norm_kind == "sup" else None)
         # (left, right): a transmission.Link, or the outer value g
         outer = cfg.problem.boundary_values()
         self.sides = [tuple(g if link is None else link for link, g in zip(pair, outer))
@@ -428,9 +452,14 @@ class _Runner:
 
     # -- norms -------------------------------------------------------------
 
-    def _sub_norm(self, l: int, err: np.ndarray) -> float:
+    def _sub_norm(self, l: int, field: np.ndarray) -> float:
+        """The norm of subdomain l's error, ``field`` minus its reference."""
         if self.plan.norm_kind == "sup":
-            return float(np.max(np.abs(err)))
+            err = np.subtract(field, self.refs[l], self.scratch[l])
+            np.abs(err, err)
+            # argmax stops at the first NaN, as np.max would return it
+            return err.item(err.argmax())
+        err = field - self.refs[l]
         if self.plan.norm_kind == "weighted-sup2":
             return weighted_sup_norm(err, self.cfg.alpha, self.grid.t)
         profile = seminorm_sq_profile(err, self.cfg.alpha, self.grid.t)
@@ -471,7 +500,7 @@ class _Runner:
                 verdict, fields = "diverged", []
                 break
             # one subdomain's error at a time, straight into its norm
-            norms = [self._sub_norm(l, fields[l] - ref) for l, ref in enumerate(self.refs)]
+            norms = [self._sub_norm(l, field) for l, field in enumerate(fields)]
             Ek = self._combine(norms)
             if not math.isfinite(Ek):
                 verdict, fields = "diverged", []
@@ -504,11 +533,18 @@ class _Runner:
         )
 
 
-def run_elliptic(plan: Plan) -> IterationHistory:
-    """Run the elliptic Schwarz iteration of ``plan`` until a verdict."""
-    return _Runner(plan, "elliptic").run()
+def run_elliptic(plan: Plan, reference: np.ndarray | None = None) -> IterationHistory:
+    """Run the elliptic Schwarz iteration of ``plan`` until a verdict.
+
+    ``reference`` is ``solve_reference`` of a plan with the same
+    ``reference_key``, or None to solve it here.
+    """
+    return _Runner(plan, "elliptic", reference).run()
 
 
-def run_parabolic(plan: Plan) -> IterationHistory:
-    """Run waveform relaxation on ``plan``: whole time-window solves, trace exchange."""
-    return _Runner(plan, "parabolic").run()
+def run_parabolic(plan: Plan, reference: np.ndarray | None = None) -> IterationHistory:
+    """Run waveform relaxation on ``plan``: whole time-window solves, trace exchange.
+
+    ``reference`` is as for ``run_elliptic``.
+    """
+    return _Runner(plan, "parabolic", reference).run()

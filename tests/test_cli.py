@@ -217,6 +217,92 @@ def test_sweep_records_per_point_failures(tmp_path):
     assert "triple overlap" in rows[1].split(",")[6]
 
 
+def counted_reference_solves(monkeypatch, fail_first: bool = False) -> list:
+    """Count the engine's monodomain reference solves; with ``fail_first``
+    the first one fails."""
+    import schwarz1d.schwarz as engine
+    from schwarz1d.discretize import SingularSystemError
+
+    calls = []
+    original = engine.reference_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail_first and len(calls) == 1:
+            raise SingularSystemError("synthetic reference failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "reference_solve", counted)
+    return calls
+
+
+def robin_sweep_config(out_dir: str, axis: str, values: list) -> dict:
+    cfg = divergent_config(out_dir)
+    cfg["transmission"] = {"scaled_robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
+    cfg["run"].update(max_iters=200, stop_tol=1e-9, alpha=10.0)
+    cfg["sweep"] = {"axis": axis, "values": values}
+    return cfg
+
+
+@pytest.mark.parametrize("axis, values, solves", [
+    ("transmission.rho", [1, 2, 4, 8], 1),
+    ("transmission.p", [0.5, 1.0, 2.0], 1),
+    ("run.alpha", [1.0, 10.0], 1),
+    ("grid.h", [0.01, 0.005], 2),
+    ("grid.h", [0.01, 0.005, 0.01], 3),
+])
+def test_sweep_solves_the_reference_once_per_problem_partition_and_grid(
+        tmp_path, monkeypatch, axis, values, solves):
+    calls = counted_reference_solves(monkeypatch)
+    cfg = robin_sweep_config(str(tmp_path / "out"), axis, values)
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == solves
+
+
+def test_overlap_sweep_solves_the_reference_per_point(tmp_path, monkeypatch):
+    calls = counted_reference_solves(monkeypatch)
+    cfg = laplace_config(str(tmp_path / "out"))
+    cfg["sweep"] = {"axis": "partition.overlap", "values": [0.1, 0.15, 0.2]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == 3
+
+
+def test_each_sweep_call_solves_its_own_reference(tmp_path, monkeypatch):
+    calls = counted_reference_solves(monkeypatch)
+    cfg_path = write_config(tmp_path, robin_sweep_config(str(tmp_path / "out"),
+                                                         "transmission.rho", [1, 4]))
+    for _ in range(2):
+        assert main(["--quiet", "sweep", "--config", cfg_path]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("axis, values", [("transmission.rho", [1, 2, 4, 8]),
+                                          ("grid.h", [0.01, 0.005])])
+def test_sweep_points_equal_their_own_runs_bitwise(tmp_path, axis, values):
+    from schwarz1d.cli import _apply_axis
+
+    out = tmp_path / "out"
+    cfg = robin_sweep_config(str(out), axis, values)
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    for value, row in zip(values, rows):
+        hist = run_elliptic(plan(build_schwarz_config(_apply_axis(cfg, axis, value))[0]))
+        assert (row[2], int(row[3])) == (hist.verdict, hist.iterations)
+        assert float(row[4]).hex() == hist.rate_per_double.hex()
+
+
+def test_sweep_retries_a_failed_reference_at_the_next_point(tmp_path, monkeypatch):
+    calls = counted_reference_solves(monkeypatch, fail_first=True)
+    out = tmp_path / "out"
+    cfg = robin_sweep_config(str(out), "transmission.rho", [4, 8, 16])
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = [r.split(",", 6) for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows[0][2] == "error" and rows[0][6] == "reference solve: synthetic reference failure"
+    assert rows[0][5] != ""  # the point's plan succeeded, so it keeps its tau
+    assert [r[2] for r in rows[1:]] == ["converged", "converged"]
+    assert len(calls) == 2
+
+
 def test_validate_ok_config(tmp_path, capsys):
     cfg_path = write_config(tmp_path, laplace_config(str(tmp_path / "o")))
     assert main(["validate", "--config", cfg_path]) == 0

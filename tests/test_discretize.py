@@ -114,7 +114,7 @@ def test_against_dense_elimination_oracle():
         # a solution of order one keeps the absolute bound as strict as for
         # matrices with entries of order one, whatever 1/h^2 is
         rhs = op.dense() @ rng.uniform(-5, 5, op.n)
-        x_banded = solve_banded(op.lu, rhs)
+        x_banded = solve_banded(op.lu, rhs.copy())  # the solve overwrites its rhs
         x_dense = dense_solve(op.dense(), rhs)
         assert np.max(np.abs(x_banded - x_dense)) <= 1e-10
 
@@ -124,7 +124,7 @@ def test_residual_postcondition():
     for _ in range(20):
         op = random_operator(rng)
         rhs = rng.uniform(-5, 5, op.n)
-        x = solve_banded(op.lu, rhs)
+        x = solve_banded(op.lu, rhs.copy())  # the solve overwrites its rhs
         A = op.dense()
         res = np.max(np.abs(A @ x - rhs))
         norm_a = np.max(np.sum(np.abs(A), axis=1))
@@ -342,6 +342,35 @@ def test_elliptic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, sou
         plain, steps = plain_picard_march(op, left, right, start, (0.0, 0.0))
         assert u.tobytes() == plain[:, 1].tobytes()
         assert [iters] == steps == [len(calls)]
+
+
+def test_solve_banded_overwrites_its_rhs_with_the_solution():
+    op = Operator(simple_spec(c=4.0), subgrid(1.0, 24), (1.5, None))
+    rhs = op.system(np.cos(op.sg.x), 0.25, -1.0)
+    expected = dense_solve(op.dense(), rhs.copy())
+    x = solve_banded(op.lu, rhs)
+    assert x is rhs
+    np.testing.assert_allclose(x, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("ends", MARCH_ENDS)
+@pytest.mark.parametrize("F", MARCH_F)
+def test_march_never_writes_into_the_start_vector(F, ends):
+    # a read-only start raises on any write; warm starts and u0 = "reference"
+    # hand the solves arrays they do not own
+    elliptic = Operator(simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=DataFn.sine(-3.0, 2)),
+                        subgrid(1.0, 24), MARCH_ENDS[ends])
+    start = np.cos(elliptic.sg.x)
+    start.setflags(write=False)
+    u, _ = solve_semilinear_elliptic(elliptic, 0.25, -1.0, u_start=start)
+    assert np.array_equal(start, np.cos(elliptic.sg.x)) and not np.shares_memory(u, start)
+
+    op = heat_operator(MARCH_F[F], robin_p=MARCH_ENDS[ends], n_cells=24)
+    initial = np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x
+    initial.setflags(write=False)
+    field = solve_semilinear_parabolic(op, 0.25, -1.0, initial, 0.01, np.linspace(0, 0.1, 11))
+    assert np.array_equal(initial, np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x)
+    assert np.array_equal(field[:, 0], initial)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from schwarz1d.schwarz import (
     run_elliptic,
     run_parabolic,
     seminorm_sq_profile,
+    solve_reference,
     weighted_sup_norm,
 )
 from schwarz1d.transmission import TransmissionSpec
@@ -419,6 +420,32 @@ def test_parabolic_reference_initial_guess_is_fixed_point():
                                            stop_tol=1e-300)))
         cfg_tol = 1e-10
         assert max(hist.E) <= 10 * cfg_tol
+
+
+@pytest.mark.parametrize("mode", ["elliptic", "parabolic"])
+def test_a_given_reference_is_read_and_left_untouched(monkeypatch, mode):
+    # with u0 = "reference" every first iterate and elliptic warm start is a
+    # view of the reference; a read-only one raises on any write
+    import schwarz1d.schwarz as engine
+
+    settings = dict(u0="reference", k_max=3, stop_tol=1e-300)
+    if mode == "elliptic":  # semilinear, so each Picard loop reads its warm start
+        p = plan(laplace_cfg(problem=catalog_lookup("elliptic-semilinear"), **settings))
+        run = run_elliptic
+    else:
+        p, run = plan(heat_cfg(**settings)), run_parabolic
+    expected = run(p)
+    reference = solve_reference(p)
+    kept = reference.copy()
+    reference.setflags(write=False)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a run given its reference solves none")
+
+    monkeypatch.setattr(engine, "reference_solve", boom)
+    hist = run(p, reference)
+    assert np.array_equal(reference, kept)
+    assert hist.E == expected.E and hist.verdict == expected.verdict
 
 
 def test_parabolic_needs_time_axis():
