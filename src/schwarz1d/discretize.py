@@ -246,8 +246,15 @@ def solve_banded(lu, rhs: np.ndarray) -> Field:
     return _gttrs(*lu, rhs, "N", 1)[0]
 
 
-def _check_finite(u: Field) -> Field:
-    if not np.isfinite(u).all():
+def _check_finite(op: Operator, u: Field, solved: bool = True) -> Field:
+    """``u``, or NonFiniteError when a solve on ``op`` left it not finite.
+
+    The one finiteness rule of both solves: with F nonzero every solved
+    level's Picard difference max|u_new - u| is finite or raises, and a
+    finite difference proves both of its levels finite, so only a field
+    with F zero, or with no level ``solved``, is scanned.
+    """
+    if (op.spec.F.kind == "zero" or not solved) and not np.isfinite(u).all():
         raise NonFiniteError("banded solve produced non-finite values")
     return u
 
@@ -330,7 +337,7 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     # one level, whose source is sampled at t = 0
     u, steps = _march(op, [None, float(left)], [None, float(right)], (0.0, 0.0), start, None,
                       picard_tol, picard_max)
-    return _check_finite(u), steps
+    return _check_finite(op, u), steps
 
 
 def _per_level(value, levels: int) -> list[float]:
@@ -348,10 +355,7 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     semilinear elliptic problem with the previous level folded into the
     source.  The source is ``op.source`` at every level unless it is
     callable.  Returns the (nodes, len(t)) space-time field; raises
-    NonFiniteError when it is not finite.  With F nonzero every level's
-    Picard difference max|u_new - u| is finite or raises, and a finite
-    difference proves both of its levels finite, so only a field with
-    F zero (or no level after the initial one) is scanned.
+    NonFiniteError when it is not finite.
     """
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
@@ -361,8 +365,7 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     field[0] = np.asarray(initial, dtype=float)
     _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
            picard_tol, picard_max, field)
-    field = np.ascontiguousarray(field.T)
-    return _check_finite(field) if op.spec.F.kind == "zero" or levels == 1 else field
+    return _check_finite(op, np.ascontiguousarray(field.T), levels > 1)
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

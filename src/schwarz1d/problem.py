@@ -62,17 +62,21 @@ def is_positive_number(value) -> bool:
 
 
 def read_number(value, what: str) -> float:
-    """``value`` as a float, or a ValueError naming the entry and the value.
+    """``value`` as a finite float, or a ValueError naming the entry and the value.
 
-    A JSON integer too large for a float (``1`` followed by 400 zeros) is
-    an error too, not an OverflowError.
+    What JSON reads as a non-finite float (``Infinity``, ``NaN``,
+    ``1e999``) is an error, and so is an integer too large for a float
+    (``1`` followed by 400 zeros), not an OverflowError.
     """
     if not is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} must be a finite number, got {value!r}") from None
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def read_integer(value, what: str) -> int:

@@ -1,10 +1,13 @@
 """Jacobi-type overlapping Schwarz iteration with error tracking.
 
-Every sweep solves all subdomains independently, each taking its
-interface data from the neighbors' previous iterate (the initial iterate
-u^0 for the first sweep; the sweep does not depend on the order of the
-subdomains), then compares against a monodomain reference computed once
-with the same discretization.
+Iteration k is one Jacobi sweep and its error norm: ``exchange`` gives
+every subdomain its interface data from the neighbors' previous iterate
+(the initial iterate u^0 for the first sweep), ``sweep`` solves all
+subdomains independently from those data (their order does not change
+the result), and each new field is compared against a monodomain
+reference computed once with the same discretization.  (One Jacobi sweep
+is not the CLI's ``sweep`` command, which re-runs a whole configuration
+along one parameter axis.)
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
 past ``guard_factor`` times E_1 or stops being finite (diverged; so does
 a subdomain solve whose field is not finite, and that iteration is not
@@ -63,6 +66,8 @@ __all__ = [
     "solve_reference",
     "run_elliptic",
     "run_parabolic",
+    "exchange",
+    "sweep",
     "weighted_sup_norm",
     "laplace_seminorm",
     "seminorm_sq_profile",
@@ -75,8 +80,9 @@ class SchwarzRunError(RuntimeError):
     """A solve failed; carries the iteration and 1-based subdomain index.
 
     Both are 0 when the monodomain reference solve failed.  When a sweep
-    failed, ``history`` holds the iterations before it, with verdict
-    "error"; otherwise it is None.  Setup errors are ``plan``'s ValueErrors.
+    of ``run_elliptic`` or ``run_parabolic`` failed, ``history`` holds the
+    iterations before it, with verdict "error"; otherwise it is None.
+    Setup errors are ``plan``'s ValueErrors.
     """
 
     def __init__(self, message: str, iteration: int, subdomain: int):
@@ -119,14 +125,14 @@ class SchwarzConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        for name in ("stop_tol", "alpha", "picard_tol"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
         if self.picard_max < 1:
             raise ValueError("picard_max must be >= 1")
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
         if not self.guard_factor > 1:
             raise ValueError("guard_factor must be > 1")
         if self.rate_window < 1:
@@ -386,151 +392,118 @@ def solve_reference(plan: Plan) -> np.ndarray:
         raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
 
 
-class _Runner:
-    """One run of a ``Plan``: the reference and each subdomain's sides are
-    set up once; ``run`` then sweeps until a verdict.
+def exchange(plan: Plan, fields: list[np.ndarray]) -> list[tuple]:
+    """Every subdomain's boundary data (left, right) from the iterate ``fields``.
 
-    A sweep first takes every subdomain's interface data from the previous
-    iterate.  A parabolic sweep then drops that iterate, since its solves
-    start from the initial profile, so one space-time iterate is held at a
-    time; an elliptic sweep keeps it to warm-start each Picard loop.  The
-    error of each subdomain goes straight into its norm, one at a time;
-    a sup norm forms it in a scratch vector of its subdomain.  The
-    reference is only read.
+    An outer end gets the problem's boundary value g, an interface end
+    ``transmission.extract`` of its neighbor's field.  That datum is a
+    copy, so it does not keep the neighbor's field alive: a Dirichlet
+    datum of a space-time field would be a view of its row.
     """
+    outer = plan.cfg.problem.boundary_values()
+    return [tuple(g if link is None else np.array(tx.extract(link, fields[link.m]))
+                  for link, g in zip(pair, outer)) for pair in plan.links]
 
-    def __init__(self, plan: Plan, mode: str, reference: np.ndarray | None = None):
-        cfg, grid = plan.cfg, plan.grid
-        if cfg.problem.mode != mode:
-            raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
-        if reference is None:
-            reference = solve_reference(plan)
-        self.plan, self.cfg, self.grid, self.mode = plan, cfg, grid, mode
-        self.refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
-        self.scratch = ([np.empty_like(ref) for ref in self.refs]
-                        if plan.norm_kind == "sup" else None)
-        # (left, right): a transmission.Link, or the outer value g
-        outer = cfg.problem.boundary_values()
-        self.sides = [tuple(g if link is None else link for link, g in zip(pair, outer))
-                      for pair in plan.links]
 
-    # -- data exchange ----------------------------------------------------
+def sweep(plan: Plan, data: list[tuple], starts: list, k: int = 1) -> list[np.ndarray] | None:
+    """One Jacobi sweep: every subdomain of ``plan`` solved from its boundary
+    data ``data[l]``, as ``exchange`` gives it.
 
-    def _bc_pair(self, l: int, fields: list[np.ndarray]) -> list:
-        """Boundary data (left, right) of subdomain l from the neighbors' fields.
+    ``starts[l]`` starts subdomain l's solve: the start of its Picard loop
+    (elliptic; None is zero) or its initial profile (parabolic); it is only
+    read.  Returns the new fields, or None when one is not finite.  Any
+    other failure is ``SchwarzRunError("iteration k, subdomain l: ...")``,
+    with ``k`` the number of this sweep in its run.
+    """
+    cfg, grid = plan.cfg, plan.grid
+    parabolic = cfg.problem.mode == "parabolic"
+    fields = []
+    for l, (op, (left, right), start) in enumerate(zip(plan.ops, data, starts)):
+        try:
+            if parabolic:
+                u = solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
+                                               cfg.picard_tol, cfg.picard_max)
+            else:
+                u, _ = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
+                                                 cfg.picard_max, u_start=start)
+        except NonFiniteError:
+            return None
+        except Exception as exc:
+            raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1) from exc
+        fields.append(u)
+    return fields
 
-        Each datum is a copy, so it does not keep the neighbor's field alive:
-        a Dirichlet datum of a space-time field would be a view of its row.
-        """
-        return [np.array(tx.extract(side, fields[side.m])) if isinstance(side, tx.Link)
-                else side for side in self.sides[l]]
 
-    def _solve_one(self, l: int, data, warm) -> np.ndarray:
-        cfg, grid, op = self.cfg, self.grid, self.plan.ops[l]
-        if self.mode == "elliptic":
-            u, _ = solve_semilinear_elliptic(op, data[0], data[1], cfg.picard_tol,
-                                             cfg.picard_max, u_start=warm)
-            return u
-        return solve_semilinear_parabolic(op, data[0], data[1], self.refs[l][:, 0],
-                                          grid.dt, grid.t, cfg.picard_tol, cfg.picard_max)
+def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
+                scratch: np.ndarray | None) -> float:
+    """The norm of one subdomain's error ``field - ref``; a sup norm forms
+    it in ``scratch``."""
+    if plan.norm_kind == "sup":
+        err = np.subtract(field, ref, scratch)
+        np.abs(err, err)
+        # argmax stops at the first NaN, as np.max would return it
+        return err.item(err.argmax())
+    err = field - ref
+    if plan.norm_kind == "weighted-sup2":
+        return weighted_sup_norm(err, plan.cfg.alpha, plan.grid.t)
+    return float(np.trapezoid(seminorm_sq_profile(err, plan.cfg.alpha, plan.grid.t), op.sg.x))
 
-    def _sweep(self, k: int, data_all: list, warm: list) -> list[np.ndarray] | None:
-        """Sweep k from the boundary data of every subdomain and the warm
-        starts of the elliptic Picard loops; None when a subdomain field is
-        not finite."""
-        new_fields = []
-        for l, data in enumerate(data_all):
-            try:
-                new_fields.append(self._solve_one(l, data, warm[l]))
-            except NonFiniteError:
-                return None
-            except Exception as exc:
-                raise SchwarzRunError(
-                    f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1
-                ) from exc
-        return new_fields
 
-    # -- norms -------------------------------------------------------------
+def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
+    """Sweep ``plan`` until a verdict: ``exchange``, ``sweep``, then the norms.
 
-    def _sub_norm(self, l: int, field: np.ndarray) -> float:
-        """The norm of subdomain l's error, ``field`` minus its reference."""
-        if self.plan.norm_kind == "sup":
-            err = np.subtract(field, self.refs[l], self.scratch[l])
-            np.abs(err, err)
-            # argmax stops at the first NaN, as np.max would return it
-            return err.item(err.argmax())
-        err = field - self.refs[l]
-        if self.plan.norm_kind == "weighted-sup2":
-            return weighted_sup_norm(err, self.cfg.alpha, self.grid.t)
-        profile = seminorm_sq_profile(err, self.cfg.alpha, self.grid.t)
-        return float(np.trapezoid(profile, self.plan.ops[l].sg.x))
+    A parabolic sweep starts every solve from the initial profile, so the
+    previous iterate is dropped before the new one is built and one
+    space-time iterate is held at a time; an elliptic sweep keeps it to
+    warm-start each Picard loop.  Each subdomain's error goes straight into
+    its norm, one at a time.  The reference is only read.
+    """
+    cfg, grid = plan.cfg, plan.grid
+    if cfg.problem.mode != mode:
+        raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
+    if reference is None:
+        reference = solve_reference(plan)
+    refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
+    scratch = [np.empty_like(ref) if plan.norm_kind == "sup" else None for ref in refs]
+    initial = [ref[:, 0] for ref in refs] if mode == "parabolic" else None
+    u0 = plan.u0
+    fields = [ref if u0 == "reference" else
+              np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
+              for ref, op in zip(refs, plan.ops)]
 
-    def _combine(self, sub_norms: list[float]) -> float:
-        if self.plan.norm_kind == "laplace-seminorm2":
-            return float(sum(sub_norms))
-        return float(max(sub_norms))
+    E: list[float] = []
+    sub_norms: list[list[float]] = []
+    wall: list[float] = []
 
-    # -- main loop ----------------------------------------------------------
+    def history(verdict: str, final: list[np.ndarray]) -> IterationHistory:
+        return IterationHistory(plan.norm_kind, E, sub_norms, wall, verdict, final,
+                                fit_contraction_rate(E, cfg.rate_window),
+                                double_sweep_ratio(E, cfg.rate_window))
 
-    def run(self) -> IterationHistory:
-        cfg, u0 = self.cfg, self.plan.u0
-        count = len(self.refs)
-        fields = [ref if u0 == "reference" else
-                  np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
-                  for ref, op in zip(self.refs, self.plan.ops)]
-
-        E: list[float] = []
-        sub_norms: list[list[float]] = []
-        wall: list[float] = []
-        verdict = "stalled"
-
-        for k in range(1, cfg.k_max + 1):
-            tic = time.perf_counter()
-            data_all = [self._bc_pair(l, fields) for l in range(count)]
-            # a parabolic solve never warm-starts, so the previous iterate is
-            # dropped before the new one is built
-            warm = fields if self.mode == "elliptic" else [None] * count
-            fields = []
-            try:
-                fields = self._sweep(k, data_all, warm)
-            except SchwarzRunError as exc:
-                exc.history = self._history(E, sub_norms, wall, "error", [])
-                raise
-            if fields is None:
-                verdict, fields = "diverged", []
-                break
-            # one subdomain's error at a time, straight into its norm
-            norms = [self._sub_norm(l, field) for l, field in enumerate(fields)]
-            Ek = self._combine(norms)
-            if not math.isfinite(Ek):
-                verdict, fields = "diverged", []
-                break
-            E.append(Ek)
-            sub_norms.append(norms)
-            wall.append(time.perf_counter() - tic)
-
-            if Ek <= cfg.stop_tol:
-                verdict = "converged"
-                break
-            if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
-                verdict = "diverged"
-                break
-
-        return self._history(E, sub_norms, wall, verdict, fields)
-
-    def _history(self, E: list[float], sub_norms: list[list[float]], wall: list[float],
-                 verdict: str, fields: list[np.ndarray]) -> IterationHistory:
-        window = self.cfg.rate_window
-        return IterationHistory(
-            norm_kind=self.plan.norm_kind,
-            E=E,
-            sub_norms=sub_norms,
-            wall_times=wall,
-            verdict=verdict,
-            final_fields=fields,
-            rate_per_iteration=fit_contraction_rate(E, window),
-            rate_per_double=double_sweep_ratio(E, window),
-        )
+    for k in range(1, cfg.k_max + 1):
+        tic = time.perf_counter()
+        data = exchange(plan, fields)
+        starts = fields if initial is None else initial
+        fields = None  # a parabolic iterate is gone before the next is built
+        try:
+            fields = sweep(plan, data, starts, k)
+        except SchwarzRunError as exc:
+            exc.history = history("error", [])
+            raise
+        if fields is None:
+            return history("diverged", [])
+        norms = [_error_norm(plan, *args) for args in zip(plan.ops, fields, refs, scratch)]
+        Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
+        if not math.isfinite(Ek):
+            return history("diverged", [])
+        E.append(Ek)
+        sub_norms.append(norms)
+        wall.append(time.perf_counter() - tic)
+        if Ek <= cfg.stop_tol:
+            return history("converged", fields)
+        if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
+            return history("diverged", fields)
+    return history("stalled", fields)
 
 
 def run_elliptic(plan: Plan, reference: np.ndarray | None = None) -> IterationHistory:
@@ -539,7 +512,7 @@ def run_elliptic(plan: Plan, reference: np.ndarray | None = None) -> IterationHi
     ``reference`` is ``solve_reference`` of a plan with the same
     ``reference_key``, or None to solve it here.
     """
-    return _Runner(plan, "elliptic", reference).run()
+    return _run(plan, "elliptic", reference)
 
 
 def run_parabolic(plan: Plan, reference: np.ndarray | None = None) -> IterationHistory:
@@ -547,4 +520,4 @@ def run_parabolic(plan: Plan, reference: np.ndarray | None = None) -> IterationH
 
     ``reference`` is as for ``run_elliptic``.
     """
-    return _Runner(plan, "parabolic", reference).run()
+    return _run(plan, "parabolic", reference)

@@ -523,6 +523,17 @@ HUGE = 10**400  # a JSON integer no float holds
     pytest.param(lambda c: c["partition"]["uniform"].update(count=HUGE),
                  "overlap 0.2 too large: requires overlap < L/(2I) = 0 to keep interfaces "
                  "separated and avoid triple overlap", id="partition-count"),
+    # what JSON itself reads as a non-finite float
+    pytest.param(lambda c: c["run"].update(stop_tol=json.loads("Infinity")),
+                 "stop_tol must be a finite number, got inf", id="stop_tol-Infinity"),
+    pytest.param(lambda c: c["run"].update(picard_tol=json.loads("1e999")),
+                 "picard_tol must be a finite number, got inf", id="picard_tol-1e999"),
+    pytest.param(lambda c: c["run"].update(alpha=json.loads("-Infinity")),
+                 "alpha must be a finite number, got -inf", id="alpha-minus-Infinity"),
+    pytest.param(lambda c: c["run"].update(u0={"constant": json.loads("NaN")}),
+                 "constant data value must be a finite number, got nan", id="u0-NaN"),
+    pytest.param(lambda c: c["grid"].update(h=json.loads("1e999")),
+                 "h must be a finite number, got inf", id="grid-h-1e999"),
 ])
 def test_number_beyond_float_range_exits_one(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -538,9 +549,11 @@ def test_number_beyond_float_range_exits_one(tmp_path, capsys, edit, message):
 def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     cfg = laplace_config(str(tmp_path / "o"))
     cfg["transmission"] = {"robin": {"p": 1.0}}
-    cfg["sweep"] = {"axis": "transmission.rho", "values": [1.0, HUGE]}
-    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: sweep value must be a finite number")
+    # JSON reads Infinity, NaN and 1e999 as non-finite floats
+    for value in (HUGE, *map(json.loads, ("Infinity", "NaN", "1e999"))):
+        cfg["sweep"] = {"axis": "transmission.rho", "values": [1.0, value]}
+        assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1, value
+        assert capsys.readouterr().err.startswith("error: sweep value must be a finite number")
 
 
 @pytest.mark.parametrize("setting, value, message", [

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schwarz1d.cli import build_schwarz_config, load_config
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
 from schwarz1d.discretize import reference_solve
@@ -16,6 +19,7 @@ from schwarz1d.schwarz import (
     _simpson,
     _trapezoid_weights,
     double_sweep_ratio,
+    exchange,
     fit_contraction_rate,
     laplace_seminorm,
     plan,
@@ -23,6 +27,7 @@ from schwarz1d.schwarz import (
     run_parabolic,
     seminorm_sq_profile,
     solve_reference,
+    sweep,
     weighted_sup_norm,
 )
 from schwarz1d.transmission import TransmissionSpec
@@ -369,6 +374,16 @@ def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     assert [op.robin_p for op in p.ops] == [(None, 2.0), (2.0, None)]
 
 
+@pytest.mark.parametrize("setting", ["stop_tol", "alpha", "picard_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_tolerances(setting, value):
+    # an infinite stop_tol would call any first iterate converged
+    with pytest.raises(ValueError, match=rf"^{setting} must be a finite number, got"):
+        laplace_cfg(**{setting: value})
+    with pytest.raises(ValueError, match=rf"^{setting} must be positive$"):
+        laplace_cfg(**{setting: 0.0})
+
+
 def test_elliptic_plan_rejects_a_time_step():
     with pytest.raises(ValueError, match=r"^elliptic runs take no dt_target \(grid.dt\)$"):
         plan(laplace_cfg(dt_target=0.01))
@@ -521,3 +536,92 @@ def test_parabolic_robin_run_holds_one_iterate_at_a_time():
     error = max(f.nbytes for f in hist.final_fields)
     reference = grid.x.size * grid.t.size * 8
     assert peak <= 1.1 * (kernel.nbytes + iterate + error + reference)
+
+
+# --------------------------------------------------------------------------
+# one Jacobi sweep by hand
+# --------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_cfg(name: str, **kw) -> SchwarzConfig:
+    return replace(build_schwarz_config(load_config(CONFIGS / f"{name}.json"))[0], **kw)
+
+
+SWEEP_CASES = {
+    "laplace-dirichlet": partial(shipped_cfg, "laplace_dirichlet"),
+    "divergent-robin": partial(shipped_cfg, "counterexample_divergent"),
+    "heat-dirichlet": heat_cfg,
+    "heat-robin": partial(heat_cfg, transmission=TransmissionSpec.robin(1.0)),
+}
+
+
+def initial_profiles(p, reference) -> list | None:
+    """Each subdomain's initial profile of a parabolic run, None for an
+    elliptic one: the t = 0 column of the reference is the data g."""
+    if p.cfg.problem.mode == "elliptic":
+        return None
+    return [reference[p.grid.nodes(l)][:, 0] for l in range(len(p.ops))]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
+    # five sweeps from the sampled u0, each from the data the previous
+    # iterate gives; a run of five iterations must end on the same bits
+    cfg = SWEEP_CASES[case](k_max=5, stop_tol=1e-300)
+    p = plan(cfg)
+    initial = initial_profiles(p, solve_reference(p))
+    fields = [np.asarray(p.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
+    for _ in range(5):
+        fields = sweep(p, exchange(p, fields), fields if initial is None else initial)
+    run = run_parabolic if cfg.problem.mode == "parabolic" else run_elliptic
+    hist = run(p)
+    assert hist.iterations == 5 and hist.verdict == "stalled"
+    assert [f.tobytes() for f in fields] == [f.tobytes() for f in hist.final_fields]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
+    # the exchange and the subdomain rows use one stencil, so the restrictions
+    # of the monodomain reference reproduce themselves up to round-off and
+    # the Picard tolerance, relative to the largest value (Laplace's
+    # reference is zero, and so must the sweep be)
+    p = plan(SWEEP_CASES[case](picard_tol=1e-12))
+    reference = solve_reference(p)
+    refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
+    initial = initial_profiles(p, reference)
+    fields = sweep(p, exchange(p, refs), refs if initial is None else initial)
+    scale = float(np.max(np.abs(reference)))
+    for field, ref in zip(fields, refs):
+        assert np.max(np.abs(field - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_with_one_nan_datum_returns_none(case):
+    p = plan(SWEEP_CASES[case]())
+    initial = initial_profiles(p, solve_reference(p))
+    fields = [np.asarray(p.u0.value(op.sg.x, p.cfg.problem.length), dtype=float)
+              for op in p.ops]
+    data = exchange(p, fields)
+    assert all(np.isfinite(datum).all() for pair in data for datum in pair)
+    poisoned = np.array(data[0][1], dtype=float)
+    poisoned.flat[-1] = np.nan  # the last time level of a parabolic datum
+    data[0] = (data[0][0], poisoned)
+    assert sweep(p, data, fields if initial is None else initial) is None
+
+
+def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
+    # one Picard step cannot reach the tolerance from u0 = 1; the plan
+    # solves nothing, so no reference fails first
+    prob = catalog_lookup("elliptic-semilinear")
+    p = plan(SchwarzConfig(problem=prob, partition=build_uniform_partition(prob.length, 2, 0.2),
+                           h_target=0.01, transmission=TransmissionSpec.dirichlet(), u0="one",
+                           picard_max=1))
+    fields = [np.ones(op.n) for op in p.ops]
+    for args, k in (((), 1), ((4,), 4)):
+        with pytest.raises(SchwarzRunError,
+                           match=rf"^iteration {k}, subdomain 1: Picard iteration did not "
+                                 r"reach 1e-10 in 1 steps") as err:
+            sweep(p, exchange(p, fields), fields, *args)
+        assert (err.value.iteration, err.value.subdomain) == (k, 1)
