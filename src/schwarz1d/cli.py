@@ -25,9 +25,10 @@ Subcommands:
 Configs are JSON with a ``schema_version`` field; see README for the
 schema.  Every config value goes through the ``read_*`` helpers of the
 problem module, so a number is a JSON number, never ``true`` or
-``"0.01"``; a bad value is a ValueError, printed as ``error: ...`` with
-exit 1.  CSV output never contains wall-clock times, so identical
-configs produce byte-identical files.
+``"0.01"``; a bad value or an unknown ``run`` key is a ValueError.  Any
+failure prints one ``error: ...`` line (``validate``: the message on
+stdout) and exits 1.  CSV output never contains wall-clock times, so
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, transmission as tx
-from .discretize import PicardError, SingularSystemError
 from .geometry import Partition, build_uniform_partition
 from .problem import (DataFn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
-                      read_kind, read_number)
+                      read_kind, read_number, read_string)
 from .schwarz import (
     IterationHistory,
     Plan,
@@ -111,7 +111,7 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
         (read_number(lo, "interval end"), read_number(hi, "interval end")) for lo, hi in body))
 
 
-# how each run.<key> is read; an absent key keeps SchwarzConfig's default
+# how each run.<key> is read; an absent key keeps SchwarzConfig's default, another is an error
 _RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), read_integer),
                  **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"),
                                  read_number),
@@ -125,6 +125,9 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
     grid = _section(cfg, "grid")
     run = _section(cfg, "run")
+    unknown = sorted(set(run) - set(_RUN_SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown run setting(s) {unknown} (known: {sorted(_RUN_SETTINGS)})")
     settings = {"k_max" if key == "max_iters" else key: convert(run[key], key)
                 for key, convert in _RUN_SETTINGS.items() if key in run}
     return SchwarzConfig(
@@ -170,6 +173,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _out_dir(cfg: dict, out: str | None = None) -> Path:
+    """``out`` (``--out``), else ``output.dir`` (read either way), else "out"."""
+    configured = read_string(_section(cfg, "output").get("dir", "out"), "output.dir")
+    return Path(out or configured)
+
+
 def _write_history_csv(path: Path, hist: IterationHistory) -> None:
     lines = ["k,l,norm,E_k,rate,verdict"]
     for k, l, norm, ek, rate, verdict in hist.to_csv_rows():
@@ -203,7 +212,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     sc, problem_id = build_schwarz_config(cfg)
     p = plan(sc)
-    out = Path(args.out or _section(cfg, "output").get("dir", "out"))
+    out = _out_dir(cfg, args.out)
     try:
         hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
     except SchwarzRunError as exc:
@@ -275,10 +284,11 @@ def _cmd_sweep(args) -> int:
     axis, values = sweep.get("axis"), sweep.get("values")
     if not axis or not values:
         raise ValueError("sweep needs config.sweep.axis and a nonempty value list")
+    axis = read_string(axis, "sweep.axis")
     if not (isinstance(values, list) and all(map(is_number, values))):
         raise ValueError(f"sweep values must be numbers in a list, got {values!r}")
     labels = [_fmt(read_number(value, "sweep value")) for value in values]
-    out = Path(args.out or _section(cfg, "output").get("dir", "out"))
+    out = _out_dir(cfg, args.out)
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged, verdicts = None, 0
     # the last reference solved and its plan's reference_key: an axis that
@@ -320,8 +330,9 @@ def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     try:  # every check run makes before its first solve
         p = plan(build_schwarz_config(cfg)[0])
-    except (ValueError, LookupError) as exc:
-        print(exc)
+        _out_dir(cfg)
+    except Exception as exc:
+        print(str(exc) or type(exc).__name__)  # as main prints it
         return 1
     for l, op in enumerate(p.ops, start=1):
         for warning in op.meta["warnings"]:
@@ -363,9 +374,8 @@ def main(argv=None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except (ValueError, LookupError, OSError, SchwarzRunError, PicardError,
-            SingularSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # one line, never a traceback; a bare MemoryError has no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

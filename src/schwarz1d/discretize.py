@@ -285,7 +285,6 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
     linear = F.kind == "zero"
     if not linear:  # F zero: fixed is solved in place, so no more buffers
         rhs, spare, work = np.empty(op.n), np.empty(op.n), np.empty(op.n)
-        diffs = [0.0] * picard_max  # a failing level fills all of it
         if u is None:
             u = np.zeros(op.n)
     steps = 1
@@ -299,12 +298,14 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
         if linear:
             u = solve_banded(lu, system(fixed, lo, hi))
         else:
+            diffs = []  # this level's; a failing level has picard_max of them
             for steps in range(1, picard_max + 1):
                 add(F(x, u, rhs), fixed, rhs)
                 u_new = solve_banded(lu, system(rhs, lo, hi))
                 absolute(subtract(u_new, u, work), work)
                 # argmax stops at the first NaN, as np.max would return it
-                diff = diffs[steps - 1] = work.item(work.argmax())
+                diff = work.item(work.argmax())
+                diffs.append(diff)
                 u, rhs, spare = u_new, spare, rhs
                 if diff <= picard_tol:
                     break

@@ -125,11 +125,7 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
         lo = l * (width - overlap)
         hi = lo + width
         subs.append((0.0 if l == 0 else lo, length if l == count - 1 else hi))
-    part = Partition(length=length, subdomains=tuple(subs))
-    bad = validate_partition(part)
-    if bad:  # unreachable under the precondition; kept as a guard
-        raise PartitionError("; ".join(bad))
-    return part
+    return Partition(length=length, subdomains=tuple(subs))
 
 
 def validate_partition(part: Partition) -> list[str]:
@@ -159,12 +155,11 @@ def validate_partition(part: Partition) -> list[str]:
     for l in range(len(subs)):
         for m in range(l + 1, len(subs)):
             for p in inner_pts(l):
-                for q in inner_pts(m):
-                    if abs(p - q) <= tol:
-                        violations.append(
-                            f"interface coincidence: subdomains {l} and {m} share "
-                            f"the interior boundary point {p:g}"
-                        )
+                if any(abs(p - q) <= tol for q in inner_pts(m)):
+                    violations.append(
+                        f"interface coincidence: subdomains {l} and {m} share "
+                        f"the interior boundary point {p:g}"
+                    )
 
     # rule 3: no triple overlap among the neighbors of any subdomain
     for l, nbs in enumerate(part.neighbor_sets):
@@ -194,15 +189,7 @@ def validate_partition(part: Partition) -> list[str]:
                     f"interface placement: point {p:g} of subdomain {l} is not "
                     f"strictly inside subdomain {m}"
                 )
-
-    # dedupe symmetric findings, preserve order
-    seen: set[str] = set()
-    unique = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return unique
+    return violations
 
 
 @dataclass(frozen=True)
@@ -251,8 +238,8 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     GridError when no such N exists within ``_SNAP_CANDIDATES`` more.  The
     optional time axis uses dt = T / ceil(T / dt_target) <= dt_target.
     """
-    if not h_target > 0:
-        raise GridError("h_target must be positive")
+    if not (h_target > 0 and part.length / h_target < math.inf):
+        raise GridError(f"h_target must be positive and L / h_target finite, got {h_target!r}")
     length = part.length
     endpoints = sorted({p for lo_hi in part.subdomains for p in lo_hi
                         if 0.0 < p < length})
@@ -281,8 +268,9 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     if dt_target is not None:
         if time_horizon is None:
             raise GridError("a time axis needs both dt_target and time_horizon")
-        if not (dt_target > 0 and time_horizon > 0):
-            raise GridError("dt_target and time_horizon must be positive")
+        if not (dt_target > 0 and time_horizon > 0 and time_horizon / dt_target < math.inf):
+            raise GridError(f"dt_target and time_horizon must be positive and T / dt_target "
+                            f"finite, got {dt_target!r} and {time_horizon!r}")
         n_steps = max(1, math.ceil(time_horizon / dt_target - 1e-12))
         dt = time_horizon / n_steps
         t = np.linspace(0.0, time_horizon, n_steps + 1)

@@ -53,10 +53,6 @@ __all__ = [
 #: characteristic roots of r^2 - 3r - 4 = 0 for the model operator
 ROOTS = (4.0, -1.0)
 
-for _r in ROOTS:  # residual check of the hard-coded roots
-    if _r * _r - 3.0 * _r - 4.0 != 0.0:
-        raise AssertionError(f"{_r} is not a root of r^2 - 3r - 4")
-
 
 class DegenerateParameterError(ValueError):
     """Robin parameters outside the model: p, q or rho is not a positive

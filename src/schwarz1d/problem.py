@@ -13,7 +13,8 @@ validate by sampling, and writable inline in experiment configs.
 Well-posedness conditions enforced by :func:`validate`:
 
 * ellipticity: a(x) >= lambda > 0 on the closed domain,
-* a uniform Lipschitz bound C on F in the u argument,
+* a uniform Lipschitz bound C on F in the u argument (C = |param|,
+  exact for every supported form of F, so it is not sampled),
 * elliptic mode only: c(x) > C on the closed domain (for C = 0 the
   requirement degenerates to c(x) >= 0).
 
@@ -77,6 +78,13 @@ def read_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def read_string(value, what: str) -> str:
+    """``value`` if it is a string, or a ValueError naming the entry and the value."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def read_integer(value, what: str) -> int:
@@ -484,11 +492,10 @@ def validate(spec: ProblemSpec) -> list[str]:
     """Check the well-posedness assumptions by dense sampling.
 
     Returns a list of human-readable violations; empty means all checks
-    passed on a grid of 2048 points (and the midpoints between them) plus
-    a Lipschitz spot check of the nonlinearity at 256 random points, the
-    same points on every call.
+    passed on a grid of 2048 points (and the midpoints between them).
+    The Lipschitz bound C = |param| of F is exact for every supported
+    form, so it is read, not sampled.
     """
-    rng = np.random.default_rng(0)
     violations: list[str] = []
     x = np.linspace(0.0, spec.length, _VALIDATE_SAMPLES)
     xh = 0.5 * (x[:-1] + x[1:])
@@ -522,16 +529,6 @@ def validate(spec: ProblemSpec) -> list[str]:
     else:
         if spec.time_horizon is None:
             violations.append("time_horizon: parabolic mode needs a finite horizon T")
-
-    # randomized spot check of the declared Lipschitz bound
-    xs = rng.uniform(0.0, spec.length, size=256)
-    zs = rng.uniform(-10.0, 10.0, size=256)
-    zps = rng.uniform(-10.0, 10.0, size=256)
-    lhs = np.abs(np.atleast_1d(spec.F(xs, zs)) - np.atleast_1d(spec.F(xs, zps)))
-    rhs = lip * np.abs(zs - zps) + 1e-12
-    if np.any(lhs > rhs):
-        worst = float(np.max(lhs - rhs))
-        violations.append(f"Lipschitz: |F(x,z)-F(x,z')| exceeds C|z-z'| by {worst:g}")
 
     gv = np.atleast_1d(spec.g.value(x, spec.length))
     sv = np.atleast_1d(spec.source_values(x, 0.0))

@@ -23,6 +23,7 @@ ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,8 +129,9 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
     """(left, right) ``Link`` of every subdomain, None on the outer boundary.
 
     Raises TransmissionError when an interface lies fewer nodes inside its
-    neighbor than the stencil needs (1 for Dirichlet, 2 for Robin), or
-    when a Robin table does not name exactly the interfaces.
+    neighbor than the stencil needs (1 for Dirichlet, 2 for Robin), when a
+    Robin table does not name exactly the interfaces, or when p * rho
+    overflows.
     """
     if tspec.is_robin and isinstance(tspec.p, dict):
         missing = [k for k in grid.interface_index if k not in tspec.p]
@@ -153,6 +155,9 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
         if tspec.is_robin:
             a = float(spec.a(grid.x[idx]))
             p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * scale
+            if not math.isfinite(p):
+                raise TransmissionError(f"Robin parameter p * rho of the interface of "
+                                        f"subdomain {l} in neighbor {m} is not finite")
         right = idx == grid.sub_ranges[l][1]
         ends[l][right] = Link(m, idx - lo, 1 if right else -1, a, p, grid.h)
     return [tuple(pair) for pair in ends]

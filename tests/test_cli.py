@@ -447,7 +447,7 @@ def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, mo
     import schwarz1d.cli as cli
 
     def boom(sc):
-        raise AssertionError("no point may run")
+        pytest.fail("no point may run")  # main turns any Exception into exit 1
 
     monkeypatch.setattr(cli, "run_elliptic", boom)
     out = tmp_path / "out"
@@ -556,14 +556,35 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: sweep value must be a finite number")
 
 
-@pytest.mark.parametrize("setting, value, message", [
-    pytest.param("guard_factor", 0, "guard_factor must be > 1", id="guard_factor-0"),
-    pytest.param("stop_tol", True, "stop_tol must be a number, got True", id="stop_tol-true"),
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: c["run"].update(guard_factor=0), "guard_factor must be > 1",
+                 id="guard_factor-0"),
+    pytest.param(lambda c: c["run"].update(stop_tol=True), "stop_tol must be a number, got True",
+                 id="stop_tol-true"),
+    # a misspelled setting is not ignored
+    pytest.param(lambda c: c["run"].update(max_iter=3),
+                 "unknown run setting(s) ['max_iter'] (known: ['alpha', 'guard_factor', "
+                 "'max_iters', 'picard_max', 'picard_tol', 'rate_window', 'stop_tol', 'u0'])",
+                 id="run-key-misspelled"),
+    pytest.param(lambda c: c["output"].update(dir=5), "output.dir must be a string, got 5",
+                 id="output-dir-number"),
+    pytest.param(lambda c: c["output"].update(dir=None), "output.dir must be a string, got None",
+                 id="output-dir-null"),
+    # each value is finite, but p * rho is not
+    pytest.param(lambda c: c.update(transmission={"scaled_robin": {"p": 1e200, "rho": 1e200}}),
+                 "Robin parameter p * rho of the interface of subdomain 0 in neighbor 1 is not "
+                 "finite", id="robin-p-rho-overflow"),
+    # cell and level counts past the float range
+    pytest.param(lambda c: c["grid"].update(h=1e-320),
+                 "h_target must be positive and L / h_target finite, got 1e-320", id="grid-h-tiny"),
+    pytest.param(lambda c: c.update(problem="heat-semilinear", grid={"h": 0.01, "dt": 1e-310}),
+                 "dt_target and time_horizon must be positive and T / dt_target finite, got "
+                 "1e-310 and 2.0", id="grid-dt-tiny"),
 ])
-def test_validate_rejects_what_run_rejects(tmp_path, capsys, setting, value, message):
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
-    cfg["run"][setting] = value
     cfg["output"]["dir"] = str(tmp_path / "o")
+    edit(cfg)
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 1
     assert capsys.readouterr().out == f"{message}\n"
@@ -788,13 +809,17 @@ def test_run_rejects_picard_settings_out_of_range(tmp_path, capsys, problem, set
     pytest.param("sweep", "sweep", {"axis": "transmission.rho", "values": "12"},
                  id="sweep-values-string"),
     pytest.param("sweep", "transmission", None, id="sweep-transmission-null"),
+    pytest.param("sweep", "output", {"dir": 5}, id="sweep-output-dir-number"),
+    pytest.param("sweep", "sweep", {"axis": 5, "values": [1.0, 2.0]}, id="sweep-axis-number"),
+    pytest.param("sweep", "sweep", {"axis": ["transmission.rho"], "values": [1.0, 2.0]},
+                 id="sweep-axis-list"),
 ])
 def test_malformed_config_section_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                               command, section, body):
     import schwarz1d.cli as cli
 
     def boom(sc):
-        raise AssertionError("no run may start")
+        pytest.fail("no run may start")  # main turns any Exception into exit 1
 
     monkeypatch.setattr(cli, "run_elliptic", boom)
     cfg = divergent_config(str(tmp_path / "o"))
@@ -908,3 +933,57 @@ def test_shipped_config_reproduces_recorded_csv(shipped_run, name, command, csv,
                 assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), (column, want_row)
             else:
                 assert g == w, (column, want_row)
+
+
+@pytest.mark.parametrize("exc, message", [
+    pytest.param(TypeError("boom"), "boom", id="type-error"),
+    pytest.param(MemoryError(), "MemoryError", id="no-message"),
+])
+def test_any_failure_is_one_error_line_without_traceback(tmp_path, capsys, monkeypatch, exc,
+                                                          message):
+    import schwarz1d.schwarz as schwarz
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(schwarz, "build_grid", fail)
+    cfg_path = write_config(tmp_path, laplace_config(str(tmp_path / "o")))
+    assert main(["--quiet", "run", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["validate", "--config", cfg_path]) == 1
+    assert capsys.readouterr() == (f"{message}\n", "")
+
+
+def test_large_linear_nonlinearity_converges(tmp_path):
+    # F = 1000 u with c = 2000 satisfies c > C = |1000| exactly
+    cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
+    cfg["problem"] = {"mode": "elliptic", "L": 1.0,
+                      "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+                      "b": {"constant": 0.0}, "c": {"constant": 2000.0},
+                      "F": {"linear-in-u": {"param": 1000.0}},
+                      "source": {"constant": {"value": 1.0}}}
+    cfg["output"]["dir"] = str(tmp_path / "o")
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["--quiet", "validate", "--config", cfg_path]) == 0
+    assert main(["--quiet", "run", "--config", cfg_path]) == 0
+    assert "verdict:        converged" in (tmp_path / "o" / "summary.txt").read_text()
+
+
+def test_largest_finite_robin_parameter_still_runs(tmp_path):
+    cfg = shipped_config("counterexample_divergent", str(tmp_path / "o"))
+    cfg["transmission"] = {"robin": {"p": 1e308}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+def test_picard_max_sizes_no_allocation(tmp_path):
+    # a budget far beyond memory runs as the default one does
+    cfg = shipped_config("heat_dirichlet", "")
+    cfg["grid"] = {"h": 0.02, "dt": 0.01}
+    history = {}
+    for picard_max in (200, 10**15):
+        cfg["run"]["picard_max"] = picard_max
+        out = tmp_path / str(picard_max)
+        cfg["output"]["dir"] = str(out)
+        assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+        history[picard_max] = (out / "history.csv").read_bytes()
+    assert history[10**15] == history[200]

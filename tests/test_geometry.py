@@ -109,6 +109,25 @@ def test_grid_needs_horizon_with_dt():
         build_grid(part, 0.05, dt_target=0.1)
 
 
+@pytest.mark.parametrize("h_target, dt_target, name", [
+    pytest.param(1e-320, None, "h_target", id="h"),
+    pytest.param(0.1, 1e-310, "dt_target", id="dt"),
+])
+def test_grid_count_past_the_float_range_names_the_step(h_target, dt_target, name):
+    part = build_uniform_partition(1.0, 2, 0.1)
+    with pytest.raises(GridError, match=rf"^{name} .* finite, got"):
+        build_grid(part, h_target, dt_target, time_horizon=1.0)
+
+
+@given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 16)), min_size=2, max_size=6))
+def test_validate_never_repeats_a_message(ends):
+    # every message names its own (l, m, point) or (m, m2, l)
+    subs = tuple((lo / 8, (lo + width) / 8) for lo, width in ends)
+    part = Partition(length=max(hi for _, hi in subs), subdomains=subs)
+    out = validate_partition(part)
+    assert len(out) == len(set(out))
+
+
 @given(
     st.floats(0.5, 4.0),
     st.integers(2, 5),

@@ -100,6 +100,22 @@ def test_elliptic_c_below_lipschitz_bound_is_flagged():
     assert any("(A3′)" in v for v in out)
 
 
+@pytest.mark.parametrize("param", [1e3, 1e8, -1e8])
+def test_large_linear_nonlinearity_with_c_above_its_bound_passes(param):
+    # C = |param| is exact, so c = 2C is well-posed at any scale; a sampled
+    # bound check with an absolute slack rejected these on round-off
+    spec = ProblemSpec(
+        mode="elliptic",
+        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        b=CoefficientFn.constant(0.0),
+        c=CoefficientFn.constant(2.0 * abs(param)),
+        F=Nonlinearity.linear(param),
+        g=DataFn.zero(),
+        length=1.0,
+    )
+    assert validate(spec) == []
+
+
 def test_negative_diffusion_is_flagged_as_ellipticity():
     spec = ProblemSpec(
         mode="elliptic",

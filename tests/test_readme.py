@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from schwarz1d.cli import _RUN_SETTINGS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -22,3 +24,9 @@ def test_library_use_example_prints_divergence():
     verdict, rate = out.getvalue().splitlines()[0].split()
     assert verdict == "diverged"
     assert rate.startswith("1.2077")
+
+
+def test_readme_names_every_run_setting():
+    # an unknown run key is an error, so the README lists every known one
+    text = README.read_text(encoding="utf-8")
+    assert [key for key in _RUN_SETTINGS if f"`run.{key}`" not in text] == []
