@@ -40,7 +40,10 @@ per Picard step: ``gttrs`` solves in place, into the right-hand side,
 and the Picard loop rotates two such buffers, so it never writes into
 the caller's start vector.  Each Picard step calls ``solve_banded``
 once, through this module's attribute, which a tracer may replace: the
-count of those calls is the number of Picard steps.
+count of those calls is the number of Picard steps.  A parabolic march
+writes each level into one row of a time-major (levels, nodes) buffer,
+and the solve returns that buffer's transposed view: a (nodes, levels)
+field that is not C-contiguous, with no copy made.
 
 ``gttrf`` and ``gttrs`` are the ``dgttrf`` / ``dgttrs`` of scipy's LAPACK
 extension module ``scipy.linalg._flapack``, the very objects that
@@ -76,7 +79,8 @@ __all__ = [
 ]
 
 #: values on a subdomain's nodes; elliptic solves return a 1D vector,
-#: parabolic solves a (nodes, time levels) matrix.
+#: parabolic solves a (nodes, time levels) matrix, the transposed view of
+#: a time-major buffer.
 Field = np.ndarray
 
 
@@ -355,8 +359,9 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     scalar or one value per time level of ``t``.  Each level solves a
     semilinear elliptic problem with the previous level folded into the
     source.  The source is ``op.source`` at every level unless it is
-    callable.  Returns the (nodes, len(t)) space-time field; raises
-    NonFiniteError when it is not finite.
+    callable.  Returns the (nodes, len(t)) space-time field, the transposed
+    view of the march's time-major buffer (not C-contiguous: each level is
+    a contiguous column); raises NonFiniteError when it is not finite.
     """
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
@@ -366,7 +371,7 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     field[0] = np.asarray(initial, dtype=float)
     _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
            picard_tol, picard_max, field)
-    return _check_finite(op, np.ascontiguousarray(field.T), levels > 1)
+    return _check_finite(op, field.T, levels > 1)
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

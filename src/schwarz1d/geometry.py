@@ -158,7 +158,7 @@ def validate_partition(part: Partition) -> list[str]:
                 if any(abs(p - q) <= tol for q in inner_pts(m)):
                     violations.append(
                         f"interface coincidence: subdomains {l} and {m} share "
-                        f"the interior boundary point {p:g}"
+                        f"the interior boundary point {p!r}"
                     )
 
     # rule 3: no triple overlap among the neighbors of any subdomain
@@ -186,7 +186,7 @@ def validate_partition(part: Partition) -> list[str]:
         for p in pts:
             if not (p - lo > tol and hi - p > tol):
                 violations.append(
-                    f"interface placement: point {p:g} of subdomain {l} is not "
+                    f"interface placement: point {p!r} of subdomain {l} is not "
                     f"strictly inside subdomain {m}"
                 )
     return violations

@@ -56,7 +56,8 @@ ROOTS = (4.0, -1.0)
 
 class DegenerateParameterError(ValueError):
     """Robin parameters outside the model: p, q or rho is not a positive
-    finite number, or an interface-map denominator vanishes."""
+    finite number, rho * p or rho * q is not finite, or an interface-map
+    denominator vanishes."""
 
 
 class TauFactors(NamedTuple):
@@ -127,6 +128,10 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     """
     p = case.rho * case.p
     q = case.rho * case.q
+    for name, value, scaled in (("p", case.p, p), ("q", case.q, q)):
+        if not math.isfinite(scaled):
+            raise DegenerateParameterError(f"Robin parameter rho * {name} = {case.rho!r} * "
+                                           f"{value!r} is not finite")
     v1, d1 = _phi(case.L2, 0.0, roots)        # left profile at L2
     w1, e1 = _phi(case.L2, case.L, roots)     # right profile at L2
     tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1)

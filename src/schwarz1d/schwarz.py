@@ -181,11 +181,34 @@ class IterationHistory:
 # norms
 # --------------------------------------------------------------------------
 
-def weighted_sup_norm(e: np.ndarray, alpha: float, t: np.ndarray) -> float:
-    """max over nodes and time levels of e^2 * exp(-alpha t)."""
-    sq = np.square(np.atleast_2d(np.asarray(e, dtype=float)))
-    sq *= np.exp(-alpha * np.asarray(t))
-    return float(np.max(sq))
+#: values per block of ``weighted_sup_norm``: 64 KiB, which malloc serves
+#: from its heap rather than from fresh pages
+_SUP_BLOCK = 8192
+
+
+def weighted_sup_norm(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> float:
+    """max over nodes and time levels of (u - ref)^2 * exp(-alpha t).
+
+    The error u - ref is formed one block of time levels at a time, in one
+    buffer of at most ``_SUP_BLOCK`` values, never whole, and each level's
+    max of e^2 is weighted once.  For alpha t >= 0 that gives the bits of
+    the one-shot expression: the max is exact, rounding e^2 * w is monotone
+    in e^2 for a weight 0 < w <= 1, and a weight of 0 turns an inf into NaN
+    either way.  A NaN anywhere is the result.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    ref = np.broadcast_to(np.asarray(ref, dtype=float), u.shape)
+    nodes, levels = u.shape
+    step = max(1, _SUP_BLOCK // nodes)
+    buf = np.empty((step, nodes)).T  # level-major, as a parabolic field is
+    level_max = np.empty(levels)
+    for lo in range(0, levels, step):
+        hi = min(lo + step, levels)
+        sq = np.subtract(u[:, lo:hi], ref[:, lo:hi], buf[:, :hi - lo])
+        np.square(sq, sq)
+        np.maximum.reduce(sq, 0, None, level_max[lo:hi])
+    level_max *= np.exp(-alpha * np.asarray(t))
+    return float(level_max.max())
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -436,16 +459,19 @@ def sweep(plan: Plan, data: list[tuple], starts: list, k: int = 1) -> list[np.nd
 
 def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
                 scratch: np.ndarray | None) -> float:
-    """The norm of one subdomain's error ``field - ref``; a sup norm forms
-    it in ``scratch``."""
+    """The norm of one subdomain's error ``field - ref``.
+
+    The weighted sup norm forms the error a block of levels at a time; the
+    sup norm and the Laplace seminorm form it whole, in the leading rows
+    of ``scratch``.
+    """
+    if plan.norm_kind == "weighted-sup2":
+        return weighted_sup_norm(field, plan.cfg.alpha, plan.grid.t, ref)
+    err = np.subtract(field, ref, scratch[:op.n])
     if plan.norm_kind == "sup":
-        err = np.subtract(field, ref, scratch)
         np.abs(err, err)
         # argmax stops at the first NaN, as np.max would return it
         return err.item(err.argmax())
-    err = field - ref
-    if plan.norm_kind == "weighted-sup2":
-        return weighted_sup_norm(err, plan.cfg.alpha, plan.grid.t)
     return float(np.trapezoid(seminorm_sq_profile(err, plan.cfg.alpha, plan.grid.t), op.sg.x))
 
 
@@ -455,8 +481,12 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     A parabolic sweep starts every solve from the initial profile, so the
     previous iterate is dropped before the new one is built and one
     space-time iterate is held at a time; an elliptic sweep keeps it to
-    warm-start each Picard loop.  Each subdomain's error goes straight into
-    its norm, one at a time.  The reference is only read.
+    warm-start each Picard loop.  The reference is only read.  Each
+    subdomain's error goes straight into its norm, one at a time, in one
+    scratch of the largest subdomain's size made once per run (none for
+    the weighted sup norm, which forms it a block of levels at a time).
+    So a parabolic run's working set is the reference, one iterate and,
+    with Robin exchange, one seminorm scratch.
     """
     cfg, grid = plan.cfg, plan.grid
     if cfg.problem.mode != mode:
@@ -464,7 +494,9 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     if reference is None:
         reference = solve_reference(plan)
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
-    scratch = [np.empty_like(ref) if plan.norm_kind == "sup" else None for ref in refs]
+    scratch = None
+    if plan.norm_kind != "weighted-sup2":
+        scratch = np.empty((max(op.n for op in plan.ops),) + reference.shape[1:])
     initial = [ref[:, 0] for ref in refs] if mode == "parabolic" else None
     u0 = plan.u0
     fields = [ref if u0 == "reference" else
@@ -492,7 +524,8 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
             raise
         if fields is None:
             return history("diverged", [])
-        norms = [_error_norm(plan, *args) for args in zip(plan.ops, fields, refs, scratch)]
+        norms = [_error_norm(plan, op, field, ref, scratch)
+                 for op, field, ref in zip(plan.ops, fields, refs)]
         Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
         if not math.isfinite(Ek):
             return history("diverged", [])

@@ -168,6 +168,20 @@ def test_tau_rejects_robin_parameters_that_run_rejects(capsys, flag, value, mess
     assert captured.err.startswith(f"error: {message}, got ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--p", "1e200", "--q", "50"], "rho * p = 1e+200 * 1e+200", id="rho-p"),
+    pytest.param(["--p", "1", "--q", "1e200"], "rho * q = 1e+200 * 1e+200", id="rho-q"),
+])
+def test_tau_names_an_overflowed_robin_parameter(capsys, argv, message):
+    # each value is finite, their product is not: the error names the
+    # product, as run and validate do, not a vanishing denominator
+    assert main(["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95", "--rho", "1e200"]
+                + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: Robin parameter {message} is not finite\n"
+
+
 def test_sweep_rho_locates_empirical_threshold(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = divergent_config(str(out))

@@ -68,6 +68,16 @@ def test_validate_rejects_neighbors_that_overlap_each_other():
     assert any("triple overlap" in v for v in out)
 
 
+def test_validate_messages_tell_close_points_apart():
+    # subdomains narrower than 1e-6 L: 0.3 and 0.3000000001 print alike
+    # under %g, and each of them breaks the same rules
+    part = Partition(1.0, ((0.0, 0.5), (0.3, 0.3000000001), (0.3, 0.3000000001), (0.45, 1.0)))
+    out = validate_partition(part)
+    assert "interface placement: point 0.3000000001 of subdomain 1 is not strictly " \
+        "inside subdomain 2" in out
+    assert len(out) == len(set(out)) == 13
+
+
 def test_grid_two_subdomain_example():
     part = build_uniform_partition(2.0, 2, 0.2)
     grid = build_grid(part, 0.01)

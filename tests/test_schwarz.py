@@ -15,6 +15,7 @@ from schwarz1d.problem import DataFn, ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
+    _SUP_BLOCK,
     _seminorm_plan,
     _simpson,
     _trapezoid_weights,
@@ -174,6 +175,25 @@ def test_norms_built_in_place_equal_the_one_line_expressions(t):
     assert weighted_sup_norm(e, alpha, t) == float(np.max(e**2 * np.exp(-alpha * t)))
     assert weighted_sup_norm(e[2], alpha, t) == float(np.max(e[2]**2 * np.exp(-alpha * t)))
     assert e.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [3.0, 400.0], ids=["weighted", "weight-underflows"])
+@pytest.mark.parametrize("last", [0.5, np.inf, np.nan], ids=["finite", "inf", "nan"])
+def test_weighted_sup_norm_by_blocks_equals_the_one_shot_max(last, alpha):
+    # the operands as a run has them: a transposed time-major field and
+    # rows of a wider reference; one value of the last level is set, so
+    # it lies in the last block, where exp(-400 t) is 0 and 0 * inf is NaN
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 2.0, 1001)
+    u = rng.normal(size=(t.size, 100)).T
+    ref = rng.normal(size=(t.size, 140)).T[20:120]
+    u[37, -1] = last
+    assert u.size > 10 * _SUP_BLOCK
+    with np.errstate(invalid="ignore"):
+        expected = float(np.max((u - ref) ** 2 * np.exp(-alpha * t)))
+        got = weighted_sup_norm(u, alpha, t, ref)
+    assert got.hex() == expected.hex()
+    assert math.isnan(got) == (math.isnan(last) or (math.isinf(last) and alpha == 400.0))
 
 
 # --------------------------------------------------------------------------
@@ -515,11 +535,31 @@ def test_final_fields_are_empty_after_a_failed_sweep():
     assert err.value.history.final_fields == []
 
 
+def test_parabolic_dirichlet_run_holds_one_iterate_at_a_time():
+    # the traced peak of a whole run stays within the monodomain reference
+    # and one iterate: a solve returns its own buffer, uncopied, and the
+    # weighted sup norm forms each error a block of levels at a time; 5%
+    # slack covers the operators, the interface data and the per-call arrays
+    cfg = heat_cfg(partition=build_uniform_partition(1.0, 3, 0.15), h_target=0.004,
+                   dt_target=0.001, k_max=2)
+    tracemalloc.start()
+    try:
+        hist = run_parabolic(plan(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.iterations == 2 and len(hist.final_fields) == 3
+    grid = build_grid(cfg.partition, cfg.h_target, cfg.dt_target, cfg.problem.time_horizon)
+    iterate = sum(f.nbytes for f in hist.final_fields)
+    reference = grid.x.size * grid.t.size * 8
+    assert peak <= 1.05 * (iterate + reference)
+
+
 def test_parabolic_robin_run_holds_one_iterate_at_a_time():
     # the traced peak of a whole run, the Laplace kernel built inside it,
     # stays within what must be live at once: the kernel, the new iterate,
-    # one subdomain's error and the monodomain reference; 10% slack covers
-    # the small per-call arrays
+    # the run's one error scratch (the largest subdomain's size) and the
+    # monodomain reference; 10% slack covers the small per-call arrays
     cfg = heat_cfg(partition=build_uniform_partition(1.0, 3, 0.15), dt_target=0.002,
                    transmission=TransmissionSpec.robin(1.0), k_max=2)
     _seminorm_plan.cache_clear()
@@ -533,9 +573,9 @@ def test_parabolic_robin_run_holds_one_iterate_at_a_time():
     grid = build_grid(cfg.partition, cfg.h_target, cfg.dt_target, cfg.problem.time_horizon)
     _, kernel = _seminorm_plan(cfg.alpha, grid.t.tobytes())
     iterate = sum(f.nbytes for f in hist.final_fields)
-    error = max(f.nbytes for f in hist.final_fields)
+    scratch = max(f.nbytes for f in hist.final_fields)
     reference = grid.x.size * grid.t.size * 8
-    assert peak <= 1.1 * (kernel.nbytes + iterate + error + reference)
+    assert peak <= 1.1 * (kernel.nbytes + iterate + scratch + reference)
 
 
 # --------------------------------------------------------------------------
