@@ -43,7 +43,9 @@ once, through this module's attribute, which a tracer may replace: the
 count of those calls is the number of Picard steps.  A parabolic march
 writes each level into one row of a time-major (levels, nodes) buffer,
 and the solve returns that buffer's transposed view: a (nodes, levels)
-field that is not C-contiguous, with no copy made.
+field that is not C-contiguous, with no copy made.  The buffer is the
+caller's ``out`` when given, so a caller that is done with each field
+before the next solve makes one buffer for all of them.
 
 ``gttrf`` and ``gttrs`` are the ``dgttrf`` / ``dgttrs`` of scipy's LAPACK
 extension module ``scipy.linalg._flapack``, the very objects that
@@ -59,6 +61,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+from collections.abc import Sequence
 from importlib.machinery import PathFinder
 
 import numpy as np
@@ -263,7 +266,7 @@ def _check_finite(op: Operator, u: Field, solved: bool = True) -> Field:
     return u
 
 
-def _march(op: Operator, left: list[float], right: list[float], t, u: Field | None,
+def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Field | None,
            dt: float | None, picard_tol: float, picard_max: int,
            field: np.ndarray | None = None) -> tuple[Field, int]:
     """Solve the levels m = 1, 2, ... of ``t`` in turn; return the last one's
@@ -329,29 +332,39 @@ def _march(op: Operator, left: list[float], right: list[float], t, u: Field | No
 
 def solve_semilinear_elliptic(op: Operator, left: float, right: float,
                               picard_tol: float = 1e-10, picard_max: int = 200,
-                              u_start: Field | None = None) -> tuple[Field, int]:
+                              u_start: Field | None = None,
+                              check_finite: bool = True) -> tuple[Field, int]:
     """Solve -(a u')' + b u' + c u = F(x, u) + source on ``op``'s subdomain.
 
     ``left``/``right`` is the Dirichlet value or the Robin flux of each end,
     as ``op.robin_p`` says.  The Picard loop starts from ``u_start`` (zero
     when None).  Returns the converged field and the number of Picard
     steps.  With c > Lipschitz(F) the iteration contracts at rate
-    ~ C / min(c).  Raises NonFiniteError when the field is not finite.
+    ~ C / min(c).  Raises NonFiniteError when the field is not finite;
+    with ``check_finite`` False a linear (F zero) field is not scanned, and
+    the caller must check it.
     """
     start = None if u_start is None else np.asarray(u_start, dtype=float)
     # one level, whose source is sampled at t = 0
     u, steps = _march(op, [None, float(left)], [None, float(right)], (0.0, 0.0), start, None,
                       picard_tol, picard_max)
-    return _check_finite(op, u), steps
+    return _check_finite(op, u) if check_finite else u, steps
 
 
-def _per_level(value, levels: int) -> list[float]:
-    return np.broadcast_to(np.asarray(value, dtype=float), (levels,)).tolist()
+def _per_level(value, levels: int) -> Sequence[float]:
+    """``value`` per level, indexed as Python floats: one float listed
+    ``levels`` times for a scalar, else a memoryview of the values, which
+    makes no float object until a level reads it."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim == 0:
+        return [float(value)] * levels
+    return memoryview(np.ascontiguousarray(np.broadcast_to(value, (levels,))))
 
 
 def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: float,
                                t: np.ndarray, picard_tol: float = 1e-10,
-                               picard_max: int = 200) -> Field:
+                               picard_max: int = 200, check_finite: bool = True,
+                               out: np.ndarray | None = None) -> Field:
     """March d/dt u - (a u')' + b u' + c u = F(x,u) + source by implicit Euler.
 
     ``op`` is the subdomain's operator with the shift 1/dt.  ``left``/
@@ -361,17 +374,26 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     source.  The source is ``op.source`` at every level unless it is
     callable.  Returns the (nodes, len(t)) space-time field, the transposed
     view of the march's time-major buffer (not C-contiguous: each level is
-    a contiguous column); raises NonFiniteError when it is not finite.
+    a contiguous column); raises NonFiniteError when it is not finite,
+    which with ``check_finite`` False only a Picard difference shows (a
+    linear field, or a window of one level, is then not scanned).
+    ``out``, a float64 vector of at least len(t) * op.n values, is the
+    buffer when given: the field overwrites its leading values, so it
+    lives only until ``out`` is written again.  A caller whose fields die
+    one by one passes one buffer to all its solves.
     """
     if op.c_shift != 1.0 / dt:
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
     levels = len(t)
     # time-major, so each level's row is contiguous
-    field = np.empty((levels, op.n))
+    if out is None:
+        field = np.empty((levels, op.n))
+    else:
+        field = out[:levels * op.n].reshape(levels, op.n)
     field[0] = np.asarray(initial, dtype=float)
     _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
            picard_tol, picard_max, field)
-    return _check_finite(op, field.T, levels > 1)
+    return _check_finite(op, field.T, levels > 1) if check_finite else field.T
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

@@ -40,6 +40,9 @@ __all__ = [
 _EPS = 1e-12
 # cell counts build_grid tries beyond the smallest one that meets h_target
 _SNAP_CANDIDATES = 5000
+# nodes a grid may have: 80 MB per array of node values (the largest
+# benchmarked grid has 2e4 nodes)
+_MAX_NODES = 10**7
 
 
 class PartitionError(ValueError):
@@ -235,8 +238,10 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
 
     Searches the smallest cell count N >= L/h_target for which all interior
     subdomain endpoints land on nodes (relative tolerance 1e-9); raises
-    GridError when no such N exists within ``_SNAP_CANDIDATES`` more.  The
-    optional time axis uses dt = T / ceil(T / dt_target) <= dt_target.
+    GridError when no such N exists within ``_SNAP_CANDIDATES`` more, or
+    when h_target asks for more than ``_MAX_NODES`` nodes, before anything
+    is allocated.  The optional time axis uses dt = T / ceil(T / dt_target)
+    <= dt_target.
     """
     if not (h_target > 0 and part.length / h_target < math.inf):
         raise GridError(f"h_target must be positive and L / h_target finite, got {h_target!r}")
@@ -244,6 +249,9 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     endpoints = sorted({p for lo_hi in part.subdomains for p in lo_hi
                         if 0.0 < p < length})
     n_min = max(2, math.ceil(length / h_target - 1e-12))
+    if n_min + 1 > _MAX_NODES:
+        raise GridError(f"h_target {h_target!r} needs {n_min + 1} nodes; at most "
+                        f"{_MAX_NODES} are allowed")
     n_cells = None
     for n in range(n_min, n_min + _SNAP_CANDIDATES + 1):
         idx = np.array(endpoints) * n / length

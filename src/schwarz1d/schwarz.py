@@ -1,17 +1,22 @@
 """Jacobi-type overlapping Schwarz iteration with error tracking.
 
-Iteration k is one Jacobi sweep and its error norm: ``exchange`` gives
-every subdomain its interface data from the neighbors' previous iterate
-(the initial iterate u^0 for the first sweep), ``sweep`` solves all
-subdomains independently from those data (their order does not change
-the result), and each new field is compared against a monodomain
-reference computed once with the same discretization.  (One Jacobi sweep
-is not the CLI's ``sweep`` command, which re-runs a whole configuration
-along one parameter axis.)
+Iteration k is one Jacobi sweep and its error norm: every subdomain is
+solved from the interface data of the neighbors' previous iterate (the
+initial iterate u^0 for the first sweep), so their order does not change
+the result, and each new field is compared against a monodomain
+reference computed once with the same discretization.  A run hands each
+field on as soon as it is solved: its norm is taken and the data its
+neighbors read next are extracted before the next subdomain is solved,
+so a parabolic run holds one subdomain field at a time.  ``exchange``
+(the data of an iterate) and ``sweep`` (all solves from such data) are
+the same steps for a loop written by hand.  (One Jacobi sweep is not the
+CLI's ``sweep`` command, which re-runs a whole configuration along one
+parameter axis.)
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
 past ``guard_factor`` times E_1 or stops being finite (diverged; so does
-a subdomain solve whose field is not finite, and that iteration is not
-recorded), or the iteration budget runs out (stalled).
+a subdomain whose norm is not finite, or whose solve finds a non-finite
+value, and that iteration is not recorded), or the iteration budget runs
+out (stalled).
 
 Error norms per mode and transmission kind:
 
@@ -143,10 +148,12 @@ class SchwarzConfig:
 class IterationHistory:
     """Per-iteration record of one Schwarz run.
 
-    ``final_fields`` is the iterate of the last recorded iteration, one
-    field per subdomain.  It is empty when the run ended in a sweep that
-    was not recorded: a failed solve, or a field or an error norm that is
-    not finite.
+    ``final_fields`` is the iterate the run keeps between sweeps, as of
+    the last recorded iteration: one field per subdomain of an elliptic
+    run, whose fields start the next Picard loops, and empty for a
+    parabolic run, which hands each field on and drops it.  It is empty
+    too when the run ended in a sweep that was not recorded: a failed
+    solve, or an error norm that is not finite.
     """
 
     norm_kind: str
@@ -181,9 +188,11 @@ class IterationHistory:
 # norms
 # --------------------------------------------------------------------------
 
-#: values per block of ``weighted_sup_norm``: 64 KiB, which malloc serves
-#: from its heap rather than from fresh pages
-_SUP_BLOCK = 8192
+#: values per block of ``weighted_sup_norm``: 16 KiB, which malloc serves
+#: from its heap rather than from fresh pages; numpy buffers the strided
+#: reference operand of the subtraction in as many values again, and the
+#: two together stay small beside one subdomain field
+_SUP_BLOCK = 2048
 
 
 def weighted_sup_norm(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> float:
@@ -339,15 +348,19 @@ class Plan(NamedTuple):
     """What a run fixes before its first solve; ``plan(cfg)`` builds it.
 
     ``links[l]`` holds subdomain l's ends (left, right): a
-    ``transmission.Link``, or None at the outer boundary.  ``ops[l]`` is
-    its operator (grid, matrix and LU factors), whose Robin rows read the
-    same ``Link.p`` as ``transmission.extract``; only the interface data
-    change between sweeps.  ``u0`` is a DataFn or "reference".
+    ``transmission.Link``, or None at the outer boundary.  ``readers[m]``
+    lists, as (l, end, link), the links whose neighbor is m, with
+    ``links[l][end] is link``: the data subdomain m's field gives.
+    ``ops[l]`` is its operator (grid, matrix and LU factors), whose Robin
+    rows read the same ``Link.p`` as ``transmission.extract``; only the
+    interface data change between sweeps.  ``u0`` is a DataFn or
+    "reference".
     """
 
     cfg: SchwarzConfig
     grid: Grid
     links: list
+    readers: list[list[tuple]]
     ops: list[Operator]
     u0: Union[DataFn, str]
     norm_kind: str
@@ -390,6 +403,11 @@ def plan(cfg: SchwarzConfig) -> Plan:
     grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
 
     links = tx.links(cfg.transmission, grid, prob)
+    readers = [[] for _ in links]
+    for l, pair in enumerate(links):
+        for end, link in enumerate(pair):
+            if link is not None:
+                readers[link.m].append((l, end, link))
     ops = []
     for l, pair in enumerate(links):
         robin_p = tuple(None if link is None else link.p for link in pair)
@@ -400,7 +418,7 @@ def plan(cfg: SchwarzConfig) -> Plan:
             raise ValueError(f"subdomain {l + 1}: {exc}") from exc
     norm_kind = ("sup" if not parabolic else "laplace-seminorm2"
                  if cfg.transmission.is_robin else "weighted-sup2")
-    return Plan(cfg, grid, links, ops, u0, norm_kind)
+    return Plan(cfg, grid, links, readers, ops, u0, norm_kind)
 
 
 def solve_reference(plan: Plan) -> np.ndarray:
@@ -415,44 +433,77 @@ def solve_reference(plan: Plan) -> np.ndarray:
         raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
 
 
-def exchange(plan: Plan, fields: list[np.ndarray]) -> list[tuple]:
-    """Every subdomain's boundary data (left, right) from the iterate ``fields``.
+def exchange(plan: Plan, fields: list[np.ndarray]) -> list[list]:
+    """Every subdomain's boundary data [left, right] from the iterate ``fields``.
 
     An outer end gets the problem's boundary value g, an interface end
-    ``transmission.extract`` of its neighbor's field.  That datum is a
-    copy, so it does not keep the neighbor's field alive: a Dirichlet
-    datum of a space-time field would be a view of its row.
+    ``transmission.extract`` of its neighbor's field, handed off as a run
+    hands off each new field.
     """
+    data = _outer_data(plan)
+    for m, field in enumerate(fields):
+        _hand_off(plan, m, field, data)
+    return data
+
+
+def _outer_data(plan: Plan) -> list[list]:
+    """Boundary data with g at every outer end and None at every interface end."""
     outer = plan.cfg.problem.boundary_values()
-    return [tuple(g if link is None else np.array(tx.extract(link, fields[link.m]))
-                  for link, g in zip(pair, outer)) for pair in plan.links]
+    return [[g if link is None else None for link, g in zip(pair, outer)]
+            for pair in plan.links]
 
 
-def sweep(plan: Plan, data: list[tuple], starts: list, k: int = 1) -> list[np.ndarray] | None:
+def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
+    """Write into ``data`` every datum that subdomain m's ``field`` gives.
+
+    Each datum is a copy, so ``field`` is free once this returns: a
+    Dirichlet datum of a space-time field would be a view of its row.
+    """
+    for l, end, link in plan.readers[m]:
+        data[l][end] = np.array(tx.extract(link, field))
+
+
+def _solve(plan: Plan, l: int, data, start, k: int, check_finite: bool = True,
+           out: np.ndarray | None = None) -> np.ndarray | None:
+    """Subdomain l's new field from its boundary data ``data`` (left, right).
+
+    ``start`` is as for ``sweep``, and ``out`` the buffer of a parabolic
+    solve (None: its own).  Returns None when the solve raises
+    NonFiniteError; with ``check_finite`` False a linear field is not
+    scanned, and the caller's norm is its check.  Any other failure is
+    ``SchwarzRunError("iteration k, subdomain l: ...")``.
+    """
+    cfg, grid, op = plan.cfg, plan.grid, plan.ops[l]
+    left, right = data
+    try:
+        if cfg.problem.mode == "parabolic":
+            return solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
+                                              cfg.picard_tol, cfg.picard_max,
+                                              check_finite=check_finite, out=out)
+        return solve_semilinear_elliptic(op, left, right, cfg.picard_tol, cfg.picard_max,
+                                         u_start=start, check_finite=check_finite)[0]
+    except NonFiniteError:
+        return None
+    except Exception as exc:
+        raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1) from exc
+
+
+def sweep(plan: Plan, data: list, starts: list, k: int = 1) -> list[np.ndarray] | None:
     """One Jacobi sweep: every subdomain of ``plan`` solved from its boundary
     data ``data[l]``, as ``exchange`` gives it.
 
     ``starts[l]`` starts subdomain l's solve: the start of its Picard loop
     (elliptic; None is zero) or its initial profile (parabolic); it is only
-    read.  Returns the new fields, or None when one is not finite.  Any
-    other failure is ``SchwarzRunError("iteration k, subdomain l: ...")``,
-    with ``k`` the number of this sweep in its run.
+    read.  Returns the new fields, or None when a solve raises
+    NonFiniteError (a Picard difference or, with F zero, the field is not
+    finite).  Any other failure is ``SchwarzRunError("iteration k,
+    subdomain l: ...")``, with ``k`` the number of this sweep in its run.
     """
-    cfg, grid = plan.cfg, plan.grid
-    parabolic = cfg.problem.mode == "parabolic"
     fields = []
-    for l, (op, (left, right), start) in enumerate(zip(plan.ops, data, starts)):
-        try:
-            if parabolic:
-                u = solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
-                                               cfg.picard_tol, cfg.picard_max)
-            else:
-                u, _ = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
-                                                 cfg.picard_max, u_start=start)
-        except NonFiniteError:
+    for l, (pair, start) in enumerate(zip(data, starts)):
+        u = _solve(plan, l, pair, start, k)
+        if u is None:
             return None
-        except Exception as exc:
-            raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1) from exc
         fields.append(u)
     return fields
 
@@ -476,32 +527,47 @@ def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
 
 
 def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
-    """Sweep ``plan`` until a verdict: ``exchange``, ``sweep``, then the norms.
+    """Sweep ``plan`` until a verdict, handing each new field on as it is solved.
 
-    A parabolic sweep starts every solve from the initial profile, so the
-    previous iterate is dropped before the new one is built and one
-    space-time iterate is held at a time; an elliptic sweep keeps it to
-    warm-start each Picard loop.  The reference is only read.  Each
-    subdomain's error goes straight into its norm, one at a time, in one
-    scratch of the largest subdomain's size made once per run (none for
-    the weighted sup norm, which forms it a block of levels at a time).
-    So a parabolic run's working set is the reference, one iterate and,
-    with Robin exchange, one seminorm scratch.
+    Sweep k solves subdomain l from the data of sweep k - 1 (``exchange``
+    of the initial iterate for k = 1), takes the norm of its error against
+    the reference restriction, and hands it off: ``_hand_off`` writes every
+    datum its neighbors read into the data of sweep k + 1.  Only then is
+    the next subdomain solved.  Every solve still reads the previous
+    iterate's data, so the subdomain order does not change the result.
+    A non-finite norm ends the run "diverged" at once, before that field
+    is handed off, and the sweep is not recorded; it is also the run's
+    finiteness rule for linear fields, which the solves do not scan.
+
+    A parabolic field is then dead: every parabolic solve of the run
+    writes into one time-major buffer of the largest subdomain's size,
+    which dies with the run, and starts from the reference's initial
+    profile.  An elliptic run keeps its iterate, which starts the next
+    Picard loops.  The reference is only read.  The sup norm and the
+    Laplace seminorm form the error in one scratch of the largest
+    subdomain's size, the weighted sup norm a block of levels at a time.
+    So a parabolic run's working set is the reference, one subdomain
+    field and, with Robin exchange, one seminorm scratch.
     """
     cfg, grid = plan.cfg, plan.grid
     if cfg.problem.mode != mode:
         raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
+    parabolic = mode == "parabolic"
     if reference is None:
         reference = solve_reference(plan)
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
+    n_max = max(op.n for op in plan.ops)
     scratch = None
     if plan.norm_kind != "weighted-sup2":
-        scratch = np.empty((max(op.n for op in plan.ops),) + reference.shape[1:])
-    initial = [ref[:, 0] for ref in refs] if mode == "parabolic" else None
+        scratch = np.empty((n_max,) + reference.shape[1:])
+    buffer = np.empty(n_max * grid.t.size) if parabolic else None
     u0 = plan.u0
     fields = [ref if u0 == "reference" else
               np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
               for ref, op in zip(refs, plan.ops)]
+    data = exchange(plan, fields)
+    if parabolic:
+        fields = []  # every solve starts from the initial profile instead
 
     E: list[float] = []
     sub_norms: list[list[float]] = []
@@ -514,18 +580,24 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
 
     for k in range(1, cfg.k_max + 1):
         tic = time.perf_counter()
-        data = exchange(plan, fields)
-        starts = fields if initial is None else initial
-        fields = None  # a parabolic iterate is gone before the next is built
-        try:
-            fields = sweep(plan, data, starts, k)
-        except SchwarzRunError as exc:
-            exc.history = history("error", [])
-            raise
-        if fields is None:
-            return history("diverged", [])
-        norms = [_error_norm(plan, op, field, ref, scratch)
-                 for op, field, ref in zip(plan.ops, fields, refs)]
+        handed = _outer_data(plan)
+        norms = []
+        for l, (op, ref) in enumerate(zip(plan.ops, refs)):
+            try:
+                field = _solve(plan, l, data[l], ref[:, 0] if parabolic else fields[l], k,
+                               check_finite=False, out=buffer)
+            except SchwarzRunError as exc:
+                exc.history = history("error", [])
+                raise
+            data[l] = None  # read once, by this solve
+            norm = math.nan if field is None else _error_norm(plan, op, field, ref, scratch)
+            if not math.isfinite(norm):
+                return history("diverged", [])
+            norms.append(norm)
+            _hand_off(plan, l, field, handed)
+            if not parabolic:
+                fields[l] = field
+        data = handed
         Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
         if not math.isfinite(Ek):
             return history("diverged", [])

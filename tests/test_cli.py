@@ -594,6 +594,10 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     pytest.param(lambda c: c.update(problem="heat-semilinear", grid={"h": 0.01, "dt": 1e-310}),
                  "dt_target and time_horizon must be positive and T / dt_target finite, got "
                  "1e-310 and 2.0", id="grid-dt-tiny"),
+    # a node count past the grid's cap, refused before anything is allocated
+    pytest.param(lambda c: c["grid"].update(h=1e-15),
+                 "h_target 1e-15 needs 1000000000000001 nodes; at most 10000000 are allowed",
+                 id="grid-h-too-fine"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())

@@ -230,6 +230,39 @@ def test_non_finite_data_raise_non_finite_error(F):
     assert issubclass(NonFiniteError, SingularSystemError)
 
 
+def test_unchecked_linear_solves_return_their_non_finite_field_and_picard_still_checks():
+    # with check_finite False a linear field is not scanned (the engine's
+    # norm checks it); a semilinear one still fails on its Picard difference
+    linear = Operator(simple_spec(c=4.0), subgrid(1.0, 10), (None, None))
+    u, _ = solve_semilinear_elliptic(linear, np.nan, 0.0, check_finite=False)
+    assert np.isnan(u).any()
+    heat = heat_operator(Nonlinearity.zero())
+    t = np.linspace(0, 0.1, 11)
+    u = solve_semilinear_parabolic(heat, np.inf, 0.0, np.zeros(heat.n), 0.01, t,
+                                   check_finite=False)
+    assert not np.isfinite(u).all()
+    semilinear = Operator(simple_spec(c=4.0, F=Nonlinearity.sine(1.0)), subgrid(1.0, 10),
+                          (None, None))
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        solve_semilinear_elliptic(semilinear, np.nan, 0.0, check_finite=False)
+
+
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
+def test_parabolic_solve_into_a_given_buffer_is_the_solve_bitwise(F):
+    # the field fills the leading values of ``out``, time-major, and a
+    # larger buffer's tail is left alone
+    op = heat_operator(F)
+    t = np.linspace(0, 0.1, 11)
+    args = (op, 1.0, np.linspace(0.0, 1.0, 11), np.sin(np.pi * op.sg.x), 0.01, t)
+    fresh = solve_semilinear_parabolic(*args)
+    out = np.full(t.size * op.n + 7, -1.0)
+    u = solve_semilinear_parabolic(*args, out=out)
+    assert np.shares_memory(u, out)
+    assert u.shape == fresh.shape and u.tobytes() == fresh.tobytes()
+    assert np.array_equal(out[:t.size * op.n], fresh.T.ravel())
+    assert np.all(out[t.size * op.n:] == -1.0)
+
+
 def heat_operator(F, robin_p=(None, 2.0), n_cells=20, dt=0.01, source=None) -> Operator:
     spec = replace(catalog_lookup("heat-semilinear"), F=F, time_horizon=0.1, source=source)
     return Operator(spec, subgrid(1.0, n_cells), robin_p, c_shift=1.0 / dt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from schwarz1d import geometry
 from schwarz1d.geometry import (
     GridError,
     Partition,
@@ -127,6 +128,22 @@ def test_grid_count_past_the_float_range_names_the_step(h_target, dt_target, nam
     part = build_uniform_partition(1.0, 2, 0.1)
     with pytest.raises(GridError, match=rf"^{name} .* finite, got"):
         build_grid(part, h_target, dt_target, time_horizon=1.0)
+
+
+def test_grid_too_fine_names_its_node_count_before_allocating():
+    # 1e15 + 1 nodes: np.linspace would ask for 7.11 PiB
+    part = build_uniform_partition(1.0, 2, 0.1)
+    with pytest.raises(GridError, match=r"^h_target 1e-15 needs 1000000000000001 nodes; "
+                                        r"at most 10000000 are allowed$"):
+        build_grid(part, 1e-15)
+
+
+def test_grid_node_cap_admits_exactly_its_count(monkeypatch):
+    part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.4, 1.0)))
+    monkeypatch.setattr(geometry, "_MAX_NODES", 11)
+    assert build_grid(part, 0.1).x.size == 11
+    with pytest.raises(GridError, match=r"needs 12 nodes; at most 11"):
+        build_grid(part, 0.095)
 
 
 @given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 16)), min_size=2, max_size=6))

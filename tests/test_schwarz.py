@@ -325,6 +325,20 @@ def test_jacobi_order_determinism_bitwise():
         assert np.array_equal(a, b)
 
 
+def test_jacobi_order_determinism_bitwise_parabolic():
+    # a waveform-relaxation sweep hands each field on as it is solved, yet
+    # every solve reads the previous iterate's data: the reversed subdomains
+    # give the same norms bit for bit
+    part = build_uniform_partition(1.0, 3, 0.15)
+    def run(partition):
+        return run_parabolic(plan(heat_cfg(partition=partition, k_max=6, stop_tol=1e-300)))
+    fwd = run(part)
+    rev = run(Partition(length=part.length, subdomains=part.subdomains[::-1]))
+    assert fwd.iterations == 6
+    assert fwd.E == rev.E
+    assert fwd.sub_norms == [norms[::-1] for norms in rev.sub_norms]
+
+
 def test_divergent_robin_run_matches_oracle_and_guard():
     prob = catalog_lookup("example31")
     part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
@@ -503,6 +517,23 @@ def test_final_fields_are_the_last_recorded_iterate():
             for l, f in enumerate(hist.final_fields)] == hist.sub_norms[-1]
 
 
+def test_a_run_scans_only_its_reference_for_finiteness(monkeypatch):
+    # a linear subdomain field is checked by its error norm, not scanned
+    import schwarz1d.discretize as discretize
+    scans = []
+    original = discretize._check_finite
+
+    def counted(op, u, *args):
+        scans.append(u.size)
+        return original(op, u, *args)
+
+    monkeypatch.setattr(discretize, "_check_finite", counted)
+    p = plan(laplace_cfg())
+    hist = run_elliptic(p)
+    assert hist.verdict == "converged" and hist.iterations > 1
+    assert scans == [p.grid.x.size]
+
+
 def test_final_fields_are_empty_after_a_non_finite_sweep():
     # tau = 1.93 per double sweep and no guard in reach: the interface data
     # grow until a solve overflows, and that sweep is not recorded
@@ -535,47 +566,51 @@ def test_final_fields_are_empty_after_a_failed_sweep():
     assert err.value.history.final_fields == []
 
 
+def largest_field_bytes(p) -> int:
+    """Bytes of the largest subdomain's space-time field of plan ``p``."""
+    return max(op.n for op in p.ops) * p.grid.t.size * 8
+
+
 def test_parabolic_dirichlet_run_holds_one_iterate_at_a_time():
     # the traced peak of a whole run stays within the monodomain reference
-    # and one iterate: a solve returns its own buffer, uncopied, and the
-    # weighted sup norm forms each error a block of levels at a time; 5%
-    # slack covers the operators, the interface data and the per-call arrays
+    # and one subdomain field: each field is measured and handed off before
+    # the next solve overwrites the run's one buffer, and the weighted sup
+    # norm forms each error a block of levels at a time; 5% slack covers
+    # the operators, the interface data and the per-call arrays
     cfg = heat_cfg(partition=build_uniform_partition(1.0, 3, 0.15), h_target=0.004,
                    dt_target=0.001, k_max=2)
     tracemalloc.start()
     try:
-        hist = run_parabolic(plan(cfg))
+        p = plan(cfg)
+        hist = run_parabolic(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hist.iterations == 2 and len(hist.final_fields) == 3
-    grid = build_grid(cfg.partition, cfg.h_target, cfg.dt_target, cfg.problem.time_horizon)
-    iterate = sum(f.nbytes for f in hist.final_fields)
-    reference = grid.x.size * grid.t.size * 8
-    assert peak <= 1.05 * (iterate + reference)
+    assert hist.iterations == 2 and hist.final_fields == []
+    reference = p.grid.x.size * p.grid.t.size * 8
+    assert peak <= 1.05 * (reference + largest_field_bytes(p))
 
 
 def test_parabolic_robin_run_holds_one_iterate_at_a_time():
     # the traced peak of a whole run, the Laplace kernel built inside it,
-    # stays within what must be live at once: the kernel, the new iterate,
-    # the run's one error scratch (the largest subdomain's size) and the
-    # monodomain reference; 10% slack covers the small per-call arrays
+    # stays within what must be live at once: the kernel, the monodomain
+    # reference, one subdomain field in the run's one buffer and the run's
+    # one error scratch, both of the largest subdomain's size; 10% slack
+    # covers the small per-call arrays
     cfg = heat_cfg(partition=build_uniform_partition(1.0, 3, 0.15), dt_target=0.002,
                    transmission=TransmissionSpec.robin(1.0), k_max=2)
     _seminorm_plan.cache_clear()
     tracemalloc.start()
     try:
-        hist = run_parabolic(plan(cfg))
+        p = plan(cfg)
+        hist = run_parabolic(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hist.iterations == 2 and len(hist.final_fields) == 3
-    grid = build_grid(cfg.partition, cfg.h_target, cfg.dt_target, cfg.problem.time_horizon)
-    _, kernel = _seminorm_plan(cfg.alpha, grid.t.tobytes())
-    iterate = sum(f.nbytes for f in hist.final_fields)
-    scratch = max(f.nbytes for f in hist.final_fields)
-    reference = grid.x.size * grid.t.size * 8
-    assert peak <= 1.1 * (kernel.nbytes + iterate + scratch + reference)
+    assert hist.iterations == 2 and hist.final_fields == []
+    _, kernel = _seminorm_plan(cfg.alpha, p.grid.t.tobytes())
+    reference = p.grid.x.size * p.grid.t.size * 8
+    assert peak <= 1.1 * (kernel.nbytes + reference + 2 * largest_field_bytes(p))
 
 
 # --------------------------------------------------------------------------
@@ -605,20 +640,38 @@ def initial_profiles(p, reference) -> list | None:
     return [reference[p.grid.nodes(l)][:, 0] for l in range(len(p.ops))]
 
 
+def error_norm(p, l: int, field, ref) -> float:
+    """Subdomain l's error norm, as the schwarz module defines it for ``p``'s run."""
+    alpha, t = p.cfg.alpha, p.grid.t
+    if p.norm_kind == "weighted-sup2":
+        return weighted_sup_norm(field, alpha, t, ref)
+    if p.norm_kind == "laplace-seminorm2":
+        return float(np.trapezoid(seminorm_sq_profile(field - ref, alpha, t), p.ops[l].sg.x))
+    return float(np.max(np.abs(field - ref)))
+
+
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     # five sweeps from the sampled u0, each from the data the previous
-    # iterate gives; a run of five iterations must end on the same bits
+    # iterate gives; a run of five iterations must give the same norms, bit
+    # for bit, and an elliptic run must end on the same fields (a parabolic
+    # run keeps none)
     cfg = SWEEP_CASES[case](k_max=5, stop_tol=1e-300)
     p = plan(cfg)
-    initial = initial_profiles(p, solve_reference(p))
+    reference = solve_reference(p)
+    refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
+    initial = initial_profiles(p, reference)
     fields = [np.asarray(p.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
+    norms = []
     for _ in range(5):
         fields = sweep(p, exchange(p, fields), fields if initial is None else initial)
-    run = run_parabolic if cfg.problem.mode == "parabolic" else run_elliptic
-    hist = run(p)
+        norms.append([error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))])
+    parabolic = cfg.problem.mode == "parabolic"
+    hist = (run_parabolic if parabolic else run_elliptic)(p)
     assert hist.iterations == 5 and hist.verdict == "stalled"
-    assert [f.tobytes() for f in fields] == [f.tobytes() for f in hist.final_fields]
+    assert hist.sub_norms == norms
+    kept = [] if parabolic else fields
+    assert [f.tobytes() for f in kept] == [f.tobytes() for f in hist.final_fields]
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
