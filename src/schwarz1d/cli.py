@@ -335,7 +335,7 @@ def _cmd_validate(args) -> int:
         print(str(exc) or type(exc).__name__)  # as main prints it
         return 1
     for l, op in enumerate(p.ops, start=1):
-        for warning in op.meta["warnings"]:
+        for warning in op.warnings:
             print(f"warning: subdomain {l}: {warning}")
     if not args.quiet:
         print("ok: every check run makes before its first solve passed")

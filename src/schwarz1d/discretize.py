@@ -116,16 +116,8 @@ class NonFiniteError(SingularSystemError):
 
 
 class PicardError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance.
-
-    Carries the history of successive-difference norms and, for time
-    stepping, the failing time level.
-    """
-
-    def __init__(self, message: str, diffs: list[float], time_level: int | None = None):
-        super().__init__(message)
-        self.diffs = diffs
-        self.time_level = time_level
+    """Fixed-point iteration failed to reach tolerance; the message names the
+    time level (parabolic), the budget and the last difference."""
 
 
 class Operator:
@@ -141,8 +133,8 @@ class Operator:
     nodes when it is None or a DataFn, which cannot depend on time, and
     None for a callable source, which the solves sample per call or time
     level; it is read-only, so a solve must copy it before writing.
-    ``meta`` records the diagonal-dominance threshold h* = 2 lambda / max|b|
-    and a warning when h exceeds it.  Raises SingularSystemError when the
+    ``warnings`` holds a warning when h exceeds the diagonal-dominance
+    threshold h* = 2 lambda / max|b|.  Raises SingularSystemError when the
     matrix has a zero pivot.
     """
 
@@ -214,10 +206,10 @@ class Operator:
             lam = float(np.min(np.concatenate([a_half, a_nodes])))
         b_max = float(np.max(np.abs(b)))
         h_star = np.inf if b_max == 0.0 else 2.0 * lam / b_max
-        warnings = []
+        self.warnings = []
         if h > h_star:
-            warnings.append(f"h = {h:g} above diagonal-dominance threshold h* = {h_star:g}")
-        self.meta = {"warnings": warnings, "h": h, "h_star": h_star}
+            self.warnings.append(f"h = {h:g} above diagonal-dominance threshold "
+                                 f"h* = {h_star:g}")
 
     def system(self, rhs: np.ndarray, left: float, right: float) -> np.ndarray:
         """``rhs`` with its boundary rows set from the data of both ends.
@@ -305,14 +297,12 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
         if linear:
             u = solve_banded(lu, system(fixed, lo, hi))
         else:
-            diffs = []  # this level's; a failing level has picard_max of them
             for steps in range(1, picard_max + 1):
                 add(F(x, u, rhs), fixed, rhs)
                 u_new = solve_banded(lu, system(rhs, lo, hi))
                 absolute(subtract(u_new, u, work), work)
                 # argmax stops at the first NaN, as np.max would return it
                 diff = work.item(work.argmax())
-                diffs.append(diff)
                 u, rhs, spare = u_new, spare, rhs
                 if diff <= picard_tol:
                     break
@@ -322,9 +312,8 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
                 message = (f"Picard iteration did not reach {picard_tol:g} in "
                            f"{picard_max} steps (last diff {diff:g})")
                 if dt is None:
-                    raise PicardError(message, diffs)
-                raise PicardError(f"time level {m} (t = {t[m]:g}): {message}", diffs,
-                                  time_level=m)
+                    raise PicardError(message)
+                raise PicardError(f"time level {m} (t = {t[m]:g}): {message}")
         if field is not None:
             field[m] = u
     return u, steps

@@ -29,8 +29,6 @@ __all__ = [
     "Partition",
     "Grid",
     "SubGrid",
-    "PartitionError",
-    "GridError",
     "build_uniform_partition",
     "validate_partition",
     "build_grid",
@@ -43,14 +41,9 @@ _SNAP_CANDIDATES = 5000
 # nodes a grid may have: 80 MB per array of node values (the largest
 # benchmarked grid has 2e4 nodes)
 _MAX_NODES = 10**7
-
-
-class PartitionError(ValueError):
-    """Raised when a partition cannot be built as requested."""
-
-
-class GridError(ValueError):
-    """Raised when subdomain endpoints cannot be snapped onto a grid."""
+# time levels x nodes a space-time grid may have: 400 MB per space-time
+# field (the largest shipped, benchmarked or tested one is 2001 x 241)
+_MAX_SPACE_TIME_VALUES = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -70,13 +63,13 @@ class Partition:
 
     def __post_init__(self) -> None:
         if not self.length > 0:
-            raise PartitionError("domain length must be positive")
+            raise ValueError("domain length must be positive")
         subs = tuple((float(lo), float(hi)) for lo, hi in self.subdomains)
         if len(subs) < 2:
-            raise PartitionError("need at least two subdomains")
+            raise ValueError("need at least two subdomains")
         for lo, hi in subs:
             if not lo < hi:
-                raise PartitionError(f"empty subdomain ({lo}, {hi})")
+                raise ValueError(f"empty subdomain ({lo}, {hi})")
         object.__setattr__(self, "subdomains", subs)
 
         tol = _EPS * self.length
@@ -112,13 +105,13 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
     apart and rules out triple overlap with a wide margin.
     """
     if count < 2:
-        raise PartitionError("need at least two subdomains")
+        raise ValueError("need at least two subdomains")
     if not overlap > 0:
-        raise PartitionError("overlap must be positive")
+        raise ValueError("overlap must be positive")
     # a count past the float range leaves no room for any overlap
     limit = length / (2 * count) if count <= sys.float_info.max else 0.0
     if not overlap < limit:
-        raise PartitionError(
+        raise ValueError(
             f"overlap {overlap:g} too large: requires overlap < L/(2I) = {limit:g} "
             "to keep interfaces separated and avoid triple overlap"
         )
@@ -182,10 +175,7 @@ def validate_partition(part: Partition) -> list[str]:
     for (l, m), pts in part.interfaces.items():
         lo, hi = subs[m]
         if len(pts) > 1:
-            violations.append(
-                f"interface placement: subdomain {l} has {len(pts)} interface points "
-                f"{pts} in subdomain {m}; at most one is allowed"
-            )
+            violations.append(_several_interfaces(l, m, pts))
         for p in pts:
             if not (p - lo > tol and hi - p > tol):
                 violations.append(
@@ -193,6 +183,12 @@ def validate_partition(part: Partition) -> list[str]:
                     f"strictly inside subdomain {m}"
                 )
     return violations
+
+
+def _several_interfaces(l: int, m: int, pts: tuple[float, ...]) -> str:
+    """Rule 4's message for a subdomain l with more than one interface in m."""
+    return (f"interface placement: subdomain {l} has {len(pts)} interface points "
+            f"{pts} in subdomain {m}; at most one is allowed")
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,6 @@ class Grid:
     """Uniform global grid with all subdomain endpoints on nodes."""
 
     h: float
-    n_cells: int
     x: np.ndarray
     sub_ranges: tuple[tuple[int, int], ...]  # inclusive global node ranges
     interface_index: dict  # (l, m) -> global node index
@@ -238,20 +233,25 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
 
     Searches the smallest cell count N >= L/h_target for which all interior
     subdomain endpoints land on nodes (relative tolerance 1e-9); raises
-    GridError when no such N exists within ``_SNAP_CANDIDATES`` more, or
-    when h_target asks for more than ``_MAX_NODES`` nodes, before anything
-    is allocated.  The optional time axis uses dt = T / ceil(T / dt_target)
-    <= dt_target.
+    ValueError when no such N exists within ``_SNAP_CANDIDATES`` more,
+    when a subdomain has two interfaces in one neighbor, when h_target
+    asks for more than ``_MAX_NODES`` nodes, or when the time axis asks
+    for more than ``_MAX_SPACE_TIME_VALUES`` levels x nodes, before
+    anything is allocated.  The optional time axis uses
+    dt = T / ceil(T / dt_target) <= dt_target.
     """
     if not (h_target > 0 and part.length / h_target < math.inf):
-        raise GridError(f"h_target must be positive and L / h_target finite, got {h_target!r}")
+        raise ValueError(f"h_target must be positive and L / h_target finite, got {h_target!r}")
+    for (l, m), pts in part.interfaces.items():
+        if len(pts) > 1:
+            raise ValueError(_several_interfaces(l, m, pts))
     length = part.length
     endpoints = sorted({p for lo_hi in part.subdomains for p in lo_hi
                         if 0.0 < p < length})
     n_min = max(2, math.ceil(length / h_target - 1e-12))
     if n_min + 1 > _MAX_NODES:
-        raise GridError(f"h_target {h_target!r} needs {n_min + 1} nodes; at most "
-                        f"{_MAX_NODES} are allowed")
+        raise ValueError(f"h_target {h_target!r} needs {n_min + 1} nodes; at most "
+                         f"{_MAX_NODES} are allowed")
     n_cells = None
     for n in range(n_min, n_min + _SNAP_CANDIDATES + 1):
         idx = np.array(endpoints) * n / length
@@ -259,10 +259,27 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
             n_cells = n
             break
     if n_cells is None:
-        raise GridError(
+        raise ValueError(
             f"subdomain endpoints {endpoints} not snappable onto a uniform grid "
             f"with N in [{n_min}, {n_min + _SNAP_CANDIDATES}]"
         )
+
+    dt = n_steps = t = None
+    if dt_target is not None:
+        if time_horizon is None:
+            raise ValueError("a time axis needs both dt_target and time_horizon")
+        if not (dt_target > 0 and time_horizon > 0 and time_horizon / dt_target < math.inf):
+            raise ValueError(f"dt_target and time_horizon must be positive and T / dt_target "
+                             f"finite, got {dt_target!r} and {time_horizon!r}")
+        n_steps = max(1, math.ceil(time_horizon / dt_target - 1e-12))
+        values = (n_steps + 1) * (n_cells + 1)
+        if values > _MAX_SPACE_TIME_VALUES:
+            raise ValueError(f"dt_target {dt_target!r} needs {n_steps + 1} time levels x "
+                             f"{n_cells + 1} nodes = {values} values; at most "
+                             f"{_MAX_SPACE_TIME_VALUES} are allowed")
+        dt = time_horizon / n_steps
+        t = np.linspace(0.0, time_horizon, n_steps + 1)
+
     h = length / n_cells
     x = np.linspace(0.0, length, n_cells + 1)
 
@@ -271,17 +288,5 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
 
     sub_ranges = tuple((node_of(lo), node_of(hi)) for lo, hi in part.subdomains)
     interface_index = {key: node_of(p) for key, (p,) in part.interfaces.items()}
-
-    dt = n_steps = t = None
-    if dt_target is not None:
-        if time_horizon is None:
-            raise GridError("a time axis needs both dt_target and time_horizon")
-        if not (dt_target > 0 and time_horizon > 0 and time_horizon / dt_target < math.inf):
-            raise GridError(f"dt_target and time_horizon must be positive and T / dt_target "
-                            f"finite, got {dt_target!r} and {time_horizon!r}")
-        n_steps = max(1, math.ceil(time_horizon / dt_target - 1e-12))
-        dt = time_horizon / n_steps
-        t = np.linspace(0.0, time_horizon, n_steps + 1)
-
-    return Grid(h=h, n_cells=n_cells, x=x, sub_ranges=sub_ranges,
-                interface_index=interface_index, dt=dt, n_steps=n_steps, t=t)
+    return Grid(h=h, x=x, sub_ranges=sub_ranges, interface_index=interface_index, dt=dt,
+                n_steps=n_steps, t=t)

@@ -41,7 +41,6 @@ __all__ = [
     "AnalyticCase",
     "InterfaceState",
     "TauFactors",
-    "DegenerateParameterError",
     "tau_factors",
     "dirichlet_tau_factors",
     "step_interface",
@@ -52,12 +51,6 @@ __all__ = [
 
 #: characteristic roots of r^2 - 3r - 4 = 0 for the model operator
 ROOTS = (4.0, -1.0)
-
-
-class DegenerateParameterError(ValueError):
-    """Robin parameters outside the model: p, q or rho is not a positive
-    finite number, rho * p or rho * q is not finite, or an interface-map
-    denominator vanishes."""
 
 
 class TauFactors(NamedTuple):
@@ -88,11 +81,10 @@ class AnalyticCase:
         if not (0.0 < self.L1 < self.L2 < self.L):
             raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
         if not (is_positive_number(self.p) and is_positive_number(self.q)):
-            raise DegenerateParameterError(f"Robin parameters p and q must be positive finite "
-                                           f"numbers, got p={self.p!r}, q={self.q!r}")
+            raise ValueError(f"Robin parameters p and q must be positive finite numbers, "
+                             f"got p={self.p!r}, q={self.q!r}")
         if not is_positive_number(self.rho):
-            raise DegenerateParameterError(f"rho must be a positive finite number, "
-                                           f"got {self.rho!r}")
+            raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +102,16 @@ def _phi(x: float, anchor: float, roots) -> tuple[float, float]:
     return ep - em, rp * ep - rm * em
 
 
-def _checked_ratio(num: float, den: float) -> float:
-    scale = max(abs(num), abs(den), 1.0)
-    if abs(den) <= 1e-14 * scale:
-        raise DegenerateParameterError(
-            f"interface-map denominator vanishes (num={num:g}, den={den:g})"
-        )
+def _checked_ratio(num: float, den: float, *terms: float) -> float:
+    """num / den, or a ValueError when ``den``, the sum of ``terms``, cancels
+    to within 1e-14 of its largest term.
+
+    The scale is the denominator's own terms, not the numerator: the
+    profiles are not normalized, so on a long domain a legitimate ratio
+    can exceed 1e14.
+    """
+    if abs(den) <= 1e-14 * max(map(abs, terms)):
+        raise ValueError(f"interface-map denominator vanishes (num={num:g}, den={den:g})")
     return num / den
 
 
@@ -130,14 +126,14 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     q = case.rho * case.q
     for name, value, scaled in (("p", case.p, p), ("q", case.q, q)):
         if not math.isfinite(scaled):
-            raise DegenerateParameterError(f"Robin parameter rho * {name} = {case.rho!r} * "
-                                           f"{value!r} is not finite")
+            raise ValueError(f"Robin parameter rho * {name} = {case.rho!r} * {value!r} "
+                             f"is not finite")
     v1, d1 = _phi(case.L2, 0.0, roots)        # left profile at L2
     w1, e1 = _phi(case.L2, case.L, roots)     # right profile at L2
-    tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1)
+    tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1, d1, p * v1)
     v2, d2 = _phi(case.L1, 0.0, roots)        # left profile at L1
     w2, e2 = _phi(case.L1, case.L, roots)     # right profile at L1
-    tau2 = _checked_ratio(d2 - q * v2, e2 - q * w2)
+    tau2 = _checked_ratio(d2 - q * v2, e2 - q * w2, e2, q * w2)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 
@@ -147,8 +143,8 @@ def dirichlet_tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     w1, _ = _phi(case.L2, case.L, roots)
     v2, _ = _phi(case.L1, 0.0, roots)
     w2, _ = _phi(case.L1, case.L, roots)
-    tau1 = _checked_ratio(w1, v1)
-    tau2 = _checked_ratio(v2, w2)
+    tau1 = _checked_ratio(w1, v1, v1)
+    tau2 = _checked_ratio(v2, w2, w2)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 

@@ -36,15 +36,10 @@ __all__ = [
     "Nonlinearity",
     "DataFn",
     "ProblemSpec",
-    "UnknownProblemError",
     "catalog_lookup",
     "catalog_ids",
     "validate",
 ]
-
-
-class UnknownProblemError(LookupError):
-    """Raised by catalog_lookup for ids that are not in the catalog."""
 
 
 # --------------------------------------------------------------------------
@@ -471,14 +466,10 @@ def catalog_ids() -> list[str]:
 
 
 def catalog_lookup(problem_id: str) -> ProblemSpec:
-    """Return a fresh ProblemSpec for a known catalog id."""
-    try:
-        builder = _CATALOG[problem_id]
-    except KeyError:
-        raise UnknownProblemError(
-            f"unknown problem id {problem_id!r} (known: {catalog_ids()})"
-        ) from None
-    return builder()
+    """Return a fresh ProblemSpec for a known catalog id (ValueError for another)."""
+    if problem_id not in _CATALOG:
+        raise ValueError(f"unknown problem id {problem_id!r} (known: {catalog_ids()})")
+    return _CATALOG[problem_id]()
 
 
 # --------------------------------------------------------------------------

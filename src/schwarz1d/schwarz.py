@@ -82,19 +82,15 @@ __all__ = [
 
 
 class SchwarzRunError(RuntimeError):
-    """A solve failed; carries the iteration and 1-based subdomain index.
+    """A solve failed; the message begins "iteration k, subdomain l:" (1-based
+    l) or "reference solve:".
 
-    Both are 0 when the monodomain reference solve failed.  When a sweep
-    of ``run_elliptic`` or ``run_parabolic`` failed, ``history`` holds the
-    iterations before it, with verdict "error"; otherwise it is None.
-    Setup errors are ``plan``'s ValueErrors.
+    When a sweep of ``run_elliptic`` or ``run_parabolic`` failed,
+    ``history`` holds the iterations before it, with verdict "error";
+    otherwise it is None.  Setup errors are ``plan``'s ValueErrors.
     """
 
-    def __init__(self, message: str, iteration: int, subdomain: int):
-        super().__init__(message)
-        self.iteration = iteration
-        self.subdomain = subdomain
-        self.history: IterationHistory | None = None
+    history: IterationHistory | None = None
 
 
 @dataclass
@@ -424,13 +420,13 @@ def plan(cfg: SchwarzConfig) -> Plan:
 def solve_reference(plan: Plan) -> np.ndarray:
     """The monodomain reference of ``plan``'s run, on its whole grid.
 
-    A failed solve is ``SchwarzRunError("reference solve: ...", 0, 0)``.
+    A failed solve is ``SchwarzRunError("reference solve: ...")``.
     """
     cfg = plan.cfg
     try:
         return reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
     except (PicardError, SingularSystemError) as exc:
-        raise SchwarzRunError(f"reference solve: {exc}", 0, 0) from exc
+        raise SchwarzRunError(f"reference solve: {exc}") from exc
 
 
 def exchange(plan: Plan, fields: list[np.ndarray]) -> list[list]:
@@ -485,7 +481,7 @@ def _solve(plan: Plan, l: int, data, start, k: int, check_finite: bool = True,
     except NonFiniteError:
         return None
     except Exception as exc:
-        raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}", k, l + 1) from exc
+        raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}") from exc
 
 
 def sweep(plan: Plan, data: list, starts: list, k: int = 1) -> list[np.ndarray] | None:

@@ -34,15 +34,10 @@ from .problem import ProblemSpec, is_positive_number, read_entry, read_kind
 
 __all__ = [
     "TransmissionSpec",
-    "TransmissionError",
     "Link",
     "links",
     "extract",
 ]
-
-
-class TransmissionError(ValueError):
-    """Bad transmission parameters, or an interface too close to its neighbor's end."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +57,14 @@ class TransmissionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
-            raise TransmissionError(f"unknown transmission kind {self.kind!r}")
+            raise ValueError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
             if not all(is_positive_number(v) for v in values):
-                raise TransmissionError(f"Robin parameters p must be positive finite "
-                                        f"numbers, got {self.p!r}")
+                raise ValueError(f"Robin parameters p must be positive finite numbers, "
+                                 f"got {self.p!r}")
             if not is_positive_number(self.rho):
-                raise TransmissionError(f"rho must be a positive finite number, "
-                                        f"got {self.rho!r}")
+                raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
 
     @classmethod
     def dirichlet(cls) -> "TransmissionSpec":
@@ -108,8 +102,8 @@ def _pair(key) -> tuple[int, int]:
         l, m = (int(s) for s in key.split(","))
         return l, m
     except (AttributeError, ValueError):
-        raise TransmissionError(f'Robin table key {key!r} must have the form "l,m" '
-                                "(receiving and neighbor subdomain index)") from None
+        raise ValueError(f'Robin table key {key!r} must have the form "l,m" '
+                         "(receiving and neighbor subdomain index)") from None
 
 
 class Link(NamedTuple):
@@ -128,18 +122,18 @@ class Link(NamedTuple):
 def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]:
     """(left, right) ``Link`` of every subdomain, None on the outer boundary.
 
-    Raises TransmissionError when an interface lies fewer nodes inside its
-    neighbor than the stencil needs (1 for Dirichlet, 2 for Robin), when a
+    Raises ValueError when an interface lies fewer nodes inside its neighbor
+    than the stencil needs (1 for Dirichlet, 2 for Robin), when a
     Robin table does not name exactly the interfaces, or when p * rho
     overflows.
     """
     if tspec.is_robin and isinstance(tspec.p, dict):
         missing = [k for k in grid.interface_index if k not in tspec.p]
         if missing:
-            raise TransmissionError(f"transmission table missing interfaces {missing}")
+            raise ValueError(f"transmission table missing interfaces {missing}")
         extra = [k for k in tspec.p if k not in grid.interface_index]
         if extra:
-            raise TransmissionError(f"transmission table names non-interface pairs {extra}")
+            raise ValueError(f"transmission table names non-interface pairs {extra}")
     depth = 2 if tspec.is_robin else 1
     scale = tspec.rho if tspec.kind == "scaled_robin" else 1.0
     ends = [[None, None] for _ in grid.sub_ranges]
@@ -147,7 +141,7 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
         lo, hi = grid.sub_ranges[m]
         inside = min(idx - lo, hi - idx)
         if inside < depth:
-            raise TransmissionError(
+            raise ValueError(
                 f"interface of subdomain {l} lies only {inside} node(s) inside "
                 f"neighbor {m}; need >= {depth} (refine h or widen the overlap)"
             )
@@ -156,8 +150,8 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
             a = float(spec.a(grid.x[idx]))
             p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * scale
             if not math.isfinite(p):
-                raise TransmissionError(f"Robin parameter p * rho of the interface of "
-                                        f"subdomain {l} in neighbor {m} is not finite")
+                raise ValueError(f"Robin parameter p * rho of the interface of "
+                                 f"subdomain {l} in neighbor {m} is not finite")
         right = idx == grid.sub_ranges[l][1]
         ends[l][right] = Link(m, idx - lo, 1 if right else -1, a, p, grid.h)
     return [tuple(pair) for pair in ends]

@@ -137,6 +137,14 @@ def test_tau_rho_rescues_divergent_case(capsys):
     assert "verdict: converge" in capsys.readouterr().out
 
 
+def test_tau_on_a_long_domain_prints_its_factor(capsys):
+    # tau2's numerator is ~ 7e18 beside a denominator of 25.5: a large
+    # ratio, not a vanishing denominator; L = 8 gives the same tau
+    assert main(["tau", "--L", "10", "--L1", "9.9", "--L2", "9.95",
+                 "--p", "1", "--q", "50"]) == 0
+    assert "tau  = 1.20783142755496" in capsys.readouterr().out
+
+
 def test_tau_degenerate_exits_one(capsys):
     # negative q solving phi2'(L1) = q phi2(L1) zeroes the denominator
     import math
@@ -598,6 +606,10 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     pytest.param(lambda c: c["grid"].update(h=1e-15),
                  "h_target 1e-15 needs 1000000000000001 nodes; at most 10000000 are allowed",
                  id="grid-h-too-fine"),
+    # a level count past the space-time cap, refused before anything is allocated
+    pytest.param(lambda c: c.update(problem="heat-semilinear", grid={"h": 0.01, "dt": 1e-13}),
+                 "dt_target 1e-13 needs 20000000000001 time levels x 101 nodes = "
+                 "2020000000000101 values; at most 50000000 are allowed", id="grid-dt-too-fine"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())

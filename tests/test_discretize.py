@@ -458,8 +458,8 @@ def test_robin_discretization_second_order():
 def test_dominance_threshold_warning_recorded():
     spec = simple_spec(b=30.0, c=1.0)
     sg = subgrid(1.0, 10)  # h = 0.1 > h* = 2/30
-    assert any("h*" in w for w in dirichlet(spec, sg).meta["warnings"])
-    assert dirichlet(spec, subgrid(1.0, 1000)).meta["warnings"] == []
+    assert any("h*" in w for w in dirichlet(spec, sg).warnings)
+    assert dirichlet(spec, subgrid(1.0, 1000)).warnings == []
 
 
 # --------------------------------------------------------------------------
@@ -516,11 +516,11 @@ def test_picard_step_count_mesh_independent():
     assert max(counts) - min(counts) <= 1
 
 
-def test_picard_failure_carries_history():
+def test_picard_failure_names_its_budget_and_last_difference():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x: np.ones_like(x))
-    with pytest.raises(PicardError) as err:
+    with pytest.raises(PicardError, match=r"^Picard iteration did not reach 1e-10 in 2 steps "
+                                          r"\(last diff \d"):
         solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0, picard_max=2)
-    assert len(err.value.diffs) == 2
 
 
 def test_elliptic_solve_rejects_picard_max_below_one():
@@ -594,7 +594,7 @@ def test_parabolic_picard_failure_names_the_level():
                                    np.sin(np.pi * sg.x), 0.01, t, picard_max=1)
 
 
-def test_parabolic_picard_failure_at_an_interior_level_keeps_its_history():
+def test_parabolic_picard_failure_at_an_interior_level_names_it():
     # zero data and state take one step per level until the left datum jumps
     # to 1 at level 5, whose Picard loop needs more than three steps
     op = heat_operator(Nonlinearity.sine(1.0), robin_p=(None, None))
@@ -604,9 +604,7 @@ def test_parabolic_picard_failure_at_an_interior_level_keeps_its_history():
         solve_semilinear_parabolic(op, left, 0.0, np.zeros(op.n), 0.01, t, picard_max=3)
     assert str(err.value).startswith(
         "time level 5 (t = 0.05): Picard iteration did not reach 1e-10 in 3 steps (last diff ")
-    assert err.value.time_level == 5
-    assert len(err.value.diffs) == 3
-    assert err.value.diffs[0] > err.value.diffs[1] > err.value.diffs[2] > 1e-10
+    assert float(str(err.value).rpartition("last diff ")[2].rstrip(")")) > 1e-10
 
 
 def test_parabolic_solve_rejects_picard_max_below_one():

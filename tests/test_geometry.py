@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from schwarz1d import geometry
 from schwarz1d.geometry import (
-    GridError,
     Partition,
-    PartitionError,
     build_grid,
     build_uniform_partition,
     validate_partition,
@@ -34,7 +32,7 @@ def test_uniform_three_subdomain_chain():
 
 
 def test_uniform_overlap_too_large_names_the_rule():
-    with pytest.raises(PartitionError, match="triple overlap"):
+    with pytest.raises(ValueError, match="triple overlap"):
         build_uniform_partition(2.0, 3, 0.5)
 
 
@@ -82,11 +80,11 @@ def test_validate_messages_tell_close_points_apart():
 def test_grid_two_subdomain_example():
     part = build_uniform_partition(2.0, 2, 0.2)
     grid = build_grid(part, 0.01)
-    assert grid.n_cells == 200
+    assert grid.x.size == 201
     assert grid.interface_index[(0, 1)] == 110
     assert grid.interface_index[(1, 0)] == 90
     assert grid.sub_ranges == ((0, 110), (90, 200))
-    np.testing.assert_allclose(grid.h * grid.n_cells, 2.0)
+    np.testing.assert_allclose(grid.h * (grid.x.size - 1), 2.0)
 
 
 def test_grid_snaps_to_coarsest_admissible_width():
@@ -110,13 +108,13 @@ def test_grid_time_axis():
 
 def test_grid_unsnappable_endpoints_raise():
     part = Partition(length=1.0, subdomains=((0.0, 1 / np.sqrt(2)), (0.5, 1.0)))
-    with pytest.raises(GridError, match="not snappable"):
+    with pytest.raises(ValueError, match="not snappable"):
         build_grid(part, 0.1)
 
 
 def test_grid_needs_horizon_with_dt():
     part = build_uniform_partition(1.0, 2, 0.1)
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError):
         build_grid(part, 0.05, dt_target=0.1)
 
 
@@ -126,14 +124,14 @@ def test_grid_needs_horizon_with_dt():
 ])
 def test_grid_count_past_the_float_range_names_the_step(h_target, dt_target, name):
     part = build_uniform_partition(1.0, 2, 0.1)
-    with pytest.raises(GridError, match=rf"^{name} .* finite, got"):
+    with pytest.raises(ValueError, match=rf"^{name} .* finite, got"):
         build_grid(part, h_target, dt_target, time_horizon=1.0)
 
 
 def test_grid_too_fine_names_its_node_count_before_allocating():
     # 1e15 + 1 nodes: np.linspace would ask for 7.11 PiB
     part = build_uniform_partition(1.0, 2, 0.1)
-    with pytest.raises(GridError, match=r"^h_target 1e-15 needs 1000000000000001 nodes; "
+    with pytest.raises(ValueError, match=r"^h_target 1e-15 needs 1000000000000001 nodes; "
                                         r"at most 10000000 are allowed$"):
         build_grid(part, 1e-15)
 
@@ -142,8 +140,38 @@ def test_grid_node_cap_admits_exactly_its_count(monkeypatch):
     part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.4, 1.0)))
     monkeypatch.setattr(geometry, "_MAX_NODES", 11)
     assert build_grid(part, 0.1).x.size == 11
-    with pytest.raises(GridError, match=r"needs 12 nodes; at most 11"):
+    with pytest.raises(ValueError, match=r"needs 12 nodes; at most 11"):
         build_grid(part, 0.095)
+
+
+def test_grid_time_axis_too_fine_names_its_value_count_before_allocating():
+    # 2e13 + 1 levels: np.linspace would ask for 146 TiB for the time axis alone
+    part = build_uniform_partition(1.0, 3, 0.15)
+    with pytest.raises(ValueError, match=r"^dt_target 1e-13 needs 20000000000001 time levels "
+                                         r"x 241 nodes = 4820000000000241 values; at most "
+                                         r"50000000 are allowed$"):
+        build_grid(part, 0.005, 1e-13, time_horizon=2.0)
+
+
+def test_grid_space_time_cap_admits_exactly_its_count(monkeypatch):
+    part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.4, 1.0)))
+    monkeypatch.setattr(geometry, "_MAX_SPACE_TIME_VALUES", 121)
+    assert build_grid(part, 0.1, 0.1, time_horizon=1.0).t.size == 11
+    with pytest.raises(ValueError, match=r"^dt_target 0.095 needs 12 time levels x 11 nodes = "
+                                         r"132 values; at most 121"):
+        build_grid(part, 0.1, 0.095, time_horizon=1.0)
+
+
+def test_grid_rejects_two_interfaces_in_one_neighbor():
+    # subdomain 1 = (0.3, 0.6) lies inside subdomain 0, so both its ends are
+    # interfaces in 0; the message is validate_partition's rule 4
+    part = Partition(length=1.0, subdomains=((0.0, 1.0), (0.3, 0.6)))
+    message = ("interface placement: subdomain 1 has 2 interface points (0.3, 0.6) in "
+               "subdomain 0; at most one is allowed")
+    assert message in validate_partition(part)
+    with pytest.raises(ValueError) as err:
+        build_grid(part, 0.1)
+    assert str(err.value) == message
 
 
 @given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 16)), min_size=2, max_size=6))

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from schwarz1d.oracle import (
     AnalyticCase,
-    DegenerateParameterError,
     InterfaceState,
     asymptotic_tau_large_q,
     classical_laplace_rate,
@@ -120,7 +119,7 @@ def test_degenerate_denominator_raises():
     w, dw = (math.exp(4 * (L1 - L)) - math.exp(-(L1 - L)),
              4 * math.exp(4 * (L1 - L)) + math.exp(-(L1 - L)))
     q_bad = dw / w  # makes phi2'(L1) - q phi2(L1) = 0
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(ValueError):
         tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=q_bad))
 
 
@@ -131,8 +130,32 @@ def test_vanishing_denominator_raises_for_positive_q():
     w, dw = (math.exp(4 * (L1 - L)) - math.exp(L1 - L),
              4 * math.exp(4 * (L1 - L)) - math.exp(L1 - L))
     assert dw / w > 0
-    with pytest.raises(DegenerateParameterError, match="denominator vanishes"):
+    with pytest.raises(ValueError, match="denominator vanishes"):
         tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=dw / w), roots)
+
+
+@pytest.mark.parametrize("L", [10.0, 20.0, 60.0])
+def test_long_domain_ratio_is_not_a_vanishing_denominator(L):
+    # the unnormalized profiles make tau2's numerator ~ 1e18 at L = 10
+    # beside a denominator ~ 25, whose own terms are ~ 4 and ~ 22
+    case = AnalyticCase(L=L, L1=L - 0.1, L2=L - 0.05, p=1.0, q=50.0)
+    np.testing.assert_allclose(tau_factors(case).tau, tau_exponent5(L, L - 0.1, L - 0.05, 1, 50),
+                               rtol=1e-13)
+
+
+def shifted_roots(s: float) -> tuple[float, float]:
+    """Roots of r^2 - 3r - (4 + s) = 0: the model operator shifted by s."""
+    d = math.sqrt(9.0 + 4.0 * (4.0 + s))
+    return (3.0 + d) / 2.0, (3.0 - d) / 2.0
+
+
+def test_steep_shifted_roots_give_a_small_tau():
+    # s = 300 gives the roots 19 and -16; the factor keeps falling with s
+    case = AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)
+    assert shifted_roots(300.0) == (19.0, -16.0)
+    taus = [tau_factors(case, shifted_roots(s)).tau for s in (100.0, 200.0, 300.0)]
+    np.testing.assert_allclose(taus[-1], 0.07648426417419767, rtol=1e-12)
+    assert taus == sorted(taus, reverse=True) and taus[0] < 1.0
 
 
 def test_divergence_threshold_closed_form():

@@ -6,7 +6,6 @@ from schwarz1d.problem import (
     DataFn,
     Nonlinearity,
     ProblemSpec,
-    UnknownProblemError,
     catalog_ids,
     catalog_lookup,
     validate,
@@ -19,8 +18,8 @@ def test_catalog_has_expected_entries():
         assert required in ids
 
 
-def test_unknown_id_raises_lookup_error():
-    with pytest.raises(UnknownProblemError):
+def test_unknown_id_raises_value_error():
+    with pytest.raises(ValueError, match=r"^unknown problem id 'no-such-problem' \(known: "):
         catalog_lookup("no-such-problem")
 
 
