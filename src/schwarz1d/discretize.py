@@ -129,10 +129,12 @@ class Operator:
     depend on the boundary data, so the engine builds one Operator per
     subdomain per run; its LU factors ``lu`` serve every Picard step, time
     level and Schwarz iteration, and ``system`` fills in only the boundary
-    rows of a right-hand side.  ``source`` is the source sampled on the
-    nodes when it is None or a DataFn, which cannot depend on time, and
-    None for a callable source, which the solves sample per call or time
-    level; it is read-only, so a solve must copy it before writing.
+    rows of a right-hand side.  Both Robin ends come from one formula, so
+    the right end's row is the left end's mirrored.  ``source`` is the
+    source sampled on the nodes when it is None or a DataFn, which cannot
+    depend on time, and None for a callable ``f(x, t)``, which the solves
+    sample per call or time level; it is read-only, so a solve must copy
+    it before writing.
     ``warnings`` holds a warning when h exceeds the diagonal-dominance
     threshold h* = 2 lambda / max|b|.  Raises SingularSystemError when the
     matrix has a zero pivot.
@@ -172,25 +174,20 @@ class Operator:
                 main[end] = 1.0
                 self._ends.append((end, None, None, None))
                 continue
-            # one-sided stencil written toward the interior; the third point
-            # is eliminated with the neighboring interior row, which keeps
-            # the matrix tridiagonal and the relation exact at the solution
+            # one-sided stencil written toward the interior; its third point
+            # is eliminated with the interior row next to the end, which keeps
+            # the matrix tridiagonal and the relation exact at the solution.
+            # near[i] / far[i] is row i's coefficient of its neighbor toward /
+            # away from the end, so that row reads near*u_end + main*u_row +
+            # far*u_third, and far[end] is the end row's off-diagonal
             alpha = a_nodes[end] / (2 * h)
-            if end == 0:
-                s, d, t3 = sub[1], main[1], sup[1]  # row 1: s*u0+d*u1+t3*u2
-                if abs(t3) < 1e-300:
-                    raise SingularSystemError("cannot eliminate Robin stencil point")
-                main[0] = 3 * alpha + p - alpha * s / t3
-                sup[0] = -4 * alpha - alpha * d / t3
-                self._ends.append((0, 1, float(alpha), float(t3)))
-            else:
-                m = n - 1
-                s, d, t3 = sub[m - 1], main[m - 1], sup[m - 1]
-                if abs(s) < 1e-300:
-                    raise SingularSystemError("cannot eliminate Robin stencil point")
-                main[m] = 3 * alpha + p - alpha * t3 / s
-                sub[m] = -4 * alpha - alpha * d / s
-                self._ends.append((m, m - 1, float(alpha), float(s)))
+            row, near, far = (1, sub, sup) if end == 0 else (n - 2, sup, sub)
+            pivot = far[row]
+            if abs(pivot) < 1e-300:
+                raise SingularSystemError("cannot eliminate Robin stencil point")
+            main[end] = 3 * alpha + p - alpha * near[row] / pivot
+            far[end] = -4 * alpha - alpha * main[row] / pivot
+            self._ends.append((end, row, float(alpha), float(pivot)))
         self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
         dl, d, du, du2, ipiv, info = _gttrf(self._sub, self._main, self._sup)
         if info > 0:
@@ -245,7 +242,7 @@ def solve_banded(lu, rhs: np.ndarray) -> Field:
     return _gttrs(*lu, rhs, "N", 1)[0]
 
 
-def _check_finite(op: Operator, u: Field, solved: bool = True) -> Field:
+def _require_finite(op: Operator, u: Field, solved: bool = True) -> Field:
     """``u``, or NonFiniteError when a solve on ``op`` left it not finite.
 
     The one finiteness rule of both solves: with F nonzero every solved
@@ -321,23 +318,20 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
 
 def solve_semilinear_elliptic(op: Operator, left: float, right: float,
                               picard_tol: float = 1e-10, picard_max: int = 200,
-                              u_start: Field | None = None,
-                              check_finite: bool = True) -> tuple[Field, int]:
+                              u_start: Field | None = None) -> tuple[Field, int]:
     """Solve -(a u')' + b u' + c u = F(x, u) + source on ``op``'s subdomain.
 
     ``left``/``right`` is the Dirichlet value or the Robin flux of each end,
     as ``op.robin_p`` says.  The Picard loop starts from ``u_start`` (zero
     when None).  Returns the converged field and the number of Picard
     steps.  With c > Lipschitz(F) the iteration contracts at rate
-    ~ C / min(c).  Raises NonFiniteError when the field is not finite;
-    with ``check_finite`` False a linear (F zero) field is not scanned, and
-    the caller must check it.
+    ~ C / min(c).  Raises NonFiniteError when the field is not finite.
     """
     start = None if u_start is None else np.asarray(u_start, dtype=float)
     # one level, whose source is sampled at t = 0
     u, steps = _march(op, [None, float(left)], [None, float(right)], (0.0, 0.0), start, None,
                       picard_tol, picard_max)
-    return _check_finite(op, u) if check_finite else u, steps
+    return _require_finite(op, u), steps
 
 
 def _per_level(value, levels: int) -> Sequence[float]:
@@ -352,8 +346,7 @@ def _per_level(value, levels: int) -> Sequence[float]:
 
 def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: float,
                                t: np.ndarray, picard_tol: float = 1e-10,
-                               picard_max: int = 200, check_finite: bool = True,
-                               out: np.ndarray | None = None) -> Field:
+                               picard_max: int = 200, out: np.ndarray | None = None) -> Field:
     """March d/dt u - (a u')' + b u' + c u = F(x,u) + source by implicit Euler.
 
     ``op`` is the subdomain's operator with the shift 1/dt.  ``left``/
@@ -363,9 +356,7 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     source.  The source is ``op.source`` at every level unless it is
     callable.  Returns the (nodes, len(t)) space-time field, the transposed
     view of the march's time-major buffer (not C-contiguous: each level is
-    a contiguous column); raises NonFiniteError when it is not finite,
-    which with ``check_finite`` False only a Picard difference shows (a
-    linear field, or a window of one level, is then not scanned).
+    a contiguous column); raises NonFiniteError when it is not finite.
     ``out``, a float64 vector of at least len(t) * op.n values, is the
     buffer when given: the field overwrites its leading values, so it
     lives only until ``out`` is written again.  A caller whose fields die
@@ -382,7 +373,7 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     field[0] = np.asarray(initial, dtype=float)
     _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
            picard_tol, picard_max, field)
-    return _check_finite(op, field.T, levels > 1) if check_finite else field.T
+    return _require_finite(op, field.T, levels > 1)
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,

@@ -67,7 +67,7 @@ class AnalyticCase:
     (right subdomain's interface); ``rho`` rescales both.  All three must
     be positive finite numbers, the rule a run applies to its Robin
     parameters; a non-positive q can make the right subdomain's problem
-    singular.
+    singular.  The lengths L1 < L2 < L must be finite too.
     """
 
     L: float
@@ -80,6 +80,9 @@ class AnalyticCase:
     def __post_init__(self) -> None:
         if not (0.0 < self.L1 < self.L2 < self.L):
             raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
+        if not all(map(is_positive_number, (self.L, self.L1, self.L2))):
+            raise ValueError(f"lengths L, L1 and L2 must be finite numbers, "
+                             f"got L={self.L!r}, L1={self.L1!r}, L2={self.L2!r}")
         if not (is_positive_number(self.p) and is_positive_number(self.q)):
             raise ValueError(f"Robin parameters p and q must be positive finite numbers, "
                              f"got p={self.p!r}, q={self.q!r}")
@@ -95,10 +98,16 @@ class InterfaceState:
     B: float
 
 
-def _phi(x: float, anchor: float, roots) -> tuple[float, float]:
-    """Profile vanishing at ``anchor`` and its derivative, at x."""
+def _phi(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
+    """The left (vanishing at 0) or right (at L) error profile and its
+    derivative, at x; a ValueError when it overflows, as on a long domain."""
     rp, rm = roots
-    ep, em = math.exp(rp * (x - anchor)), math.exp(rm * (x - anchor))
+    anchor = 0.0 if side == "left" else case.L
+    try:
+        ep, em = math.exp(rp * (x - anchor)), math.exp(rm * (x - anchor))
+    except OverflowError:
+        raise ValueError(f"the {side} error profile overflows a float at x = {x:g} "
+                         f"(L = {case.L:g})") from None
     return ep - em, rp * ep - rm * em
 
 
@@ -128,21 +137,21 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
         if not math.isfinite(scaled):
             raise ValueError(f"Robin parameter rho * {name} = {case.rho!r} * {value!r} "
                              f"is not finite")
-    v1, d1 = _phi(case.L2, 0.0, roots)        # left profile at L2
-    w1, e1 = _phi(case.L2, case.L, roots)     # right profile at L2
+    v1, d1 = _phi(case, case.L2, "left", roots)
+    w1, e1 = _phi(case, case.L2, "right", roots)
     tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1, d1, p * v1)
-    v2, d2 = _phi(case.L1, 0.0, roots)        # left profile at L1
-    w2, e2 = _phi(case.L1, case.L, roots)     # right profile at L1
+    v2, d2 = _phi(case, case.L1, "left", roots)
+    w2, e2 = _phi(case, case.L1, "right", roots)
     tau2 = _checked_ratio(d2 - q * v2, e2 - q * w2, e2, q * w2)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 
 def dirichlet_tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     """Trace-exchange (Dirichlet) factors for the same two-subdomain model."""
-    v1, _ = _phi(case.L2, 0.0, roots)
-    w1, _ = _phi(case.L2, case.L, roots)
-    v2, _ = _phi(case.L1, 0.0, roots)
-    w2, _ = _phi(case.L1, case.L, roots)
+    v1, _ = _phi(case, case.L2, "left", roots)
+    w1, _ = _phi(case, case.L2, "right", roots)
+    v2, _ = _phi(case, case.L1, "left", roots)
+    w2, _ = _phi(case, case.L1, "right", roots)
     tau1 = _checked_ratio(w1, v1, v1)
     tau2 = _checked_ratio(v2, w2, w2)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))

@@ -333,7 +333,7 @@ class ProblemSpec:
     """A fully specified model problem instance.
 
     ``source`` may be a DataFn or, for manufactured-solution studies, any
-    callable ``f(x)`` or ``f(x, t)``.
+    callable ``f(x, t)``; an elliptic solve passes t = 0.
     """
 
     mode: str  # "elliptic" | "parabolic"
@@ -355,16 +355,13 @@ class ProblemSpec:
             raise ValueError("time horizon must be positive")
 
     def source_values(self, x, t: float = 0.0):
-        """Evaluate the source term at nodes x (and time t for parabolic)."""
+        """The source at nodes x and time t (a DataFn does not depend on t)."""
         x = np.asarray(x, dtype=float)
         if self.source is None:
             return np.zeros_like(x)
         if isinstance(self.source, DataFn):
             return np.asarray(self.source.value(x, self.length), dtype=float)
-        try:
-            return np.asarray(self.source(x, t), dtype=float) + np.zeros_like(x)
-        except TypeError:
-            return np.asarray(self.source(x), dtype=float) + np.zeros_like(x)
+        return np.asarray(self.source(x, t), dtype=float) + np.zeros_like(x)
 
     def boundary_values(self) -> tuple[float, float]:
         """Dirichlet data (g(0), g(L)) on the outer boundary."""

@@ -459,25 +459,23 @@ def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
         data[l][end] = np.array(tx.extract(link, field))
 
 
-def _solve(plan: Plan, l: int, data, start, k: int, check_finite: bool = True,
+def _solve(plan: Plan, l: int, data, start, k: int,
            out: np.ndarray | None = None) -> np.ndarray | None:
     """Subdomain l's new field from its boundary data ``data`` (left, right).
 
     ``start`` is as for ``sweep``, and ``out`` the buffer of a parabolic
     solve (None: its own).  Returns None when the solve raises
-    NonFiniteError; with ``check_finite`` False a linear field is not
-    scanned, and the caller's norm is its check.  Any other failure is
-    ``SchwarzRunError("iteration k, subdomain l: ...")``.
+    NonFiniteError.  Any other failure is ``SchwarzRunError("iteration k,
+    subdomain l: ...")``.
     """
     cfg, grid, op = plan.cfg, plan.grid, plan.ops[l]
     left, right = data
     try:
         if cfg.problem.mode == "parabolic":
             return solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
-                                              cfg.picard_tol, cfg.picard_max,
-                                              check_finite=check_finite, out=out)
+                                              cfg.picard_tol, cfg.picard_max, out=out)
         return solve_semilinear_elliptic(op, left, right, cfg.picard_tol, cfg.picard_max,
-                                         u_start=start, check_finite=check_finite)[0]
+                                         u_start=start)[0]
     except NonFiniteError:
         return None
     except Exception as exc:
@@ -531,9 +529,9 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     datum its neighbors read into the data of sweep k + 1.  Only then is
     the next subdomain solved.  Every solve still reads the previous
     iterate's data, so the subdomain order does not change the result.
-    A non-finite norm ends the run "diverged" at once, before that field
-    is handed off, and the sweep is not recorded; it is also the run's
-    finiteness rule for linear fields, which the solves do not scan.
+    A solve that raises NonFiniteError, or a non-finite norm, ends the run
+    "diverged" at once, before that field is handed off, and the sweep is
+    not recorded.
 
     A parabolic field is then dead: every parabolic solve of the run
     writes into one time-major buffer of the largest subdomain's size,
@@ -581,7 +579,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
         for l, (op, ref) in enumerate(zip(plan.ops, refs)):
             try:
                 field = _solve(plan, l, data[l], ref[:, 0] if parabolic else fields[l], k,
-                               check_finite=False, out=buffer)
+                               out=buffer)
             except SchwarzRunError as exc:
                 exc.history = history("error", [])
                 raise

@@ -80,7 +80,7 @@ def manufactured_elliptic(spec: ProblemSpec) -> tuple[ProblemSpec, SineSolution]
     assert spec.a.kind == "constant", "manufactured source assumes constant a"
     sol = SineSolution(spec.length)
 
-    def src(x):
+    def src(x, t):
         x = np.asarray(x, dtype=float)
         ustar = sol.u(x)
         return (-spec.a(0.0) * sol.d2u(x) + np.atleast_1d(spec.b(x)) * sol.du(x)

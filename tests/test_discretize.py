@@ -214,6 +214,27 @@ def test_operator_source_survives_repeated_solves(F):
     assert np.array_equal(op.source, -3.0 * np.sin(2 * np.pi * sg.x))
 
 
+def test_a_type_error_inside_a_source_surfaces_its_own_message():
+    # a source is called as f(x, t) only: a TypeError raised inside it is
+    # not taken for a one-argument source and retried as f(x)
+    def src(x, t):
+        return t[0] * x  # t is a float
+
+    message = "^'float' object is not subscriptable$"
+    spec = simple_spec(c=4.0, source=src)
+    heat = heat_operator(Nonlinearity.zero(), source=src)
+    solves = [
+        lambda: spec.source_values(np.linspace(0.0, 1.0, 5), 0.5),
+        lambda: solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 10)), 0.0, 0.0),
+        lambda: solve_semilinear_parabolic(heat, 0.0, 1.0, np.zeros(heat.n), 0.01,
+                                           np.linspace(0, 0.1, 11)),
+    ]
+    for solve in solves:
+        with pytest.raises(TypeError, match=message) as caught:
+            solve()
+        assert caught.value.__context__ is None
+
+
 def test_parabolic_solve_rejects_operator_of_other_shift():
     op = Operator(simple_spec(c=1.0), subgrid(1.0, 10), (None, 2.0))
     with pytest.raises(ValueError, match="shift"):
@@ -228,23 +249,6 @@ def test_non_finite_data_raise_non_finite_error(F):
         with pytest.raises(NonFiniteError, match="non-finite"):
             solve_semilinear_elliptic(op, value, 0.0)
     assert issubclass(NonFiniteError, SingularSystemError)
-
-
-def test_unchecked_linear_solves_return_their_non_finite_field_and_picard_still_checks():
-    # with check_finite False a linear field is not scanned (the engine's
-    # norm checks it); a semilinear one still fails on its Picard difference
-    linear = Operator(simple_spec(c=4.0), subgrid(1.0, 10), (None, None))
-    u, _ = solve_semilinear_elliptic(linear, np.nan, 0.0, check_finite=False)
-    assert np.isnan(u).any()
-    heat = heat_operator(Nonlinearity.zero())
-    t = np.linspace(0, 0.1, 11)
-    u = solve_semilinear_parabolic(heat, np.inf, 0.0, np.zeros(heat.n), 0.01, t,
-                                   check_finite=False)
-    assert not np.isfinite(u).all()
-    semilinear = Operator(simple_spec(c=4.0, F=Nonlinearity.sine(1.0)), subgrid(1.0, 10),
-                          (None, None))
-    with pytest.raises(NonFiniteError, match="non-finite"):
-        solve_semilinear_elliptic(semilinear, np.nan, 0.0, check_finite=False)
 
 
 @pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)])
@@ -441,9 +445,25 @@ def test_robin_right_end_exact_for_linear_solution():
     np.testing.assert_allclose(dudn + p * u[-1], g0, atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, 4.0])
+@pytest.mark.parametrize("n_cells", [5, 10, 39])
+@pytest.mark.parametrize("left_p, right_p", [(2.5, None), (2.5, 0.75)], ids=["one", "both"])
+def test_robin_end_rows_mirror_each_other_bitwise(c, n_cells, left_p, right_p):
+    # x -> L - x turns b into -b and swaps the ends: with constant a and c
+    # the right end's rows are the left end's, entry for entry
+    b = 3.0
+    sg = subgrid(1.0, n_cells)
+    op = Operator(simple_spec(b=b, c=c), sg, (left_p, right_p))
+    mirror = Operator(simple_spec(b=-b, c=c), sg, (right_p, left_p))
+    assert np.array_equal(op.dense(), mirror.dense()[::-1, ::-1])
+    rhs = np.random.default_rng(n_cells).standard_normal(op.n)
+    filled = op.system(rhs.copy(), 1.25, -0.5)
+    assert np.array_equal(filled, mirror.system(rhs[::-1].copy(), -0.5, 1.25)[::-1])
+
+
 def test_robin_discretization_second_order():
     # u* = sin(x) + 2 on (0,1) with a=1, c=1: source = 2 sin(x) + 2
-    spec = simple_spec(c=1.0, source=lambda x: 2 * np.sin(x) + 2.0)
+    spec = simple_spec(c=1.0, source=lambda x, t: 2 * np.sin(x) + 2.0)
     p = 1.5
     flux = math.cos(1.0) + p * (math.sin(1.0) + 2.0)
     errs, hs = [], []
@@ -467,7 +487,7 @@ def test_dominance_threshold_warning_recorded():
 # --------------------------------------------------------------------------
 
 def test_zero_nonlinearity_takes_one_picard_step():
-    spec = simple_spec(c=1.0, source=lambda x: np.ones_like(x))
+    spec = simple_spec(c=1.0, source=lambda x, t: np.ones_like(x))
     u, iters = solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0)
     assert iters == 1
 
@@ -475,8 +495,8 @@ def test_zero_nonlinearity_takes_one_picard_step():
 def test_linear_nonlinearity_matches_absorbed_coefficient_oracle():
     # F = s u with c - s > 0 is the linear problem with coefficient c - s
     s, c = 1.5, 4.0
-    spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x: np.sin(np.pi * x))
-    oracle_spec = simple_spec(c=c - s, source=lambda x: np.sin(np.pi * x))
+    spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x, t: np.sin(np.pi * x))
+    oracle_spec = simple_spec(c=c - s, source=lambda x, t: np.sin(np.pi * x))
     sg = subgrid(1.0, 64)
     u, iters = solve_semilinear_elliptic(dirichlet(spec, sg), 0.0, 0.0)
     oracle, _ = solve_semilinear_elliptic(dirichlet(oracle_spec, sg), 0.0, 0.0)
@@ -487,7 +507,7 @@ def test_linear_nonlinearity_matches_absorbed_coefficient_oracle():
 
 def test_picard_iteration_ratio_bounded_by_s_over_c():
     s, c = 2.0, 5.0
-    spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x: np.cos(np.pi * x))
+    spec = simple_spec(c=c, F=Nonlinearity.linear(s), source=lambda x, t: np.cos(np.pi * x))
     op = dirichlet(spec, subgrid(1.0, 100))
     op_diffs = []
     u = np.zeros(op.n)
@@ -500,7 +520,7 @@ def test_picard_iteration_ratio_bounded_by_s_over_c():
 
 
 def test_sine_nonlinearity_residual_small():
-    spec = simple_spec(c=4.0, F=Nonlinearity.sine(1.0), source=lambda x: np.sin(np.pi * x))
+    spec = simple_spec(c=4.0, F=Nonlinearity.sine(1.0), source=lambda x, t: np.sin(np.pi * x))
     op = dirichlet(spec, subgrid(1.0, 80))
     u, _ = solve_semilinear_elliptic(op, 0.0, 0.0)
     residual = np.max(np.abs(op.dense() @ u - frozen_rhs(op, u, 0.0, 0.0)))
@@ -508,7 +528,7 @@ def test_sine_nonlinearity_residual_small():
 
 
 def test_picard_step_count_mesh_independent():
-    spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x: np.cos(np.pi * x))
+    spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x, t: np.cos(np.pi * x))
     counts = set()
     for n in (40, 80, 160):
         _, iters = solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, n)), 0.0, 0.0)
@@ -517,7 +537,7 @@ def test_picard_step_count_mesh_independent():
 
 
 def test_picard_failure_names_its_budget_and_last_difference():
-    spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x: np.ones_like(x))
+    spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x, t: np.ones_like(x))
     with pytest.raises(PicardError, match=r"^Picard iteration did not reach 1e-10 in 2 steps "
                                           r"\(last diff \d"):
         solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0, picard_max=2)

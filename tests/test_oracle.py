@@ -242,6 +242,27 @@ def test_geometry_validation():
         AnalyticCase(L=1.0, L1=0.2, L2=0.5, p=1.0, q=1.0, rho=-1.0)
 
 
+def test_infinite_length_is_rejected_as_not_finite():
+    # an infinite L passes 0 < L1 < L2 < L; its right profile is infinite
+    with pytest.raises(ValueError, match=r"^lengths L, L1 and L2 must be finite numbers, "
+                                         r"got L=inf, L1=1\.9, L2=1\.95$"):
+        AnalyticCase(L=math.inf, L1=1.9, L2=1.95, p=1.0, q=50.0)
+
+
+@pytest.mark.parametrize("factors", [tau_factors, dirichlet_tau_factors])
+@pytest.mark.parametrize("L, L1, L2, message", [
+    # exp(L - L2) past the float range: the right profile overflows at L2
+    pytest.param(1e3, 1.9, 1.95, r"the right error profile overflows a float at x = 1\.95 "
+                                 r"\(L = 1000\)", id="right"),
+    # exp(4 L2) past the float range: the left profile overflows at L2
+    pytest.param(400.0, 300.0, 300.5, r"the left error profile overflows a float at "
+                                      r"x = 300\.5 \(L = 400\)", id="left"),
+])
+def test_an_overflowing_profile_is_named_with_its_length(factors, L, L1, L2, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=50.0))
+
+
 def test_dirichlet_factors_below_one_for_overlapping_split():
     f = dirichlet_tau_factors(AnalyticCase(L=2.0, L1=0.9, L2=1.1, p=1.0, q=1.0))
     assert 0.0 < f.tau < 1.0

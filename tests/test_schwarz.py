@@ -518,23 +518,6 @@ def test_final_fields_are_the_last_recorded_iterate():
             for l, f in enumerate(hist.final_fields)] == hist.sub_norms[-1]
 
 
-def test_a_run_scans_only_its_reference_for_finiteness(monkeypatch):
-    # a linear subdomain field is checked by its error norm, not scanned
-    import schwarz1d.discretize as discretize
-    scans = []
-    original = discretize._check_finite
-
-    def counted(op, u, *args):
-        scans.append(u.size)
-        return original(op, u, *args)
-
-    monkeypatch.setattr(discretize, "_check_finite", counted)
-    p = plan(laplace_cfg())
-    hist = run_elliptic(p)
-    assert hist.verdict == "converged" and hist.iterations > 1
-    assert scans == [p.grid.x.size]
-
-
 def test_final_fields_are_empty_after_a_non_finite_sweep():
     # tau = 1.93 per double sweep and no guard in reach: the interface data
     # grow until a solve overflows, and that sweep is not recorded
