@@ -59,6 +59,12 @@ class TauFactors(NamedTuple):
     tau: float  # |tau1 * tau2|, the per-double-sweep contraction factor
 
 
+def _require_finite_lengths(L: float, L1: float, L2: float) -> None:
+    if not all(map(is_positive_number, (L, L1, L2))):
+        raise ValueError(f"lengths L, L1 and L2 must be finite numbers, "
+                         f"got L={L!r}, L1={L1!r}, L2={L2!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticCase:
     """Two-subdomain geometry (0, L2) | (L1, L) with Robin parameters.
@@ -80,9 +86,7 @@ class AnalyticCase:
     def __post_init__(self) -> None:
         if not (0.0 < self.L1 < self.L2 < self.L):
             raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
-        if not all(map(is_positive_number, (self.L, self.L1, self.L2))):
-            raise ValueError(f"lengths L, L1 and L2 must be finite numbers, "
-                             f"got L={self.L!r}, L1={self.L1!r}, L2={self.L2!r}")
+        _require_finite_lengths(self.L, self.L1, self.L2)
         if not (is_positive_number(self.p) and is_positive_number(self.q)):
             raise ValueError(f"Robin parameters p and q must be positive finite numbers, "
                              f"got p={self.p!r}, q={self.q!r}")
@@ -111,6 +115,16 @@ def _phi(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
     return ep - em, rp * ep - rm * em
 
 
+def _phi_with_slope(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
+    """``_phi``, and a ValueError too when only its derivative overflows: a
+    root times a finite exponential can leave the float range."""
+    value, slope = _phi(case, x, side, roots)
+    if math.isinf(slope):
+        raise ValueError(f"the derivative of the {side} error profile overflows a float "
+                         f"at x = {x:g} (L = {case.L:g})")
+    return value, slope
+
+
 def _checked_ratio(num: float, den: float, *terms: float) -> float:
     """num / den, or a ValueError when ``den``, the sum of ``terms``, cancels
     to within 1e-14 of its largest term.
@@ -137,11 +151,11 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
         if not math.isfinite(scaled):
             raise ValueError(f"Robin parameter rho * {name} = {case.rho!r} * {value!r} "
                              f"is not finite")
-    v1, d1 = _phi(case, case.L2, "left", roots)
-    w1, e1 = _phi(case, case.L2, "right", roots)
+    v1, d1 = _phi_with_slope(case, case.L2, "left", roots)
+    w1, e1 = _phi_with_slope(case, case.L2, "right", roots)
     tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1, d1, p * v1)
-    v2, d2 = _phi(case, case.L1, "left", roots)
-    w2, e2 = _phi(case, case.L1, "right", roots)
+    v2, d2 = _phi_with_slope(case, case.L1, "left", roots)
+    w2, e2 = _phi_with_slope(case, case.L1, "right", roots)
     tau2 = _checked_ratio(d2 - q * v2, e2 - q * w2, e2, q * w2)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
@@ -168,10 +182,17 @@ def asymptotic_tau_large_q(L: float, L1: float, roots=ROOTS) -> float:
     """Limit of tau for p = 1 as q -> infinity.
 
     Equals (exp(sL1) - 1) / (exp(sL) - exp(sL1)) with s = r+ - r-; the
-    p = 1 factor contributes exactly 1 for the default roots.
+    p = 1 factor contributes exactly 1 for the default roots.  It is
+    evaluated as -expm1(-s L1) / expm1(s (L - L1)), the same ratio divided
+    through by exp(sL1), which stays finite until exp(s (L - L1)) leaves
+    the float range; there it is a ValueError.
     """
     s = roots[0] - roots[1]
-    return math.expm1(s * L1) / (math.exp(s * L) - math.exp(s * L1))
+    try:
+        return -math.expm1(-s * L1) / math.expm1(s * (L - L1))
+    except OverflowError:
+        raise ValueError(f"the large-q factor overflows a float (L = {L:g}, "
+                         f"L1 = {L1:g})") from None
 
 
 def divergence_threshold_L1(L: float, roots=ROOTS) -> float:
@@ -197,4 +218,5 @@ def classical_laplace_rate(L: float, L1: float, L2: float) -> float:
     """
     if not (0.0 < L1 < L2 < L):
         raise ValueError(f"need 0 < L1 < L2 < L, got L={L}, L1={L1}, L2={L2}")
+    _require_finite_lengths(L, L1, L2)
     return (L1 / L2) * ((L - L2) / (L - L1))

@@ -41,7 +41,6 @@ magnitudes and E_k oscillates between parities.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -187,7 +186,9 @@ class IterationHistory:
 #: values per block of ``weighted_sup_norm``: 16 KiB, which malloc serves
 #: from its heap rather than from fresh pages; numpy buffers the strided
 #: reference operand of the subtraction in as many values again, and the
-#: two together stay small beside one subdomain field
+#: two together stay small beside one subdomain field.  Both parabolic
+#: norms stream a field by blocks of time levels and never form its error
+#: whole; ``seminorm_sq_profile`` takes ``_LAPLACE_BLOCK`` levels at a time.
 _SUP_BLOCK = 2048
 
 
@@ -225,6 +226,11 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
 
 _WINDOW_STARTS = 9  # log-spaced window starts sampled in [alpha, 10 alpha]
 _WINDOW_INTERVALS = 64  # Simpson intervals per unit window
+#: time levels per block of ``seminorm_sq_profile``: its kernel block at
+#: the 9 x 65 window points is then 0.6 MB.  In runs of heat_robin.json
+#: (97-node fields of 2,001 levels, one BLAS thread) a call takes about
+#: 7.8 ms at 128 levels and 7.4 ms at 256, which double the block
+_LAPLACE_BLOCK = 128
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -248,48 +254,50 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(tmp, axis=1)
 
 
-@functools.lru_cache(maxsize=1)
-def _seminorm_plan(alpha: float, t_bytes: bytes) -> tuple[list[np.ndarray], np.ndarray]:
-    """Window abscissae and the trapezoidal Laplace kernel for (alpha, t).
-
-    Both depend only on alpha and the time grid, which stay fixed for a
-    run, so one cached entry serves every norm of that run.  The arrays
-    are read-only because every caller shares them.
-    """
-    t = np.frombuffer(t_bytes, dtype=float)
-    starts = np.geomspace(alpha, 10.0 * alpha, _WINDOW_STARTS)
-    windows = [np.linspace(s, s + 1.0, _WINDOW_INTERVALS + 1) for s in starts]
-    # exp(-y t) times the trapezoidal weights, built in one (window points, t) array
-    kernel = np.outer(np.concatenate(windows), t)
-    np.negative(kernel, out=kernel)
-    np.exp(kernel, out=kernel)
-    kernel *= _trapezoid_weights(t)
-    for a in (*windows, kernel):
-        a.setflags(write=False)
-    return windows, kernel
-
-
-def seminorm_sq_profile(fields: np.ndarray, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Per-node squared seminorm |f(x_i, .)|_alpha^2 of a (nodes, time) field.
+def seminorm_sq_profile(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> np.ndarray:
+    """Per-node squared seminorm |e(x_i, .)|_alpha^2 of the error e = u - ref
+    of a (nodes, time) field.
 
     The Laplace transform uses trapezoidal quadrature on the time grid;
     the window integral uses composite Simpson with 64 intervals per unit
     window; the sup over window starts is sampled at 9 log-spaced points
-    in [alpha, 10 alpha] (for transforms decreasing in y, e.g. signals of
-    one sign, it is attained at the left end).  The windows and the
-    transform kernel are built once per (alpha, t) and cached for the
-    next call with the same pair, so the norms of one run share them.
+    s in [alpha, 10 alpha] (for transforms decreasing in y, e.g. signals
+    of one sign, it is attained at the left end).  The error is formed
+    one block of ``_LAPLACE_BLOCK`` time levels at a time, never whole,
+    and each block adds its part of every transform with one matmul.  Its
+    kernel exp(-y t) times the trapezoidal weights, at the window points
+    y = s + d with offsets d = k/64, is built per block from two small
+    factor tables, since exp(-(s + d) t) = exp(-s t) exp(-d t); no table
+    outlives the call.  A NaN or inf anywhere makes its node's value
+    non-finite.
     """
-    fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    t = np.ascontiguousarray(t, dtype=float)
-    windows, kernel = _seminorm_plan(float(alpha), t.tobytes())
-    transforms = fields @ kernel.T  # (nodes, all window points)
-    best = np.full(fields.shape[0], -np.inf)
-    ny = windows[0].size
-    for i, y in enumerate(windows):
-        block = transforms[:, i * ny:(i + 1) * ny] ** 2
-        best = np.maximum(best, _simpson(block, y))
-    return best
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    ref = np.broadcast_to(np.asarray(ref, dtype=float), u.shape)
+    t = np.asarray(t, dtype=float)
+    nodes, levels = u.shape
+    starts = np.geomspace(alpha, 10.0 * alpha, _WINDOW_STARTS)
+    offsets = np.arange(_WINDOW_INTERVALS + 1) / _WINDOW_INTERVALS
+    minus_rates = -np.concatenate([starts, offsets])
+    weights = _trapezoid_weights(t)
+    step = min(_LAPLACE_BLOCK, levels)
+    # one buffer each for the block's factor tables, kernel and error; the
+    # outer products are einsums, which need no broadcast buffers
+    factors = np.empty((minus_rates.size, step))
+    kernel = np.empty((starts.size, offsets.size, step))
+    err = np.empty((step, nodes)).T  # level-major, as a parabolic field is
+    transforms = np.zeros((nodes, starts.size * offsets.size))
+    part = np.empty_like(transforms)
+    for lo in range(0, levels, step):
+        hi = min(lo + step, levels)
+        f = np.einsum("i,t->it", minus_rates, t[lo:hi], out=factors[:, :hi - lo])
+        np.exp(f, f)
+        f[:starts.size] *= weights[lo:hi]
+        k = np.einsum("it,kt->ikt", f[:starts.size], f[starts.size:],
+                      out=kernel[..., :hi - lo])
+        e = np.subtract(u[:, lo:hi], ref[:, lo:hi], err[:, :hi - lo])
+        transforms += np.matmul(e, k.reshape(transforms.shape[1], -1).T, part)
+    windows = np.square(transforms, transforms).reshape(nodes, starts.size, offsets.size)
+    return np.max([_simpson(windows[:, i], offsets) for i in range(starts.size)], axis=0)
 
 
 def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray) -> float:
@@ -506,18 +514,19 @@ def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
                 scratch: np.ndarray | None) -> float:
     """The norm of one subdomain's error ``field - ref``.
 
-    The weighted sup norm forms the error a block of levels at a time; the
-    sup norm and the Laplace seminorm form it whole, in the leading rows
-    of ``scratch``.
+    Both parabolic norms form the error a block of time levels at a time;
+    the elliptic sup norm forms it whole, in the leading entries of
+    ``scratch``.
     """
+    alpha, t = plan.cfg.alpha, plan.grid.t
     if plan.norm_kind == "weighted-sup2":
-        return weighted_sup_norm(field, plan.cfg.alpha, plan.grid.t, ref)
+        return weighted_sup_norm(field, alpha, t, ref)
+    if plan.norm_kind == "laplace-seminorm2":
+        return float(np.trapezoid(seminorm_sq_profile(field, alpha, t, ref), op.sg.x))
     err = np.subtract(field, ref, scratch[:op.n])
-    if plan.norm_kind == "sup":
-        np.abs(err, err)
-        # argmax stops at the first NaN, as np.max would return it
-        return err.item(err.argmax())
-    return float(np.trapezoid(seminorm_sq_profile(err, plan.cfg.alpha, plan.grid.t), op.sg.x))
+    np.abs(err, err)
+    # argmax stops at the first NaN, as np.max would return it
+    return err.item(err.argmax())
 
 
 def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
@@ -537,11 +546,11 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     writes into one time-major buffer of the largest subdomain's size,
     which dies with the run, and starts from the reference's initial
     profile.  An elliptic run keeps its iterate, which starts the next
-    Picard loops.  The reference is only read.  The sup norm and the
-    Laplace seminorm form the error in one scratch of the largest
-    subdomain's size, the weighted sup norm a block of levels at a time.
-    So a parabolic run's working set is the reference, one subdomain
-    field and, with Robin exchange, one seminorm scratch.
+    Picard loops.  The reference is only read.  The elliptic sup norm
+    forms the error in one scratch vector of the largest subdomain's size;
+    both parabolic norms form it a block of time levels at a time.  So a
+    parabolic run's working set is the reference and one subdomain field,
+    with either exchange.
     """
     cfg, grid = plan.cfg, plan.grid
     if cfg.problem.mode != mode:
@@ -551,9 +560,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
         reference = solve_reference(plan)
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
     n_max = max(op.n for op in plan.ops)
-    scratch = None
-    if plan.norm_kind != "weighted-sup2":
-        scratch = np.empty((n_max,) + reference.shape[1:])
+    scratch = None if parabolic else np.empty(n_max)
     buffer = np.empty(n_max * grid.t.size) if parabolic else None
     u0 = plan.u0
     fields = [ref if u0 == "reference" else

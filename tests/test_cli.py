@@ -145,16 +145,18 @@ def test_tau_on_a_long_domain_prints_its_factor(capsys):
     assert "tau  = 1.20783142755496" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("L, message", [
-    pytest.param("inf", "lengths L, L1 and L2 must be finite numbers, got L=inf, L1=1.9, "
-                        "L2=1.95", id="infinite"),
-    pytest.param("1e3", "the right error profile overflows a float at x = 1.95 (L = 1000)",
-                 id="overflowing"),
+@pytest.mark.parametrize("L, L1, L2, message", [
+    pytest.param("inf", "1.9", "1.95", "lengths L, L1 and L2 must be finite numbers, "
+                 "got L=inf, L1=1.9, L2=1.95", id="infinite"),
+    pytest.param("1e3", "1.9", "1.95", "the right error profile overflows a float at "
+                 "x = 1.95 (L = 1000)", id="overflowing"),
+    pytest.param("178", "100", "177.3", "the derivative of the left error profile "
+                 "overflows a float at x = 177.3 (L = 178)", id="overflowing-derivative"),
 ])
-def test_tau_names_a_length_it_cannot_evaluate(capsys, L, message):
-    # not a vanishing denominator (num=-91909.4, den=inf) or a bare
-    # "math range error"
-    assert main(["tau", "--L", L, "--L1", "1.9", "--L2", "1.95", "--p", "1", "--q", "50"]) == 1
+def test_tau_names_a_length_it_cannot_evaluate(capsys, L, L1, L2, message):
+    # not a vanishing denominator (num=-91909.4, den=inf; num=0.30405,
+    # den=inf) or a bare "math range error"
+    assert main(["tau", "--L", L, "--L1", L1, "--L2", L2, "--p", "1", "--q", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

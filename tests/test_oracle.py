@@ -179,6 +179,30 @@ def test_asymptotic_tau_equals_one_at_threshold():
         np.testing.assert_allclose(asymptotic_tau_large_q(L, L1s), 1.0, rtol=1e-12)
 
 
+def test_asymptotic_tau_equals_its_exponential_form():
+    # the old form (exp(sL1) - 1) / (exp(sL) - exp(sL1)) wherever it is
+    # finite and well conditioned: each exponent's rounded argument is off
+    # by about s L ulp, and its difference cancels when L1 nears L
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        L = float(rng.uniform(0.5, 5.0))
+        L1 = float(rng.uniform(0.01 * L, L - 0.2))
+        old = math.expm1(5.0 * L1) / (math.exp(5.0 * L) - math.exp(5.0 * L1))
+        np.testing.assert_allclose(asymptotic_tau_large_q(L, L1), old, rtol=1e-14, atol=0.0)
+
+
+def test_asymptotic_tau_stays_finite_where_the_exponentials_overflow():
+    # exp(5 L) overflows past L = 142, but the factor depends on L - L1
+    L = 150.0
+    with pytest.raises(OverflowError):
+        math.exp(5.0 * L)
+    np.testing.assert_allclose(asymptotic_tau_large_q(L, L - 0.1), 1.0 / math.expm1(0.5),
+                               rtol=1e-12)
+    with pytest.raises(ValueError, match=r"^the large-q factor overflows a float "
+                                         r"\(L = 200, L1 = 1\.9\)$"):
+        asymptotic_tau_large_q(200.0, 1.9)
+
+
 def test_large_q_verdict_flips_across_threshold():
     L = 2.0
     L1s = divergence_threshold_L1(L)
@@ -235,6 +259,13 @@ def test_classical_rate_below_one_for_strict_overlap(L, data):
     assert classical_laplace_rate(L, L1, L2) < 1.0
 
 
+def test_classical_rate_rejects_an_infinite_length():
+    # 0 < L1 < L2 < L admits L = inf, whose rate would be inf / inf = nan
+    with pytest.raises(ValueError, match=r"^lengths L, L1 and L2 must be finite numbers, "
+                                         r"got L=inf, L1=1\.0, L2=2\.0$"):
+        classical_laplace_rate(math.inf, 1.0, 2.0)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         AnalyticCase(L=1.0, L1=0.8, L2=0.5, p=1.0, q=1.0)
@@ -261,6 +292,24 @@ def test_infinite_length_is_rejected_as_not_finite():
 def test_an_overflowing_profile_is_named_with_its_length(factors, L, L1, L2, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=50.0))
+
+
+@pytest.mark.parametrize("roots, L1, L2, side, x, dirichlet_tau", [
+    # exp(4 L2) is finite at L2 = 177.3, but 4 exp(4 L2) is not
+    pytest.param((4.0, -1.0), 100.0, 177.3, "left", r"177\.3", 1.3547716372644618e-168,
+                 id="left"),
+    # the mirror image: exp(4 (L - L1)) at L1 = 0.7
+    pytest.param((1.0, -4.0), 0.7, 1.0, "right", r"0\.7", 0.21786014324775105, id="right"),
+])
+def test_an_overflowing_profile_derivative_is_named_with_its_length(roots, L1, L2, side, x,
+                                                                     dirichlet_tau):
+    case = AnalyticCase(L=178.0, L1=L1, L2=L2, p=1.0, q=50.0)
+    with pytest.raises(ValueError, match=rf"^the derivative of the {side} error profile "
+                                         rf"overflows a float at x = {x} \(L = 178\)$"):
+        tau_factors(case, roots)
+    # the Dirichlet factors read no derivative
+    np.testing.assert_allclose(dirichlet_tau_factors(case, roots).tau, dirichlet_tau,
+                               rtol=1e-12)
 
 
 def test_dirichlet_factors_below_one_for_overlapping_split():
