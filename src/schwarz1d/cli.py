@@ -179,11 +179,18 @@ def _out_dir(cfg: dict, out: str | None = None) -> Path:
     return Path(out or configured)
 
 
-def _write_history_csv(path: Path, hist: IterationHistory) -> None:
+def _write_history_csv(out: Path, hist: IterationHistory) -> None:
+    """Write ``out``/history.csv, making ``out``: a row (k, l, norm, E_k, rate,
+    verdict) per iteration k and subdomain l, 1-based, where ``rate`` is
+    E_k / E_{k-1}, empty for k = 1 and where E_{k-1} = 0."""
     lines = ["k,l,norm,E_k,rate,verdict"]
-    for k, l, norm, ek, rate, verdict in hist.to_csv_rows():
-        lines.append(",".join([str(k), str(l), _fmt(norm), _fmt(ek), _fmt(rate), verdict]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for k, (ek, norms) in enumerate(zip(hist.E, hist.sub_norms), start=1):
+        rate = ek / hist.E[k - 2] if k >= 2 and hist.E[k - 2] != 0.0 else None
+        for l, norm in enumerate(norms, start=1):
+            lines.append(",".join([str(k), str(l), _fmt(norm), _fmt(ek), _fmt(rate),
+                                   hist.verdict]))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
@@ -217,11 +224,9 @@ def _cmd_run(args) -> int:
         hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
     except SchwarzRunError as exc:
         if exc.history is not None:  # keep the iterations before the failed sweep
-            out.mkdir(parents=True, exist_ok=True)
-            _write_history_csv(out / "history.csv", exc.history)
+            _write_history_csv(out, exc.history)
         raise
-    out.mkdir(parents=True, exist_ok=True)
-    _write_history_csv(out / "history.csv", hist)
+    _write_history_csv(out, hist)
     summary = _summary_text(problem_id, p, hist)
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     if not args.quiet:

@@ -183,16 +183,13 @@ def asymptotic_tau_large_q(L: float, L1: float, roots=ROOTS) -> float:
 
     Equals (exp(sL1) - 1) / (exp(sL) - exp(sL1)) with s = r+ - r-; the
     p = 1 factor contributes exactly 1 for the default roots.  It is
-    evaluated as -expm1(-s L1) / expm1(s (L - L1)), the same ratio divided
-    through by exp(sL1), which stays finite until exp(s (L - L1)) leaves
-    the float range; there it is a ValueError.
+    evaluated as -expm1(-s L1) exp(-x) / -expm1(-x) with x = s (L - L1),
+    the same ratio divided through by exp(sL), which cannot overflow; a
+    factor below the float range rounds to 0.
     """
     s = roots[0] - roots[1]
-    try:
-        return -math.expm1(-s * L1) / math.expm1(s * (L - L1))
-    except OverflowError:
-        raise ValueError(f"the large-q factor overflows a float (L = {L:g}, "
-                         f"L1 = {L1:g})") from None
+    x = s * (L - L1)
+    return -math.expm1(-s * L1) * math.exp(-x) / -math.expm1(-x)
 
 
 def divergence_threshold_L1(L: float, roots=ROOTS) -> float:

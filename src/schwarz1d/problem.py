@@ -43,7 +43,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# config readers, shared by every from_dict and the CLI
+# reading config values, shared by every from_dict and the CLI
 # --------------------------------------------------------------------------
 
 def is_number(value) -> bool:

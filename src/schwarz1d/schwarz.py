@@ -164,20 +164,6 @@ class IterationHistory:
     def iterations(self) -> int:
         return len(self.E)
 
-    def rate_so_far(self, k: int) -> float:
-        """E_k / E_{k-1} for 1-based iteration k; nan for k = 1."""
-        if k < 2 or self.E[k - 2] == 0.0:
-            return float("nan")
-        return self.E[k - 1] / self.E[k - 2]
-
-    def to_csv_rows(self) -> list[tuple]:
-        """(k, l, norm, E_k, rate, verdict) per iteration and subdomain, 1-based l."""
-        rows = []
-        for k in range(1, self.iterations + 1):
-            for l, norm in enumerate(self.sub_norms[k - 1], start=1):
-                rows.append((k, l, norm, self.E[k - 1], self.rate_so_far(k), self.verdict))
-        return rows
-
 
 # --------------------------------------------------------------------------
 # norms
@@ -233,25 +219,17 @@ _WINDOW_INTERVALS = 64  # Simpson intervals per unit window
 _LAPLACE_BLOCK = 128
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson integral of the rows of ``y`` over the points ``x``.
+def _simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson integral of the rows of ``y`` over equally spaced
+    points ``h`` apart; ``y`` must have an odd number of columns.
 
-    ``x`` may be non-uniform and must have an odd number of points.  Each
-    pair of intervals (h0, h1) integrates the parabola through its three
-    points, so the rule is exact for quadratics, and for cubics when every
-    middle point is its pair's midpoint.  The arithmetic is that of
-    scipy.integrate.simpson (scipy 1.17) for an odd point count, in the
-    same order, so the results agree bitwise.
+    Each pair of intervals integrates the parabola through its three
+    points, so the rule is exact for cubics.  At h = 1/64, where the
+    per-pair factors of scipy.integrate.simpson (scipy 1.17, odd point
+    count) are exactly 1, 4 and 1, this is its arithmetic in the same
+    order, so the results agree bitwise.
     """
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[:, 0:-2:2] * (2.0 - 1.0 / h0divh1)
-                        + y[:, 1::2] * (hsum * (hsum / hprod))
-                        + y[:, 2::2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=1)
+    return np.sum((2.0 * h) / 6.0 * (y[:, 0:-2:2] + 4.0 * y[:, 1::2] + y[:, 2::2]), axis=1)
 
 
 def seminorm_sq_profile(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> np.ndarray:
@@ -297,7 +275,8 @@ def seminorm_sq_profile(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> 
         e = np.subtract(u[:, lo:hi], ref[:, lo:hi], err[:, :hi - lo])
         transforms += np.matmul(e, k.reshape(transforms.shape[1], -1).T, part)
     windows = np.square(transforms, transforms).reshape(nodes, starts.size, offsets.size)
-    return np.max([_simpson(windows[:, i], offsets) for i in range(starts.size)], axis=0)
+    return np.max([_simpson(windows[:, i], 1.0 / _WINDOW_INTERVALS)
+                   for i in range(starts.size)], axis=0)
 
 
 def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray) -> float:
@@ -352,19 +331,16 @@ class Plan(NamedTuple):
     """What a run fixes before its first solve; ``plan(cfg)`` builds it.
 
     ``links[l]`` holds subdomain l's ends (left, right): a
-    ``transmission.Link``, or None at the outer boundary.  ``readers[m]``
-    lists, as (l, end, link), the links whose neighbor is m, with
-    ``links[l][end] is link``: the data subdomain m's field gives.
-    ``ops[l]`` is its operator (grid, matrix and LU factors), whose Robin
-    rows read the same ``Link.p`` as ``transmission.extract``; only the
-    interface data change between sweeps.  ``u0`` is a DataFn or
-    "reference".
+    ``transmission.Link``, or None at the outer boundary; the ends whose
+    ``Link.m`` is m read subdomain m's field.  ``ops[l]`` is subdomain l's
+    operator (grid, matrix and LU factors), whose Robin rows read the same
+    ``Link.p`` as ``transmission.extract``; only the interface data change
+    between sweeps.  ``u0`` is a DataFn or "reference".
     """
 
     cfg: SchwarzConfig
     grid: Grid
     links: list
-    readers: list[list[tuple]]
     ops: list[Operator]
     u0: Union[DataFn, str]
     norm_kind: str
@@ -407,11 +383,6 @@ def plan(cfg: SchwarzConfig) -> Plan:
     grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
 
     links = tx.links(cfg.transmission, grid, prob)
-    readers = [[] for _ in links]
-    for l, pair in enumerate(links):
-        for end, link in enumerate(pair):
-            if link is not None:
-                readers[link.m].append((l, end, link))
     ops = []
     for l, pair in enumerate(links):
         robin_p = tuple(None if link is None else link.p for link in pair)
@@ -422,7 +393,7 @@ def plan(cfg: SchwarzConfig) -> Plan:
             raise ValueError(f"subdomain {l + 1}: {exc}") from exc
     norm_kind = ("sup" if not parabolic else "laplace-seminorm2"
                  if cfg.transmission.is_robin else "weighted-sup2")
-    return Plan(cfg, grid, links, readers, ops, u0, norm_kind)
+    return Plan(cfg, grid, links, ops, u0, norm_kind)
 
 
 def solve_reference(plan: Plan) -> np.ndarray:
@@ -458,13 +429,16 @@ def _outer_data(plan: Plan) -> list[list]:
 
 
 def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
-    """Write into ``data`` every datum that subdomain m's ``field`` gives.
+    """Write into ``data`` every datum that subdomain m's ``field`` gives:
+    one for each end in ``plan.links`` whose ``Link.m`` is m, at most two.
 
     Each datum is a copy, so ``field`` is free once this returns: a
     Dirichlet datum of a space-time field would be a view of its row.
     """
-    for l, end, link in plan.readers[m]:
-        data[l][end] = np.array(tx.extract(link, field))
+    for l, pair in enumerate(plan.links):
+        for end, link in enumerate(pair):
+            if link is not None and link.m == m:
+                data[l][end] = np.array(tx.extract(link, field))
 
 
 def _solve(plan: Plan, l: int, data, start, k: int,
@@ -472,9 +446,9 @@ def _solve(plan: Plan, l: int, data, start, k: int,
     """Subdomain l's new field from its boundary data ``data`` (left, right).
 
     ``start`` is as for ``sweep``, and ``out`` the buffer of a parabolic
-    solve (None: its own).  Returns None when the solve raises
-    NonFiniteError.  Any other failure is ``SchwarzRunError("iteration k,
-    subdomain l: ...")``.
+    solve (None: its own; an elliptic solve ignores it).  Returns None when
+    the solve raises NonFiniteError.  Any other failure is
+    ``SchwarzRunError("iteration k, subdomain l: ...")``.
     """
     cfg, grid, op = plan.cfg, plan.grid, plan.ops[l]
     left, right = data
@@ -511,19 +485,19 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1) -> list[np.ndarray] 
 
 
 def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
-                scratch: np.ndarray | None) -> float:
+                work: np.ndarray) -> float:
     """The norm of one subdomain's error ``field - ref``.
 
     Both parabolic norms form the error a block of time levels at a time;
     the elliptic sup norm forms it whole, in the leading entries of
-    ``scratch``.
+    ``work``.
     """
     alpha, t = plan.cfg.alpha, plan.grid.t
     if plan.norm_kind == "weighted-sup2":
         return weighted_sup_norm(field, alpha, t, ref)
     if plan.norm_kind == "laplace-seminorm2":
         return float(np.trapezoid(seminorm_sq_profile(field, alpha, t, ref), op.sg.x))
-    err = np.subtract(field, ref, scratch[:op.n])
+    err = np.subtract(field, ref, work[:op.n])
     np.abs(err, err)
     # argmax stops at the first NaN, as np.max would return it
     return err.item(err.argmax())
@@ -542,15 +516,15 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     "diverged" at once, before that field is handed off, and the sweep is
     not recorded.
 
-    A parabolic field is then dead: every parabolic solve of the run
-    writes into one time-major buffer of the largest subdomain's size,
-    which dies with the run, and starts from the reference's initial
-    profile.  An elliptic run keeps its iterate, which starts the next
-    Picard loops.  The reference is only read.  The elliptic sup norm
-    forms the error in one scratch vector of the largest subdomain's size;
-    both parabolic norms form it a block of time levels at a time.  So a
-    parabolic run's working set is the reference and one subdomain field,
-    with either exchange.
+    A parabolic field is then dead.  The run allocates one ``work``
+    buffer of the largest subdomain's size, which dies with the run:
+    every parabolic solve writes its time-major field there, from the
+    reference's initial profile, and the elliptic sup norm forms the
+    error there; both parabolic norms form it a block of time levels at
+    a time.  An elliptic run keeps its iterate, which starts the next
+    Picard loops.  The reference is only read.  So a parabolic run's
+    working set is the reference and one subdomain field, with either
+    exchange.
     """
     cfg, grid = plan.cfg, plan.grid
     if cfg.problem.mode != mode:
@@ -560,8 +534,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
         reference = solve_reference(plan)
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
     n_max = max(op.n for op in plan.ops)
-    scratch = None if parabolic else np.empty(n_max)
-    buffer = np.empty(n_max * grid.t.size) if parabolic else None
+    work = np.empty(n_max * grid.t.size if parabolic else n_max)
     u0 = plan.u0
     fields = [ref if u0 == "reference" else
               np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
@@ -586,12 +559,12 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
         for l, (op, ref) in enumerate(zip(plan.ops, refs)):
             try:
                 field = _solve(plan, l, data[l], ref[:, 0] if parabolic else fields[l], k,
-                               out=buffer)
+                               out=work)
             except SchwarzRunError as exc:
                 exc.history = history("error", [])
                 raise
             data[l] = None  # read once, by this solve
-            norm = math.nan if field is None else _error_norm(plan, op, field, ref, scratch)
+            norm = math.nan if field is None else _error_norm(plan, op, field, ref, work)
             if not math.isfinite(norm):
                 return history("diverged", [])
             norms.append(norm)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schwarz1d.cli import build_schwarz_config, load_config
+from schwarz1d.cli import build_schwarz_config, load_config, main
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
 from schwarz1d.discretize import reference_solve
@@ -129,19 +130,27 @@ def _polynomial_integrals(x, degree, rng):
 
 
 @pytest.mark.parametrize("panels", [1, 4, 32])
-def test_simpson_rule_exactness_on_non_uniform_points(panels):
+def test_simpson_rule_exactness_on_uniform_points(panels):
+    # at the window step 1/64 the parabola through each panel's three points
+    # integrates cubics exactly
     rng = np.random.default_rng(panels)
-    edges = np.sort(np.concatenate([[0.5, 2.0], rng.uniform(0.5, 2.0, panels - 1)]))
-    # panels of unequal width, each with its middle point at the midpoint:
-    # the parabola through the three points then also integrates cubics exactly
-    x = np.empty(2 * panels + 1)
-    x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    h = 1.0 / _WINDOW_INTERVALS
+    x = 0.5 + h * np.arange(2 * panels + 1)
     y, exact = _polynomial_integrals(x, 3, rng)
-    np.testing.assert_allclose(_simpson(y, x), exact, rtol=1e-12, atol=1e-12)
-    # middle points anywhere inside the panel: exact for quadratics
-    x[1::2] = edges[:-1] + rng.uniform(0.1, 0.9, panels) * np.diff(edges)
-    y, exact = _polynomial_integrals(x, 2, rng)
-    np.testing.assert_allclose(_simpson(y, x), exact, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_simpson(y, h), exact, rtol=1e-12, atol=1e-12)
+
+
+def test_simpson_rule_is_scipys_on_the_window_points():
+    # at h = 1/64 scipy's per-pair factors are exactly 1, 4 and 1, so its
+    # sums are the same operations in the same order; imported here only,
+    # since the package itself never loads scipy.integrate
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(11)
+    x = np.arange(_WINDOW_INTERVALS + 1) / _WINDOW_INTERVALS
+    for _ in range(200):
+        y = rng.normal(size=(7, x.size)) * 10.0 ** rng.uniform(-30, 30, size=(7, 1))
+        assert _simpson(y, 1.0 / _WINDOW_INTERVALS).tobytes() == simpson(y, x=x).tobytes()
 
 
 def test_seminorm_follows_alpha_and_time_grid():
@@ -174,8 +183,8 @@ def whole_kernel_profile(e, alpha, t):
     windows = starts[:, None] + y
     kernel = np.exp(-np.outer(windows.ravel(), t)) * _trapezoid_weights(t)
     transforms = (e @ kernel.T).reshape(len(e), starts.size, y.size)
-    return np.max([_simpson(transforms[:, i] ** 2, windows[i]) for i in range(starts.size)],
-                  axis=0)
+    return np.max([_simpson(transforms[:, i] ** 2, 1.0 / _WINDOW_INTERVALS)
+                   for i in range(starts.size)], axis=0)
 
 
 @pytest.mark.parametrize("t", [np.linspace(0.0, 2.0, 801),
@@ -472,13 +481,23 @@ def test_elliptic_plan_rejects_a_time_step():
         plan(laplace_cfg(dt_target=0.01))
 
 
-def test_csv_rows_shape():
-    hist = run_elliptic(plan(laplace_cfg(k_max=6, stop_tol=1e-300)))
-    rows = hist.to_csv_rows()
-    assert len(rows) == hist.iterations * 2
-    k, l, norm, ek, rate, verdict = rows[0]
-    assert (k, l) == (1, 1) and verdict == hist.verdict
-    assert math.isnan(rows[0][4]) and not math.isnan(rows[2][4])
+def test_csv_rows_shape(tmp_path):
+    config = load_config(CONFIGS / "laplace_dirichlet.json")
+    config["run"].update(max_iters=6, stop_tol=1e-300)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--quiet", "run", "--config", str(path), "--out", str(tmp_path)]) == 1
+    header, *lines = (tmp_path / "history.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "k,l,norm,E_k,rate,verdict"
+    rows = [line.split(",") for line in lines]
+    # iterations x subdomains rows, (k, l) in order
+    expected = [(k, l) for k in range(1, 7) for l in (1, 2)]
+    assert [(int(k), int(l)) for k, l, *_ in rows] == expected
+    assert all(verdict == "stalled" for *_, verdict in rows)
+    E = [float(ek) for _, l, _, ek, _, _ in rows if l == "1"]
+    for k, _, _, _, rate, _ in rows:
+        k = int(k)
+        assert rate == ("" if k == 1 else format(E[k - 1] / E[k - 2], ".17g"))
 
 
 # --------------------------------------------------------------------------
@@ -500,7 +519,7 @@ def test_parabolic_dirichlet_weighted_norm_decays_geometrically():
     hist = run_parabolic(plan(heat_cfg()))
     assert hist.norm_kind == "weighted-sup2"
     assert hist.verdict == "converged"
-    ratios = [hist.rate_so_far(k) for k in range(3, hist.iterations + 1)]
+    ratios = [b / a for a, b in zip(hist.E[1:], hist.E[2:])]
     assert all(r < 1.0 for r in ratios)
 
 
@@ -667,6 +686,13 @@ SWEEP_CASES = {
     "divergent-robin": partial(shipped_cfg, "counterexample_divergent"),
     "heat-dirichlet": heat_cfg,
     "heat-robin": partial(heat_cfg, transmission=TransmissionSpec.robin(1.0)),
+    # one Robin parameter per interface end: the middle subdomain hands
+    # data to both neighbors, and a datum sent to the wrong end would show
+    "three-robin-table": partial(
+        laplace_cfg, problem=catalog_lookup("example31"),
+        partition=build_uniform_partition(2.0, 3, 0.2),
+        transmission=TransmissionSpec.from_dict(
+            {"robin": {"p": {"0,1": 1.0, "1,0": 2.0, "1,2": 3.0, "2,1": 4.0}}})),
 }
 
 
