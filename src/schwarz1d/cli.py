@@ -25,10 +25,10 @@ Subcommands:
 Configs are JSON with a ``schema_version`` field; see README for the
 schema.  Every config value goes through the ``read_*`` helpers of the
 problem module, so a number is a JSON number, never ``true`` or
-``"0.01"``; a bad value or an unknown ``run`` key is a ValueError.  Any
-failure prints one ``error: ...`` line (``validate``: the message on
-stdout) and exits 1.  CSV output never contains wall-clock times, so
-identical configs produce byte-identical files.
+``"0.01"``; a bad value, or a key that its object does not read, is a
+ValueError.  Any failure prints one ``error: ...`` line (``validate``:
+the message on stdout) and exits 1.  CSV output never contains
+wall-clock times, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from . import oracle, transmission as tx
 from .geometry import Partition, build_uniform_partition
 from .problem import (DataFn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
-                      read_kind, read_number, read_string)
+                      read_keys, read_kind, read_number, read_string)
 from .schwarz import (
     IterationHistory,
     Plan,
@@ -78,14 +78,17 @@ def load_config(path) -> dict:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    read_keys(cfg, ("schema_version", "problem", "partition", "transmission", "grid", "run",
+                    "output", "sweep"), "config")
     return cfg
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """The object ``cfg[key]``, {} when absent."""
+def _section(cfg: dict, key: str, known) -> dict:
+    """The object ``cfg[key]``, {} when absent, whose keys are all in ``known``."""
     body = cfg.get(key, {})
     if not isinstance(body, dict):
         raise ValueError(f"config section {key!r} must be an object, got {body!r}")
+    read_keys(body, known, key)
     return body
 
 
@@ -102,9 +105,10 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
     kind, body = read_kind(cfg.get("partition"), dict.fromkeys(("uniform", "intervals")),
                            "partition")
     if kind == "uniform":
-        return build_uniform_partition(
-            length, read_integer(read_entry(body, "count", "uniform partition"), "count"),
-            read_number(read_entry(body, "overlap", "uniform partition"), "overlap"))
+        count = read_integer(read_entry(body, "count", "uniform partition"), "count")
+        overlap = read_number(read_entry(body, "overlap", "uniform partition"), "overlap")
+        read_keys(body, ("count", "overlap"), "uniform partition")
+        return build_uniform_partition(length, count, overlap)
     if not (isinstance(body, list) and all(isinstance(s, list) and len(s) == 2 for s in body)):
         raise ValueError(f"bad intervals partition {body!r}")
     return Partition(length=length, subdomains=tuple(
@@ -123,11 +127,8 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     problem, problem_id = _problem_from_config(cfg)
     partition = _partition_from_config(cfg, problem.length)
     transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
-    grid = _section(cfg, "grid")
-    run = _section(cfg, "run")
-    unknown = sorted(set(run) - set(_RUN_SETTINGS))
-    if unknown:
-        raise ValueError(f"unknown run setting(s) {unknown} (known: {sorted(_RUN_SETTINGS)})")
+    grid = _section(cfg, "grid", ("h", "dt"))
+    run = _section(cfg, "run", _RUN_SETTINGS)
     settings = {"k_max" if key == "max_iters" else key: convert(run[key], key)
                 for key, convert in _RUN_SETTINGS.items() if key in run}
     return SchwarzConfig(
@@ -175,7 +176,7 @@ def _fmt(v) -> str:
 
 def _out_dir(cfg: dict, out: str | None = None) -> Path:
     """``out`` (``--out``), else ``output.dir`` (read either way), else "out"."""
-    configured = read_string(_section(cfg, "output").get("dir", "out"), "output.dir")
+    configured = read_string(_section(cfg, "output", ("dir",)).get("dir", "out"), "output.dir")
     return Path(out or configured)
 
 
@@ -267,9 +268,10 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
         out["transmission"] = {"scaled_robin" if leaf == "rho" else kind: {**body, leaf: value}}
         return out
     if axis == "partition.overlap":
-        if not isinstance(_section(out, "partition").get("uniform"), dict):
+        uniform = _section(out, "partition", ("uniform", "intervals")).get("uniform")
+        if not isinstance(uniform, dict):
             raise ValueError("partition.overlap sweep needs a uniform partition")
-        out["partition"]["uniform"]["overlap"] = value
+        uniform["overlap"] = value
         return out
     node = out
     *head, leaf = axis.split(".")
@@ -285,7 +287,7 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    sweep = _section(cfg, "sweep")
+    sweep = _section(cfg, "sweep", ("axis", "values"))
     axis, values = sweep.get("axis"), sweep.get("values")
     if not axis or not values:
         raise ValueError("sweep needs config.sweep.axis and a nonempty value list")

@@ -136,8 +136,9 @@ class Operator:
     sample per call or time level; it is read-only, so a solve must copy
     it before writing.
     ``warnings`` holds a warning when h exceeds the diagonal-dominance
-    threshold h* = 2 lambda / max|b|.  Raises SingularSystemError when the
-    matrix has a zero pivot.
+    threshold h* = 2 lambda / max|b|, with lambda the least a on the nodes
+    and midpoints.  Raises SingularSystemError when the matrix has a zero
+    pivot.
     """
 
     def __init__(self, spec: ProblemSpec, sg: SubGrid, robin_p: tuple,
@@ -198,9 +199,7 @@ class Operator:
             self.source = spec.source_values(x)
             self.source.setflags(write=False)
 
-        lam = spec.a.lower_bound
-        if lam is None:
-            lam = float(np.min(np.concatenate([a_half, a_nodes])))
+        lam = float(np.minimum(a_half.min(), a_nodes.min()))  # a NaN stays, as min() may drop it
         b_max = float(np.max(np.abs(b)))
         h_star = np.inf if b_max == 0.0 else 2.0 * lam / b_max
         self.warnings = []

@@ -185,8 +185,13 @@ def asymptotic_tau_large_q(L: float, L1: float, roots=ROOTS) -> float:
     p = 1 factor contributes exactly 1 for the default roots.  It is
     evaluated as -expm1(-s L1) exp(-x) / -expm1(-x) with x = s (L - L1),
     the same ratio divided through by exp(sL), which cannot overflow; a
-    factor below the float range rounds to 0.
+    factor below the float range rounds to 0.  The lengths must satisfy
+    0 < L1 < L and be finite.
     """
+    if not (0.0 < L1 < L):
+        raise ValueError(f"need 0 < L1 < L, got L={L}, L1={L1}")
+    if not all(map(is_positive_number, (L, L1))):
+        raise ValueError(f"lengths L and L1 must be finite numbers, got L={L!r}, L1={L1!r}")
     s = roots[0] - roots[1]
     x = s * (L - L1)
     return -math.expm1(-s * L1) * math.exp(-x) / -math.expm1(-x)

@@ -104,6 +104,16 @@ def read_entry(body, key: str, what: str):
     return body[key]
 
 
+def read_keys(body, known, what: str) -> None:
+    """A ValueError unless ``body`` is an object whose keys are all in
+    ``known``; it names the others, so that no entry is silently ignored."""
+    if not isinstance(body, dict):
+        raise ValueError(f"{what} must be an object, got {body!r}")
+    unknown = sorted(set(body) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} setting(s) {unknown} (known: {sorted(known)})")
+
+
 def read_kind(d, kinds: dict, what: str) -> tuple[str, object]:
     """(kind, body) of a one-entry ``{kind: body}`` object with a known kind.
 
@@ -129,17 +139,12 @@ class CoefficientFn:
         ``constant``    -- value
         ``polynomial``  -- sum(coeffs[i] * x**i)
         ``scaled-exp``  -- value * exp(rate * x)
-
-    ``lower_bound`` optionally declares a strict positive lower bound
-    (the ellipticity constant for the diffusion coefficient); it is
-    checked against dense samples by :func:`validate`.
     """
 
     kind: str
     value: float = 0.0
     coeffs: tuple[float, ...] = ()
     rate: float = 0.0
-    lower_bound: float | None = None
 
     _KINDS = {"constant": "value", "polynomial": None, "scaled-exp": "value"}
 
@@ -148,19 +153,16 @@ class CoefficientFn:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
 
     @classmethod
-    def constant(cls, value: float, lower_bound: float | None = None) -> "CoefficientFn":
-        return cls(kind="constant", value=float(value), lower_bound=lower_bound)
+    def constant(cls, value: float) -> "CoefficientFn":
+        return cls(kind="constant", value=float(value))
 
     @classmethod
-    def polynomial(cls, coeffs, lower_bound: float | None = None) -> "CoefficientFn":
-        return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs),
-                   lower_bound=lower_bound)
+    def polynomial(cls, coeffs) -> "CoefficientFn":
+        return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
 
     @classmethod
-    def scaled_exp(cls, value: float, rate: float,
-                   lower_bound: float | None = None) -> "CoefficientFn":
-        return cls(kind="scaled-exp", value=float(value), rate=float(rate),
-                   lower_bound=lower_bound)
+    def scaled_exp(cls, value: float, rate: float) -> "CoefficientFn":
+        return cls(kind="scaled-exp", value=float(value), rate=float(rate))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,16 +177,15 @@ class CoefficientFn:
         kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS,
                                "coefficient")
         what = f"{kind} coefficient"
-        lb = body.get("lower_bound") if isinstance(body, dict) else None
-        if lb is not None:
-            lb = read_number(lb, f"{what} lower_bound")
         if kind == "polynomial":
-            return cls.polynomial(read_numbers(read_entry(body, "coeffs", what),
-                                               f"{what} coeffs"), lb)
+            coeffs = read_numbers(read_entry(body, "coeffs", what), f"{what} coeffs")
+            read_keys(body, ("coeffs",), what)
+            return cls.polynomial(coeffs)
         value = read_number(read_entry(body, "value", what), f"{what} value")
+        read_keys(body, ("value", "rate") if kind == "scaled-exp" else ("value",), what)
         if kind == "constant":
-            return cls.constant(value, lb)
-        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"), lb)
+            return cls.constant(value)
+        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"))
 
 
 @dataclass(frozen=True)
@@ -245,10 +246,12 @@ class Nonlinearity:
     @classmethod
     def from_dict(cls, d) -> "Nonlinearity":
         kind, body = read_kind(d, cls._KINDS, "nonlinearity")
-        if kind == "zero":
-            return cls.zero()
         what = f"{kind} nonlinearity"
+        if kind == "zero":
+            read_keys(body, (), what)
+            return cls.zero()
         param = read_number(read_entry(body, "param", what), f"{what} param")
+        read_keys(body, ("param",), what)
         return cls.linear(param) if kind == "linear-in-u" else cls.sine(param)
 
 
@@ -309,16 +312,21 @@ class DataFn:
         if isinstance(d, str):
             return _named_data(d)
         kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, "data")
-        if kind == "zero":
-            return cls.zero()
         what = f"{kind} data"
+        if kind == "zero":
+            read_keys(body, (), what)
+            return cls.zero()
         if kind == "sine":
+            read_keys(body, ("amplitude", "mode"), what)
             return cls.sine(read_number(body.get("amplitude", 1.0), f"{what} amplitude"),
                             read_integer(body.get("mode", 1), f"{what} mode"))
         if kind == "polynomial":
-            return cls.polynomial(read_numbers(read_entry(body, "coeffs", what),
-                                               f"{what} coeffs"))
-        return cls.constant(read_number(read_entry(body, "value", what), f"{what} value"))
+            coeffs = read_numbers(read_entry(body, "coeffs", what), f"{what} coeffs")
+            read_keys(body, ("coeffs",), what)
+            return cls.polynomial(coeffs)
+        value = read_number(read_entry(body, "value", what), f"{what} value")
+        read_keys(body, ("value",), what)
+        return cls.constant(value)
 
 
 def _named_data(name: str) -> DataFn:
@@ -372,6 +380,7 @@ class ProblemSpec:
     def from_dict(cls, d: dict) -> "ProblemSpec":
         for key in ("mode", "L", "a", "b", "c"):
             read_entry(d, key, "inline problem")
+        read_keys(d, ("mode", "L", "T", "a", "b", "c", "F", "g", "source"), "inline problem")
         return cls(
             mode=d["mode"],
             a=CoefficientFn.from_dict(d["a"]),
@@ -398,7 +407,7 @@ def _example31() -> ProblemSpec:
     # is the point of the entry.
     return ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        a=CoefficientFn.constant(1.0),
         b=CoefficientFn.constant(3.0),
         c=CoefficientFn.constant(4.0),
         F=Nonlinearity.zero(),
@@ -411,7 +420,7 @@ def _example31() -> ProblemSpec:
 def _laplace1d() -> ProblemSpec:
     return ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        a=CoefficientFn.constant(1.0),
         b=CoefficientFn.constant(0.0),
         c=CoefficientFn.constant(0.0),
         F=Nonlinearity.zero(),
@@ -425,7 +434,7 @@ def _heat_semilinear() -> ProblemSpec:
     # |sin z - sin z'| <= |z - z'| gives the Lipschitz bound 1.
     return ProblemSpec(
         mode="parabolic",
-        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        a=CoefficientFn.constant(1.0),
         b=CoefficientFn.constant(0.0),
         c=CoefficientFn.constant(0.0),
         F=Nonlinearity.sine(1.0),
@@ -440,7 +449,7 @@ def _elliptic_semilinear() -> ProblemSpec:
     # so the fixed-point linearization contracts.
     return ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        a=CoefficientFn.constant(1.0),
         b=CoefficientFn.constant(1.0),
         c=CoefficientFn.constant(4.0),
         F=Nonlinearity.sine(2.0),
@@ -497,10 +506,6 @@ def validate(spec: ProblemSpec) -> list[str]:
                                          np.atleast_1d(spec.a(xh))])))
     if a_min <= 0.0:
         violations.append(f"ellipticity: min a(x) = {a_min:g} <= 0 (need a >= lambda > 0)")
-    elif spec.a.lower_bound is not None and a_min < spec.a.lower_bound - 1e-12:
-        violations.append(
-            f"ellipticity: min a(x) = {a_min:g} below declared lambda = {spec.a.lower_bound:g}"
-        )
 
     lip = spec.F.lipschitz
     if spec.mode == "elliptic":

@@ -4,14 +4,14 @@ Iteration k is one Jacobi sweep and its error norm: every subdomain is
 solved from the interface data of the neighbors' previous iterate (the
 initial iterate u^0 for the first sweep), so their order does not change
 the result, and each new field is compared against a monodomain
-reference computed once with the same discretization.  A run hands each
-field on as soon as it is solved: its norm is taken and the data its
-neighbors read next are extracted before the next subdomain is solved,
-so a parabolic run holds one subdomain field at a time.  ``exchange``
-(the data of an iterate) and ``sweep`` (all solves from such data) are
-the same steps for a loop written by hand.  (One Jacobi sweep is not the
-CLI's ``sweep`` command, which re-runs a whole configuration along one
-parameter axis.)
+reference computed once with the same discretization.  ``sweep`` yields
+the subdomains' new fields one at a time, from the data that
+``exchange`` gives of an iterate; a run consumes it, taking each field's
+norm and extracting the data its neighbors read next before the next
+subdomain is solved, so a parabolic run holds one subdomain field at a
+time, and a loop written by hand is ``list(sweep(...))``.  (One Jacobi
+sweep is not the CLI's ``sweep`` command, which re-runs a whole
+configuration along one parameter axis.)
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
 past ``guard_factor`` times E_1 or stops being finite (diverged; so does
 a subdomain whose norm is not finite, or whose solve finds a non-finite
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -441,47 +441,36 @@ def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
                 data[l][end] = np.array(tx.extract(link, field))
 
 
-def _solve(plan: Plan, l: int, data, start, k: int,
-           out: np.ndarray | None = None) -> np.ndarray | None:
-    """Subdomain l's new field from its boundary data ``data`` (left, right).
-
-    ``start`` is as for ``sweep``, and ``out`` the buffer of a parabolic
-    solve (None: its own; an elliptic solve ignores it).  Returns None when
-    the solve raises NonFiniteError.  Any other failure is
-    ``SchwarzRunError("iteration k, subdomain l: ...")``.
-    """
-    cfg, grid, op = plan.cfg, plan.grid, plan.ops[l]
-    left, right = data
-    try:
-        if cfg.problem.mode == "parabolic":
-            return solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
-                                              cfg.picard_tol, cfg.picard_max, out=out)
-        return solve_semilinear_elliptic(op, left, right, cfg.picard_tol, cfg.picard_max,
-                                         u_start=start)[0]
-    except NonFiniteError:
-        return None
-    except Exception as exc:
-        raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}") from exc
-
-
-def sweep(plan: Plan, data: list, starts: list, k: int = 1) -> list[np.ndarray] | None:
-    """One Jacobi sweep: every subdomain of ``plan`` solved from its boundary
-    data ``data[l]``, as ``exchange`` gives it.
+def sweep(plan: Plan, data: list, starts: list, k: int = 1,
+          out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """One Jacobi sweep: yields subdomain l's new field, solved from its
+    boundary data ``data[l]`` as ``exchange`` gives it, for l = 0, 1, ...
 
     ``starts[l]`` starts subdomain l's solve: the start of its Picard loop
     (elliptic; None is zero) or its initial profile (parabolic); it is only
-    read.  Returns the new fields, or None when a solve raises
-    NonFiniteError (a Picard difference or, with F zero, the field is not
-    finite).  Any other failure is ``SchwarzRunError("iteration k,
-    subdomain l: ...")``, with ``k`` the number of this sweep in its run.
+    read, and not before field l - 1 is yielded.  ``out`` is the buffer
+    of every parabolic solve (None: its own; an elliptic solve ignores
+    it), so a caller that passes one is done with a field before asking
+    for the next; a caller that keeps the fields passes None.  A solve
+    that finds a non-finite value (a Picard difference or, with F zero,
+    the field) raises NonFiniteError.  Any other failure is
+    ``SchwarzRunError("iteration k, subdomain l: ...")``, with ``k`` the
+    number of this sweep in its run.
     """
-    fields = []
-    for l, (pair, start) in enumerate(zip(data, starts)):
-        u = _solve(plan, l, pair, start, k)
-        if u is None:
-            return None
-        fields.append(u)
-    return fields
+    cfg, grid = plan.cfg, plan.grid
+    for l, (op, (left, right), start) in enumerate(zip(plan.ops, data, starts)):
+        try:
+            if cfg.problem.mode == "parabolic":
+                field = solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
+                                                   cfg.picard_tol, cfg.picard_max, out=out)
+            else:
+                field = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
+                                                  cfg.picard_max, u_start=start)[0]
+        except NonFiniteError:
+            raise  # a verdict for the caller, not a failed solve
+        except Exception as exc:
+            raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}") from exc
+        yield field
 
 
 def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
@@ -504,21 +493,21 @@ def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
 
 
 def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
-    """Sweep ``plan`` until a verdict, handing each new field on as it is solved.
+    """Sweep ``plan`` until a verdict, handing on each field ``sweep`` yields.
 
     Sweep k solves subdomain l from the data of sweep k - 1 (``exchange``
-    of the initial iterate for k = 1), takes the norm of its error against
-    the reference restriction, and hands it off: ``_hand_off`` writes every
-    datum its neighbors read into the data of sweep k + 1.  Only then is
-    the next subdomain solved.  Every solve still reads the previous
-    iterate's data, so the subdomain order does not change the result.
-    A solve that raises NonFiniteError, or a non-finite norm, ends the run
-    "diverged" at once, before that field is handed off, and the sweep is
-    not recorded.
+    of the initial iterate for k = 1); the run takes the norm of its error
+    against the reference restriction and hands it off (``_hand_off``
+    writes every datum its neighbors read into the data of sweep k + 1)
+    before ``sweep`` solves the next subdomain.  Every solve still
+    reads the previous iterate's data, so the subdomain order does not
+    change the result.  A solve that raises NonFiniteError, or a non-finite
+    norm, ends the run "diverged" at once, before that field is handed
+    off, and the sweep is not recorded.
 
     A parabolic field is then dead.  The run allocates one ``work``
     buffer of the largest subdomain's size, which dies with the run:
-    every parabolic solve writes its time-major field there, from the
+    ``sweep`` writes every parabolic field there, time-major, from the
     reference's initial profile, and the elliptic sup norm forms the
     error there; both parabolic norms form it a block of time levels at
     a time.  An elliptic run keeps its iterate, which starts the next
@@ -539,9 +528,9 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     fields = [ref if u0 == "reference" else
               np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
               for ref, op in zip(refs, plan.ops)]
-    data = exchange(plan, fields)
-    if parabolic:
-        fields = []  # every solve starts from the initial profile instead
+    data, starts = exchange(plan, fields), fields
+    if parabolic:  # every solve starts from the initial profile instead
+        starts, fields = [ref[:, 0] for ref in refs], []
 
     E: list[float] = []
     sub_norms: list[list[float]] = []
@@ -552,36 +541,35 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
                                 fit_contraction_rate(E, cfg.rate_window),
                                 double_sweep_ratio(E, cfg.rate_window))
 
-    for k in range(1, cfg.k_max + 1):
-        tic = time.perf_counter()
-        handed = _outer_data(plan)
-        norms = []
-        for l, (op, ref) in enumerate(zip(plan.ops, refs)):
-            try:
-                field = _solve(plan, l, data[l], ref[:, 0] if parabolic else fields[l], k,
-                               out=work)
-            except SchwarzRunError as exc:
-                exc.history = history("error", [])
-                raise
-            data[l] = None  # read once, by this solve
-            norm = math.nan if field is None else _error_norm(plan, op, field, ref, work)
-            if not math.isfinite(norm):
+    try:
+        for k in range(1, cfg.k_max + 1):
+            tic = time.perf_counter()
+            handed = _outer_data(plan)
+            norms = []
+            for l, field in enumerate(sweep(plan, data, starts, k, work)):
+                norm = _error_norm(plan, plan.ops[l], field, refs[l], work)
+                if not math.isfinite(norm):
+                    return history("diverged", [])
+                norms.append(norm)
+                _hand_off(plan, l, field, handed)
+                if not parabolic:
+                    fields[l] = field
+            data = handed
+            Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
+            if not math.isfinite(Ek):
                 return history("diverged", [])
-            norms.append(norm)
-            _hand_off(plan, l, field, handed)
-            if not parabolic:
-                fields[l] = field
-        data = handed
-        Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
-        if not math.isfinite(Ek):
-            return history("diverged", [])
-        E.append(Ek)
-        sub_norms.append(norms)
-        wall.append(time.perf_counter() - tic)
-        if Ek <= cfg.stop_tol:
-            return history("converged", fields)
-        if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
-            return history("diverged", fields)
+            E.append(Ek)
+            sub_norms.append(norms)
+            wall.append(time.perf_counter() - tic)
+            if Ek <= cfg.stop_tol:
+                return history("converged", fields)
+            if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
+                return history("diverged", fields)
+    except NonFiniteError:
+        return history("diverged", [])
+    except SchwarzRunError as exc:
+        exc.history = history("error", [])
+        raise
     return history("stalled", fields)
 
 

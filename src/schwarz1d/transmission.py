@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Grid
-from .problem import ProblemSpec, is_positive_number, read_entry, read_kind
+from .problem import ProblemSpec, is_positive_number, read_entry, read_keys, read_kind
 
 __all__ = [
     "TransmissionSpec",
@@ -85,15 +85,19 @@ class TransmissionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
         kind, body = read_kind(d, cls._KINDS, "transmission")
-        if kind == "dirichlet":
-            return cls.dirichlet()
         what = f"{kind} transmission"
+        if kind == "dirichlet":
+            read_keys(body, (), what)
+            return cls.dirichlet()
         p = read_entry(body, "p", what)
         if isinstance(p, dict):
             p = {_pair(k): v for k, v in p.items()}
         if kind == "robin":
+            read_keys(body, ("p",), what)
             return cls.robin(p)
-        return cls.scaled_robin(p, read_entry(body, "rho", what))
+        rho = read_entry(body, "rho", what)
+        read_keys(body, ("p", "rho"), what)
+        return cls.scaled_robin(p, rho)
 
 
 def _pair(key) -> tuple[int, int]:

@@ -34,6 +34,11 @@ def laplace_config(out_dir: str) -> dict:
     }
 
 
+# laplace1d as an inline problem
+LAPLACE_INLINE = {"mode": "elliptic", "L": 1.0, "a": {"constant": 1.0}, "b": {"constant": 0.0},
+                  "c": {"constant": 0.0}}
+
+
 def shipped_config(name: str, out_dir: str) -> dict:
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg["output"]["dir"] = out_dir
@@ -241,6 +246,28 @@ def test_sweep_empty_axis_exits_one(tmp_path, capsys):
     cfg = laplace_config(str(tmp_path / "o"))
     cfg["sweep"] = {"axis": "transmission.rho", "values": []}
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+
+
+@pytest.mark.parametrize("make, axis, message", [
+    pytest.param(laplace_config, "transmission.rho", "cannot sweep rho on a Dirichlet config",
+                 id="rho-on-dirichlet"),
+    pytest.param(lambda out: {**laplace_config(out), "transmission": {"robin": 5}},
+                 "transmission.p", "bad transmission spec: {'robin': 5}",
+                 id="transmission-body-not-an-object"),
+    pytest.param(divergent_config, "partition.overlap",
+                 "partition.overlap sweep needs a uniform partition", id="overlap-on-intervals"),
+    pytest.param(laplace_config, "grid.spacing.h", "unknown sweep axis 'grid.spacing.h'",
+                 id="unknown-section"),
+    pytest.param(laplace_config, "grid.hh", "unknown sweep axis 'grid.hh'", id="unknown-leaf"),
+])
+def test_sweep_axis_that_does_not_apply_exits_one_naming_it(tmp_path, capsys, make, axis,
+                                                             message):
+    out = tmp_path / "o"
+    cfg = make(str(out))
+    cfg["sweep"] = {"axis": axis, "values": [1.0]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_sweep_records_per_point_failures(tmp_path):
@@ -605,6 +632,36 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "unknown run setting(s) ['max_iter'] (known: ['alpha', 'guard_factor', "
                  "'max_iters', 'picard_max', 'picard_tol', 'rate_window', 'stop_tol', 'u0'])",
                  id="run-key-misspelled"),
+    # so is a key that no reader reads, in every object; rho is read for
+    # scaled_robin only, and the run would have used rho = 1
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": 1.0, "rho": 8}}),
+                 "unknown robin transmission setting(s) ['rho'] (known: ['p'])", id="robin-rho"),
+    pytest.param(lambda c: c.update(transmission={"dirichlet": {"p": 1.0}}),
+                 "unknown dirichlet transmission setting(s) ['p'] (known: [])",
+                 id="dirichlet-p"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "T0": 1.0}),
+                 "unknown inline problem setting(s) ['T0'] (known: ['F', 'L', 'T', 'a', 'b', "
+                 "'c', 'g', 'mode', 'source'])", id="problem-key"),
+    pytest.param(lambda c: c.update(problem={
+                     **LAPLACE_INLINE, "a": {"constant": {"value": 1.0, "lower_bound": 1.0}}}),
+                 "unknown constant coefficient setting(s) ['lower_bound'] (known: ['value'])",
+                 id="coefficient-lower_bound"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE,
+                                             "F": {"sine": {"param": 1.0, "lipschitz": 1.0}}}),
+                 "unknown sine nonlinearity setting(s) ['lipschitz'] (known: ['param'])",
+                 id="nonlinearity-key"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "g": {"zero": {"value": 1.0}}}),
+                 "unknown zero data setting(s) ['value'] (known: [])", id="data-key"),
+    pytest.param(lambda c: c["run"].update(u0={"zero": 5}), "zero data must be an object, got 5",
+                 id="data-body-number"),
+    pytest.param(lambda c: c["partition"]["uniform"].update(overlpa=0.1),
+                 "unknown uniform partition setting(s) ['overlpa'] (known: ['count', "
+                 "'overlap'])",
+                 id="partition-key"),
+    pytest.param(lambda c: c["grid"].update(hh=0.01),
+                 "unknown grid setting(s) ['hh'] (known: ['dt', 'h'])", id="grid-hh"),
+    pytest.param(lambda c: c["output"].update(format="csv"),
+                 "unknown output setting(s) ['format'] (known: ['dir'])", id="output-key"),
     pytest.param(lambda c: c["output"].update(dir=5), "output.dir must be a string, got 5",
                  id="output-dir-number"),
     pytest.param(lambda c: c["output"].update(dir=None), "output.dir must be a string, got None",
@@ -637,6 +694,23 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     assert capsys.readouterr().out == f"{message}\n"
     assert main(["--quiet", "run", "--config", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    pytest.param("run", lambda c: c.update(outptu={"dir": "x"}),
+                 "unknown config setting(s) ['outptu'] (known: ['grid', 'output', 'partition', "
+                 "'problem', 'run', 'schema_version', 'sweep', 'transmission'])", id="root-key"),
+    pytest.param("sweep", lambda c: c["sweep"].update(step=2),
+                 "unknown sweep setting(s) ['step'] (known: ['axis', 'values'])", id="sweep-key"),
+])
+def test_unknown_key_outside_run_setup_exits_one_naming_it(tmp_path, capsys, command, edit,
+                                                            message):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["sweep"] = {"axis": "grid.h", "values": [0.01]}
+    edit(cfg)
+    assert main(["--quiet", command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("make, edit", [
@@ -791,7 +865,7 @@ def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys)
     # iteration 40, and the 39 iterations before it stay in history.csv
     cfg = json.loads((CONFIGS / "counterexample_divergent.json").read_text())
     cfg["problem"] = {"mode": "elliptic", "L": 2.0,
-                      "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+                      "a": {"constant": {"value": 1.0}},
                       "b": {"constant": 3.0}, "c": {"constant": 4.0},
                       "F": {"sine": {"param": 0.5}},
                       "source": {"sine": {"amplitude": -1.0, "mode": 1}}}
@@ -1005,7 +1079,7 @@ def test_large_linear_nonlinearity_converges(tmp_path):
     # F = 1000 u with c = 2000 satisfies c > C = |1000| exactly
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
     cfg["problem"] = {"mode": "elliptic", "L": 1.0,
-                      "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+                      "a": {"constant": {"value": 1.0}},
                       "b": {"constant": 0.0}, "c": {"constant": 2000.0},
                       "F": {"linear-in-u": {"param": 1000.0}},
                       "source": {"constant": {"value": 1.0}}}

@@ -204,6 +204,20 @@ def test_asymptotic_tau_stays_finite_where_the_exponentials_overflow():
     assert asymptotic_tau_large_q(200.0, 1.9) == 0.0
 
 
+@pytest.mark.parametrize("L, L1, message", [
+    pytest.param(2.0, 2.0, "need 0 < L1 < L, got L=2.0, L1=2.0", id="L1-at-L"),
+    pytest.param(2.0, 200.0, "need 0 < L1 < L, got L=2.0, L1=200.0", id="L1-beyond-L"),
+    pytest.param(2.0, -1.0, "need 0 < L1 < L, got L=2.0, L1=-1.0", id="L1-negative"),
+    pytest.param(2.0, math.nan, "need 0 < L1 < L, got L=2.0, L1=nan", id="L1-nan"),
+    pytest.param(math.inf, 1.9, "lengths L and L1 must be finite numbers, got L=inf, L1=1.9",
+                 id="L-infinite"),
+])
+def test_asymptotic_tau_refuses_lengths_outside_the_geometry(L, L1, message):
+    with pytest.raises(ValueError) as err:
+        asymptotic_tau_large_q(L, L1)
+    assert str(err.value) == message
+
+
 def test_large_q_verdict_flips_across_threshold():
     L = 2.0
     L1s = divergence_threshold_L1(L)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -105,7 +108,7 @@ def test_large_linear_nonlinearity_with_c_above_its_bound_passes(param):
     # bound check with an absolute slack rejected these on round-off
     spec = ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0, lower_bound=1.0),
+        a=CoefficientFn.constant(1.0),
         b=CoefficientFn.constant(0.0),
         c=CoefficientFn.constant(2.0 * abs(param)),
         F=Nonlinearity.linear(param),
@@ -129,17 +132,21 @@ def test_negative_diffusion_is_flagged_as_ellipticity():
     assert any("ellipticity" in v for v in out)
 
 
-def test_declared_lower_bound_is_checked():
-    spec = ProblemSpec(
-        mode="elliptic",
-        a=CoefficientFn.polynomial([0.5, 1.0], lower_bound=1.0),  # a(0) = 0.5 < 1
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(1.0),
-        F=Nonlinearity.zero(),
-        g=DataFn.zero(),
-        length=1.0,
-    )
-    assert any("ellipticity" in v for v in validate(spec))
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"b": CoefficientFn.constant(math.inf)},
+                 "finite: coefficient b(x) is not finite on [0, L]",
+                 id="coefficient-not-finite"),
+    pytest.param({"c": CoefficientFn.constant(-1.0)},
+                 "(A3′) c ≤ Lipschitz C: min c(x) = -1 < 0 with C = 0",
+                 id="c-negative-C-zero"),
+    pytest.param({"mode": "parabolic"}, "time_horizon: parabolic mode needs a finite horizon T",
+                 id="parabolic-without-T"),
+    pytest.param({"source": DataFn.constant(math.nan)},
+                 "finite: boundary data or source is not finite on [0, L]",
+                 id="source-not-finite"),
+])
+def test_validate_names_each_violation(change, message):
+    assert validate(dataclasses.replace(catalog_lookup("laplace1d"), **change)) == [message]
 
 
 def test_coefficient_forms_evaluate():
@@ -159,7 +166,7 @@ def test_datafn_values():
 
 
 # every catalog entry written as an inline problem in README's forms
-_DIFFUSION = {"constant": {"value": 1.0, "lower_bound": 1.0}}
+_DIFFUSION = {"constant": {"value": 1.0}}
 _INLINE = {
     "example31": {"mode": "elliptic", "L": 2.0, "a": _DIFFUSION, "b": {"constant": 3.0},
                   "c": {"constant": 4.0}, "F": {"zero": {}}, "g": {"zero": {}},
@@ -180,6 +187,14 @@ _INLINE = {
 @pytest.mark.parametrize("problem_id", catalog_ids())
 def test_from_dict_of_readme_form_equals_catalog_entry(problem_id):
     assert ProblemSpec.from_dict(_INLINE[problem_id]) == catalog_lookup(problem_id)
+
+
+def test_from_dict_reads_every_coefficient_form():
+    spec = ProblemSpec.from_dict({**_INLINE["laplace1d"],
+                                  "a": {"polynomial": {"coeffs": [1.0, 0.5]}},
+                                  "c": {"scaled-exp": {"value": 2.0, "rate": -1.0}}})
+    assert spec.a == CoefficientFn.polynomial([1.0, 0.5])
+    assert spec.c == CoefficientFn.scaled_exp(2.0, -1.0)
 
 
 # the problem and coefficient entries are checked through the CLI in test_cli.py

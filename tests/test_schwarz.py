@@ -12,7 +12,7 @@ import pytest
 from schwarz1d.cli import build_schwarz_config, load_config, main
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
-from schwarz1d.discretize import reference_solve
+from schwarz1d.discretize import NonFiniteError, reference_solve
 from schwarz1d.problem import DataFn, ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
@@ -62,6 +62,7 @@ def test_fit_rate_noisy_sequence_within_band():
 def test_fit_rate_zero_floor_flagged_as_zero():
     E = [1.0, 0.1, 0.0, 0.0]
     assert fit_contraction_rate(E, 4) == 0.0
+    assert double_sweep_ratio(E, 4) == 0.0
 
 
 def test_double_sweep_ratio_ignores_parity_oscillation():
@@ -447,6 +448,9 @@ def test_engine_rejects_invalid_setup():
     with pytest.raises(ValueError, match="partition"):
         run_elliptic(plan(SchwarzConfig(problem=prob, partition=bad_part, h_target=0.01,
                                         transmission=TransmissionSpec.dirichlet())))
+    with pytest.raises(ValueError, match="^partition length differs from problem domain length$"):
+        plan(SchwarzConfig(problem=prob, partition=build_uniform_partition(2.0, 2, 0.2),
+                           h_target=0.01, transmission=TransmissionSpec.dirichlet()))
 
 
 def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
@@ -603,7 +607,7 @@ def test_final_fields_are_empty_after_a_non_finite_sweep():
 def test_final_fields_are_empty_after_a_failed_sweep():
     # a Picard budget too small for a late sweep of this semilinear problem
     prob = ProblemSpec.from_dict({
-        "mode": "elliptic", "L": 2.0, "a": {"constant": {"value": 1.0, "lower_bound": 1.0}},
+        "mode": "elliptic", "L": 2.0, "a": {"constant": {"value": 1.0}},
         "b": {"constant": 3.0}, "c": {"constant": 4.0}, "F": {"sine": {"param": 0.5}},
         "source": {"sine": {"amplitude": -1.0, "mode": 1}}})
     part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
@@ -728,7 +732,7 @@ def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     fields = [np.asarray(p.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
     norms = []
     for _ in range(5):
-        fields = sweep(p, exchange(p, fields), fields if initial is None else initial)
+        fields = list(sweep(p, exchange(p, fields), fields if initial is None else initial))
         norms.append([error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))])
     parabolic = cfg.problem.mode == "parabolic"
     hist = (run_parabolic if parabolic else run_elliptic)(p)
@@ -748,7 +752,7 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
     reference = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
     initial = initial_profiles(p, reference)
-    fields = sweep(p, exchange(p, refs), refs if initial is None else initial)
+    fields = list(sweep(p, exchange(p, refs), refs if initial is None else initial))
     scale = float(np.max(np.abs(reference)))
     for field, ref in zip(fields, refs):
         assert np.max(np.abs(field - ref)) <= 1e-12 * scale
@@ -756,6 +760,8 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_sweep_with_one_nan_datum_returns_none(case):
+    # named for the None that sweep once returned: it now raises
+    # NonFiniteError, unwrapped, which a run turns into "diverged"
     p = plan(SWEEP_CASES[case]())
     initial = initial_profiles(p, solve_reference(p))
     fields = [np.asarray(p.u0.value(op.sg.x, p.cfg.problem.length), dtype=float)
@@ -765,7 +771,8 @@ def test_sweep_with_one_nan_datum_returns_none(case):
     poisoned = np.array(data[0][1], dtype=float)
     poisoned.flat[-1] = np.nan  # the last time level of a parabolic datum
     data[0] = (data[0][0], poisoned)
-    assert sweep(p, data, fields if initial is None else initial) is None
+    with pytest.raises(NonFiniteError):
+        list(sweep(p, data, fields if initial is None else initial))
 
 
 def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
@@ -780,5 +787,5 @@ def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
         with pytest.raises(SchwarzRunError,
                            match=rf"^iteration {k}, subdomain 1: Picard iteration did not "
                                  r"reach 1e-10 in 1 steps") as err:
-            sweep(p, exchange(p, fields), fields, *args)
+            list(sweep(p, exchange(p, fields), fields, *args))
         assert err.value.history is None
