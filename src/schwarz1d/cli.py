@@ -43,7 +43,7 @@ import numpy as np
 
 from . import oracle, transmission as tx
 from .geometry import Partition, build_uniform_partition
-from .problem import (DataFn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
+from .problem import (Fn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
                       read_keys, read_kind, read_number, read_string)
 from .schwarz import (
     IterationHistory,
@@ -119,7 +119,7 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
 _RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), read_integer),
                  **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"),
                                  read_number),
-                 "u0": lambda u0, key: DataFn.from_dict(u0) if isinstance(u0, dict) else u0}
+                 "u0": lambda u0, key: Fn.from_dict(u0, "data") if isinstance(u0, dict) else u0}
 
 
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
@@ -334,8 +334,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
     try:  # every check run makes before its first solve
+        cfg = load_config(args.config)
         p = plan(build_schwarz_config(cfg)[0])
         _out_dir(cfg)
     except Exception as exc:

@@ -131,7 +131,7 @@ class Operator:
     level and Schwarz iteration, and ``system`` fills in only the boundary
     rows of a right-hand side.  Both Robin ends come from one formula, so
     the right end's row is the left end's mirrored.  ``source`` is the
-    source sampled on the nodes when it is None or a DataFn, which cannot
+    source sampled on the nodes when it is None or an Fn, which cannot
     depend on time, and None for a callable ``f(x, t)``, which the solves
     sample per call or time level; it is read-only, so a solve must copy
     it before writing.
@@ -150,12 +150,12 @@ class Operator:
         self.spec = spec
         self.robin_p = tuple(robin_p)
         self.c_shift = c_shift
-        x, h = sg.x, sg.h
+        x, h, L = sg.x, sg.h, spec.length
         xh = 0.5 * (x[:-1] + x[1:])
-        a_half = np.atleast_1d(np.asarray(spec.a(xh), dtype=float)) + np.zeros(sg.n - 1)
-        b = np.atleast_1d(np.asarray(spec.b(x), dtype=float)) + np.zeros(sg.n)
-        c = np.atleast_1d(np.asarray(spec.c(x), dtype=float)) + np.zeros(sg.n) + c_shift
-        a_nodes = np.atleast_1d(np.asarray(spec.a(x), dtype=float)) + np.zeros(sg.n)
+        a_half = np.atleast_1d(np.asarray(spec.a.value(xh, L), dtype=float)) + np.zeros(sg.n - 1)
+        b = np.atleast_1d(np.asarray(spec.b.value(x, L), dtype=float)) + np.zeros(sg.n)
+        c = np.atleast_1d(np.asarray(spec.c.value(x, L), dtype=float)) + np.zeros(sg.n) + c_shift
+        a_nodes = np.atleast_1d(np.asarray(spec.a.value(x, L), dtype=float)) + np.zeros(sg.n)
 
         n = sg.n
         sub = np.zeros(n)  # sub[i] multiplies u_{i-1} in row i

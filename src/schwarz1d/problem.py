@@ -6,9 +6,11 @@ Everything in this package works with the divergence-form operator
 
 on an interval (0, L), with Dirichlet data g on the outer boundary.  In
 parabolic mode a d/dt term is added on the left and u(x, 0) = g(x) is the
-initial state.  Coefficients and data functions come from small closed
-sets of evaluable forms, so problem instances stay declarative, cheap to
-validate by sampling, and writable inline in experiment configs.
+initial state.  Coefficients (a, b, c) and data (g, the source, an
+initial iterate) are all :class:`Fn`: one closed set of evaluable forms
+with one evaluator and one config reader, so problem instances stay
+declarative, cheap to validate by sampling, and writable inline in
+experiment configs.  The catalog is four such inline problems.
 
 Well-posedness conditions enforced by :func:`validate`:
 
@@ -32,9 +34,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "CoefficientFn",
+    "Fn",
     "Nonlinearity",
-    "DataFn",
     "ProblemSpec",
     "catalog_lookup",
     "catalog_ids",
@@ -132,63 +133,6 @@ def read_kind(d, kinds: dict, what: str) -> tuple[str, object]:
 
 
 @dataclass(frozen=True)
-class CoefficientFn:
-    """A PDE coefficient from a closed set of smooth evaluable forms.
-
-    kinds:
-        ``constant``    -- value
-        ``polynomial``  -- sum(coeffs[i] * x**i)
-        ``scaled-exp``  -- value * exp(rate * x)
-    """
-
-    kind: str
-    value: float = 0.0
-    coeffs: tuple[float, ...] = ()
-    rate: float = 0.0
-
-    _KINDS = {"constant": "value", "polynomial": None, "scaled-exp": "value"}
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-
-    @classmethod
-    def constant(cls, value: float) -> "CoefficientFn":
-        return cls(kind="constant", value=float(value))
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "CoefficientFn":
-        return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
-
-    @classmethod
-    def scaled_exp(cls, value: float, rate: float) -> "CoefficientFn":
-        return cls(kind="scaled-exp", value=float(value), rate=float(rate))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.value) if x.ndim else float(self.value)
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
-        return self.value * np.exp(self.rate * x)
-
-    @classmethod
-    def from_dict(cls, d) -> "CoefficientFn":
-        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS,
-                               "coefficient")
-        what = f"{kind} coefficient"
-        if kind == "polynomial":
-            coeffs = read_numbers(read_entry(body, "coeffs", what), f"{what} coeffs")
-            read_keys(body, ("coeffs",), what)
-            return cls.polynomial(coeffs)
-        value = read_number(read_entry(body, "value", what), f"{what} value")
-        read_keys(body, ("value", "rate") if kind == "scaled-exp" else ("value",), what)
-        if kind == "constant":
-            return cls.constant(value)
-        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"))
-
-
-@dataclass(frozen=True)
 class Nonlinearity:
     """Zeroth-order term F(x, u), uniformly Lipschitz in u.
 
@@ -256,14 +200,16 @@ class Nonlinearity:
 
 
 @dataclass(frozen=True)
-class DataFn:
-    """Closed-form boundary/initial/source data and initial iterates.
+class Fn:
+    """A coefficient (a, b, c) or data function (g, source, initial iterate)
+    from a closed set of smooth evaluable forms.
 
     kinds:
         ``zero``        -- 0
         ``constant``    -- amplitude
-        ``sine``        -- amplitude * sin(mode * pi * x / L)
         ``polynomial``  -- sum(coeffs[i] * x**i)
+        ``scaled-exp``  -- amplitude * exp(rate * x)
+        ``sine``        -- amplitude * sin(mode * pi * x / L)
 
     Data are only ever evaluated at grid nodes; derivatives (e.g. for the
     Robin transmission of an initial iterate) come from the same discrete
@@ -272,47 +218,61 @@ class DataFn:
 
     kind: str
     amplitude: float = 0.0
-    mode: int = 1
     coeffs: tuple[float, ...] = ()
+    rate: float = 0.0
+    mode: int = 1
 
-    _KINDS = {"zero": None, "constant": "value", "sine": "amplitude", "polynomial": "coeffs"}
+    # the entry a bare body stands for: {"constant": 2.0} is {"constant": {"value": 2.0}}
+    _KINDS = {"zero": None, "constant": "value", "polynomial": "coeffs",
+              "scaled-exp": "value", "sine": "amplitude"}
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
-            raise ValueError(f"unknown data kind {self.kind!r}")
+            raise ValueError(f"unknown function kind {self.kind!r}")
 
     @classmethod
-    def zero(cls) -> "DataFn":
+    def zero(cls) -> "Fn":
         return cls(kind="zero")
 
     @classmethod
-    def constant(cls, value: float) -> "DataFn":
+    def constant(cls, value: float) -> "Fn":
         return cls(kind="constant", amplitude=float(value))
 
     @classmethod
-    def sine(cls, amplitude: float = 1.0, mode: int = 1) -> "DataFn":
-        return cls(kind="sine", amplitude=float(amplitude), mode=int(mode))
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "DataFn":
+    def polynomial(cls, coeffs) -> "Fn":
         return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
 
-    def value(self, x, length: float):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x) if x.ndim else 0.0
-        if self.kind == "constant":
-            return np.full_like(x, self.amplitude) if x.ndim else self.amplitude
-        if self.kind == "sine":
-            return self.amplitude * np.sin(self.mode * math.pi * x / length)
-        return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
+    @classmethod
+    def scaled_exp(cls, value: float, rate: float) -> "Fn":
+        return cls(kind="scaled-exp", amplitude=float(value), rate=float(rate))
 
     @classmethod
-    def from_dict(cls, d) -> "DataFn":
+    def sine(cls, amplitude: float = 1.0, mode: int = 1) -> "Fn":
+        return cls(kind="sine", amplitude=float(amplitude), mode=int(mode))
+
+    def value(self, x, length: float):
+        """The function at x (an array, or a scalar for a scalar x) on (0, length)."""
+        x = np.asarray(x, dtype=float)
+        if self.kind in ("zero", "constant"):  # zero's amplitude is 0.0
+            return np.full_like(x, self.amplitude) if x.ndim else self.amplitude
+        if self.kind == "polynomial":
+            return np.polynomial.polynomial.polyval(x, np.array(self.coeffs or (0.0,)))
+        if self.kind == "scaled-exp":
+            return self.amplitude * np.exp(self.rate * x)
+        return self.amplitude * np.sin(self.mode * math.pi * x / length)
+
+    @classmethod
+    def from_dict(cls, d, what: str) -> "Fn":
+        """Read a config entry: a ``{kind: body}`` object, a number (a
+        constant) or one of the shorthands "zero", "one" and "sine";
+        ``what`` ("coefficient" or "data") names the entry in errors."""
         if isinstance(d, str):
-            return _named_data(d)
-        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, "data")
-        what = f"{kind} data"
+            table = {"zero": cls.zero(), "one": cls.constant(1.0), "sine": cls.sine()}
+            if d not in table:
+                raise ValueError(f"unknown {what} shorthand {d!r} (known: {sorted(table)})")
+            return table[d]
+        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, what)
+        what = f"{kind} {what}"
         if kind == "zero":
             read_keys(body, (), what)
             return cls.zero()
@@ -325,34 +285,29 @@ class DataFn:
             read_keys(body, ("coeffs",), what)
             return cls.polynomial(coeffs)
         value = read_number(read_entry(body, "value", what), f"{what} value")
-        read_keys(body, ("value",), what)
-        return cls.constant(value)
-
-
-def _named_data(name: str) -> DataFn:
-    table = {"zero": DataFn.zero(), "one": DataFn.constant(1.0), "sine": DataFn.sine()}
-    if name not in table:
-        raise ValueError(f"unknown data shorthand {name!r} (known: {sorted(table)})")
-    return table[name]
+        read_keys(body, ("value", "rate") if kind == "scaled-exp" else ("value",), what)
+        if kind == "constant":
+            return cls.constant(value)
+        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fully specified model problem instance.
 
-    ``source`` may be a DataFn or, for manufactured-solution studies, any
+    ``source`` may be an Fn or, for manufactured-solution studies, any
     callable ``f(x, t)``; an elliptic solve passes t = 0.
     """
 
     mode: str  # "elliptic" | "parabolic"
-    a: CoefficientFn
-    b: CoefficientFn
-    c: CoefficientFn
+    a: Fn
+    b: Fn
+    c: Fn
     F: Nonlinearity
-    g: DataFn
+    g: Fn
     length: float
     time_horizon: float | None = None
-    source: DataFn | Callable | None = None
+    source: Fn | Callable | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("elliptic", "parabolic"):
@@ -363,11 +318,11 @@ class ProblemSpec:
             raise ValueError("time horizon must be positive")
 
     def source_values(self, x, t: float = 0.0):
-        """The source at nodes x and time t (a DataFn does not depend on t)."""
+        """The source at nodes x and time t (an Fn does not depend on t)."""
         x = np.asarray(x, dtype=float)
         if self.source is None:
             return np.zeros_like(x)
-        if isinstance(self.source, DataFn):
+        if isinstance(self.source, Fn):
             return np.asarray(self.source.value(x, self.length), dtype=float)
         return np.asarray(self.source(x, t), dtype=float) + np.zeros_like(x)
 
@@ -383,87 +338,41 @@ class ProblemSpec:
         read_keys(d, ("mode", "L", "T", "a", "b", "c", "F", "g", "source"), "inline problem")
         return cls(
             mode=d["mode"],
-            a=CoefficientFn.from_dict(d["a"]),
-            b=CoefficientFn.from_dict(d["b"]),
-            c=CoefficientFn.from_dict(d["c"]),
+            a=Fn.from_dict(d["a"], "coefficient"),
+            b=Fn.from_dict(d["b"], "coefficient"),
+            c=Fn.from_dict(d["c"], "coefficient"),
             F=Nonlinearity.from_dict(d.get("F", {"zero": {}})),
-            g=DataFn.from_dict(d.get("g", {"zero": {}})),
+            g=Fn.from_dict(d.get("g", {"zero": {}}), "data"),
             length=read_number(d["L"], "inline problem L"),
             time_horizon=(read_number(d["T"], "inline problem T") if d.get("T") is not None
                           else None),
-            source=DataFn.from_dict(d["source"]) if d.get("source") is not None else None,
+            source=Fn.from_dict(d["source"], "data") if d.get("source") is not None else None,
         )
 
 
 # --------------------------------------------------------------------------
-# catalog
+# catalog: inline problems, read by the same ProblemSpec.from_dict as a config's
 # --------------------------------------------------------------------------
 
-def _example31() -> ProblemSpec:
+_CATALOG: dict[str, dict] = {
     # Constant-coefficient operator u'' - 3u' - 4u = f on (0, 2), stored in
-    # divergence form as -(u')' + 3u' + 4u = -f.  Its homogeneous solutions
-    # exp(4x), exp(-x) make this the model with closed-form interface maps
-    # (see the oracle module); the transmission-side divergence it exhibits
-    # is the point of the entry.
-    return ProblemSpec(
-        mode="elliptic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(3.0),
-        c=CoefficientFn.constant(4.0),
-        F=Nonlinearity.zero(),
-        g=DataFn.zero(),
-        length=2.0,
-        source=DataFn.sine(-1.0, 1),  # -f with f(x) = sin(pi x / L)
-    )
-
-
-def _laplace1d() -> ProblemSpec:
-    return ProblemSpec(
-        mode="elliptic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(0.0),
-        F=Nonlinearity.zero(),
-        g=DataFn.zero(),
-        length=1.0,
-    )
-
-
-def _heat_semilinear() -> ProblemSpec:
+    # divergence form as -(u')' + 3u' + 4u = -f with f(x) = sin(pi x / L).
+    # Its homogeneous solutions exp(4x), exp(-x) make this the model with
+    # closed-form interface maps (see the oracle module); the
+    # transmission-side divergence it exhibits is the point of the entry.
+    "example31": {"mode": "elliptic", "L": 2.0, "a": 1.0, "b": 3.0, "c": 4.0,
+                  "source": {"sine": {"amplitude": -1.0, "mode": 1}}},
+    "laplace1d": {"mode": "elliptic", "L": 1.0, "a": 1.0, "b": 0.0, "c": 0.0},
     # u_t - u'' = sin(u), zero boundary, initial profile sin(pi x).
     # |sin z - sin z'| <= |z - z'| gives the Lipschitz bound 1.
-    return ProblemSpec(
-        mode="parabolic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(0.0),
-        F=Nonlinearity.sine(1.0),
-        g=DataFn.sine(1.0, 1),
-        length=1.0,
-        time_horizon=2.0,
-    )
-
-
-def _elliptic_semilinear() -> ProblemSpec:
+    "heat-semilinear": {"mode": "parabolic", "L": 1.0, "T": 2.0, "a": 1.0, "b": 0.0,
+                        "c": 0.0, "F": {"sine": {"param": 1.0}},
+                        "g": {"sine": {"amplitude": 1.0, "mode": 1}}},
     # -(u')' + u' + 4u = 2 sin(u) + sin(pi x); c = 4 > 2 = Lipschitz bound,
     # so the fixed-point linearization contracts.
-    return ProblemSpec(
-        mode="elliptic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(1.0),
-        c=CoefficientFn.constant(4.0),
-        F=Nonlinearity.sine(2.0),
-        g=DataFn.zero(),
-        length=1.0,
-        source=DataFn.sine(1.0, 1),
-    )
-
-
-_CATALOG: dict[str, Callable[[], ProblemSpec]] = {
-    "example31": _example31,
-    "laplace1d": _laplace1d,
-    "heat-semilinear": _heat_semilinear,
-    "elliptic-semilinear": _elliptic_semilinear,
+    "elliptic-semilinear": {"mode": "elliptic", "L": 1.0, "a": 1.0, "b": 1.0, "c": 4.0,
+                            "F": {"sine": {"param": 2.0}},
+                            "source": {"sine": {"amplitude": 1.0, "mode": 1}}},
 }
 
 
@@ -475,7 +384,7 @@ def catalog_lookup(problem_id: str) -> ProblemSpec:
     """Return a fresh ProblemSpec for a known catalog id (ValueError for another)."""
     if problem_id not in _CATALOG:
         raise ValueError(f"unknown problem id {problem_id!r} (known: {catalog_ids()})")
-    return _CATALOG[problem_id]()
+    return ProblemSpec.from_dict(_CATALOG[problem_id])
 
 
 # --------------------------------------------------------------------------
@@ -494,22 +403,28 @@ def validate(spec: ProblemSpec) -> list[str]:
     form, so it is read, not sampled.
     """
     violations: list[str] = []
-    x = np.linspace(0.0, spec.length, _VALIDATE_SAMPLES)
-    xh = 0.5 * (x[:-1] + x[1:])
+    L = spec.length
+    x = np.linspace(0.0, L, _VALIDATE_SAMPLES)
+    # an overflow is a non-finite sample, which the checks below name, not
+    # a numpy warning
+    coefficients = {"a": spec.a, "b": spec.b, "c": spec.c}
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh = 0.5 * (x[:-1] + x[1:])
+        on_x = {name: fn.value(x, L) for name, fn in coefficients.items()}
+        on_xh = {name: fn.value(xh, L) for name, fn in coefficients.items()}
+        data = np.concatenate([spec.g.value(x, L), spec.source_values(x, 0.0)])
 
-    for name, fn in (("a", spec.a), ("b", spec.b), ("c", spec.c)):
-        vals = np.concatenate([np.atleast_1d(fn(x)), np.atleast_1d(fn(xh))])
-        if not np.all(np.isfinite(vals)):
+    for name in on_x:
+        if not (np.all(np.isfinite(on_x[name])) and np.all(np.isfinite(on_xh[name]))):
             violations.append(f"finite: coefficient {name}(x) is not finite on [0, L]")
 
-    a_min = float(np.min(np.concatenate([np.atleast_1d(spec.a(x)),
-                                         np.atleast_1d(spec.a(xh))])))
+    a_min = float(np.min(np.concatenate([on_x["a"], on_xh["a"]])))
     if a_min <= 0.0:
         violations.append(f"ellipticity: min a(x) = {a_min:g} <= 0 (need a >= lambda > 0)")
 
     lip = spec.F.lipschitz
     if spec.mode == "elliptic":
-        c_min = float(np.min(np.atleast_1d(spec.c(x))))
+        c_min = float(np.min(on_x["c"]))
         if lip > 0.0 and c_min <= lip:
             violations.append(
                 f"(A3′) c ≤ Lipschitz C: min c(x) = {c_min:g} <= C = {lip:g} "
@@ -523,9 +438,7 @@ def validate(spec: ProblemSpec) -> list[str]:
         if spec.time_horizon is None:
             violations.append("time_horizon: parabolic mode needs a finite horizon T")
 
-    gv = np.atleast_1d(spec.g.value(x, spec.length))
-    sv = np.atleast_1d(spec.source_values(x, 0.0))
-    if not (np.all(np.isfinite(gv)) and np.all(np.isfinite(sv))):
+    if not np.all(np.isfinite(data)):
         violations.append("finite: boundary data or source is not finite on [0, L]")
 
     return violations

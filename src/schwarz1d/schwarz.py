@@ -59,7 +59,7 @@ from .discretize import (
     solve_semilinear_parabolic,
 )
 from .geometry import Grid, Partition, build_grid, validate_partition
-from .problem import DataFn, ProblemSpec, validate as validate_problem
+from .problem import Fn, ProblemSpec, validate as validate_problem
 
 __all__ = [
     "SchwarzConfig",
@@ -96,7 +96,7 @@ class SchwarzRunError(RuntimeError):
 class SchwarzConfig:
     """Everything one run needs.
 
-    ``u0`` is the initial iterate: a DataFn, one of the shorthands
+    ``u0`` is the initial iterate: an Fn (a data form), one of the shorthands
     "zero" / "one" / "sine", or "reference" (the reference solution
     itself, so the iteration must sit still at the fixed point).  It is
     sampled on each subdomain's nodes, and the first sweep takes its
@@ -113,7 +113,7 @@ class SchwarzConfig:
     h_target: float
     transmission: tx.TransmissionSpec
     dt_target: float | None = None
-    u0: Union[DataFn, str] = "zero"
+    u0: Union[Fn, str] = "zero"
     k_max: int = 200
     stop_tol: float = 1e-10
     alpha: float = 10.0
@@ -335,14 +335,14 @@ class Plan(NamedTuple):
     ``Link.m`` is m read subdomain m's field.  ``ops[l]`` is subdomain l's
     operator (grid, matrix and LU factors), whose Robin rows read the same
     ``Link.p`` as ``transmission.extract``; only the interface data change
-    between sweeps.  ``u0`` is a DataFn or "reference".
+    between sweeps.  ``u0`` is an Fn or "reference".
     """
 
     cfg: SchwarzConfig
     grid: Grid
     links: list
     ops: list[Operator]
-    u0: Union[DataFn, str]
+    u0: Union[Fn, str]
     norm_kind: str
 
     @property
@@ -372,9 +372,9 @@ def plan(cfg: SchwarzConfig) -> Plan:
         raise ValueError("partition length differs from problem domain length")
     u0 = cfg.u0
     if isinstance(u0, str) and u0 != "reference":
-        u0 = DataFn.from_dict(u0)
-    elif not isinstance(u0, (str, DataFn)):
-        raise ValueError(f"initial guess must be a DataFn or shorthand, got {u0!r}")
+        u0 = Fn.from_dict(u0, "data")
+    elif not isinstance(u0, (str, Fn)):
+        raise ValueError(f"initial guess must be a data form or shorthand, got {u0!r}")
     parabolic = prob.mode == "parabolic"
     if parabolic and cfg.dt_target is None:
         raise ValueError("parabolic runs need dt_target (grid.dt)")

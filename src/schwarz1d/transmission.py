@@ -151,7 +151,7 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
             )
         a = p = None
         if tspec.is_robin:
-            a = float(spec.a(grid.x[idx]))
+            a = float(spec.a.value(grid.x[idx], spec.length))
             p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * scale
             if not math.isfinite(p):
                 raise ValueError(f"Robin parameter p * rho of the interface of "

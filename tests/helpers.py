@@ -78,13 +78,13 @@ def manufactured_elliptic(spec: ProblemSpec) -> tuple[ProblemSpec, SineSolution]
     hand for the constant diffusion coefficients the catalog uses.
     """
     assert spec.a.kind == "constant", "manufactured source assumes constant a"
-    sol = SineSolution(spec.length)
+    sol, L = SineSolution(spec.length), spec.length
 
     def src(x, t):
         x = np.asarray(x, dtype=float)
         ustar = sol.u(x)
-        return (-spec.a(0.0) * sol.d2u(x) + np.atleast_1d(spec.b(x)) * sol.du(x)
-                + np.atleast_1d(spec.c(x)) * ustar - np.atleast_1d(spec.F(x, ustar)))
+        return (-spec.a.value(0.0, L) * sol.d2u(x) + np.atleast_1d(spec.b.value(x, L)) * sol.du(x)
+                + np.atleast_1d(spec.c.value(x, L)) * ustar - np.atleast_1d(spec.F(x, ustar)))
 
     return replace(spec, source=src), sol
 
@@ -92,7 +92,7 @@ def manufactured_elliptic(spec: ProblemSpec) -> tuple[ProblemSpec, SineSolution]
 def manufactured_parabolic(spec: ProblemSpec) -> tuple[ProblemSpec, "object"]:
     """Spec whose exact solution is exp(-t) sin(pi x / L)."""
     assert spec.a.kind == "constant"
-    sol = SineSolution(spec.length)
+    sol, L = SineSolution(spec.length), spec.length
 
     class SpaceTime:
         @staticmethod
@@ -103,9 +103,9 @@ def manufactured_parabolic(spec: ProblemSpec) -> tuple[ProblemSpec, "object"]:
         x = np.asarray(x, dtype=float)
         decay = math.exp(-t)
         ustar = decay * sol.u(x)
-        return (-decay * sol.u(x) - spec.a(0.0) * decay * sol.d2u(x)
-                + np.atleast_1d(spec.b(x)) * decay * sol.du(x)
-                + np.atleast_1d(spec.c(x)) * ustar - np.atleast_1d(spec.F(x, ustar)))
+        return (-decay * sol.u(x) - spec.a.value(0.0, L) * decay * sol.d2u(x)
+                + np.atleast_1d(spec.b.value(x, L)) * decay * sol.du(x)
+                + np.atleast_1d(spec.c.value(x, L)) * ustar - np.atleast_1d(spec.F(x, ustar)))
 
     return replace(spec, source=src), SpaceTime
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from schwarz1d.cli import build_schwarz_config, main
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
-from schwarz1d.problem import DataFn
+from schwarz1d.problem import Fn
 from schwarz1d.schwarz import SchwarzConfig, plan, run_elliptic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -397,6 +398,42 @@ def test_validate_assumption_violation(tmp_path, capsys):
     assert "(A3′)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry, form, message", [
+    pytest.param("a", {"scaled-exp": {"value": 1, "rate": 1000}},
+                 "finite: coefficient a(x) is not finite on [0, L]", id="scaled-exp-coefficient"),
+    pytest.param("g", {"polynomial": [0, 1e308, 1e308]},
+                 "finite: boundary data or source is not finite on [0, L]", id="polynomial-data"),
+])
+def test_overflowing_form_is_one_validation_message_without_warning(tmp_path, capsys, entry,
+                                                                    form, message):
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["problem"] = {**LAPLACE_INLINE, entry: form}
+    path = write_config(tmp_path, cfg)
+    message = f"problem fails validation: {message}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would be the message
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr() == (message, "")
+        assert main(["--quiet", "run", "--config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("{", "is not valid JSON", id="bad-json"),
+    pytest.param('{"schema_version": 2}', "unsupported schema_version 2 (expected 1)",
+                 id="schema-version"),
+    pytest.param(json.dumps({**laplace_config("o"), "outptu": {}}),
+                 "unknown config setting(s) ['outptu']", id="root-key"),
+])
+def test_validate_prints_a_config_load_failure_on_stdout(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert message in out and out.count("\n") == 1 and out.endswith("\n")
+    assert err == ""
+
+
 def test_run_stalled_exits_one(tmp_path, capsys):
     cfg = laplace_config(str(tmp_path / "o"))
     cfg["run"]["max_iters"] = 3  # cannot converge that fast
@@ -468,7 +505,7 @@ def test_run_accepts_inline_initial_iterate(tmp_path):
     got = [float(line.split(",")[3]) for line in
            (out / "history.csv").read_text().splitlines()[1::2]]
     sc, _ = build_schwarz_config(cfg)
-    assert sc.u0 == DataFn.sine(2.0)
+    assert sc.u0 == Fn.sine(2.0)
     assert got == run_elliptic(plan(sc)).E
 
 
@@ -506,7 +543,7 @@ def test_sweep_point_whose_plan_fails_has_no_tau(tmp_path):
     assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
     rows = [r.split(",", 6) for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[2:6] for r in rows] == [["error", "", "", ""]] * 2
-    assert all(r[6] == "initial guess must be a DataFn or shorthand; got 0.5" for r in rows)
+    assert all(r[6] == "initial guess must be a data form or shorthand; got 0.5" for r in rows)
 
 
 def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, monkeypatch):

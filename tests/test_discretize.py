@@ -18,8 +18,7 @@ from schwarz1d.discretize import (
 )
 from schwarz1d.geometry import SubGrid, build_grid, build_uniform_partition
 from schwarz1d.problem import (
-    CoefficientFn,
-    DataFn,
+    Fn,
     Nonlinearity,
     ProblemSpec,
     catalog_lookup,
@@ -42,11 +41,11 @@ def subgrid(length: float, n_cells: int) -> SubGrid:
 def simple_spec(a=1.0, b=0.0, c=0.0, F=None, length=1.0, source=None) -> ProblemSpec:
     return ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(a),
-        b=CoefficientFn.constant(b),
-        c=CoefficientFn.constant(c),
+        a=Fn.constant(a),
+        b=Fn.constant(b),
+        c=Fn.constant(c),
         F=F or Nonlinearity.zero(),
-        g=DataFn.zero(),
+        g=Fn.zero(),
         length=length,
         source=source,
     )
@@ -204,7 +203,7 @@ def test_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch, tmp_
 def test_operator_source_survives_repeated_solves(F):
     # the F-zero solve fills the boundary rows of its right-hand side in
     # place; it must do so on a copy of the operator's sampled source
-    spec = simple_spec(b=1.0, c=4.0, F=F, source=DataFn.sine(-3.0, 2))
+    spec = simple_spec(b=1.0, c=4.0, F=F, source=Fn.sine(-3.0, 2))
     sg = subgrid(1.0, 24)
     op = Operator(spec, sg, (None, 2.0))
     for left, right in ((0.0, 0.0), (5.0, -2.0), (-1.0, 7.0)):
@@ -329,9 +328,9 @@ MARCH_F = {"zero": Nonlinearity.zero(), "linear": Nonlinearity.linear(1.5),
            "sine1": Nonlinearity.sine(1.0), "sine2": Nonlinearity.sine(2.0)}
 MARCH_ENDS = {"dirichlet": (None, None), "robin-left": (2.0, None), "robin-right": (None, 0.5),
               "robin": (1.5, 3.0)}
-MARCH_SOURCES = {"data": DataFn.sine(-3.0, 2),
+MARCH_SOURCES = {"data": Fn.sine(-3.0, 2),
                  "callable": lambda x, t: np.cos(3.0 * x) * (1.0 + 5.0 * t) - 0.5,
-                 "minus-zero": DataFn.constant(-0.0)}
+                 "minus-zero": Fn.constant(-0.0)}
 
 
 def counted_solves(monkeypatch) -> list:
@@ -395,7 +394,7 @@ def test_solve_banded_overwrites_its_rhs_with_the_solution():
 def test_march_never_writes_into_the_start_vector(F, ends):
     # a read-only start raises on any write; warm starts and u0 = "reference"
     # hand the solves arrays they do not own
-    elliptic = Operator(simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=DataFn.sine(-3.0, 2)),
+    elliptic = Operator(simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=Fn.sine(-3.0, 2)),
                         subgrid(1.0, 24), MARCH_ENDS[ends])
     start = np.cos(elliptic.sg.x)
     start.setflags(write=False)
@@ -557,8 +556,8 @@ def test_heat_mode_decay_matches_eigenvalue_oracle():
     # u_t = u'' with u(x,0) = sin(pi x): each implicit-Euler step scales the
     # discrete mode by 1 / (1 + dt mu_h), mu_h = (2/h^2)(1 - cos(pi h))
     spec = ProblemSpec(
-        mode="parabolic", a=CoefficientFn.constant(1.0), b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(0.0), F=Nonlinearity.zero(), g=DataFn.sine(1.0, 1),
+        mode="parabolic", a=Fn.constant(1.0), b=Fn.constant(0.0),
+        c=Fn.constant(0.0), F=Nonlinearity.zero(), g=Fn.sine(1.0, 1),
         length=1.0, time_horizon=0.05,
     )
     n, dt = 50, 0.01
@@ -577,8 +576,8 @@ def test_heat_mode_decay_matches_eigenvalue_oracle():
 
 def test_zero_data_gives_zero_field():
     spec = ProblemSpec(
-        mode="parabolic", a=CoefficientFn.constant(1.0), b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(0.0), F=Nonlinearity.zero(), g=DataFn.zero(),
+        mode="parabolic", a=Fn.constant(1.0), b=Fn.constant(0.0),
+        c=Fn.constant(0.0), F=Nonlinearity.zero(), g=Fn.zero(),
         length=1.0, time_horizon=0.1,
     )
     sg = subgrid(1.0, 20)
@@ -649,7 +648,7 @@ def test_reference_matches_manufactured_solution():
 
 
 def test_reference_laplace_ramp_exact():
-    spec = replace(catalog_lookup("laplace1d"), g=DataFn.polynomial([0.0, 1.0]))
+    spec = replace(catalog_lookup("laplace1d"), g=Fn.polynomial([0.0, 1.0]))
     part = build_uniform_partition(1.0, 2, 0.2)
     grid = build_grid(part, 0.05)
     u = reference_solve(spec, grid)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from schwarz1d.problem import (
-    CoefficientFn,
-    DataFn,
+    Fn,
     Nonlinearity,
     ProblemSpec,
     catalog_ids,
@@ -28,15 +27,14 @@ def test_unknown_id_raises_value_error():
 
 def test_example31_encodes_the_operator():
     spec = catalog_lookup("example31")
+    a, b, c = (fn.value(0.3, spec.length) for fn in (spec.a, spec.b, spec.c))
     assert spec.mode == "elliptic"
-    assert spec.a(0.3) == 1.0
-    assert spec.b(0.3) == 3.0
-    assert spec.c(0.3) == 4.0
+    assert (a, b, c) == (1.0, 3.0, 4.0)
     assert spec.length == 2.0
     # -(a u')' + b u' + c u annihilates exp(4x) and exp(-x):
     # -a r^2 + b r + c = -(r^2 - 3r - 4) = 0 for r in {4, -1}
     for r in (4.0, -1.0):
-        assert -spec.a(0.0) * r**2 + spec.b(0.0) * r + spec.c(0.0) == 0.0
+        assert -a * r**2 + b * r + c == 0.0
     # stored right-hand side is the negated forcing: source(x) = -sin(pi x / L)
     x = np.linspace(0, 2, 7)
     np.testing.assert_allclose(spec.source_values(x), -np.sin(np.pi * x / 2), atol=1e-15)
@@ -44,7 +42,7 @@ def test_example31_encodes_the_operator():
 
 def test_laplace1d_is_trivial_diffusion():
     spec = catalog_lookup("laplace1d")
-    assert spec.b(0.5) == 0.0 and spec.c(0.5) == 0.0
+    assert spec.b.value(0.5, 1.0) == 0.0 and spec.c.value(0.5, 1.0) == 0.0
     assert spec.F.kind == "zero"
     assert spec.boundary_values() == (0.0, 0.0)
 
@@ -91,11 +89,11 @@ def test_nonlinearity_fills_out_with_the_bits_of_a_new_array(F):
 def test_elliptic_c_below_lipschitz_bound_is_flagged():
     spec = ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(0.0),
+        a=Fn.constant(1.0),
+        b=Fn.constant(0.0),
+        c=Fn.constant(0.0),
         F=Nonlinearity.linear(1.0),
-        g=DataFn.zero(),
+        g=Fn.zero(),
         length=1.0,
     )
     out = validate(spec)
@@ -108,11 +106,11 @@ def test_large_linear_nonlinearity_with_c_above_its_bound_passes(param):
     # bound check with an absolute slack rejected these on round-off
     spec = ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(1.0),
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(2.0 * abs(param)),
+        a=Fn.constant(1.0),
+        b=Fn.constant(0.0),
+        c=Fn.constant(2.0 * abs(param)),
         F=Nonlinearity.linear(param),
-        g=DataFn.zero(),
+        g=Fn.zero(),
         length=1.0,
     )
     assert validate(spec) == []
@@ -121,11 +119,11 @@ def test_large_linear_nonlinearity_with_c_above_its_bound_passes(param):
 def test_negative_diffusion_is_flagged_as_ellipticity():
     spec = ProblemSpec(
         mode="elliptic",
-        a=CoefficientFn.constant(-1.0),
-        b=CoefficientFn.constant(0.0),
-        c=CoefficientFn.constant(1.0),
+        a=Fn.constant(-1.0),
+        b=Fn.constant(0.0),
+        c=Fn.constant(1.0),
         F=Nonlinearity.zero(),
-        g=DataFn.zero(),
+        g=Fn.zero(),
         length=1.0,
     )
     out = validate(spec)
@@ -133,15 +131,15 @@ def test_negative_diffusion_is_flagged_as_ellipticity():
 
 
 @pytest.mark.parametrize("change, message", [
-    pytest.param({"b": CoefficientFn.constant(math.inf)},
+    pytest.param({"b": Fn.constant(math.inf)},
                  "finite: coefficient b(x) is not finite on [0, L]",
                  id="coefficient-not-finite"),
-    pytest.param({"c": CoefficientFn.constant(-1.0)},
+    pytest.param({"c": Fn.constant(-1.0)},
                  "(A3′) c ≤ Lipschitz C: min c(x) = -1 < 0 with C = 0",
                  id="c-negative-C-zero"),
     pytest.param({"mode": "parabolic"}, "time_horizon: parabolic mode needs a finite horizon T",
                  id="parabolic-without-T"),
-    pytest.param({"source": DataFn.constant(math.nan)},
+    pytest.param({"source": Fn.constant(math.nan)},
                  "finite: boundary data or source is not finite on [0, L]",
                  id="source-not-finite"),
 ])
@@ -149,20 +147,36 @@ def test_validate_names_each_violation(change, message):
     assert validate(dataclasses.replace(catalog_lookup("laplace1d"), **change)) == [message]
 
 
+# each kind's value is the plain numpy expression, bit for bit, on (0, L) with L = 1.5
+_FORMS = {
+    "zero": (Fn.zero(), lambda x: np.full_like(x, 0.0)),
+    "constant": (Fn.constant(2.5), lambda x: np.full_like(x, 2.5)),
+    "minus-zero": (Fn.constant(-0.0), lambda x: np.full_like(x, -0.0)),
+    "polynomial": (Fn.polynomial([1.0, 2.0, 3.0]),
+                   lambda x: np.polynomial.polynomial.polyval(x, np.array([1.0, 2.0, 3.0]))),
+    "empty-polynomial": (Fn.polynomial([]),
+                         lambda x: np.polynomial.polynomial.polyval(x, np.array([0.0]))),
+    "scaled-exp": (Fn.scaled_exp(2.0, -1.0), lambda x: 2.0 * np.exp(-1.0 * x)),
+    "sine": (Fn.sine(2.0, 3), lambda x: 2.0 * np.sin(3 * math.pi * x / 1.5)),
+}
+
+
 def test_coefficient_forms_evaluate():
-    assert CoefficientFn.constant(2.5)(0.7) == 2.5
-    np.testing.assert_allclose(
-        CoefficientFn.polynomial([1.0, 2.0, 3.0])(np.array([0.0, 1.0])),
-        [1.0, 6.0],
-    )
-    np.testing.assert_allclose(CoefficientFn.scaled_exp(2.0, -1.0)(1.0), 2.0 / np.e)
+    x = np.linspace(0.0, 1.5, 37)
+    for form, (fn, expected) in _FORMS.items():
+        assert np.array_equal(fn.value(x, 1.5), expected(x)), form
+        assert fn.value(x, 1.5).tobytes() == expected(x).tobytes(), form  # signed zeros too
+        for xi in (0.0, 0.7, 1.5):
+            assert np.ndim(fn.value(xi, 1.5)) == 0, form
+            assert np.array_equal(fn.value(xi, 1.5), expected(np.asarray(xi))), form
 
 
 def test_datafn_values():
-    assert DataFn.sine(2.0, 1).value(0.0, 1.0) == 0.0
-    np.testing.assert_allclose(DataFn.sine(2.0, 1).value(0.25, 0.5), 2.0)
-    p = DataFn.polynomial([1.0, 0.0, 3.0])  # 1 + 3 x^2
-    np.testing.assert_allclose(p.value(2.0, 1.0), 13.0)
+    assert Fn.sine(2.0, 1).value(0.0, 1.0) == 0.0
+    np.testing.assert_allclose(Fn.sine(2.0, 1).value(0.25, 0.5), 2.0)
+    p = Fn.polynomial([1.0, 0.0, 3.0])  # 1 + 3 x^2
+    assert p.value(2.0, 1.0) == 13.0
+    assert np.array_equal(p.value(np.array([0.0, 2.0]), 1.0), [1.0, 13.0])
 
 
 # every catalog entry written as an inline problem in README's forms
@@ -193,8 +207,18 @@ def test_from_dict_reads_every_coefficient_form():
     spec = ProblemSpec.from_dict({**_INLINE["laplace1d"],
                                   "a": {"polynomial": {"coeffs": [1.0, 0.5]}},
                                   "c": {"scaled-exp": {"value": 2.0, "rate": -1.0}}})
-    assert spec.a == CoefficientFn.polynomial([1.0, 0.5])
-    assert spec.c == CoefficientFn.scaled_exp(2.0, -1.0)
+    assert spec.a == Fn.polynomial([1.0, 0.5])
+    assert spec.c == Fn.scaled_exp(2.0, -1.0)
+
+
+def test_coefficients_and_data_read_one_form():
+    # a bare body is the kind's main entry, for a coefficient as for data
+    spec = ProblemSpec.from_dict({**_INLINE["laplace1d"], "a": {"polynomial": [1.0, 0.5]},
+                                  "g": {"polynomial": [1.0, 0.5]}})
+    assert spec.a == spec.g == Fn.polynomial([1.0, 0.5])
+    for d in (2.0, "one", {"constant": 2.0}, {"sine": {"mode": 2}}, {"zero": {}},
+              {"scaled-exp": {"value": 2.0, "rate": -1.0}}, {"polynomial": {"coeffs": [1.0]}}):
+        assert Fn.from_dict(d, "coefficient") == Fn.from_dict(d, "data")
 
 
 # the problem and coefficient entries are checked through the CLI in test_cli.py
@@ -219,16 +243,16 @@ def test_lipschitz_bound_is_derived_from_param():
 
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        CoefficientFn(kind="cosine")
+        Fn(kind="cosine")
     with pytest.raises(ValueError):
         Nonlinearity(kind="custom")  # only closed forms are accepted
     with pytest.raises(ValueError):
         ProblemSpec(
             mode="elliptic",
-            a=CoefficientFn.constant(1.0),
-            b=CoefficientFn.constant(0.0),
-            c=CoefficientFn.constant(0.0),
+            a=Fn.constant(1.0),
+            b=Fn.constant(0.0),
+            c=Fn.constant(0.0),
             F=Nonlinearity.zero(),
-            g=DataFn.zero(),
+            g=Fn.zero(),
             length=-1.0,
         )

@@ -13,7 +13,7 @@ from schwarz1d.cli import build_schwarz_config, load_config, main
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
 from schwarz1d.discretize import NonFiniteError, reference_solve
-from schwarz1d.problem import DataFn, ProblemSpec, catalog_lookup
+from schwarz1d.problem import Fn, ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
@@ -347,7 +347,7 @@ def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
         raise AssertionError("no solve may run for a bad initial guess")
 
     monkeypatch.setattr(engine, "reference_solve", boom)
-    with pytest.raises(ValueError, match="initial guess must be a DataFn or shorthand, got 0.5"):
+    with pytest.raises(ValueError, match="initial guess must be a data form or shorthand, got 0.5"):
         run_elliptic(plan(laplace_cfg(u0=0.5)))
     with pytest.raises(ValueError, match="unknown data shorthand 'foo'"):
         run_elliptic(plan(laplace_cfg(u0="foo")))
@@ -453,6 +453,17 @@ def test_engine_rejects_invalid_setup():
                            h_target=0.01, transmission=TransmissionSpec.dirichlet()))
 
 
+def test_plan_takes_a_sine_coefficient_and_scaled_exp_data():
+    # coefficients and data read one set of forms: sine was data-only and
+    # scaled-exp coefficient-only
+    prob = ProblemSpec.from_dict({"mode": "elliptic", "L": 1.0, "a": 1.0, "c": 0.0,
+                                  "b": {"sine": {"amplitude": 0.5, "mode": 2}},
+                                  "g": {"scaled-exp": {"value": 1.0, "rate": -1.0}}})
+    assert prob.b == Fn.sine(0.5, 2) and prob.g == Fn.scaled_exp(1.0, -1.0)
+    p = plan(laplace_cfg(problem=prob, u0=Fn.scaled_exp(2.0, 0.5)))
+    assert run_elliptic(p).verdict == "converged"
+
+
 def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     import schwarz1d.discretize as discretize
 
@@ -462,7 +473,7 @@ def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     monkeypatch.setattr(discretize, "solve_banded", boom)
     cfg = laplace_cfg(transmission=TransmissionSpec.robin(2.0))
     p = plan(cfg)
-    assert p.cfg is cfg and p.norm_kind == "sup" and p.u0 == DataFn.constant(1.0)
+    assert p.cfg is cfg and p.norm_kind == "sup" and p.u0 == Fn.constant(1.0)
     assert [op.sg.x.tolist() for op in p.ops] == [p.grid.subgrid(l).x.tolist() for l in (0, 1)]
     (outer0, link0), (link1, outer1) = p.links
     assert outer0 is None and outer1 is None
