@@ -10,8 +10,8 @@ Subcommands:
                   verdict (tau < 1).
 * ``sweep``    -- re-run a config along one parameter axis; writes
                   sweep.csv with the engine verdict/rate per grid point
-                  and the closed-form tau wherever the config matches the
-                  analytic two-subdomain geometry (empty for a point
+                  and the closed-form tau wherever ``oracle.run_tau``
+                  finds the run to be its model (empty for a point
                   whose plan fails).  Consecutive points with the same
                   problem, partition, grid and Picard settings share one
                   monodomain reference.  Exit 1 when no point converged
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import oracle, transmission as tx
 from .geometry import Partition, build_uniform_partition
-from .problem import (Fn, ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
+from .problem import (ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
                       read_keys, read_kind, read_number, read_string)
 from .schwarz import (
     IterationHistory,
@@ -119,7 +119,7 @@ def _partition_from_config(cfg: dict, length: float) -> Partition:
 _RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), read_integer),
                  **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"),
                                  read_number),
-                 "u0": lambda u0, key: Fn.from_dict(u0, "data") if isinstance(u0, dict) else u0}
+                 "u0": lambda u0, key: u0}  # SchwarzConfig reads it
 
 
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
@@ -139,25 +139,6 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
         transmission=transmission,
         **settings,
     ), problem_id
-
-
-def _oracle_tau(p: Plan, problem_id: str) -> float | None:
-    """Closed-form tau when the run is the analytic two-subdomain model, else None."""
-    part = p.cfg.partition
-    if problem_id != "example31" or part.count != 2:
-        return None
-    left = int(part.subdomains[1][0] < part.subdomains[0][0])  # the subdomain at x = 0
-    right = 1 - left
-    (L2,), (L1,) = part.interfaces[(left, right)], part.interfaces[(right, left)]
-    try:
-        # p and q as the run's Robin rows read them (rho applied); a Dirichlet
-        # link has p = None, and its tau does not depend on p and q
-        case = oracle.AnalyticCase(L=part.length, L1=L1, L2=L2, p=p.links[left][1].p or 1.0,
-                                   q=p.links[right][0].p or 1.0)
-        return (oracle.tau_factors(case) if p.cfg.transmission.is_robin
-                else oracle.dirichlet_tau_factors(case)).tau
-    except ValueError:  # a degenerate tau
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +187,7 @@ def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
         f"rate/double:    {_fmt(hist.rate_per_double)}",
         f"wall time (s):  {sum(hist.wall_times):.3f}",
     ]
-    tau = _oracle_tau(p, problem_id)
+    tau = oracle.run_tau(p.cfg.problem, p.cfg.partition, p.links)
     if tau is not None:
         lines.append(f"oracle tau:     {_fmt(tau)}")
     return "\n".join(lines) + "\n"
@@ -305,9 +286,9 @@ def _cmd_sweep(args) -> int:
         point = _apply_axis(cfg, axis, value)
         tau = p = hist = None  # a failed plan has no tau; the last point's is dropped
         try:
-            sc, problem_id = build_schwarz_config(point)
+            sc = build_schwarz_config(point)[0]
             p = plan(sc)
-            tau = _oracle_tau(p, problem_id)
+            tau = oracle.run_tau(sc.problem, sc.partition, p.links)
             if p.reference_key != key:
                 reference = key = None  # freed before the next one is solved
                 reference, key = solve_reference(p), p.reference_key

@@ -26,7 +26,9 @@ while rescaling both parameters by a large enough rho restores tau < 1.
 
 The Dirichlet (trace-exchange) factors for the same model and the
 classical two-subdomain factor for -u'' = 0 are included as baselines
-for validating the numerical engine.
+for validating the numerical engine.  ``run_tau`` decides from a run's
+operator and partition whether its errors are this model's, and if so
+gives its Robin or Dirichlet tau.
 """
 
 from __future__ import annotations
@@ -35,15 +37,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .problem import is_positive_number
+from .geometry import Partition
+from .problem import Fn, ProblemSpec, is_positive_number
 
 __all__ = [
     "AnalyticCase",
-    "InterfaceState",
     "TauFactors",
     "tau_factors",
     "dirichlet_tau_factors",
-    "step_interface",
+    "run_tau",
     "asymptotic_tau_large_q",
     "divergence_threshold_L1",
     "classical_laplace_rate",
@@ -51,6 +53,9 @@ __all__ = [
 
 #: characteristic roots of r^2 - 3r - 4 = 0 for the model operator
 ROOTS = (4.0, -1.0)
+#: its coefficients (a, b, c) in the problem module's -(a u')' + b u' + c u:
+#: -a r^2 + b r + c = 0 has the roots ROOTS for a = 1, b = r+ + r-, c = -r+ r-
+_MODEL = (Fn.constant(1.0), Fn.constant(sum(ROOTS)), Fn.constant(-ROOTS[0] * ROOTS[1]))
 
 
 class TauFactors(NamedTuple):
@@ -92,14 +97,6 @@ class AnalyticCase:
                              f"got p={self.p!r}, q={self.q!r}")
         if not is_positive_number(self.rho):
             raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
-
-
-@dataclass(frozen=True)
-class InterfaceState:
-    """Amplitudes of the two exponential error profiles."""
-
-    A: float
-    B: float
 
 
 def _phi(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
@@ -171,11 +168,29 @@ def dirichlet_tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 
-def step_interface(case: AnalyticCase, state: InterfaceState,
-                   roots=ROOTS) -> InterfaceState:
-    """One Jacobi sweep of the exact interface map (cross-coupled)."""
-    f = tau_factors(case, roots)
-    return InterfaceState(A=f.tau1 * state.B, B=f.tau2 * state.A)
+def run_tau(problem: ProblemSpec, partition: Partition, links: list) -> float | None:
+    """The closed-form tau of a run whose errors are this module's model, else None.
+
+    That is an elliptic run of the model operator (constant a = 1, b = 3,
+    c = 4, F zero) on two subdomains; neither the source nor the data g
+    enter the errors.  ``links`` are the run's ``transmission.links``,
+    whose ``Link.p`` at each interface, rho applied, is the Robin p or q,
+    and None for Dirichlet exchange, whose tau does not depend on them.
+    A degenerate tau is None too.
+    """
+    if (problem.mode != "elliptic" or (problem.a, problem.b, problem.c) != _MODEL
+            or problem.F.lipschitz != 0.0 or partition.count != 2):
+        return None
+    left = int(partition.subdomains[1][0] < partition.subdomains[0][0])  # the one at x = 0
+    right = 1 - left
+    (L2,), (L1,) = partition.interfaces[(left, right)], partition.interfaces[(right, left)]
+    p, q = links[left][1].p, links[right][0].p
+    try:
+        case = AnalyticCase(L=partition.length, L1=L1, L2=L2, p=p or 1.0, q=q or 1.0)
+        # both are looked up at call time: perfbench's tracer patches them by name
+        return (dirichlet_tau_factors(case) if p is None else tau_factors(case)).tau
+    except ValueError:
+        return None
 
 
 def asymptotic_tau_large_q(L: float, L1: float, roots=ROOTS) -> float:

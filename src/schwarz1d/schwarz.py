@@ -96,9 +96,10 @@ class SchwarzRunError(RuntimeError):
 class SchwarzConfig:
     """Everything one run needs.
 
-    ``u0`` is the initial iterate: an Fn (a data form), one of the shorthands
-    "zero" / "one" / "sine", or "reference" (the reference solution
-    itself, so the iteration must sit still at the fixed point).  It is
+    ``u0`` is the initial iterate: "reference" (the reference solution
+    itself, so the iteration must sit still at the fixed point), or an Fn
+    or anything ``Fn.from_dict`` reads as data (a form, a number or a
+    shorthand such as "one"), which the config holds as that Fn.  It is
     sampled on each subdomain's nodes, and the first sweep takes its
     interface data from it through the same transmission stencil as
     every later sweep.
@@ -113,7 +114,7 @@ class SchwarzConfig:
     h_target: float
     transmission: tx.TransmissionSpec
     dt_target: float | None = None
-    u0: Union[Fn, str] = "zero"
+    u0: Union[Fn, str] = Fn.zero()
     k_max: int = 200
     stop_tol: float = 1e-10
     alpha: float = 10.0
@@ -123,6 +124,8 @@ class SchwarzConfig:
     rate_window: int = 8
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.u0, Fn) or self.u0 == "reference"):
+            self.u0 = Fn.from_dict(self.u0, "data")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         for name in ("stop_tol", "alpha", "picard_tol"):
@@ -335,14 +338,13 @@ class Plan(NamedTuple):
     ``Link.m`` is m read subdomain m's field.  ``ops[l]`` is subdomain l's
     operator (grid, matrix and LU factors), whose Robin rows read the same
     ``Link.p`` as ``transmission.extract``; only the interface data change
-    between sweeps.  ``u0`` is an Fn or "reference".
+    between sweeps.
     """
 
     cfg: SchwarzConfig
     grid: Grid
     links: list
     ops: list[Operator]
-    u0: Union[Fn, str]
     norm_kind: str
 
     @property
@@ -370,11 +372,6 @@ def plan(cfg: SchwarzConfig) -> Plan:
         raise ValueError("partition fails validation: " + "; ".join(bad))
     if abs(part.length - prob.length) > 1e-12 * prob.length:
         raise ValueError("partition length differs from problem domain length")
-    u0 = cfg.u0
-    if isinstance(u0, str) and u0 != "reference":
-        u0 = Fn.from_dict(u0, "data")
-    elif not isinstance(u0, (str, Fn)):
-        raise ValueError(f"initial guess must be a data form or shorthand, got {u0!r}")
     parabolic = prob.mode == "parabolic"
     if parabolic and cfg.dt_target is None:
         raise ValueError("parabolic runs need dt_target (grid.dt)")
@@ -393,7 +390,7 @@ def plan(cfg: SchwarzConfig) -> Plan:
             raise ValueError(f"subdomain {l + 1}: {exc}") from exc
     norm_kind = ("sup" if not parabolic else "laplace-seminorm2"
                  if cfg.transmission.is_robin else "weighted-sup2")
-    return Plan(cfg, grid, links, ops, u0, norm_kind)
+    return Plan(cfg, grid, links, ops, norm_kind)
 
 
 def solve_reference(plan: Plan) -> np.ndarray:
@@ -524,11 +521,12 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
     n_max = max(op.n for op in plan.ops)
     work = np.empty(n_max * grid.t.size if parabolic else n_max)
-    u0 = plan.u0
+    u0 = cfg.u0
     fields = [ref if u0 == "reference" else
               np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
               for ref, op in zip(refs, plan.ops)]
     data, starts = exchange(plan, fields), fields
+    outer = _outer_data(plan)  # every sweep hands off into a copy
     if parabolic:  # every solve starts from the initial profile instead
         starts, fields = [ref[:, 0] for ref in refs], []
 
@@ -544,7 +542,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     try:
         for k in range(1, cfg.k_max + 1):
             tic = time.perf_counter()
-            handed = _outer_data(plan)
+            handed = [pair.copy() for pair in outer]
             norms = []
             for l, field in enumerate(sweep(plan, data, starts, k, work)):
                 norm = _error_norm(plan, plan.ops[l], field, refs[l], work)

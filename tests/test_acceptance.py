@@ -19,9 +19,7 @@ from schwarz1d.oracle import (
     asymptotic_tau_large_q,
     classical_laplace_rate,
     divergence_threshold_L1,
-    step_interface,
     tau_factors,
-    InterfaceState,
 )
 from schwarz1d.problem import catalog_ids, catalog_lookup
 from schwarz1d.schwarz import (
@@ -300,25 +298,6 @@ def test_criterion_7_property_suites():
     checks["partition rules"] = (validate_partition(good) == []
                                  and any("triple overlap" in v
                                          for v in validate_partition(bad)))
-
-    # oracle self-consistency: iterated map vs closed form
-    worst = 0.0
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        L = float(rng.uniform(0.8, 2.5))
-        L1, L2 = np.sort(rng.uniform(0.1 * L, 0.9 * L, size=2))
-        if L2 - L1 < 0.05 * L:
-            continue
-        case = AnalyticCase(L=L, L1=float(L1), L2=float(L2),
-                            p=float(rng.uniform(0.5, 20)), q=float(rng.uniform(0.5, 20)))
-        tau = tau_factors(case).tau
-        if not 1e-10 < tau < 1e8:
-            continue
-        s = InterfaceState(A=1.0, B=1.0)
-        for _ in range(20):
-            s = step_interface(case, s)
-        worst = max(worst, abs(abs(s.A) ** 0.1 - tau) / tau)
-    checks["oracle self-consistency"] = worst <= 1e-8
 
     # seminorm closed form at quadrature accuracy
     beta, alpha = 2.0, 8.0

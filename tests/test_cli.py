@@ -221,9 +221,12 @@ def test_sweep_rho_locates_empirical_threshold(tmp_path, capsys):
     cfg["run"]["stop_tol"] = 1e-9
     cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2, 4, 8]}
     cfg_path = write_config(tmp_path, cfg)
-    assert main(["--quiet", "sweep", "--config", cfg_path]) == 0
+    assert main(["sweep", "--config", cfg_path]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "axis,value,verdict,iterations,rate_double,tau,error"
+    # without --quiet the rows go to stdout too, and then the first converged value
+    assert capsys.readouterr().out.splitlines() == rows + [
+        "# first converged at transmission.rho = 4"]
     verdicts = {float(r.split(",")[1]): r.split(",")[2] for r in rows[1:]}
     taus = {float(r.split(",")[1]): float(r.split(",")[5]) for r in rows[1:]}
     assert verdicts[1.0] == "diverged" and taus[1.0] > 1.0
@@ -422,6 +425,7 @@ def test_overflowing_form_is_one_validation_message_without_warning(tmp_path, ca
     pytest.param("{", "is not valid JSON", id="bad-json"),
     pytest.param('{"schema_version": 2}', "unsupported schema_version 2 (expected 1)",
                  id="schema-version"),
+    pytest.param("[1]", "config root must be a JSON object", id="root-not-object"),
     pytest.param(json.dumps({**laplace_config("o"), "outptu": {}}),
                  "unknown config setting(s) ['outptu']", id="root-key"),
 ])
@@ -432,6 +436,14 @@ def test_validate_prints_a_config_load_failure_on_stdout(tmp_path, capsys, text,
     out, err = capsys.readouterr()
     assert message in out and out.count("\n") == 1 and out.endswith("\n")
     assert err == ""
+
+
+def test_unreadable_config_path_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    for command in ("run", "sweep"):
+        assert main(["--quiet", command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
 
 
 def test_run_stalled_exits_one(tmp_path, capsys):
@@ -452,7 +464,7 @@ def test_run_engine_failure_reports_error_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("u0", [0.5, "foo"])
+@pytest.mark.parametrize("u0", [True, "foo"])
 def test_run_bad_initial_guess_exits_one(tmp_path, capsys, u0):
     cfg = laplace_config(str(tmp_path / "o"))
     cfg["run"]["u0"] = u0
@@ -509,6 +521,18 @@ def test_run_accepts_inline_initial_iterate(tmp_path):
     assert got == run_elliptic(plan(sc)).E
 
 
+def test_run_reads_a_number_u0_as_that_constant(tmp_path):
+    runs = []
+    for u0 in (0.5, {"constant": 0.5}):
+        out = tmp_path / f"out{len(runs)}"
+        cfg = laplace_config(str(out))
+        cfg["run"]["u0"] = u0
+        assert build_schwarz_config(cfg)[0].u0 == Fn.constant(0.5)
+        assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+        runs.append((out / "history.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
 def test_run_uniform_two_subdomain_example31_reports_oracle_tau(tmp_path):
     out = tmp_path / "out"
     cfg = divergent_config(str(out))
@@ -538,12 +562,12 @@ def test_sweep_point_without_robin_p_is_recorded_not_raised(tmp_path, capsys):
 def test_sweep_point_whose_plan_fails_has_no_tau(tmp_path):
     out = tmp_path / "out"
     cfg = divergent_config(str(out))
-    cfg["run"]["u0"] = 0.5
+    cfg["run"]["u0"] = True
     cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2]}
     assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
     rows = [r.split(",", 6) for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[2:6] for r in rows] == [["error", "", "", ""]] * 2
-    assert all(r[6] == "initial guess must be a data form or shorthand; got 0.5" for r in rows)
+    assert all(r[6] == "bad data spec: True" for r in rows)
 
 
 def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
@@ -697,6 +721,23 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  id="partition-key"),
     pytest.param(lambda c: c["grid"].update(hh=0.01),
                  "unknown grid setting(s) ['hh'] (known: ['dt', 'h'])", id="grid-hh"),
+    # the checks of each object's constructor
+    pytest.param(lambda c: c.pop("problem"),
+                 "config needs a 'problem' (catalog id or inline object)", id="no-problem"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "mode": "hyperbolic"}),
+                 "unknown mode 'hyperbolic'", id="problem-mode-unknown"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "mode": "parabolic", "T": 0}),
+                 "time horizon must be positive", id="problem-T-0"),
+    pytest.param(lambda c: c.update(partition={"intervals": [[0.0, 1.0]]}),
+                 "need at least two subdomains", id="intervals-one"),
+    pytest.param(lambda c: c.update(partition={"intervals": [[0.0, 0.6], [0.6, 0.6]]}),
+                 "empty subdomain (0.6, 0.6)", id="intervals-empty"),
+    pytest.param(lambda c: c["partition"]["uniform"].update(count=1),
+                 "need at least two subdomains", id="uniform-count-1"),
+    pytest.param(lambda c: c["partition"]["uniform"].update(overlap=0),
+                 "overlap must be positive", id="uniform-overlap-0"),
+    pytest.param(lambda c: c["run"].update(max_iters=0), "k_max must be >= 1",
+                 id="max_iters-0"),
     pytest.param(lambda c: c["output"].update(format="csv"),
                  "unknown output setting(s) ['format'] (known: ['dir'])", id="output-key"),
     pytest.param(lambda c: c["output"].update(dir=5), "output.dir must be a string, got 5",
@@ -760,7 +801,8 @@ def test_unknown_key_outside_run_setup_exits_one_naming_it(tmp_path, capsys, com
                  lambda c: c["grid"].update(h=0.05), id="interface-too-shallow"),
     pytest.param(functools.partial(shipped_config, "heat_dirichlet"),
                  lambda c: c["grid"].pop("dt"), id="parabolic-without-dt"),
-    pytest.param(laplace_config, lambda c: c["run"].update(u0=0.5), id="u0-number"),
+    # a number is a constant, which must be finite
+    pytest.param(laplace_config, lambda c: c["run"].update(u0=math.nan), id="u0-number"),
     pytest.param(laplace_config, lambda c: c.update(problem="nope"), id="unknown-problem"),
     pytest.param(singular_robin_config, lambda c: None, id="singular-robin-elimination"),
     # an elliptic run has no time axis, so a grid.dt would be ignored
@@ -1044,6 +1086,12 @@ def test_run_rejects_verdict_settings_out_of_range(tmp_path, capsys, setting, va
     assert not (tmp_path / "o").exists()
 
 
+def summary_lines(out: Path, skip=("wall time",)) -> list[str]:
+    """The lines of ``out``/summary.txt, without those that start with ``skip``."""
+    lines = (out / "summary.txt").read_text().splitlines()
+    return [line for line in lines if not line.startswith(skip)]
+
+
 def test_oracle_tau_does_not_depend_on_subdomain_order(tmp_path, shipped_run):
     # the shipped divergent run with its two subdomains listed right to left;
     # the table names the same interfaces, so the run and its tau are the same
@@ -1053,13 +1101,29 @@ def test_oracle_tau_does_not_depend_on_subdomain_order(tmp_path, shipped_run):
     cfg["output"]["dir"] = str(tmp_path / "o")
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 2
     _, forward = shipped_run("counterexample_divergent")
+    assert "oracle tau:     1.2077311921632212" in summary_lines(tmp_path / "o")
+    assert summary_lines(tmp_path / "o") == summary_lines(forward)
 
-    def summary(out):
-        lines = (out / "summary.txt").read_text().splitlines()
-        return [line for line in lines if not line.startswith("wall time")]
 
-    assert "oracle tau:     1.2077311921632212" in summary(tmp_path / "o")
-    assert summary(tmp_path / "o") == summary(forward)
+def test_inline_example31_gets_the_catalog_runs_oracle_tau(tmp_path, shipped_run):
+    # the closed form is keyed on the operator, not on the catalog name; the
+    # source, which the errors do not see, is written another way
+    cfg = shipped_config("counterexample_divergent", str(tmp_path / "o"))
+    cfg["problem"] = {"mode": "elliptic", "L": 2, "a": 1, "b": 3, "c": 4,
+                      "source": {"sine": {"amplitude": -1}}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 2
+    _, catalog = shipped_run("counterexample_divergent")
+    skip = ("wall time", "problem:")
+    assert "oracle tau:     1.2077311921632212" in summary_lines(tmp_path / "o", skip)
+    assert summary_lines(tmp_path / "o", skip) == summary_lines(catalog, skip)
+    assert (tmp_path / "o" / "history.csv").read_bytes() == (catalog / "history.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["laplace_dirichlet", "heat_dirichlet", "heat_robin"])
+def test_shipped_runs_off_the_oracle_model_print_no_oracle_tau(shipped_run, name):
+    code, out = shipped_run(name)
+    assert code == 0
+    assert not [line for line in summary_lines(out) if line.startswith("oracle tau:")]
 
 
 # Recorded with `schwarz1d --quiet <command> --config configs/<name>.json

@@ -205,3 +205,9 @@ def test_interfaces_at_least_one_node_inside_neighbor(count, overlap):
     for (l, m), idx in grid.interface_index.items():
         lo, hi = grid.sub_ranges[m]
         assert idx - lo >= 1 and hi - idx >= 1
+
+
+def test_partition_refuses_a_non_positive_length():
+    # a run never reaches this check: its problem refuses the length first
+    with pytest.raises(ValueError, match="domain length must be positive"):
+        Partition(length=0.0, subdomains=((0.0, 0.6), (0.4, 1.0)))

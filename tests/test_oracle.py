@@ -7,14 +7,17 @@ from hypothesis import given, strategies as st
 
 from schwarz1d.oracle import (
     AnalyticCase,
-    InterfaceState,
     asymptotic_tau_large_q,
     classical_laplace_rate,
     dirichlet_tau_factors,
     divergence_threshold_L1,
-    step_interface,
+    run_tau,
     tau_factors,
 )
+from schwarz1d.geometry import Partition, build_uniform_partition
+from schwarz1d.problem import Fn, Nonlinearity, catalog_lookup
+from schwarz1d.schwarz import SchwarzConfig, plan
+from schwarz1d.transmission import TransmissionSpec
 
 from helpers import tau_exponent5
 
@@ -66,40 +69,6 @@ def test_numerator_roots_give_tau_zero():
     q_star = (4 * e5L1 + 1) / (e5L1 - 1)  # zero of the second numerator
     f = tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=2.0, q=q_star))
     assert abs(f.tau) < 1e-12
-
-
-def test_step_interface_fixed_point_and_composition():
-    case = AnalyticCase(L=2.0, L1=1.7, L2=1.9, p=1.0, q=50.0)
-    s0 = step_interface(case, InterfaceState(A=0.0, B=0.0))
-    assert s0 == InterfaceState(A=0.0, B=0.0)
-    f = tau_factors(case)
-    s = InterfaceState(A=1.0, B=1.0)
-    for _ in range(2):
-        s = step_interface(case, s)
-    np.testing.assert_allclose((s.A, s.B), (f.tau1 * f.tau2, f.tau1 * f.tau2), rtol=1e-14)
-
-
-def test_iterated_map_consistent_with_tau_formula():
-    case = AnalyticCase(L=2.0, L1=1.7, L2=1.9, p=1.0, q=50.0)
-    s = InterfaceState(A=1.0, B=1.0)
-    states = [s]
-    for _ in range(20):
-        s = step_interface(case, s)
-        states.append(s)
-    ratios = [abs(states[k + 2].A / states[k].A) for k in range(0, 19, 2)]
-    np.testing.assert_allclose(ratios, tau_factors(case).tau, rtol=1e-10)
-
-
-def test_iterated_map_matches_tau_on_random_cases():
-    for case in random_cases(50, seed=9):
-        tau = tau_factors(case).tau
-        if not (1e-12 < tau < 1e10):
-            continue
-        s = InterfaceState(A=1.0, B=1.0)
-        for _ in range(20):
-            s = step_interface(case, s)
-        observed = (abs(s.A)) ** (1.0 / 10.0)  # A_20 = (tau1 tau2)^10 * A_0
-        np.testing.assert_allclose(observed, tau, rtol=1e-8)
 
 
 def test_reflection_symmetry_with_swapped_roots():
@@ -250,6 +219,11 @@ def test_classical_laplace_rate_examples():
                                rtol=1e-14)
 
 
+def test_classical_rate_refuses_lengths_out_of_order():
+    with pytest.raises(ValueError, match="need 0 < L1 < L2 < L"):
+        classical_laplace_rate(1.0, 0.7, 0.3)
+
+
 def test_classical_rate_tends_to_one_as_overlap_vanishes():
     L, L1 = 1.0, 0.45
     rates = [classical_laplace_rate(L, L1, L1 + eps) for eps in (0.1, 0.01, 0.001)]
@@ -330,3 +304,57 @@ def test_an_overflowing_profile_derivative_is_named_with_its_length(roots, L1, L
 def test_dirichlet_factors_below_one_for_overlapping_split():
     f = dirichlet_tau_factors(AnalyticCase(L=2.0, L1=0.9, L2=1.1, p=1.0, q=1.0))
     assert 0.0 < f.tau < 1.0
+
+
+# the shipped divergent run: example31 on (0, 1.95) | (1.9, 2), Robin p = 1, q = 50
+DIVERGENT = AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)
+DIVERGENT_TABLE = {(0, 1): 1.0, (1, 0): 50.0}
+
+
+def divergent_plan(problem=None, transmission=TransmissionSpec.robin(DIVERGENT_TABLE),
+                   subdomains=((0.0, 1.95), (1.9, 2.0))):
+    """The plan of an elliptic run of ``problem`` (example31) on (0, 2)."""
+    return plan(SchwarzConfig(problem=problem or catalog_lookup("example31"),
+                              partition=Partition(2.0, subdomains), h_target=0.005,
+                              transmission=transmission))
+
+
+def planned_tau(*args):
+    p = divergent_plan(*args)
+    return run_tau(p.cfg.problem, p.cfg.partition, p.links)
+
+
+def test_run_tau_of_the_model_operator_whatever_its_data():
+    model = catalog_lookup("example31")
+    want = tau_factors(DIVERGENT).tau
+    assert planned_tau(model) == want
+    # the errors see neither the source nor g
+    assert planned_tau(replace(model, source=None, g=Fn.constant(3.0))) == want
+    assert planned_tau(model, TransmissionSpec.scaled_robin(DIVERGENT_TABLE, 4.0)) == (
+        tau_factors(replace(DIVERGENT, rho=4.0)).tau)
+    assert planned_tau(model, TransmissionSpec.dirichlet()) == (
+        dirichlet_tau_factors(DIVERGENT).tau)
+
+
+@pytest.mark.parametrize("edit", [
+    # the same roots, but a Robin row reads a du/dn + p u, so p would act as p / a
+    pytest.param(lambda m: replace(m, a=Fn.constant(2.0), b=Fn.constant(6.0),
+                                   c=Fn.constant(8.0)), id="a-2"),
+    pytest.param(lambda m: replace(m, c=Fn.constant(5.0)), id="c-5"),
+    pytest.param(lambda m: replace(m, b=Fn.polynomial([3.0, 0.1])), id="b-not-constant"),
+    pytest.param(lambda m: replace(m, F=Nonlinearity.linear(0.5)), id="F-nonzero"),
+    pytest.param(lambda m: replace(m, mode="parabolic", time_horizon=1.0), id="parabolic"),
+])
+def test_run_tau_is_none_off_the_model_operator(edit):
+    p = divergent_plan()
+    assert run_tau(edit(p.cfg.problem), p.cfg.partition, p.links) is None
+
+
+def test_run_tau_is_none_on_three_subdomains_and_for_a_degenerate_tau():
+    model = catalog_lookup("example31")
+    p = plan(SchwarzConfig(problem=model, partition=build_uniform_partition(2.0, 3, 0.1),
+                           h_target=0.005, transmission=TransmissionSpec.robin(1.0)))
+    assert run_tau(p.cfg.problem, p.cfg.partition, p.links) is None
+    # exp(4 x) overflows a float on (0, 200), which the tau command reports
+    long = Partition(200.0, ((0.0, 199.5), (199.0, 200.0)))
+    assert run_tau(replace(model, length=200.0), long, divergent_plan().links) is None

@@ -347,8 +347,8 @@ def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
         raise AssertionError("no solve may run for a bad initial guess")
 
     monkeypatch.setattr(engine, "reference_solve", boom)
-    with pytest.raises(ValueError, match="initial guess must be a data form or shorthand, got 0.5"):
-        run_elliptic(plan(laplace_cfg(u0=0.5)))
+    with pytest.raises(ValueError, match="bad data spec: True"):
+        run_elliptic(plan(laplace_cfg(u0=True)))
     with pytest.raises(ValueError, match="unknown data shorthand 'foo'"):
         run_elliptic(plan(laplace_cfg(u0="foo")))
 
@@ -473,7 +473,7 @@ def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     monkeypatch.setattr(discretize, "solve_banded", boom)
     cfg = laplace_cfg(transmission=TransmissionSpec.robin(2.0))
     p = plan(cfg)
-    assert p.cfg is cfg and p.norm_kind == "sup" and p.u0 == Fn.constant(1.0)
+    assert p.cfg is cfg and p.norm_kind == "sup" and cfg.u0 == Fn.constant(1.0)
     assert [op.sg.x.tolist() for op in p.ops] == [p.grid.subgrid(l).x.tolist() for l in (0, 1)]
     (outer0, link0), (link1, outer1) = p.links
     assert outer0 is None and outer1 is None
@@ -740,7 +740,7 @@ def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     reference = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
     initial = initial_profiles(p, reference)
-    fields = [np.asarray(p.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
+    fields = [np.asarray(cfg.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
     norms = []
     for _ in range(5):
         fields = list(sweep(p, exchange(p, fields), fields if initial is None else initial))
@@ -775,7 +775,7 @@ def test_sweep_with_one_nan_datum_returns_none(case):
     # NonFiniteError, unwrapped, which a run turns into "diverged"
     p = plan(SWEEP_CASES[case]())
     initial = initial_profiles(p, solve_reference(p))
-    fields = [np.asarray(p.u0.value(op.sg.x, p.cfg.problem.length), dtype=float)
+    fields = [np.asarray(p.cfg.u0.value(op.sg.x, p.cfg.problem.length), dtype=float)
               for op in p.ops]
     data = exchange(p, fields)
     assert all(np.isfinite(datum).all() for pair in data for datum in pair)

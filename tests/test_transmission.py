@@ -188,3 +188,9 @@ def test_scaled_robin_identity_for_all_parameters(p, rho):
 ])
 def test_from_dict_reads_readme_forms(literal, want):
     assert TransmissionSpec.from_dict(literal) == want
+
+
+def test_spec_refuses_an_unknown_kind():
+    # a config never reaches this check: its reader refuses the kind first
+    with pytest.raises(ValueError, match="unknown transmission kind 'neumann'"):
+        TransmissionSpec(kind="neumann")
