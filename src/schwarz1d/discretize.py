@@ -391,7 +391,6 @@ def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
         return u
     if grid.t is None:
         raise ValueError("parabolic reference needs a grid with a time axis")
-    initial = np.asarray(spec.g.value(sg.x, spec.length), dtype=float) + np.zeros(sg.n)
     op = Operator(spec, sg, (None, None), c_shift=1.0 / grid.dt)
-    return solve_semilinear_parabolic(op, g0, gL, initial, grid.dt, grid.t, picard_tol,
-                                      picard_max)
+    return solve_semilinear_parabolic(op, g0, gL, spec.g.value(sg.x, spec.length), grid.dt,
+                                      grid.t, picard_tol, picard_max)

@@ -264,15 +264,21 @@ class Fn:
     @classmethod
     def from_dict(cls, d, what: str) -> "Fn":
         """Read a config entry: a ``{kind: body}`` object, a number (a
-        constant) or one of the shorthands "zero", "one" and "sine";
-        ``what`` ("coefficient" or "data") names the entry in errors."""
+        constant) or one of the shorthands "zero", "one" and "sine".
+
+        ``what`` is "coefficient" or "data", then the entry's key
+        ("coefficient a", "data u0"): an error about the entry as a whole
+        names it so, one about a form's body names the form ("constant
+        coefficient value must be a number").
+        """
+        role = what.split()[0]
         if isinstance(d, str):
             table = {"zero": cls.zero(), "one": cls.constant(1.0), "sine": cls.sine()}
             if d not in table:
                 raise ValueError(f"unknown {what} shorthand {d!r} (known: {sorted(table)})")
             return table[d]
         kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, what)
-        what = f"{kind} {what}"
+        what = f"{kind} {role}"
         if kind == "zero":
             read_keys(body, (), what)
             return cls.zero()
@@ -338,15 +344,16 @@ class ProblemSpec:
         read_keys(d, ("mode", "L", "T", "a", "b", "c", "F", "g", "source"), "inline problem")
         return cls(
             mode=d["mode"],
-            a=Fn.from_dict(d["a"], "coefficient"),
-            b=Fn.from_dict(d["b"], "coefficient"),
-            c=Fn.from_dict(d["c"], "coefficient"),
+            a=Fn.from_dict(d["a"], "coefficient a"),
+            b=Fn.from_dict(d["b"], "coefficient b"),
+            c=Fn.from_dict(d["c"], "coefficient c"),
             F=Nonlinearity.from_dict(d.get("F", {"zero": {}})),
-            g=Fn.from_dict(d.get("g", {"zero": {}}), "data"),
+            g=Fn.from_dict(d.get("g", {"zero": {}}), "data g"),
             length=read_number(d["L"], "inline problem L"),
             time_horizon=(read_number(d["T"], "inline problem T") if d.get("T") is not None
                           else None),
-            source=Fn.from_dict(d["source"], "data") if d.get("source") is not None else None,
+            source=(Fn.from_dict(d["source"], "data source") if d.get("source") is not None
+                    else None),
         )
 
 

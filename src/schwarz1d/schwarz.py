@@ -125,9 +125,9 @@ class SchwarzConfig:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.u0, Fn) or self.u0 == "reference"):
-            self.u0 = Fn.from_dict(self.u0, "data")
+            self.u0 = Fn.from_dict(self.u0, "data u0")
         if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+            raise ValueError("k_max (run.max_iters) must be >= 1")
         for name in ("stop_tol", "alpha", "picard_tol"):
             value = getattr(self, name)
             if not -math.inf < value < math.inf:
@@ -443,26 +443,29 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
     """One Jacobi sweep: yields subdomain l's new field, solved from its
     boundary data ``data[l]`` as ``exchange`` gives it, for l = 0, 1, ...
 
-    ``starts[l]`` starts subdomain l's solve: the start of its Picard loop
-    (elliptic; None is zero) or its initial profile (parabolic); it is only
-    read, and not before field l - 1 is yielded.  ``out`` is the buffer
-    of every parabolic solve (None: its own; an elliptic solve ignores
-    it), so a caller that passes one is done with a field before asking
-    for the next; a caller that keeps the fields passes None.  A solve
+    ``starts`` is the previous iterate, only read: ``starts[l]``, read after
+    field l - 1 is yielded, starts subdomain l's elliptic Picard loop (None
+    is zero).  A parabolic solve starts from the problem's initial state g
+    instead, so the previous iterate reaches it only through ``data``.
+    ``out`` is the buffer of every parabolic solve (None: its own; an
+    elliptic solve ignores it), so a caller that passes one is done with a
+    field before asking for the next; a caller that keeps the fields
+    passes None.  A solve
     that finds a non-finite value (a Picard difference or, with F zero,
     the field) raises NonFiniteError.  Any other failure is
     ``SchwarzRunError("iteration k, subdomain l: ...")``, with ``k`` the
     number of this sweep in its run.
     """
-    cfg, grid = plan.cfg, plan.grid
-    for l, (op, (left, right), start) in enumerate(zip(plan.ops, data, starts)):
+    cfg, grid, prob = plan.cfg, plan.grid, plan.cfg.problem
+    for l, (op, (left, right)) in enumerate(zip(plan.ops, data)):
         try:
-            if cfg.problem.mode == "parabolic":
-                field = solve_semilinear_parabolic(op, left, right, start, grid.dt, grid.t,
+            if prob.mode == "parabolic":
+                initial = prob.g.value(op.sg.x, prob.length)
+                field = solve_semilinear_parabolic(op, left, right, initial, grid.dt, grid.t,
                                                    cfg.picard_tol, cfg.picard_max, out=out)
             else:
                 field = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
-                                                  cfg.picard_max, u_start=start)[0]
+                                                  cfg.picard_max, u_start=starts[l])[0]
         except NonFiniteError:
             raise  # a verdict for the caller, not a failed solve
         except Exception as exc:
@@ -505,7 +508,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     A parabolic field is then dead.  The run allocates one ``work``
     buffer of the largest subdomain's size, which dies with the run:
     ``sweep`` writes every parabolic field there, time-major, from the
-    reference's initial profile, and the elliptic sup norm forms the
+    problem's initial state, and the elliptic sup norm forms the
     error there; both parabolic norms form it a block of time levels at
     a time.  An elliptic run keeps its iterate, which starts the next
     Picard loops.  The reference is only read.  So a parabolic run's
@@ -521,14 +524,11 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
     n_max = max(op.n for op in plan.ops)
     work = np.empty(n_max * grid.t.size if parabolic else n_max)
-    u0 = cfg.u0
-    fields = [ref if u0 == "reference" else
-              np.asarray(u0.value(op.sg.x, cfg.problem.length), dtype=float)
+    fields = [ref if cfg.u0 == "reference" else cfg.u0.value(op.sg.x, cfg.problem.length)
               for ref, op in zip(refs, plan.ops)]
-    data, starts = exchange(plan, fields), fields
+    data = exchange(plan, fields)
+    fields = [] if parabolic else fields  # a parabolic run drops each field
     outer = _outer_data(plan)  # every sweep hands off into a copy
-    if parabolic:  # every solve starts from the initial profile instead
-        starts, fields = [ref[:, 0] for ref in refs], []
 
     E: list[float] = []
     sub_norms: list[list[float]] = []
@@ -544,7 +544,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
             tic = time.perf_counter()
             handed = [pair.copy() for pair in outer]
             norms = []
-            for l, field in enumerate(sweep(plan, data, starts, k, work)):
+            for l, field in enumerate(sweep(plan, data, fields, k, work)):
                 norm = _error_norm(plan, plan.ops[l], field, refs[l], work)
                 if not math.isfinite(norm):
                     return history("diverged", [])

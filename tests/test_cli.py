@@ -567,7 +567,7 @@ def test_sweep_point_whose_plan_fails_has_no_tau(tmp_path):
     assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
     rows = [r.split(",", 6) for r in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[2:6] for r in rows] == [["error", "", "", ""]] * 2
-    assert all(r[6] == "bad data spec: True" for r in rows)
+    assert all(r[6] == "bad data u0 spec: True" for r in rows)
 
 
 def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
@@ -715,6 +715,12 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "unknown zero data setting(s) ['value'] (known: [])", id="data-key"),
     pytest.param(lambda c: c["run"].update(u0={"zero": 5}), "zero data must be an object, got 5",
                  id="data-body-number"),
+    # an entry that is no form at all is named by its key
+    *(pytest.param(lambda c, key=key: c.update(problem={**LAPLACE_INLINE, key: True}),
+                   f"bad {role} {key} spec: True", id=f"{key}-true")
+      for role, key in (("coefficient", "a"), ("coefficient", "b"), ("coefficient", "c"),
+                        ("data", "g"), ("data", "source"))),
+    pytest.param(lambda c: c["run"].update(u0=True), "bad data u0 spec: True", id="u0-true"),
     pytest.param(lambda c: c["partition"]["uniform"].update(overlpa=0.1),
                  "unknown uniform partition setting(s) ['overlpa'] (known: ['count', "
                  "'overlap'])",
@@ -736,7 +742,7 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "need at least two subdomains", id="uniform-count-1"),
     pytest.param(lambda c: c["partition"]["uniform"].update(overlap=0),
                  "overlap must be positive", id="uniform-overlap-0"),
-    pytest.param(lambda c: c["run"].update(max_iters=0), "k_max must be >= 1",
+    pytest.param(lambda c: c["run"].update(max_iters=0), "k_max (run.max_iters) must be >= 1",
                  id="max_iters-0"),
     pytest.param(lambda c: c["output"].update(format="csv"),
                  "unknown output setting(s) ['format'] (known: ['dir'])", id="output-key"),

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from schwarz1d.cli import _RUN_SETTINGS
+from schwarz1d.schwarz import run_parabolic, solve_reference, weighted_sup_norm
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +25,22 @@ def test_library_use_example_prints_divergence():
     verdict, rate = out.getvalue().splitlines()[0].split()
     assert verdict == "diverged"
     assert rate.startswith("1.2077")
+
+
+def test_hand_written_sweep_example_is_the_runs_first_iteration():
+    # the example solves no reference; its fields' norms against one are the
+    # first iteration of a run on the same plan, bit for bit
+    block = python_block("The third argument of `sweep`")
+    out, names = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), names)
+    assert out.getvalue() == block.splitlines()[-1].split("# (nodes, time levels): ")[1] + "\n"
+    p, fields = names["plan"], names["fields"]
+    assert p.norm_kind == "weighted-sup2"
+    reference = solve_reference(p)
+    norms = [weighted_sup_norm(field, p.cfg.alpha, p.grid.t, reference[p.grid.nodes(l)])
+             for l, field in enumerate(fields)]
+    assert run_parabolic(p, reference).sub_norms[0] == norms
 
 
 def test_readme_names_every_run_setting():

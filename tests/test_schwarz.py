@@ -347,9 +347,9 @@ def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
         raise AssertionError("no solve may run for a bad initial guess")
 
     monkeypatch.setattr(engine, "reference_solve", boom)
-    with pytest.raises(ValueError, match="bad data spec: True"):
+    with pytest.raises(ValueError, match="bad data u0 spec: True"):
         run_elliptic(plan(laplace_cfg(u0=True)))
-    with pytest.raises(ValueError, match="unknown data shorthand 'foo'"):
+    with pytest.raises(ValueError, match="unknown data u0 shorthand 'foo'"):
         run_elliptic(plan(laplace_cfg(u0="foo")))
 
 
@@ -711,14 +711,6 @@ SWEEP_CASES = {
 }
 
 
-def initial_profiles(p, reference) -> list | None:
-    """Each subdomain's initial profile of a parabolic run, None for an
-    elliptic one: the t = 0 column of the reference is the data g."""
-    if p.cfg.problem.mode == "elliptic":
-        return None
-    return [reference[p.grid.nodes(l)][:, 0] for l in range(len(p.ops))]
-
-
 def error_norm(p, l: int, field, ref) -> float:
     """Subdomain l's error norm, as the schwarz module defines it for ``p``'s run."""
     alpha, t = p.cfg.alpha, p.grid.t
@@ -732,19 +724,22 @@ def error_norm(p, l: int, field, ref) -> float:
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     # five sweeps from the sampled u0, each from the data the previous
-    # iterate gives; a run of five iterations must give the same norms, bit
-    # for bit, and an elliptic run must end on the same fields (a parabolic
-    # run keeps none)
+    # iterate gives and, elliptic, from its fields; a parabolic sweep starts
+    # from g, so the sweeps need no reference, which is solved only for the
+    # norms.  A run of five iterations must give the same norms, bit for
+    # bit, and an elliptic run must end on the same fields (a parabolic run
+    # keeps none)
     cfg = SWEEP_CASES[case](k_max=5, stop_tol=1e-300)
     p = plan(cfg)
+    fields = [cfg.u0.value(op.sg.x, cfg.problem.length) for op in p.ops]
+    iterates = []
+    for _ in range(5):
+        fields = list(sweep(p, exchange(p, fields), fields))
+        iterates.append(fields)
     reference = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
-    initial = initial_profiles(p, reference)
-    fields = [np.asarray(cfg.u0.value(op.sg.x, cfg.problem.length), dtype=float) for op in p.ops]
-    norms = []
-    for _ in range(5):
-        fields = list(sweep(p, exchange(p, fields), fields if initial is None else initial))
-        norms.append([error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))])
+    norms = [[error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(iterate, refs))]
+             for iterate in iterates]
     parabolic = cfg.problem.mode == "parabolic"
     hist = (run_parabolic if parabolic else run_elliptic)(p)
     assert hist.iterations == 5 and hist.verdict == "stalled"
@@ -762,8 +757,7 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
     p = plan(SWEEP_CASES[case](picard_tol=1e-12))
     reference = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
-    initial = initial_profiles(p, reference)
-    fields = list(sweep(p, exchange(p, refs), refs if initial is None else initial))
+    fields = list(sweep(p, exchange(p, refs), refs))
     scale = float(np.max(np.abs(reference)))
     for field, ref in zip(fields, refs):
         assert np.max(np.abs(field - ref)) <= 1e-12 * scale
@@ -774,16 +768,31 @@ def test_sweep_with_one_nan_datum_returns_none(case):
     # named for the None that sweep once returned: it now raises
     # NonFiniteError, unwrapped, which a run turns into "diverged"
     p = plan(SWEEP_CASES[case]())
-    initial = initial_profiles(p, solve_reference(p))
-    fields = [np.asarray(p.cfg.u0.value(op.sg.x, p.cfg.problem.length), dtype=float)
-              for op in p.ops]
+    fields = [p.cfg.u0.value(op.sg.x, p.cfg.problem.length) for op in p.ops]
     data = exchange(p, fields)
     assert all(np.isfinite(datum).all() for pair in data for datum in pair)
     poisoned = np.array(data[0][1], dtype=float)
     poisoned.flat[-1] = np.nan  # the last time level of a parabolic datum
     data[0] = (data[0][0], poisoned)
     with pytest.raises(NonFiniteError):
-        list(sweep(p, data, fields if initial is None else initial))
+        list(sweep(p, data, fields))
+
+
+@pytest.mark.parametrize("name", ["heat_dirichlet", "heat_robin"])
+def test_parabolic_sweep_starts_from_the_initial_state_the_reference_starts_from(name):
+    # g sampled on a subdomain's nodes is the reference's first level there,
+    # bit for bit, so one sweep written by hand, which solves no reference,
+    # gives the run's first-iteration norms bit for bit
+    p = plan(shipped_cfg(name, k_max=1))
+    prob = p.cfg.problem
+    fields = [p.cfg.u0.value(op.sg.x, prob.length) for op in p.ops]
+    fields = list(sweep(p, exchange(p, fields), fields))
+    reference = solve_reference(p)
+    refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
+    for op, ref in zip(p.ops, refs):
+        assert prob.g.value(op.sg.x, prob.length).tobytes() == ref[:, 0].tobytes()
+    norms = [error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))]
+    assert run_parabolic(p, reference).sub_norms == [norms]
 
 
 def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
