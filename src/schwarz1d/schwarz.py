@@ -450,11 +450,10 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
     ``out`` is the buffer of every parabolic solve (None: its own; an
     elliptic solve ignores it), so a caller that passes one is done with a
     field before asking for the next; a caller that keeps the fields
-    passes None.  A solve
-    that finds a non-finite value (a Picard difference or, with F zero,
-    the field) raises NonFiniteError.  Any other failure is
-    ``SchwarzRunError("iteration k, subdomain l: ...")``, with ``k`` the
-    number of this sweep in its run.
+    passes None.  A solve that finds a non-finite value (a Picard
+    difference or, with F zero, the field) raises NonFiniteError.  Any
+    other failure is ``SchwarzRunError("iteration k, subdomain l: ...")``,
+    with ``k`` the number of this sweep in its run.
     """
     cfg, grid, prob = plan.cfg, plan.grid, plan.cfg.problem
     for l, (op, (left, right)) in enumerate(zip(plan.ops, data)):
