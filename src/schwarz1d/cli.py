@@ -240,7 +240,7 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
     if axis in ("transmission.rho", "transmission.p"):
         tdict = out.get("transmission", {"dirichlet": {}})
-        kind, body = read_kind(tdict, tx.TransmissionSpec._KINDS, "transmission")
+        kind, body = read_kind(tdict, dict.fromkeys(tx.TransmissionSpec._FORMS), "transmission")
         leaf = axis.split(".")[1]
         if kind == "dirichlet":
             raise ValueError(f"cannot sweep {leaf} on a Dirichlet config")

@@ -152,10 +152,10 @@ class Operator:
         self.c_shift = c_shift
         x, h, L = sg.x, sg.h, spec.length
         xh = 0.5 * (x[:-1] + x[1:])
-        a_half = np.atleast_1d(np.asarray(spec.a.value(xh, L), dtype=float)) + np.zeros(sg.n - 1)
-        b = np.atleast_1d(np.asarray(spec.b.value(x, L), dtype=float)) + np.zeros(sg.n)
-        c = np.atleast_1d(np.asarray(spec.c.value(x, L), dtype=float)) + np.zeros(sg.n) + c_shift
-        a_nodes = np.atleast_1d(np.asarray(spec.a.value(x, L), dtype=float)) + np.zeros(sg.n)
+        a_half = spec.a.value(xh, L)
+        b = spec.b.value(x, L)
+        c = spec.c.value(x, L) + c_shift
+        a_nodes = spec.a.value(x, L)
 
         n = sg.n
         sub = np.zeros(n)  # sub[i] multiplies u_{i-1} in row i

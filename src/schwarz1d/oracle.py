@@ -64,10 +64,17 @@ class TauFactors(NamedTuple):
     tau: float  # |tau1 * tau2|, the per-double-sweep contraction factor
 
 
-def _require_finite_lengths(L: float, L1: float, L2: float) -> None:
-    if not all(map(is_positive_number, (L, L1, L2))):
-        raise ValueError(f"lengths L, L1 and L2 must be finite numbers, "
-                         f"got L={L!r}, L1={L1!r}, L2={L2!r}")
+def _check_lengths(L: float, L1: float, L2: float | None = None) -> None:
+    """A ValueError unless 0 < L1 < L2 < L (0 < L1 < L without L2), all finite."""
+    chain = {"L1": L1, "L": L} if L2 is None else {"L1": L1, "L2": L2, "L": L}
+    *first, last = names = sorted(chain)  # L, L1[, L2]
+    got = ", ".join(f"{name}={chain[name]!r}" for name in names)
+    values = [0.0, *chain.values()]
+    if not all(lo < hi for lo, hi in zip(values, values[1:])):
+        raise ValueError(f"need 0 < {' < '.join(chain)}, got {got}")
+    if not all(map(is_positive_number, values[1:])):
+        raise ValueError(f"lengths {', '.join(first)} and {last} must be finite numbers, "
+                         f"got {got}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,7 @@ class AnalyticCase:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.L1 < self.L2 < self.L):
-            raise ValueError(f"need 0 < L1 < L2 < L, got {self}")
-        _require_finite_lengths(self.L, self.L1, self.L2)
+        _check_lengths(self.L, self.L1, self.L2)
         if not (is_positive_number(self.p) and is_positive_number(self.q)):
             raise ValueError(f"Robin parameters p and q must be positive finite numbers, "
                              f"got p={self.p!r}, q={self.q!r}")
@@ -203,10 +208,7 @@ def asymptotic_tau_large_q(L: float, L1: float, roots=ROOTS) -> float:
     factor below the float range rounds to 0.  The lengths must satisfy
     0 < L1 < L and be finite.
     """
-    if not (0.0 < L1 < L):
-        raise ValueError(f"need 0 < L1 < L, got L={L}, L1={L1}")
-    if not all(map(is_positive_number, (L, L1))):
-        raise ValueError(f"lengths L and L1 must be finite numbers, got L={L!r}, L1={L1!r}")
+    _check_lengths(L, L1)
     s = roots[0] - roots[1]
     x = s * (L - L1)
     return -math.expm1(-s * L1) * math.exp(-x) / -math.expm1(-x)
@@ -233,7 +235,5 @@ def classical_laplace_rate(L: float, L1: float, L2: float) -> float:
     double sweep rescales them by (L1 / L2) * ((L - L2) / (L - L1)) < 1
     whenever the overlap (L1, L2) is nonempty.
     """
-    if not (0.0 < L1 < L2 < L):
-        raise ValueError(f"need 0 < L1 < L2 < L, got L={L}, L1={L1}, L2={L2}")
-    _require_finite_lengths(L, L1, L2)
+    _check_lengths(L, L1, L2)
     return (L1 / L2) * ((L - L2) / (L - L1))

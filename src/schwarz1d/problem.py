@@ -116,12 +116,9 @@ def read_keys(body, known, what: str) -> None:
 
 
 def read_kind(d, kinds: dict, what: str) -> tuple[str, object]:
-    """(kind, body) of a one-entry ``{kind: body}`` object with a known kind.
-
-    ``kinds`` maps each kind to the entry a bare body stands for, or None:
-    with ``{"constant": "value"}``, ``{"constant": 2.0}`` reads as
-    ``{"constant": {"value": 2.0}}``.
-    """
+    """(kind, body) of a one-entry ``{kind: body}`` object with a known kind;
+    ``kinds`` maps each kind to the entry a bare body stands for, or None (with
+    ``{"constant": "value"}``, ``{"constant": 2.0}`` is ``{"constant": {"value": 2.0}}``)."""
     if not isinstance(d, dict) or len(d) != 1:
         raise ValueError(f"bad {what} spec: {d!r}")
     kind, body = next(iter(d.items()))
@@ -130,6 +127,28 @@ def read_kind(d, kinds: dict, what: str) -> tuple[str, object]:
     if kinds[kind] is not None and not isinstance(body, dict):
         body = {kinds[kind]: body}
     return kind, body
+
+
+REQUIRED = object()  # the default of an entry that a body must give
+
+
+def read_body(body, entries: dict, what: str) -> dict:
+    """The object ``body`` read by ``entries`` (key -> (reader, default or
+    REQUIRED)): missing required entries first, then unknown keys, then
+    each value, read and named by ``reader(value, f"{what} {key}")``."""
+    for key, (_, default) in entries.items():
+        if default is REQUIRED:
+            read_entry(body, key, what)
+    read_keys(body, entries, what)
+    return {key: read(body[key], f"{what} {key}") if key in body else default
+            for key, (read, default) in entries.items()}
+
+
+def read_form(d, forms: dict, what: str) -> tuple[str, dict]:
+    """(kind, entries) of a ``{kind: body}`` object; ``forms`` maps each kind
+    to the entry a bare body stands for (or None) and its body's table."""
+    kind, body = read_kind(d, {kind: main for kind, (main, _) in forms.items()}, what)
+    return kind, read_body(body, forms[kind][1], f"{kind} {what}")
 
 
 @dataclass(frozen=True)
@@ -151,10 +170,12 @@ class Nonlinearity:
     # param as a 0-d array: a ufunc takes it faster than a Python float
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
-    _KINDS = {"zero": None, "linear-in-u": "param", "sine": "param"}
+    _FORMS = {"zero": (None, {}),  # read by read_form
+              "linear-in-u": ("param", {"param": (read_number, REQUIRED)}),
+              "sine": ("param", {"param": (read_number, REQUIRED)})}
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FORMS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "_factor", np.array(self.param, dtype=float))
 
@@ -189,14 +210,8 @@ class Nonlinearity:
 
     @classmethod
     def from_dict(cls, d) -> "Nonlinearity":
-        kind, body = read_kind(d, cls._KINDS, "nonlinearity")
-        what = f"{kind} nonlinearity"
-        if kind == "zero":
-            read_keys(body, (), what)
-            return cls.zero()
-        param = read_number(read_entry(body, "param", what), f"{what} param")
-        read_keys(body, ("param",), what)
-        return cls.linear(param) if kind == "linear-in-u" else cls.sine(param)
+        kind, entries = read_form(d, cls._FORMS, "nonlinearity")
+        return cls(kind, **entries)
 
 
 @dataclass(frozen=True)
@@ -222,12 +237,18 @@ class Fn:
     rate: float = 0.0
     mode: int = 1
 
-    # the entry a bare body stands for: {"constant": 2.0} is {"constant": {"value": 2.0}}
-    _KINDS = {"zero": None, "constant": "value", "polynomial": "coeffs",
-              "scaled-exp": "value", "sine": "amplitude"}
+    # read_form's table: {"constant": 2.0} is {"constant": {"value": 2.0}}, and
+    # the entries are the keyword arguments of the kind's constructor
+    _FORMS = {
+        "zero": (None, {}),
+        "constant": ("value", {"value": (read_number, REQUIRED)}),
+        "polynomial": ("coeffs", {"coeffs": (read_numbers, REQUIRED)}),
+        "scaled-exp": ("value", {"value": (read_number, REQUIRED), "rate": (read_number, 0.0)}),
+        "sine": ("amplitude", {"amplitude": (read_number, 1.0), "mode": (read_integer, 1)}),
+    }
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FORMS:
             raise ValueError(f"unknown function kind {self.kind!r}")
 
     @classmethod
@@ -267,34 +288,16 @@ class Fn:
         constant) or one of the shorthands "zero", "one" and "sine".
 
         ``what`` is "coefficient" or "data", then the entry's key
-        ("coefficient a", "data u0"): an error about the entry as a whole
-        names it so, one about a form's body names the form ("constant
-        coefficient value must be a number").
+        ("coefficient a", "data u0"), and every error names it: a value
+        in a form's body as "constant coefficient a value".
         """
-        role = what.split()[0]
         if isinstance(d, str):
             table = {"zero": cls.zero(), "one": cls.constant(1.0), "sine": cls.sine()}
             if d not in table:
                 raise ValueError(f"unknown {what} shorthand {d!r} (known: {sorted(table)})")
             return table[d]
-        kind, body = read_kind({"constant": d} if is_number(d) else d, cls._KINDS, what)
-        what = f"{kind} {role}"
-        if kind == "zero":
-            read_keys(body, (), what)
-            return cls.zero()
-        if kind == "sine":
-            read_keys(body, ("amplitude", "mode"), what)
-            return cls.sine(read_number(body.get("amplitude", 1.0), f"{what} amplitude"),
-                            read_integer(body.get("mode", 1), f"{what} mode"))
-        if kind == "polynomial":
-            coeffs = read_numbers(read_entry(body, "coeffs", what), f"{what} coeffs")
-            read_keys(body, ("coeffs",), what)
-            return cls.polynomial(coeffs)
-        value = read_number(read_entry(body, "value", what), f"{what} value")
-        read_keys(body, ("value", "rate") if kind == "scaled-exp" else ("value",), what)
-        if kind == "constant":
-            return cls.constant(value)
-        return cls.scaled_exp(value, read_number(body.get("rate", 0.0), f"{what} rate"))
+        kind, entries = read_form({"constant": d} if is_number(d) else d, cls._FORMS, what)
+        return getattr(cls, kind.replace("-", "_"))(**entries)
 
 
 @dataclass(frozen=True)
@@ -337,24 +340,23 @@ class ProblemSpec:
         return (float(self.g.value(0.0, self.length)),
                 float(self.g.value(self.length, self.length)))
 
+    # read_body's table of an inline problem; a function is named by its role and key
+    _ENTRIES = {
+        "mode": (lambda mode, _: mode, REQUIRED),  # __post_init__ checks it
+        "L": (read_number, REQUIRED),
+        "T": (lambda T, what: None if T is None else read_number(T, what), None),
+        "a": (lambda a, _: Fn.from_dict(a, "coefficient a"), REQUIRED),
+        "b": (lambda b, _: Fn.from_dict(b, "coefficient b"), REQUIRED),
+        "c": (lambda c, _: Fn.from_dict(c, "coefficient c"), REQUIRED),
+        "F": (lambda F, _: Nonlinearity.from_dict(F), Nonlinearity.zero()),
+        "g": (lambda g, _: Fn.from_dict(g, "data g"), Fn.zero()),
+        "source": (lambda f, _: None if f is None else Fn.from_dict(f, "data source"), None),
+    }
+
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        for key in ("mode", "L", "a", "b", "c"):
-            read_entry(d, key, "inline problem")
-        read_keys(d, ("mode", "L", "T", "a", "b", "c", "F", "g", "source"), "inline problem")
-        return cls(
-            mode=d["mode"],
-            a=Fn.from_dict(d["a"], "coefficient a"),
-            b=Fn.from_dict(d["b"], "coefficient b"),
-            c=Fn.from_dict(d["c"], "coefficient c"),
-            F=Nonlinearity.from_dict(d.get("F", {"zero": {}})),
-            g=Fn.from_dict(d.get("g", {"zero": {}}), "data g"),
-            length=read_number(d["L"], "inline problem L"),
-            time_horizon=(read_number(d["T"], "inline problem T") if d.get("T") is not None
-                          else None),
-            source=(Fn.from_dict(d["source"], "data source") if d.get("source") is not None
-                    else None),
-        )
+        e = read_body(d, cls._ENTRIES, "inline problem")
+        return cls(length=e.pop("L"), time_horizon=e.pop("T"), **e)
 
 
 # --------------------------------------------------------------------------

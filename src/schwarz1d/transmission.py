@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Grid
-from .problem import ProblemSpec, is_positive_number, read_entry, read_keys, read_kind
+from .problem import REQUIRED, ProblemSpec, is_positive_number, read_form
 
 __all__ = [
     "TransmissionSpec",
@@ -38,6 +38,21 @@ __all__ = [
     "links",
     "extract",
 ]
+
+
+def _read_p(p, what: str):
+    """``p``, with the "l,m" keys of a Robin table read as index pairs (l, m)."""
+    return {_pair(k): v for k, v in p.items()} if isinstance(p, dict) else p
+
+
+def _pair(key) -> tuple[int, int]:
+    """A Robin table key "l,m" as the index pair (l, m)."""
+    try:
+        l, m = (int(s) for s in key.split(","))
+        return l, m
+    except (AttributeError, ValueError):
+        raise ValueError(f'Robin table key {key!r} must have the form "l,m" '
+                         "(receiving and neighbor subdomain index)") from None
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,14 @@ class TransmissionSpec:
     p: float | dict = 1.0
     rho: float = 1.0
 
-    _KINDS = dict.fromkeys(("dirichlet", "robin", "scaled_robin"))
+    # read_form's table; __post_init__ checks p and rho
+    _FORMS = {"dirichlet": (None, {}),
+              "robin": (None, {"p": (_read_p, REQUIRED)}),
+              "scaled_robin": (None, {"p": (_read_p, REQUIRED),
+                                      "rho": (lambda rho, _: rho, REQUIRED)})}
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FORMS:
             raise ValueError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
             values = self.p.values() if isinstance(self.p, dict) else (self.p,)
@@ -84,30 +103,8 @@ class TransmissionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
-        kind, body = read_kind(d, cls._KINDS, "transmission")
-        what = f"{kind} transmission"
-        if kind == "dirichlet":
-            read_keys(body, (), what)
-            return cls.dirichlet()
-        p = read_entry(body, "p", what)
-        if isinstance(p, dict):
-            p = {_pair(k): v for k, v in p.items()}
-        if kind == "robin":
-            read_keys(body, ("p",), what)
-            return cls.robin(p)
-        rho = read_entry(body, "rho", what)
-        read_keys(body, ("p", "rho"), what)
-        return cls.scaled_robin(p, rho)
-
-
-def _pair(key) -> tuple[int, int]:
-    """A Robin table key "l,m" as the index pair (l, m)."""
-    try:
-        l, m = (int(s) for s in key.split(","))
-        return l, m
-    except (AttributeError, ValueError):
-        raise ValueError(f'Robin table key {key!r} must have the form "l,m" '
-                         "(receiving and neighbor subdomain index)") from None
+        kind, entries = read_form(d, cls._FORMS, "transmission")
+        return cls(kind, **entries)
 
 
 class Link(NamedTuple):

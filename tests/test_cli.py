@@ -10,8 +10,9 @@ import pytest
 from schwarz1d.cli import build_schwarz_config, main
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
-from schwarz1d.problem import Fn
+from schwarz1d.problem import REQUIRED, Fn, Nonlinearity
 from schwarz1d.schwarz import SchwarzConfig, plan, run_elliptic
+from schwarz1d.transmission import TransmissionSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -639,7 +640,7 @@ HUGE = 10**400  # a JSON integer no float holds
     pytest.param(lambda c: c["grid"].update(h=HUGE), "h must be a finite number, got 1000",
                  id="grid-h"),
     pytest.param(lambda c: c["run"].update(u0={"polynomial": {"coeffs": [1.0, HUGE]}}),
-                 "polynomial data coeffs must be a finite number, got 1000", id="number-list"),
+                 "polynomial data u0 coeffs must be a finite number, got 1000", id="number-list"),
     pytest.param(lambda c: c.update(transmission={"robin": {"p": HUGE}}),
                  "Robin parameters p must be positive finite numbers, got 1000", id="robin-p"),
     pytest.param(lambda c: c.update(transmission={"robin": {"p": {"0,1": HUGE, "1,0": 1.0}}}),
@@ -658,7 +659,7 @@ HUGE = 10**400  # a JSON integer no float holds
     pytest.param(lambda c: c["run"].update(alpha=json.loads("-Infinity")),
                  "alpha must be a finite number, got -inf", id="alpha-minus-Infinity"),
     pytest.param(lambda c: c["run"].update(u0={"constant": json.loads("NaN")}),
-                 "constant data value must be a finite number, got nan", id="u0-NaN"),
+                 "constant data u0 value must be a finite number, got nan", id="u0-NaN"),
     pytest.param(lambda c: c["grid"].update(h=json.loads("1e999")),
                  "h must be a finite number, got inf", id="grid-h-1e999"),
 ])
@@ -705,15 +706,15 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "'c', 'g', 'mode', 'source'])", id="problem-key"),
     pytest.param(lambda c: c.update(problem={
                      **LAPLACE_INLINE, "a": {"constant": {"value": 1.0, "lower_bound": 1.0}}}),
-                 "unknown constant coefficient setting(s) ['lower_bound'] (known: ['value'])",
+                 "unknown constant coefficient a setting(s) ['lower_bound'] (known: ['value'])",
                  id="coefficient-lower_bound"),
     pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE,
                                              "F": {"sine": {"param": 1.0, "lipschitz": 1.0}}}),
                  "unknown sine nonlinearity setting(s) ['lipschitz'] (known: ['param'])",
                  id="nonlinearity-key"),
     pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "g": {"zero": {"value": 1.0}}}),
-                 "unknown zero data setting(s) ['value'] (known: [])", id="data-key"),
-    pytest.param(lambda c: c["run"].update(u0={"zero": 5}), "zero data must be an object, got 5",
+                 "unknown zero data g setting(s) ['value'] (known: [])", id="data-key"),
+    pytest.param(lambda c: c["run"].update(u0={"zero": 5}), "zero data u0 must be an object, got 5",
                  id="data-body-number"),
     # an entry that is no form at all is named by its key
     *(pytest.param(lambda c, key=key: c.update(problem={**LAPLACE_INLINE, key: True}),
@@ -899,7 +900,7 @@ def test_bad_interface_setup_exits_one_naming_it(tmp_path, capsys, edit, message
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda p: p.pop("a"), "inline problem needs a 'a' entry", id="no-a"),
     pytest.param(lambda p: p.update(c={"constant": {}}),
-                 "constant coefficient needs a 'value' entry", id="constant-no-value"),
+                 "constant coefficient c needs a 'value' entry", id="constant-no-value"),
 ])
 def test_inline_problem_missing_entry_is_named(tmp_path, capsys, edit, message):
     cfg = laplace_config(str(tmp_path / "o"))
@@ -914,25 +915,25 @@ def test_inline_problem_missing_entry_is_named(tmp_path, capsys, edit, message):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda p: p.update(a={"constant": {"value": None}}),
-                 "constant coefficient value must be a number, got None", id="a-value-null"),
+                 "constant coefficient a value must be a number, got None", id="a-value-null"),
     pytest.param(lambda p: p.update(F={"sine": {"param": [1]}}),
                  "sine nonlinearity param must be a number, got [1]", id="F-param-list"),
     pytest.param(lambda p: p.update(source={"polynomial": {"coeffs": 3}}),
-                 "polynomial data coeffs must be a list of numbers, got 3",
+                 "polynomial data source coeffs must be a list of numbers, got 3",
                  id="source-coeffs-number"),
     pytest.param(lambda p: p.update(g={"sine": {"mode": None}}),
-                 "sine data mode must be a number, got None", id="g-mode-null"),
+                 "sine data g mode must be a number, got None", id="g-mode-null"),
     pytest.param(lambda p: p.update(L=None), "inline problem L must be a number, got None",
                  id="L-null"),
     # JSON true and numeric strings are not numbers
     pytest.param(lambda p: p.update(L="1.0"), "inline problem L must be a number, got '1.0'",
                  id="L-string"),
     pytest.param(lambda p: p.update(a={"constant": True}),
-                 "constant coefficient value must be a number, got True", id="a-value-true"),
+                 "constant coefficient a value must be a number, got True", id="a-value-true"),
     pytest.param(lambda p: p.update(g={"sine": {"mode": True}}),
-                 "sine data mode must be an integer, got True", id="g-mode-true"),
+                 "sine data g mode must be an integer, got True", id="g-mode-true"),
     pytest.param(lambda p: p.update(g={"sine": {"mode": "2"}}),
-                 "sine data mode must be a number, got '2'", id="g-mode-string"),
+                 "sine data g mode must be a number, got '2'", id="g-mode-string"),
 ])
 def test_inline_problem_number_of_wrong_type_is_named(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -943,6 +944,69 @@ def test_inline_problem_number_of_wrong_type_is_named(tmp_path, capsys, edit, me
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# every form a config writes as {kind: body}: where it goes in the laplace
+# config, the role and key its errors name, and its class's table
+_FORM_PLACES = [
+    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "c": form}), "coefficient c", Fn),
+    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "source": form}), "data source", Fn),
+    (lambda c, form: c["run"].update(u0=form), "data u0", Fn),
+    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "F": form}), "nonlinearity",
+     Nonlinearity),
+    (lambda c, form: c.update(transmission=form), "transmission", TransmissionSpec),
+]
+# a value each entry reads
+_VALID = {"value": 1.0, "rate": 0.0, "coeffs": [1.0], "amplitude": 3.0, "mode": 1,
+          "param": 1.0, "p": 1.0, "rho": 2.0}
+
+
+def _form_body_cases():
+    for place, what, cls in _FORM_PLACES:
+        for kind, (_, entries) in cls._FORMS.items():
+            required = {key: _VALID[key] for key, (_, default) in entries.items()
+                        if default is REQUIRED}
+            name = f"{what.split()[-1]}-{kind}"
+            for key in required:
+                yield pytest.param(place, {kind: {k: v for k, v in required.items() if k != key}},
+                                   f"{kind} {what} needs a {key!r} entry", id=f"{name}-no-{key}")
+            yield pytest.param(place, {kind: {**required, "bogus": 1}},
+                               f"unknown {kind} {what} setting(s) ['bogus']", id=f"{name}-bogus")
+            # a transmission's p and rho are checked by its constructor
+            for key in entries if cls is not TransmissionSpec else ():
+                yield pytest.param(place, {kind: {**required, key: "1"}},
+                                   f"{kind} {what} {key} must be ", id=f"{name}-{key}-string")
+
+
+@pytest.mark.parametrize("place, form, message", _form_body_cases())
+def test_form_body_error_names_kind_role_and_entry(tmp_path, capsys, place, form, message):
+    cfg = laplace_config(str(tmp_path / "o"))
+    place(cfg, form)
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cls, what", [
+    pytest.param(Fn, "data g", id="Fn"),
+    pytest.param(Nonlinearity, None, id="Nonlinearity"),
+    pytest.param(TransmissionSpec, None, id="TransmissionSpec"),
+])
+def test_bare_body_reads_as_the_kinds_main_entry(cls, what):
+    def read(form):
+        return cls.from_dict(form, what) if what else cls.from_dict(form)
+
+    for kind, (main_entry, entries) in cls._FORMS.items():
+        required = {key: _VALID[key] for key, (_, default) in entries.items()
+                    if default is REQUIRED}
+        if main_entry is None:  # a bare body is refused, never read as an entry
+            with pytest.raises(ValueError):
+                read({kind: 2.0})
+        else:
+            bare = {kind: _VALID[main_entry]}
+            assert read(bare) == read({kind: {**required, main_entry: _VALID[main_entry]}})
 
 
 def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys):

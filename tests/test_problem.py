@@ -226,7 +226,7 @@ def test_coefficients_and_data_read_one_form():
     pytest.param({**_INLINE["laplace1d"], "F": {"sine": {}}},
                  "sine nonlinearity needs a 'param'", id="nonlinearity-param"),
     pytest.param({**_INLINE["laplace1d"], "g": {"polynomial": {}}},
-                 "polynomial data needs a 'coeffs'", id="data-coeffs"),
+                 "polynomial data g needs a 'coeffs'", id="data-coeffs"),
 ])
 def test_from_dict_names_the_missing_entry(body, message):
     with pytest.raises(ValueError, match=message):
