@@ -14,9 +14,9 @@ sweep is not the CLI's ``sweep`` command, which re-runs a whole
 configuration along one parameter axis.)
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
 past ``guard_factor`` times E_1 or stops being finite (diverged; so does
-a subdomain whose norm is not finite, or whose solve finds a non-finite
-value, and that iteration is not recorded), or the iteration budget runs
-out (stalled).
+a subdomain whose norm is not finite, which is how a run judges a field
+that is not finite, and that iteration is not recorded), or the
+iteration budget runs out (stalled).
 
 Error norms per mode and transmission kind:
 
@@ -50,7 +50,6 @@ import numpy as np
 
 from . import transmission as tx
 from .discretize import (
-    NonFiniteError,
     Operator,
     PicardError,
     SingularSystemError,
@@ -396,13 +395,18 @@ def plan(cfg: SchwarzConfig) -> Plan:
 def solve_reference(plan: Plan) -> np.ndarray:
     """The monodomain reference of ``plan``'s run, on its whole grid.
 
-    A failed solve is ``SchwarzRunError("reference solve: ...")``.
+    A failed solve, or a reference that is not finite, is
+    ``SchwarzRunError("reference solve: ...")``: every error norm of the
+    run is measured against it.
     """
     cfg = plan.cfg
     try:
-        return reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
+        reference = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
     except (PicardError, SingularSystemError) as exc:
         raise SchwarzRunError(f"reference solve: {exc}") from exc
+    if not np.isfinite(reference).all():
+        raise SchwarzRunError("reference solve: banded solve produced non-finite values")
+    return reference
 
 
 def exchange(plan: Plan, fields: list[np.ndarray]) -> list[list]:
@@ -450,10 +454,9 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
     ``out`` is the buffer of every parabolic solve (None: its own; an
     elliptic solve ignores it), so a caller that passes one is done with a
     field before asking for the next; a caller that keeps the fields
-    passes None.  A solve that finds a non-finite value (a Picard
-    difference or, with F zero, the field) raises NonFiniteError.  Any
-    other failure is ``SchwarzRunError("iteration k, subdomain l: ...")``,
-    with ``k`` the number of this sweep in its run.
+    passes None.  A field is yielded as its solve computed it, finite or
+    not; a failed solve is ``SchwarzRunError("iteration k, subdomain l:
+    ...")``, with ``k`` the number of this sweep in its run.
     """
     cfg, grid, prob = plan.cfg, plan.grid, plan.cfg.problem
     for l, (op, (left, right)) in enumerate(zip(plan.ops, data)):
@@ -465,8 +468,6 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
             else:
                 field = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
                                                   cfg.picard_max, u_start=starts[l])[0]
-        except NonFiniteError:
-            raise  # a verdict for the caller, not a failed solve
         except Exception as exc:
             raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}") from exc
         yield field
@@ -500,9 +501,10 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     writes every datum its neighbors read into the data of sweep k + 1)
     before ``sweep`` solves the next subdomain.  Every solve still
     reads the previous iterate's data, so the subdomain order does not
-    change the result.  A solve that raises NonFiniteError, or a non-finite
-    norm, ends the run "diverged" at once, before that field is handed
-    off, and the sweep is not recorded.
+    change the result.  The norm is the one judge of a field: a field
+    that is not finite has a norm that is not finite, which ends the run
+    "diverged" at once, before that field is handed off, and the sweep is
+    not recorded.
 
     A parabolic field is then dead.  The run allocates one ``work``
     buffer of the largest subdomain's size, which dies with the run:
@@ -562,8 +564,6 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
                 return history("converged", fields)
             if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
                 return history("diverged", fields)
-    except NonFiniteError:
-        return history("diverged", [])
     except SchwarzRunError as exc:
         exc.history = history("error", [])
         raise

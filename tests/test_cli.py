@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from schwarz1d.cli import build_schwarz_config, main
+from schwarz1d.discretize import PicardError
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
 from schwarz1d.problem import REQUIRED, Fn, Nonlinearity
@@ -1009,22 +1011,26 @@ def test_bare_body_reads_as_the_kinds_main_entry(cls, what):
             assert read(bare) == read({kind: {**required, main_entry: _VALID[main_entry]}})
 
 
-def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys):
-    # a Picard budget too small for one late sweep: the run fails at
-    # iteration 40, and the 39 iterations before it stay in history.csv
-    cfg = json.loads((CONFIGS / "counterexample_divergent.json").read_text())
-    cfg["problem"] = {"mode": "elliptic", "L": 2.0,
-                      "a": {"constant": {"value": 1.0}},
-                      "b": {"constant": 3.0}, "c": {"constant": 4.0},
-                      "F": {"sine": {"param": 0.5}},
-                      "source": {"sine": {"amplitude": -1.0, "mode": 1}}}
-    cfg["run"].update(picard_max=12, guard_factor=1e300)
+def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys, monkeypatch):
+    # the 79th subdomain solve, iteration 40's first, fails its Picard loop;
+    # the 39 iterations before it stay in history.csv
+    import schwarz1d.schwarz as engine
+
+    calls = itertools.count(1)
+    solve = engine.solve_semilinear_elliptic
+
+    def failing(*args, **kwargs):
+        if next(calls) == 79:
+            raise PicardError("Picard iteration did not reach 1e-10 in 200 steps")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_semilinear_elliptic", failing)
     out = tmp_path / "o"
-    cfg["output"]["dir"] = str(out)
+    cfg = divergent_config(str(out))
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: iteration 40, subdomain 1: Picard iteration did not reach")
-    assert "Traceback" not in err
+    assert err == ("error: iteration 40, subdomain 1: Picard iteration did not reach 1e-10 "
+                   "in 200 steps\n")
     lines = (out / "history.csv").read_text().splitlines()
     assert lines[0] == "k,l,norm,E_k,rate,verdict"
     rows = [line.split(",") for line in lines[1:]]
@@ -1032,6 +1038,25 @@ def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys)
                                                       for l in (1, 2)]
     assert all(math.isfinite(float(r[2])) and r[5] == "error" for r in rows)
     assert not (out / "summary.txt").exists()
+
+
+def test_semilinear_counterexample_diverges_at_the_linear_rate(tmp_path):
+    # example31 with F = 2 sin(u) at h = 5e-3: F is bounded, so it fades
+    # against the growing iterate, and the run diverges at the linear run's
+    # rate; the solve's round-off grows with the iterate, which a spent
+    # Picard budget forgives within picard_tol * max|u|
+    rates = {}
+    for name, F in (("linear", {"zero": {}}), ("semilinear", {"sine": {"param": 2}})):
+        cfg = shipped_config("counterexample_divergent", str(tmp_path / name))
+        cfg["problem"] = {"mode": "elliptic", "L": 2, "a": 1, "b": 3, "c": 4, "F": F,
+                          "source": {"sine": {"amplitude": -1}}}
+        cfg["grid"]["h"] = 5e-3
+        assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 2
+        summary = dict(line.split(":", 1)
+                       for line in (tmp_path / name / "summary.txt").read_text().splitlines())
+        assert summary["verdict"].strip() == "diverged"
+        rates[name] = float(summary["rate/double"])
+    assert rates["semilinear"] == pytest.approx(rates["linear"], rel=1e-6, abs=0.0)
 
 
 _CLI_IMPORT_LOADS = "import sys, schwarz1d.cli; print(sys.argv[1] in sys.modules)"

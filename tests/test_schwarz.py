@@ -1,6 +1,6 @@
+import itertools
 import json
 import math
-import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -12,8 +12,8 @@ import pytest
 from schwarz1d.cli import build_schwarz_config, load_config, main
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, classical_laplace_rate, tau_factors
-from schwarz1d.discretize import NonFiniteError, reference_solve
-from schwarz1d.problem import Fn, ProblemSpec, catalog_lookup
+from schwarz1d.discretize import reference_solve
+from schwarz1d.problem import Fn, Nonlinearity, ProblemSpec, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
     SchwarzRunError,
@@ -366,6 +366,22 @@ def test_reference_failure_is_labelled(monkeypatch):
     assert err.value.history is None
 
 
+@pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)], ids=["zero", "sine"])
+def test_a_non_finite_reference_is_a_reference_failure(F):
+    # the source is finite where validate samples it (t = 0) and NaN at
+    # every later level; a run needs a finite reference for its norms
+    def source(x, t):
+        return np.full_like(x, np.nan if t > 0.0 else 0.0)
+
+    prob = replace(catalog_lookup("heat-semilinear"), time_horizon=1.0, source=source, F=F)
+    p = plan(heat_cfg(problem=prob))
+    for solve in (partial(solve_reference, p), partial(run_parabolic, p)):
+        with pytest.raises(SchwarzRunError, match=r"^reference solve: banded solve produced "
+                                                  r"non-finite values$") as err:
+            solve()
+        assert err.value.history is None
+
+
 def test_jacobi_order_determinism_bitwise():
     # a Jacobi sweep reads only the previous iterate, so listing the
     # subdomains in reverse order must reproduce the run bit for bit
@@ -616,20 +632,25 @@ def test_final_fields_are_empty_after_a_non_finite_sweep():
 
 
 def test_final_fields_are_empty_after_a_failed_sweep():
-    # a Picard budget too small for a late sweep of this semilinear problem
-    prob = ProblemSpec.from_dict({
-        "mode": "elliptic", "L": 2.0, "a": {"constant": {"value": 1.0}},
-        "b": {"constant": 3.0}, "c": {"constant": 4.0}, "F": {"sine": {"param": 0.5}},
-        "source": {"sine": {"amplitude": -1.0, "mode": 1}}})
+    # a callable source is sampled once by validate, once by the reference
+    # and once per subdomain solve, so its 11th call is sweep 5's first
+    # solve, which fails; the four sweeps before it stay recorded
+    calls = itertools.count(1)
+
+    def source(x, t):
+        if next(calls) == 11:
+            raise RuntimeError("synthetic source failure")
+        return -np.sin(np.pi * x / 2.0)
+
+    prob = replace(catalog_lookup("example31"), source=source)
     part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
     cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.005,
                         transmission=TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}),
-                        u0="one", k_max=300, picard_max=12, guard_factor=1e300)
-    with pytest.raises(SchwarzRunError) as err:
+                        u0="one", k_max=300)
+    with pytest.raises(SchwarzRunError, match=r"^iteration 5, subdomain 1: synthetic") as err:
         run_elliptic(plan(cfg))
-    k = int(re.match(r"iteration (\d+), subdomain \d+: Picard", str(err.value)).group(1))
-    assert k > 1
-    assert err.value.history.iterations == k - 1
+    assert err.value.history.iterations == 4
+    assert err.value.history.verdict == "error"
     assert err.value.history.final_fields == []
 
 
@@ -763,19 +784,31 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
         assert np.max(np.abs(field - ref)) <= 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", SWEEP_CASES)
-def test_sweep_with_one_nan_datum_returns_none(case):
-    # named for the None that sweep once returned: it now raises
-    # NonFiniteError, unwrapped, which a run turns into "diverged"
+def test_sweep_with_one_nan_datum_returns_none(monkeypatch, case):
+    # named for the None that sweep once returned: it now yields the field
+    # its solve computed, not finite where the NaN reaches it, and a run
+    # whose first data carry that NaN ends "diverged" at that field's norm
+    import schwarz1d.schwarz as engine
+
+    def poisoned(p, fields):
+        data = exchange(p, fields)
+        assert all(np.isfinite(datum).all() for pair in data for datum in pair)
+        datum = np.array(data[0][1], dtype=float)
+        datum.flat[-1] = np.nan  # the last time level of a parabolic datum
+        data[0] = [data[0][0], datum]
+        return data
+
     p = plan(SWEEP_CASES[case]())
     fields = [p.cfg.u0.value(op.sg.x, p.cfg.problem.length) for op in p.ops]
-    data = exchange(p, fields)
-    assert all(np.isfinite(datum).all() for pair in data for datum in pair)
-    poisoned = np.array(data[0][1], dtype=float)
-    poisoned.flat[-1] = np.nan  # the last time level of a parabolic datum
-    data[0] = (data[0][0], poisoned)
-    with pytest.raises(NonFiniteError):
-        list(sweep(p, data, fields))
+    swept = list(sweep(p, poisoned(p, fields), fields))
+    assert not np.isfinite(swept[0]).all()
+    assert all(np.isfinite(field).all() for field in swept[1:])
+    monkeypatch.setattr(engine, "exchange", poisoned)
+    hist = (run_parabolic if p.cfg.problem.mode == "parabolic" else run_elliptic)(p)
+    assert hist.verdict == "diverged"
+    assert hist.iterations == 0 and hist.final_fields == []
 
 
 @pytest.mark.parametrize("name", ["heat_dirichlet", "heat_robin"])
