@@ -16,19 +16,20 @@ Subcommands:
                   problem, partition, grid and Picard settings share one
                   monodomain reference.  Exit 1 when no point converged
                   or diverged.
-* ``validate`` -- make every check ``run`` makes before its first solve
-                  and build every subdomain operator; on a violation
-                  print the message ``run`` would print after
-                  ``error:`` and exit 1, else print each operator's
-                  ``h > h*`` warning and exit 0.
+* ``validate`` -- make every check ``run`` makes before its first solve,
+                  and ``sweep`` before its first point, and build every
+                  subdomain operator; on a violation print the message
+                  ``run`` would print after ``error:`` and exit 1, else
+                  print each operator's ``h > h*`` warning and exit 0.
 
 Configs are JSON with a ``schema_version`` field; see README for the
-schema.  Every config value goes through the ``read_*`` helpers of the
-problem module, so a number is a JSON number, never ``true`` or
-``"0.01"``; a bad value, or a key that its object does not read, is a
-ValueError.  Any failure prints one ``error: ...`` line (``validate``:
-the message on stdout) and exits 1.  CSV output never contains
-wall-clock times, so identical configs produce byte-identical files.
+schema.  Each section is read by a table of the problem module's
+``read_body`` / ``read_form``, so a number is a JSON number, never
+``true`` or ``"0.01"``; a bad value (named by section and key, ``grid
+h``) or a key that its object does not read is a ValueError.  Any
+failure prints one ``error: ...`` line (``validate``: the message on
+stdout) and exits 1.  CSV output never contains wall-clock times, so
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 from . import oracle, transmission as tx
 from .geometry import Partition, build_uniform_partition
-from .problem import (ProblemSpec, catalog_lookup, is_number, read_entry, read_integer,
-                      read_keys, read_kind, read_number, read_string)
+from .problem import (REQUIRED, ProblemSpec, catalog_lookup, read_body, read_form, read_integer,
+                      read_keys, read_kind, read_number, read_numbers, read_string)
 from .schwarz import (
     IterationHistory,
     Plan,
@@ -83,15 +84,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, key: str, known) -> dict:
-    """The object ``cfg[key]``, {} when absent, whose keys are all in ``known``."""
-    body = cfg.get(key, {})
-    if not isinstance(body, dict):
-        raise ValueError(f"config section {key!r} must be an object, got {body!r}")
-    read_keys(body, known, key)
-    return body
-
-
 def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
     spec = cfg.get("problem")
     if isinstance(spec, str):
@@ -101,44 +93,48 @@ def _problem_from_config(cfg: dict) -> tuple[ProblemSpec, str]:
     raise ValueError("config needs a 'problem' (catalog id or inline object)")
 
 
-def _partition_from_config(cfg: dict, length: float) -> Partition:
-    kind, body = read_kind(cfg.get("partition"), dict.fromkeys(("uniform", "intervals")),
-                           "partition")
-    if kind == "uniform":
-        count = read_integer(read_entry(body, "count", "uniform partition"), "count")
-        overlap = read_number(read_entry(body, "overlap", "uniform partition"), "overlap")
-        read_keys(body, ("count", "overlap"), "uniform partition")
-        return build_uniform_partition(length, count, overlap)
-    if not (isinstance(body, list) and all(isinstance(s, list) and len(s) == 2 for s in body)):
-        raise ValueError(f"bad intervals partition {body!r}")
-    return Partition(length=length, subdomains=tuple(
-        (read_number(lo, "interval end"), read_number(hi, "interval end")) for lo, hi in body))
+def _read_intervals(subdomains, what: str) -> tuple[tuple[float, float], ...]:
+    """A list of [lo, hi] pairs of numbers."""
+    if not (isinstance(subdomains, list)
+            and all(isinstance(s, list) and len(s) == 2 for s in subdomains)):
+        raise ValueError(f"{what} must be a list of [lo, hi] pairs, got {subdomains!r}")
+    return tuple((read_number(lo, what), read_number(hi, what)) for lo, hi in subdomains)
 
 
-# how each run.<key> is read; an absent key keeps SchwarzConfig's default, another is an error
-_RUN_SETTINGS = {**dict.fromkeys(("max_iters", "picard_max", "rate_window"), read_integer),
-                 **dict.fromkeys(("stop_tol", "alpha", "picard_tol", "guard_factor"),
-                                 read_number),
-                 "u0": lambda u0, key: u0}  # SchwarzConfig reads it
+# read_form's table of a partition: the entries are the keyword arguments of
+# build_uniform_partition or Partition, and a bare intervals list is the subdomains
+_PARTITIONS = {"uniform": (None, {"count": (read_integer, REQUIRED),
+                                  "overlap": (read_number, REQUIRED)}),
+               "intervals": ("subdomains", {"subdomains": (_read_intervals, REQUIRED)})}
+# read_body's tables of the other sections; a run key's default is SchwarzConfig's,
+# and max_iters is its k_max
+_GRID = {"h": (read_number, REQUIRED),
+         "dt": (lambda dt, what: None if dt is None else read_number(dt, what), None)}
+_RUN = {"u0": (lambda u0, _: u0, SchwarzConfig.u0),  # SchwarzConfig reads it
+        "max_iters": (read_integer, SchwarzConfig.k_max),
+        "stop_tol": (read_number, SchwarzConfig.stop_tol),
+        "alpha": (read_number, SchwarzConfig.alpha),
+        "picard_tol": (read_number, SchwarzConfig.picard_tol),
+        "picard_max": (read_integer, SchwarzConfig.picard_max),
+        "guard_factor": (read_number, SchwarzConfig.guard_factor),
+        "rate_window": (read_integer, SchwarzConfig.rate_window)}
+_OUTPUT = {"dir": (read_string, "out")}
+_SWEEP = {"axis": (read_string, REQUIRED),  # values stay as written: each goes into a point
+          "values": (lambda values, what: read_numbers(values, what) and values, REQUIRED)}
 
 
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     """Translate a config dict into a SchwarzConfig; returns (config, problem id)."""
     problem, problem_id = _problem_from_config(cfg)
-    partition = _partition_from_config(cfg, problem.length)
+    kind, entries = read_form(cfg.get("partition"), _PARTITIONS, "partition")
+    partition = (build_uniform_partition if kind == "uniform" else Partition)(
+        length=problem.length, **entries)
     transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
-    grid = _section(cfg, "grid", ("h", "dt"))
-    run = _section(cfg, "run", _RUN_SETTINGS)
-    settings = {"k_max" if key == "max_iters" else key: convert(run[key], key)
-                for key, convert in _RUN_SETTINGS.items() if key in run}
-    return SchwarzConfig(
-        problem=problem,
-        partition=partition,
-        h_target=read_number(read_entry(grid, "h", "grid"), "h"),
-        dt_target=read_number(grid["dt"], "dt") if grid.get("dt") is not None else None,
-        transmission=transmission,
-        **settings,
-    ), problem_id
+    grid = read_body(cfg.get("grid", {}), _GRID, "grid")
+    run = read_body(cfg.get("run", {}), _RUN, "run")
+    return SchwarzConfig(problem=problem, partition=partition, h_target=grid["h"],
+                         dt_target=grid["dt"], transmission=transmission,
+                         k_max=run.pop("max_iters"), **run), problem_id
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def _fmt(v) -> str:
 
 def _out_dir(cfg: dict, out: str | None = None) -> Path:
     """``out`` (``--out``), else ``output.dir`` (read either way), else "out"."""
-    configured = read_string(_section(cfg, "output", ("dir",)).get("dir", "out"), "output.dir")
+    configured = read_body(cfg.get("output", {}), _OUTPUT, "output")["dir"]
     return Path(out or configured)
 
 
@@ -232,10 +228,6 @@ def _cmd_tau(args) -> int:
     return 0
 
 
-_AXIS_HELP = ("transmission.rho, transmission.p, partition.overlap, "
-              "grid.h, grid.dt, run.alpha (or any dotted config path)")
-
-
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
     if axis in ("transmission.rho", "transmission.p"):
@@ -249,33 +241,37 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
         out["transmission"] = {"scaled_robin" if leaf == "rho" else kind: {**body, leaf: value}}
         return out
     if axis == "partition.overlap":
-        uniform = _section(out, "partition", ("uniform", "intervals")).get("uniform")
-        if not isinstance(uniform, dict):
+        kind, uniform = read_kind(out.get("partition"), dict.fromkeys(_PARTITIONS), "partition")
+        if kind != "uniform" or not isinstance(uniform, dict):
             raise ValueError("partition.overlap sweep needs a uniform partition")
         uniform["overlap"] = value
         return out
     node = out
     *head, leaf = axis.split(".")
     for part in head:
-        if not isinstance(node.get(part), dict):
-            raise ValueError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
-        node = node[part]
-    if leaf not in node:
-        raise ValueError(f"unknown sweep axis {axis!r} (try: {_AXIS_HELP})")
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
+    tables = {"grid": _GRID, "run": _RUN}  # a key they read is an axis, written or not
+    if not (isinstance(node, dict) and (leaf in node or leaf in tables.get(".".join(head), ()))):
+        raise ValueError(f"unknown sweep axis {axis!r} (try: transmission.rho, transmission.p, "
+                         "partition.overlap, any grid or run key such as grid.h or run.alpha "
+                         "(or any dotted config path))")
     node[leaf] = value
     return out
 
 
+def _read_sweep(cfg: dict) -> tuple[str, list]:
+    """The sweep section's axis and values, the axis resolved once on the first value."""
+    sweep = read_body(cfg.get("sweep", {}), _SWEEP, "sweep")
+    if not sweep["values"]:
+        raise ValueError("sweep values must be a nonempty list of numbers, got []")
+    _apply_axis(cfg, sweep["axis"], sweep["values"][0])
+    return sweep["axis"], sweep["values"]
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    sweep = _section(cfg, "sweep", ("axis", "values"))
-    axis, values = sweep.get("axis"), sweep.get("values")
-    if not axis or not values:
-        raise ValueError("sweep needs config.sweep.axis and a nonempty value list")
-    axis = read_string(axis, "sweep.axis")
-    if not (isinstance(values, list) and all(map(is_number, values))):
-        raise ValueError(f"sweep values must be numbers in a list, got {values!r}")
-    labels = [_fmt(read_number(value, "sweep value")) for value in values]
+    axis, values = _read_sweep(cfg)
+    labels = [_fmt(float(value)) for value in values]
     out = _out_dir(cfg, args.out)
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged, verdicts = None, 0
@@ -319,6 +315,8 @@ def _cmd_validate(args) -> int:
         cfg = load_config(args.config)
         p = plan(build_schwarz_config(cfg)[0])
         _out_dir(cfg)
+        if "sweep" in cfg:
+            _read_sweep(cfg)
     except Exception as exc:
         print(str(exc) or type(exc).__name__)  # as main prints it
         return 1

@@ -62,6 +62,7 @@ class Partition:
     interfaces: dict = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        # no config reaches this, but README's library example builds a Partition directly
         if not self.length > 0:
             raise ValueError("domain length must be positive")
         subs = tuple((float(lo), float(hi)) for lo, hi in self.subdomains)

@@ -98,13 +98,6 @@ def read_numbers(value, what: str) -> tuple[float, ...]:
     return tuple(read_number(v, what) for v in value)
 
 
-def read_entry(body, key: str, what: str):
-    """``body[key]``, or a ValueError naming the missing entry."""
-    if not isinstance(body, dict) or key not in body:
-        raise ValueError(f"{what} needs a {key!r} entry, got {body!r}")
-    return body[key]
-
-
 def read_keys(body, known, what: str) -> None:
     """A ValueError unless ``body`` is an object whose keys are all in
     ``known``; it names the others, so that no entry is silently ignored."""
@@ -137,8 +130,8 @@ def read_body(body, entries: dict, what: str) -> dict:
     REQUIRED)): missing required entries first, then unknown keys, then
     each value, read and named by ``reader(value, f"{what} {key}")``."""
     for key, (_, default) in entries.items():
-        if default is REQUIRED:
-            read_entry(body, key, what)
+        if default is REQUIRED and not (isinstance(body, dict) and key in body):
+            raise ValueError(f"{what} needs a {key!r} entry, got {body!r}")
     read_keys(body, entries, what)
     return {key: read(body[key], f"{what} {key}") if key in body else default
             for key, (read, default) in entries.items()}

@@ -75,6 +75,7 @@ class TransmissionSpec:
                                       "rho": (lambda rho, _: rho, REQUIRED)})}
 
     def __post_init__(self) -> None:
+        # README builds one directly; is_robin is kind != "dirichlet", so "robni" would be Robin
         if self.kind not in self._FORMS:
             raise ValueError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":

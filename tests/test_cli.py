@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from schwarz1d.cli import build_schwarz_config, main
+from schwarz1d.cli import _PARTITIONS, build_schwarz_config, main
 from schwarz1d.discretize import PicardError
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
@@ -312,7 +312,7 @@ def counted_reference_solves(monkeypatch, fail_first: bool = False) -> list:
 def robin_sweep_config(out_dir: str, axis: str, values: list) -> dict:
     cfg = divergent_config(out_dir)
     cfg["transmission"] = {"scaled_robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
-    cfg["run"].update(max_iters=200, stop_tol=1e-9, alpha=10.0)
+    cfg["run"].update(max_iters=200, stop_tol=1e-9)
     cfg["sweep"] = {"axis": axis, "values": values}
     return cfg
 
@@ -349,15 +349,27 @@ def test_each_sweep_call_solves_its_own_reference(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("axis, values", [("transmission.rho", [1, 2, 4, 8]),
-                                          ("grid.h", [0.01, 0.005])])
-def test_sweep_points_equal_their_own_runs_bitwise(tmp_path, axis, values):
+def laplace_sweep_config(out_dir: str, axis: str, values: list) -> dict:
+    cfg = shipped_config("laplace_dirichlet", out_dir)
+    cfg["sweep"] = {"axis": axis, "values": values}
+    return cfg
+
+
+@pytest.mark.parametrize("make, axis, values", [
+    pytest.param(robin_sweep_config, "transmission.rho", [1, 2, 4, 8],
+                 id="transmission.rho-values0"),
+    pytest.param(robin_sweep_config, "grid.h", [0.01, 0.005], id="grid.h-values1"),
+    # a key the run section reads but the config does not write
+    pytest.param(laplace_sweep_config, "run.rate_window", [4, 8], id="run.rate_window-unwritten"),
+])
+def test_sweep_points_equal_their_own_runs_bitwise(tmp_path, make, axis, values):
     from schwarz1d.cli import _apply_axis
 
     out = tmp_path / "out"
-    cfg = robin_sweep_config(str(out), axis, values)
+    cfg = make(str(out), axis, values)
     assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 0
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(values)
     for value, row in zip(values, rows):
         hist = run_elliptic(plan(build_schwarz_config(_apply_axis(cfg, axis, value))[0]))
         assert (row[2], int(row[3])) == (hist.verdict, hist.iterations)
@@ -584,9 +596,8 @@ def test_sweep_non_numeric_value_exits_one_before_any_point(tmp_path, capsys, mo
     cfg = divergent_config(str(out))
     cfg["sweep"] = {"axis": "transmission.p", "values": [1.0, {"0,1": 1.0, "1,0": 50.0}]}
     assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: sweep values must be numbers")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == ("error: sweep values must be a list of numbers, got "
+                                       "[1.0, {'0,1': 1.0, '1,0': 50.0}]\n")
     assert not out.exists()
 
 
@@ -600,7 +611,7 @@ def test_sweep_without_any_verdict_exits_one(tmp_path, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == len(cfg["sweep"]["values"])
     assert all(row.split(",")[2] == "error" for row in rows)
-    assert all("config section 'run' must be an object" in row for row in rows)
+    assert all(row.split(",", 6)[6] == "run must be an object; got None" for row in rows)
 
 
 @pytest.mark.parametrize("section, setting, value", [
@@ -614,8 +625,10 @@ def test_non_integral_integer_setting_exits_one(tmp_path, capsys, section, setti
     cfg = laplace_config(str(tmp_path / "o"))
     body = cfg["partition"]["uniform"] if section == "partition" else cfg["run"]
     body[setting] = value
+    what = "uniform partition" if section == "partition" else "run"
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
-    assert capsys.readouterr().err == f"error: {setting} must be an integer, got {value!r}\n"
+    assert capsys.readouterr().err == (f"error: {what} {setting} must be an integer, "
+                                       f"got {value!r}\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -639,7 +652,7 @@ HUGE = 10**400  # a JSON integer no float holds
 
 
 @pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda c: c["grid"].update(h=HUGE), "h must be a finite number, got 1000",
+    pytest.param(lambda c: c["grid"].update(h=HUGE), "grid h must be a finite number, got 1000",
                  id="grid-h"),
     pytest.param(lambda c: c["run"].update(u0={"polynomial": {"coeffs": [1.0, HUGE]}}),
                  "polynomial data u0 coeffs must be a finite number, got 1000", id="number-list"),
@@ -655,15 +668,15 @@ HUGE = 10**400  # a JSON integer no float holds
                  "separated and avoid triple overlap", id="partition-count"),
     # what JSON itself reads as a non-finite float
     pytest.param(lambda c: c["run"].update(stop_tol=json.loads("Infinity")),
-                 "stop_tol must be a finite number, got inf", id="stop_tol-Infinity"),
+                 "run stop_tol must be a finite number, got inf", id="stop_tol-Infinity"),
     pytest.param(lambda c: c["run"].update(picard_tol=json.loads("1e999")),
-                 "picard_tol must be a finite number, got inf", id="picard_tol-1e999"),
+                 "run picard_tol must be a finite number, got inf", id="picard_tol-1e999"),
     pytest.param(lambda c: c["run"].update(alpha=json.loads("-Infinity")),
-                 "alpha must be a finite number, got -inf", id="alpha-minus-Infinity"),
+                 "run alpha must be a finite number, got -inf", id="alpha-minus-Infinity"),
     pytest.param(lambda c: c["run"].update(u0={"constant": json.loads("NaN")}),
                  "constant data u0 value must be a finite number, got nan", id="u0-NaN"),
     pytest.param(lambda c: c["grid"].update(h=json.loads("1e999")),
-                 "h must be a finite number, got inf", id="grid-h-1e999"),
+                 "grid h must be a finite number, got inf", id="grid-h-1e999"),
 ])
 def test_number_beyond_float_range_exits_one(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -683,14 +696,15 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     for value in (HUGE, *map(json.loads, ("Infinity", "NaN", "1e999"))):
         cfg["sweep"] = {"axis": "transmission.rho", "values": [1.0, value]}
         assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1, value
-        assert capsys.readouterr().err.startswith("error: sweep value must be a finite number")
+        assert capsys.readouterr().err == (f"error: sweep values must be a finite number, "
+                                           f"got {value!r}\n")
 
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda c: c["run"].update(guard_factor=0), "guard_factor must be > 1",
                  id="guard_factor-0"),
-    pytest.param(lambda c: c["run"].update(stop_tol=True), "stop_tol must be a number, got True",
-                 id="stop_tol-true"),
+    pytest.param(lambda c: c["run"].update(stop_tol=True),
+                 "run stop_tol must be a number, got True", id="stop_tol-true"),
     # a misspelled setting is not ignored
     pytest.param(lambda c: c["run"].update(max_iter=3),
                  "unknown run setting(s) ['max_iter'] (known: ['alpha', 'guard_factor', "
@@ -749,9 +763,9 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  id="max_iters-0"),
     pytest.param(lambda c: c["output"].update(format="csv"),
                  "unknown output setting(s) ['format'] (known: ['dir'])", id="output-key"),
-    pytest.param(lambda c: c["output"].update(dir=5), "output.dir must be a string, got 5",
+    pytest.param(lambda c: c["output"].update(dir=5), "output dir must be a string, got 5",
                  id="output-dir-number"),
-    pytest.param(lambda c: c["output"].update(dir=None), "output.dir must be a string, got None",
+    pytest.param(lambda c: c["output"].update(dir=None), "output dir must be a string, got None",
                  id="output-dir-null"),
     # each value is finite, but p * rho is not
     pytest.param(lambda c: c.update(transmission={"scaled_robin": {"p": 1e200, "rho": 1e200}}),
@@ -771,6 +785,20 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     pytest.param(lambda c: c.update(problem="heat-semilinear", grid={"h": 0.01, "dt": 1e-13}),
                  "dt_target 1e-13 needs 20000000000001 time levels x 101 nodes = "
                  "2020000000000101 values; at most 50000000 are allowed", id="grid-dt-too-fine"),
+    # a sweep section, which sweep reads before its first point
+    pytest.param(lambda c: c.update(sweep={"axis": 5, "values": [0.01]}),
+                 "sweep axis must be a string, got 5", id="sweep-axis-number"),
+    pytest.param(lambda c: c.update(sweep={"axis": "grid.h", "values": ["a"]}),
+                 "sweep values must be a list of numbers, got ['a']", id="sweep-values-string"),
+    pytest.param(lambda c: c.update(sweep={"axis": "grid.h", "values": [json.loads("1e999")]}),
+                 "sweep values must be a finite number, got inf", id="sweep-values-1e999"),
+    pytest.param(lambda c: c.update(sweep={"axis": "grid.h", "values": []}),
+                 "sweep values must be a nonempty list of numbers, got []",
+                 id="sweep-values-empty"),
+    pytest.param(lambda c: c.update(sweep={"axis": "grid.hh", "values": [0.01]}),
+                 "unknown sweep axis 'grid.hh' (try: transmission.rho, transmission.p, "
+                 "partition.overlap, any grid or run key such as grid.h or run.alpha (or any "
+                 "dotted config path))", id="sweep-axis-unknown"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -779,7 +807,8 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 1
     assert capsys.readouterr().out == f"{message}\n"
-    assert main(["--quiet", "run", "--config", path]) == 1
+    command = "sweep" if "sweep" in cfg else "run"  # run does not read the sweep section
+    assert main(["--quiet", command, "--config", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -949,23 +978,27 @@ def test_inline_problem_number_of_wrong_type_is_named(tmp_path, capsys, edit, me
 
 
 # every form a config writes as {kind: body}: where it goes in the laplace
-# config, the role and key its errors name, and its class's table
+# config, the role and key its errors name, and its read_form table
 _FORM_PLACES = [
-    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "c": form}), "coefficient c", Fn),
-    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "source": form}), "data source", Fn),
-    (lambda c, form: c["run"].update(u0=form), "data u0", Fn),
+    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "c": form}), "coefficient c",
+     Fn._FORMS),
+    (lambda c, form: c.update(problem={**LAPLACE_INLINE, "source": form}), "data source",
+     Fn._FORMS),
+    (lambda c, form: c["run"].update(u0=form), "data u0", Fn._FORMS),
     (lambda c, form: c.update(problem={**LAPLACE_INLINE, "F": form}), "nonlinearity",
-     Nonlinearity),
-    (lambda c, form: c.update(transmission=form), "transmission", TransmissionSpec),
+     Nonlinearity._FORMS),
+    (lambda c, form: c.update(transmission=form), "transmission", TransmissionSpec._FORMS),
+    (lambda c, form: c.update(partition=form), "partition", _PARTITIONS),
 ]
 # a value each entry reads
 _VALID = {"value": 1.0, "rate": 0.0, "coeffs": [1.0], "amplitude": 3.0, "mode": 1,
-          "param": 1.0, "p": 1.0, "rho": 2.0}
+          "param": 1.0, "p": 1.0, "rho": 2.0, "count": 2, "overlap": 0.2,
+          "subdomains": [[0.0, 0.6], [0.4, 1.0]]}
 
 
 def _form_body_cases():
-    for place, what, cls in _FORM_PLACES:
-        for kind, (_, entries) in cls._FORMS.items():
+    for place, what, forms in _FORM_PLACES:
+        for kind, (_, entries) in forms.items():
             required = {key: _VALID[key] for key, (_, default) in entries.items()
                         if default is REQUIRED}
             name = f"{what.split()[-1]}-{kind}"
@@ -975,7 +1008,7 @@ def _form_body_cases():
             yield pytest.param(place, {kind: {**required, "bogus": 1}},
                                f"unknown {kind} {what} setting(s) ['bogus']", id=f"{name}-bogus")
             # a transmission's p and rho are checked by its constructor
-            for key in entries if cls is not TransmissionSpec else ():
+            for key in entries if forms is not TransmissionSpec._FORMS else ():
                 yield pytest.param(place, {kind: {**required, key: "1"}},
                                    f"{kind} {what} {key} must be ", id=f"{name}-{key}-string")
 
@@ -1009,6 +1042,14 @@ def test_bare_body_reads_as_the_kinds_main_entry(cls, what):
         else:
             bare = {kind: _VALID[main_entry]}
             assert read(bare) == read({kind: {**required, main_entry: _VALID[main_entry]}})
+
+
+def test_bare_intervals_list_reads_as_the_partitions_subdomains():
+    cfg = laplace_config("o")
+    cfg["partition"] = {"intervals": _VALID["subdomains"]}
+    bare = build_schwarz_config(cfg)[0].partition
+    cfg["partition"] = {"intervals": {"subdomains": _VALID["subdomains"]}}
+    assert build_schwarz_config(cfg)[0].partition == bare
 
 
 def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys, monkeypatch):
@@ -1129,13 +1170,15 @@ def test_malformed_config_section_exits_one_without_traceback(tmp_path, capsys, 
 # JSON true and numeric strings are not numbers, in any section
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda c: c["run"].update(stop_tol=True),
-                 "stop_tol must be a number, got True", id="stop_tol-true"),
-    pytest.param(lambda c: c["grid"].update(h="0.01"), "h must be a number, got '0.01'",
+                 "run stop_tol must be a number, got True", id="stop_tol-true"),
+    pytest.param(lambda c: c["grid"].update(h="0.01"), "grid h must be a number, got '0.01'",
                  id="h-string"),
     pytest.param(lambda c: c["partition"]["uniform"].update(overlap="0.2"),
-                 "overlap must be a number, got '0.2'", id="overlap-string"),
+                 "uniform partition overlap must be a number, got '0.2'",
+                 id="overlap-string"),
     pytest.param(lambda c: c.update(partition={"intervals": [["0.0", 0.6], [0.4, "1.0"]]}),
-                 "interval end must be a number, got '0.0'", id="interval-end-string"),
+                 "intervals partition subdomains must be a number, got '0.0'",
+                 id="interval-end-string"),
 ])
 def test_config_value_of_wrong_json_type_exits_one(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())

@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from schwarz1d.cli import _RUN_SETTINGS
+from schwarz1d.cli import _GRID, _OUTPUT, _PARTITIONS, _RUN, _SWEEP
 from schwarz1d.schwarz import run_parabolic, solve_reference, weighted_sup_norm
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,7 +43,12 @@ def test_hand_written_sweep_example_is_the_runs_first_iteration():
     assert run_parabolic(p, reference).sub_norms[0] == norms
 
 
-def test_readme_names_every_run_setting():
-    # an unknown run key is an error, so the README lists every known one
+def test_readme_names_every_config_key():
+    # an unknown key is an error, so the README names every key a section's table reads
     text = README.read_text(encoding="utf-8")
-    assert [key for key in _RUN_SETTINGS if f"`run.{key}`" not in text] == []
+    keys = [f"{section}.{key}" for section, table in (("grid", _GRID), ("run", _RUN),
+                                                      ("output", _OUTPUT), ("sweep", _SWEEP))
+            for key in table]
+    keys += [f"partition.{kind}.{key}" for kind, (_, table) in _PARTITIONS.items()
+             for key in table]
+    assert [key for key in keys if f"`{key}`" not in text] == []
