@@ -5,7 +5,7 @@ Modules:
 * problem      -- declarative model problems and assumption checks
 * geometry     -- overlapping interval partitions and snapped grids
 * discretize   -- finite-difference subdomain operators and solves
-* transmission -- Dirichlet / Robin / scaled-Robin interface operators
+* transmission -- Dirichlet / Robin interface operators
 * schwarz      -- the Jacobi sweep engine, norms, rate estimation
 * oracle       -- closed-form contraction factors for two-subdomain models
 * cli          -- experiment runner (run / tau / sweep / validate)

@@ -8,7 +8,9 @@ Subcommands:
 * ``tau``      -- closed-form contraction factors for the two-subdomain
                   model; prints tau1, tau2, tau and a converge/diverge
                   verdict (tau < 1).
-* ``sweep``    -- re-run a config along one parameter axis; writes
+* ``sweep``    -- re-run a config along one parameter axis, any key
+                  that its section's table reads (``transmission.rho``,
+                  ``grid.h``) or any dotted path the config writes; writes
                   sweep.csv with the engine verdict/rate per grid point
                   and the closed-form tau wherever ``oracle.run_tau``
                   finds the run to be its model (empty for a point
@@ -121,6 +123,12 @@ _RUN = {"u0": (lambda u0, _: u0, SchwarzConfig.u0),  # SchwarzConfig reads it
 _OUTPUT = {"dir": (read_string, "out")}
 _SWEEP = {"axis": (read_string, REQUIRED),  # values stay as written: each goes into a point
           "values": (lambda values, what: read_numbers(values, what) and values, REQUIRED)}
+_DIRICHLET = {"dirichlet": {}}  # the transmission of a config that has none
+# the tables by which _apply_axis resolves an axis <section>.<key>; a {kind: body}
+# section's are read_form's, with the form of a config that omits the section
+_AXIS_SECTIONS = {"grid": _GRID, "run": _RUN}
+_AXIS_FORMS = {"transmission": (tx.TransmissionSpec._FORMS, _DIRICHLET),
+               "partition": (_PARTITIONS, None)}
 
 
 def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
@@ -129,7 +137,7 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
     kind, entries = read_form(cfg.get("partition"), _PARTITIONS, "partition")
     partition = (build_uniform_partition if kind == "uniform" else Partition)(
         length=problem.length, **entries)
-    transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", {"dirichlet": {}}))
+    transmission = tx.TransmissionSpec.from_dict(cfg.get("transmission", _DIRICHLET))
     grid = read_body(cfg.get("grid", {}), _GRID, "grid")
     run = read_body(cfg.get("run", {}), _RUN, "run")
     return SchwarzConfig(problem=problem, partition=partition, h_target=grid["h"],
@@ -179,7 +187,6 @@ def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
         f"verdict:        {hist.verdict}",
         f"iterations:     {hist.iterations}",
         f"final E:        {_fmt(hist.E[-1]) if hist.E else ''}",
-        f"rate/iter:      {_fmt(hist.rate_per_iteration)}",
         f"rate/double:    {_fmt(hist.rate_per_double)}",
         f"wall time (s):  {sum(hist.wall_times):.3f}",
     ]
@@ -229,33 +236,36 @@ def _cmd_tau(args) -> int:
 
 
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
+    """A copy of ``cfg`` with ``value`` at ``axis``, ``<section>.<key>``: any
+    key its section's table reads, written or not (for a ``{kind: body}``
+    section, the table of its kind), else any dotted path ``cfg`` writes."""
     out = copy.deepcopy(cfg)
-    if axis in ("transmission.rho", "transmission.p"):
-        tdict = out.get("transmission", {"dirichlet": {}})
-        kind, body = read_kind(tdict, dict.fromkeys(tx.TransmissionSpec._FORMS), "transmission")
-        leaf = axis.split(".")[1]
-        if kind == "dirichlet":
-            raise ValueError(f"cannot sweep {leaf} on a Dirichlet config")
-        if not isinstance(body, dict):
-            raise ValueError(f"bad transmission spec: {tdict!r}")
-        out["transmission"] = {"scaled_robin" if leaf == "rho" else kind: {**body, leaf: value}}
+    section, _, key = axis.partition(".")
+    if section in _AXIS_SECTIONS:
+        entries, what = _AXIS_SECTIONS[section], section
+        body = out.setdefault(section, {})
+    elif section in _AXIS_FORMS:
+        forms, default = _AXIS_FORMS[section]
+        kind, body = read_kind(out.get(section, default),
+                               {kind: main for kind, (main, _) in forms.items()}, section)
+        entries, what = forms[kind][1], f"{kind} {section}"
+        out[section] = {kind: body}  # a bare body as the entry it stands for
+    else:
+        node = out
+        *head, leaf = axis.split(".")
+        for part in head:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not (isinstance(node, dict) and leaf in node):
+            raise ValueError(f"unknown sweep axis {axis!r} (try: a key that the grid, run, "
+                             "transmission or partition section reads, or any dotted path "
+                             "the config writes)")
+        node[leaf] = value
         return out
-    if axis == "partition.overlap":
-        kind, uniform = read_kind(out.get("partition"), dict.fromkeys(_PARTITIONS), "partition")
-        if kind != "uniform" or not isinstance(uniform, dict):
-            raise ValueError("partition.overlap sweep needs a uniform partition")
-        uniform["overlap"] = value
-        return out
-    node = out
-    *head, leaf = axis.split(".")
-    for part in head:
-        node = node.setdefault(part, {}) if isinstance(node, dict) else None
-    tables = {"grid": _GRID, "run": _RUN}  # a key they read is an axis, written or not
-    if not (isinstance(node, dict) and (leaf in node or leaf in tables.get(".".join(head), ()))):
-        raise ValueError(f"unknown sweep axis {axis!r} (try: transmission.rho, transmission.p, "
-                         "partition.overlap, any grid or run key such as grid.h or run.alpha "
-                         "(or any dotted config path))")
-    node[leaf] = value
+    if key not in entries:
+        raise ValueError(f"cannot sweep {axis}: {what} has no {key!r} entry")
+    if not isinstance(body, dict):  # read_keys's words; each point reads the body's keys
+        raise ValueError(f"{what} must be an object, got {body!r}")
+    body[key] = value
     return out
 
 

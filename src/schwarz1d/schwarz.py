@@ -31,11 +31,10 @@ Error norms per mode and transmission kind:
 The time horizon T truncates the half-line the weighted norms are set on;
 pick T with exp(-alpha T) <= 1e-8 so the discarded tail is negligible.
 
-Contraction rates are fitted on the trailing iterations: a least-squares
-slope of log E_k (per-iteration rate) and the geometric mean of the
-two-sweep ratios E_k / E_{k-2} (per-double-sweep rate).  The latter is
-the quantity the closed-form factors of the oracle module predict, and
-it stays unbiased when the two interface maps have very different
+The contraction rate is fitted on the trailing iterations as the
+geometric mean of the two-sweep ratios E_k / E_{k-2} (per double sweep):
+the quantity the closed-form factors of the oracle module predict, which
+stays unbiased when the two interface maps have very different
 magnitudes and E_k oscillates between parities.
 """
 
@@ -74,7 +73,6 @@ __all__ = [
     "weighted_sup_norm",
     "laplace_seminorm",
     "seminorm_sq_profile",
-    "fit_contraction_rate",
     "double_sweep_ratio",
 ]
 
@@ -159,7 +157,6 @@ class IterationHistory:
     wall_times: list[float]
     verdict: str
     final_fields: list[np.ndarray]
-    rate_per_iteration: float
     rate_per_double: float
 
     @property
@@ -290,23 +287,6 @@ def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # rate fitting
 # --------------------------------------------------------------------------
-
-def fit_contraction_rate(E, window: int) -> float:
-    """Per-iteration rate from a least-squares fit of log E over the tail.
-
-    Returns 0.0 when the tail contains an exact zero (converged to the
-    floor); values above 1 indicate growth.
-    """
-    E = [float(v) for v in E]
-    tail = E[-max(int(window), 2):]
-    if len(tail) < 2:
-        return float("nan")
-    if min(tail) <= 0.0:
-        return 0.0
-    k = np.arange(len(tail), dtype=float)
-    slope = np.polyfit(k, np.log(tail), 1)[0]
-    return float(np.exp(slope))
-
 
 def double_sweep_ratio(E, window: int) -> float:
     """Geometric mean of E_k / E_{k-2} over the trailing ``window`` pairs.
@@ -537,7 +517,6 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
 
     def history(verdict: str, final: list[np.ndarray]) -> IterationHistory:
         return IterationHistory(plan.norm_kind, E, sub_norms, wall, verdict, final,
-                                fit_contraction_rate(E, cfg.rate_window),
                                 double_sweep_ratio(E, cfg.rate_window))
 
     try:

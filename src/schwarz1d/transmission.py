@@ -4,8 +4,7 @@ Interface data for the receiving subdomain l at its interface point gamma
 inside neighbor m is one of
 
     Dirichlet:    u_m(gamma)
-    Robin:        a(gamma) du_m/dn(gamma) + p * u_m(gamma)
-    ScaledRobin:  a(gamma) du_m/dn(gamma) + rho * p * u_m(gamma)
+    Robin:        a(gamma) du_m/dn(gamma) + rho * p * u_m(gamma)
 
 where n is the outward normal of the *receiving* subdomain (+1 at its
 right end, -1 at its left end), and the same operator appears on both
@@ -18,7 +17,8 @@ exactly, not just to O(h^2).  ``links`` resolves and checks every
 interface once per run; ``extract`` only does arithmetic on a neighbor's
 field, and the engine's Robin rows read the same ``Link.p`` it uses.
 
-ScaledRobin(p, rho) is by construction the same operator as Robin(rho*p).
+``rho`` (default 1) is the Robin operator's scale: Robin with p and rho is
+by construction the same operator as Robin with rho*p.
 """
 
 from __future__ import annotations
@@ -61,18 +61,16 @@ class TransmissionSpec:
 
     ``p`` is one positive number for every interface or a table keyed by
     the (receiving, neighbor) pair of exactly the interfaces.  ``rho``
-    rescales every Robin parameter (ScaledRobin); Dirichlet ignores both.
+    rescales every Robin parameter; Dirichlet ignores both.
     """
 
-    kind: str  # "dirichlet" | "robin" | "scaled_robin"
+    kind: str  # "dirichlet" | "robin"
     p: float | dict = 1.0
     rho: float = 1.0
 
     # read_form's table; __post_init__ checks p and rho
     _FORMS = {"dirichlet": (None, {}),
-              "robin": (None, {"p": (_read_p, REQUIRED)}),
-              "scaled_robin": (None, {"p": (_read_p, REQUIRED),
-                                      "rho": (lambda rho, _: rho, REQUIRED)})}
+              "robin": (None, {"p": (_read_p, REQUIRED), "rho": (lambda rho, _: rho, 1.0)})}
 
     def __post_init__(self) -> None:
         # README builds one directly; is_robin is kind != "dirichlet", so "robni" would be Robin
@@ -91,12 +89,8 @@ class TransmissionSpec:
         return cls(kind="dirichlet")
 
     @classmethod
-    def robin(cls, p) -> "TransmissionSpec":
-        return cls(kind="robin", p=p)
-
-    @classmethod
-    def scaled_robin(cls, p, rho: float) -> "TransmissionSpec":
-        return cls(kind="scaled_robin", p=p, rho=rho)
+    def robin(cls, p, rho: float = 1.0) -> "TransmissionSpec":
+        return cls(kind="robin", p=p, rho=rho)
 
     @property
     def is_robin(self) -> bool:
@@ -137,7 +131,6 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
         if extra:
             raise ValueError(f"transmission table names non-interface pairs {extra}")
     depth = 2 if tspec.is_robin else 1
-    scale = tspec.rho if tspec.kind == "scaled_robin" else 1.0
     ends = [[None, None] for _ in grid.sub_ranges]
     for (l, m), idx in grid.interface_index.items():
         lo, hi = grid.sub_ranges[m]
@@ -150,7 +143,7 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
         a = p = None
         if tspec.is_robin:
             a = float(spec.a.value(grid.x[idx], spec.length))
-            p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * scale
+            p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * tspec.rho
             if not math.isfinite(p):
                 raise ValueError(f"Robin parameter p * rho of the interface of "
                                  f"subdomain {l} in neighbor {m} is not finite")

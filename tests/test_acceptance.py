@@ -47,8 +47,7 @@ def two_subdomain_cfg(L1, L2, p, q, h, rho=None, **kw):
     prob = catalog_lookup("example31")
     part = Partition(length=2.0, subdomains=((0.0, L2), (L1, 2.0)))
     table = {(0, 1): p, (1, 0): q}
-    tsp = (TransmissionSpec.scaled_robin(table, rho=rho) if rho is not None
-           else TransmissionSpec.robin(table))
+    tsp = TransmissionSpec.robin(table, rho=1.0 if rho is None else rho)
     base = dict(problem=prob, partition=part, h_target=h, transmission=tsp,
                 u0="one", stop_tol=1e-8, k_max=250, rate_window=10)
     base.update(kw)
@@ -265,7 +264,7 @@ def test_criterion_7_property_suites():
     lin = abs(extract(link, 2.0 * u - 0.5 * v)
               - (2.0 * extract(link, u) - 0.5 * extract(link, v)))
     checks["linearity"] = lin < 1e-12
-    same = extract(links(TransmissionSpec.scaled_robin(3.0, rho=8.0), grid, prob)[0][1], u) \
+    same = extract(links(TransmissionSpec.robin(3.0, rho=8.0), grid, prob)[0][1], u) \
         == extract(links(TransmissionSpec.robin(24.0), grid, prob)[0][1], u)
     checks["scaled==robin(rho p)"] = bool(same)
 

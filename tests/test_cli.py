@@ -219,7 +219,7 @@ def test_tau_names_an_overflowed_robin_parameter(capsys, argv, message):
 def test_sweep_rho_locates_empirical_threshold(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = divergent_config(str(out))
-    cfg["transmission"] = {"scaled_robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
+    cfg["transmission"] = {"robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
     cfg["run"]["max_iters"] = 200
     cfg["run"]["stop_tol"] = 1e-9
     cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2, 4, 8]}
@@ -256,16 +256,25 @@ def test_sweep_empty_axis_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("make, axis, message", [
-    pytest.param(laplace_config, "transmission.rho", "cannot sweep rho on a Dirichlet config",
+    pytest.param(laplace_config, "transmission.rho",
+                 "cannot sweep transmission.rho: dirichlet transmission has no 'rho' entry\n",
                  id="rho-on-dirichlet"),
     pytest.param(lambda out: {**laplace_config(out), "transmission": {"robin": 5}},
-                 "transmission.p", "bad transmission spec: {'robin': 5}",
+                 "transmission.p", "robin transmission must be an object, got 5\n",
                  id="transmission-body-not-an-object"),
     pytest.param(divergent_config, "partition.overlap",
-                 "partition.overlap sweep needs a uniform partition", id="overlap-on-intervals"),
-    pytest.param(laplace_config, "grid.spacing.h", "unknown sweep axis 'grid.spacing.h'",
+                 "cannot sweep partition.overlap: intervals partition has no 'overlap' entry\n",
+                 id="overlap-on-intervals"),
+    pytest.param(laplace_config, "grid.spacing.h",
+                 "cannot sweep grid.spacing.h: grid has no 'spacing.h' entry\n",
                  id="unknown-section"),
-    pytest.param(laplace_config, "grid.hh", "unknown sweep axis 'grid.hh'", id="unknown-leaf"),
+    pytest.param(laplace_config, "grid.hh", "cannot sweep grid.hh: grid has no 'hh' entry\n",
+                 id="unknown-leaf"),
+    pytest.param(laplace_config, "problem.L", "unknown sweep axis 'problem.L'",
+                 id="unwritten-path"),
+    # a section that is not an object is named as every reader names it
+    pytest.param(lambda out: {**laplace_config(out), "run": None}, "run.alpha",
+                 "run must be an object, got None\n", id="run-null"),
 ])
 def test_sweep_axis_that_does_not_apply_exits_one_naming_it(tmp_path, capsys, make, axis,
                                                              message):
@@ -311,7 +320,7 @@ def counted_reference_solves(monkeypatch, fail_first: bool = False) -> list:
 
 def robin_sweep_config(out_dir: str, axis: str, values: list) -> dict:
     cfg = divergent_config(out_dir)
-    cfg["transmission"] = {"scaled_robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
+    cfg["transmission"] = {"robin": {"p": {"0,1": 1.0, "1,0": 50.0}, "rho": 1.0}}
     cfg["run"].update(max_iters=200, stop_tol=1e-9)
     cfg["sweep"] = {"axis": axis, "values": values}
     return cfg
@@ -514,15 +523,6 @@ def test_subdomain_operator_failure_names_the_subdomain(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_scaled_robin_without_rho_names_the_missing_entry(tmp_path, capsys):
-    cfg = laplace_config(str(tmp_path / "o"))
-    cfg["transmission"] = {"scaled_robin": {"p": 1.0}}
-    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: scaled_robin transmission needs a 'rho' entry")
-    assert "Traceback" not in err
-
-
 def test_run_accepts_inline_initial_iterate(tmp_path):
     out = tmp_path / "out"
     cfg = laplace_config(str(out))
@@ -661,7 +661,7 @@ HUGE = 10**400  # a JSON integer no float holds
     pytest.param(lambda c: c.update(transmission={"robin": {"p": {"0,1": HUGE, "1,0": 1.0}}}),
                  "Robin parameters p must be positive finite numbers, got {(0, 1): 1000",
                  id="robin-table"),
-    pytest.param(lambda c: c.update(transmission={"scaled_robin": {"p": 1.0, "rho": HUGE}}),
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": 1.0, "rho": HUGE}}),
                  "rho must be a positive finite number, got 1000", id="rho"),
     pytest.param(lambda c: c["partition"]["uniform"].update(count=HUGE),
                  "overlap 0.2 too large: requires overlap < L/(2I) = 0 to keep interfaces "
@@ -710,10 +710,7 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "unknown run setting(s) ['max_iter'] (known: ['alpha', 'guard_factor', "
                  "'max_iters', 'picard_max', 'picard_tol', 'rate_window', 'stop_tol', 'u0'])",
                  id="run-key-misspelled"),
-    # so is a key that no reader reads, in every object; rho is read for
-    # scaled_robin only, and the run would have used rho = 1
-    pytest.param(lambda c: c.update(transmission={"robin": {"p": 1.0, "rho": 8}}),
-                 "unknown robin transmission setting(s) ['rho'] (known: ['p'])", id="robin-rho"),
+    # so is a key that no reader reads, in every object
     pytest.param(lambda c: c.update(transmission={"dirichlet": {"p": 1.0}}),
                  "unknown dirichlet transmission setting(s) ['p'] (known: [])",
                  id="dirichlet-p"),
@@ -768,7 +765,7 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
     pytest.param(lambda c: c["output"].update(dir=None), "output dir must be a string, got None",
                  id="output-dir-null"),
     # each value is finite, but p * rho is not
-    pytest.param(lambda c: c.update(transmission={"scaled_robin": {"p": 1e200, "rho": 1e200}}),
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": 1e200, "rho": 1e200}}),
                  "Robin parameter p * rho of the interface of subdomain 0 in neighbor 1 is not "
                  "finite", id="robin-p-rho-overflow"),
     # cell and level counts past the float range
@@ -796,9 +793,7 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  "sweep values must be a nonempty list of numbers, got []",
                  id="sweep-values-empty"),
     pytest.param(lambda c: c.update(sweep={"axis": "grid.hh", "values": [0.01]}),
-                 "unknown sweep axis 'grid.hh' (try: transmission.rho, transmission.p, "
-                 "partition.overlap, any grid or run key such as grid.h or run.alpha (or any "
-                 "dotted config path))", id="sweep-axis-unknown"),
+                 "cannot sweep grid.hh: grid has no 'hh' entry", id="sweep-axis-unknown"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
@@ -1140,7 +1135,7 @@ def test_run_rejects_picard_settings_out_of_range(tmp_path, capsys, problem, set
     pytest.param("run", "partition", {"uniform": None}, id="partition-uniform-null"),
     pytest.param("run", "partition", {"intervals": [1.0, 2.0]}, id="partition-intervals-flat"),
     pytest.param("run", "transmission", {"robin": {"p": "x"}}, id="robin-p-string"),
-    pytest.param("run", "transmission", {"scaled_robin": {"p": 1.0, "rho": "x"}},
+    pytest.param("run", "transmission", {"robin": {"p": 1.0, "rho": "x"}},
                  id="scaled-robin-rho-string"),
     pytest.param("sweep", "sweep", {"axis": "transmission.rho", "values": "12"},
                  id="sweep-values-string"),

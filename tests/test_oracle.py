@@ -330,7 +330,7 @@ def test_run_tau_of_the_model_operator_whatever_its_data():
     assert planned_tau(model) == want
     # the errors see neither the source nor g
     assert planned_tau(replace(model, source=None, g=Fn.constant(3.0))) == want
-    assert planned_tau(model, TransmissionSpec.scaled_robin(DIVERGENT_TABLE, 4.0)) == (
+    assert planned_tau(model, TransmissionSpec.robin(DIVERGENT_TABLE, 4.0)) == (
         tau_factors(replace(DIVERGENT, rho=4.0)).tau)
     assert planned_tau(model, TransmissionSpec.dirichlet()) == (
         dirichlet_tau_factors(DIVERGENT).tau)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from schwarz1d.cli import _GRID, _OUTPUT, _PARTITIONS, _RUN, _SWEEP
 from schwarz1d.schwarz import run_parabolic, solve_reference, weighted_sup_norm
+from schwarz1d.transmission import TransmissionSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,6 +50,8 @@ def test_readme_names_every_config_key():
     keys = [f"{section}.{key}" for section, table in (("grid", _GRID), ("run", _RUN),
                                                       ("output", _OUTPUT), ("sweep", _SWEEP))
             for key in table]
-    keys += [f"partition.{kind}.{key}" for kind, (_, table) in _PARTITIONS.items()
-             for key in table]
+    keys += [f"{section}.{kind}.{key}"
+             for section, forms in (("partition", _PARTITIONS),
+                                    ("transmission", TransmissionSpec._FORMS))
+             for kind, (_, table) in forms.items() for key in table]
     assert [key for key in keys if f"`{key}`" not in text] == []

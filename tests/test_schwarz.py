@@ -25,7 +25,6 @@ from schwarz1d.schwarz import (
     _trapezoid_weights,
     double_sweep_ratio,
     exchange,
-    fit_contraction_rate,
     laplace_seminorm,
     plan,
     run_elliptic,
@@ -42,26 +41,8 @@ from schwarz1d.transmission import TransmissionSpec
 # rate fitting
 # --------------------------------------------------------------------------
 
-def test_fit_rate_exact_geometric_decay():
-    E = [0.5 ** k for k in range(1, 12)]
-    np.testing.assert_allclose(fit_contraction_rate(E, 8), 0.5, rtol=1e-12)
-
-
-def test_fit_rate_exact_geometric_growth():
-    E = [2.0 ** k for k in range(1, 12)]
-    np.testing.assert_allclose(fit_contraction_rate(E, 8), 2.0, rtol=1e-12)
-
-
-def test_fit_rate_noisy_sequence_within_band():
-    rng = np.random.default_rng(0)
-    E = [0.5 ** k * (1 + 0.01 * rng.uniform(-1, 1)) for k in range(1, 16)]
-    r = fit_contraction_rate(E, 10)
-    assert 0.49 <= r <= 0.51
-
-
-def test_fit_rate_zero_floor_flagged_as_zero():
+def test_double_sweep_ratio_zero_floor_flagged_as_zero():
     E = [1.0, 0.1, 0.0, 0.0]
-    assert fit_contraction_rate(E, 4) == 0.0
     assert double_sweep_ratio(E, 4) == 0.0
 
 
@@ -305,7 +286,7 @@ def test_reference_initial_guess_is_a_fixed_point_elliptic():
     for problem_id, tsp in [
         ("laplace1d", TransmissionSpec.dirichlet()),
         ("example31", TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0})),
-        ("elliptic-semilinear", TransmissionSpec.scaled_robin(2.0, rho=4.0)),
+        ("elliptic-semilinear", TransmissionSpec.robin(2.0, rho=4.0)),
     ]:
         prob = catalog_lookup(problem_id)
         part = build_uniform_partition(prob.length, 2, 0.1 * prob.length)

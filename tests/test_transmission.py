@@ -40,7 +40,7 @@ def test_spec_requires_positive_parameters():
     with pytest.raises(ValueError):
         TransmissionSpec.robin({(0, 1): 1.0, (1, 0): -2.0})
     with pytest.raises(ValueError):
-        TransmissionSpec.scaled_robin(1.0, rho=0.0)
+        TransmissionSpec.robin(1.0, rho=0.0)
 
 
 def test_dirichlet_extracts_the_trace(setup):
@@ -62,7 +62,7 @@ def test_robin_on_linear_field_is_exact(setup):
 def test_scaled_robin_scales_the_trace_term(setup):
     spec, part, grid = setup
     field = neighbor_values(grid, 1, lambda x: x)
-    datum = extract(link(TransmissionSpec.scaled_robin(2.0, rho=10.0), grid, spec, 0, 1), field)
+    datum = extract(link(TransmissionSpec.robin(2.0, rho=10.0), grid, spec, 0, 1), field)
     np.testing.assert_allclose(datum, 21.0, atol=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_scaled_robin_equals_robin_with_scaled_p(setup):
     spec, part, grid = setup
     rng = np.random.default_rng(3)
     field = neighbor_values(grid, 1, lambda x: np.sin(3 * x) + rng.normal(size=x.size))
-    a = extract(link(TransmissionSpec.scaled_robin(2.0, rho=7.0), grid, spec, 0, 1), field)
+    a = extract(link(TransmissionSpec.robin(2.0, rho=7.0), grid, spec, 0, 1), field)
     b = extract(link(TransmissionSpec.robin(14.0), grid, spec, 0, 1), field)
     assert a == b  # identical arithmetic, bitwise
 
@@ -134,10 +134,12 @@ def test_stencil_needs_two_interior_nodes():
 
 def test_links_resolve_each_end_once(setup):
     # subdomain 0 = (0, 1) receives at its right end x = 1 (node 20 of
-    # neighbor 1 = (0.75, 2)), subdomain 1 at its left end x = 0.75
+    # neighbor 1 = (0.75, 2)), subdomain 1 at its left end x = 0.75; a Robin
+    # body's rho scales each end's p
     spec, part, grid = setup
     (outer0, right0), (left1, outer1) = links(
-        TransmissionSpec.scaled_robin({(0, 1): 2.0, (1, 0): 3.0}, rho=4.0), grid, spec)
+        TransmissionSpec.from_dict({"robin": {"p": {"0,1": 2.0, "1,0": 3.0}, "rho": 4.0}}),
+        grid, spec)
     assert outer0 is None and outer1 is None
     assert (right0.m, right0.j, right0.normal, right0.a, right0.p) == (1, 5, 1, 1.0, 8.0)
     assert (left1.m, left1.j, left1.normal, left1.a, left1.p) == (0, 15, -1, 1.0, 12.0)
@@ -172,7 +174,7 @@ def test_scaled_robin_identity_for_all_parameters(p, rho):
     grid = build_grid(part, 0.05)
     lo, hi = grid.sub_ranges[1]
     field = np.cos(grid.x[lo:hi + 1])
-    a = extract(link(TransmissionSpec.scaled_robin(p, rho=rho), grid, spec, 0, 1), field)
+    a = extract(link(TransmissionSpec.robin(p, rho=rho), grid, spec, 0, 1), field)
     b = extract(link(TransmissionSpec.robin(p * rho), grid, spec, 0, 1), field)
     np.testing.assert_allclose(a, b, rtol=0, atol=0)
 
@@ -183,8 +185,8 @@ def test_scaled_robin_identity_for_all_parameters(p, rho):
     pytest.param({"robin": {"p": 1.0}}, TransmissionSpec.robin(1.0), id="robin"),
     pytest.param({"robin": {"p": {"0,1": 1.0, "1,0": 50.0}}},
                  TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}), id="robin-table"),
-    pytest.param({"scaled_robin": {"p": 2.0, "rho": 8.0}},
-                 TransmissionSpec.scaled_robin(2.0, rho=8.0), id="scaled-robin"),
+    pytest.param({"robin": {"p": 2.0, "rho": 8.0}},
+                 TransmissionSpec.robin(2.0, rho=8.0), id="scaled-robin"),
 ])
 def test_from_dict_reads_readme_forms(literal, want):
     assert TransmissionSpec.from_dict(literal) == want
