@@ -1,24 +1,26 @@
 """Overlapping interval partitions and matching uniform grids.
 
-A partition of (0, L) into open subdomains must satisfy four structural
-rules before the iteration engine will accept it:
+A partition of (0, L) into open subdomains is valid, and ``Partition``
+builds it, exactly when
 
-1. the subdomains cover (0, L),
-2. interior boundary points of different subdomains never coincide,
-3. no point lies in three subdomains (for every l and every pair of
-   distinct neighbors l', l'' of l, the sets Omega_l' and Omega_l'' are
-   disjoint),
-4. every interface point Gamma_{l,l'} -- an interior boundary point of
-   Omega_l that lies in the closure of Omega_{l'} -- is strictly inside
-   Omega_{l'}, and Omega_l has at most one in each neighbor Omega_{l'}.
+1. every endpoint lies in [0, L] and every point of (0, L) lies in one or
+   two subdomains (union/overlap, triple overlap),
+2. interior endpoints of different subdomains never coincide (interface
+   coincidence),
+3. no subdomain has both of its ends strictly inside one other subdomain
+   (interface placement): the exchange holds one datum per pair (l, m).
 
-In one dimension the valid partitions are exactly overlapping chains.
-Grids snap every subdomain endpoint onto a node so interface data can be
-exchanged without interpolation.
+Then every interior endpoint of a subdomain l lies strictly inside exactly
+one other subdomain m, and that point is the interface Gamma_{l,m}.  The
+partitions need not be chains: a subdomain may share an outer end of the
+domain with one that contains it, as in (0, 0.5), (0, 1).  Endpoints are
+compared with the tolerance 1e-12 L.  Grids snap every subdomain endpoint
+onto a node so interface data can be exchanged without interpolation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,12 +32,13 @@ __all__ = [
     "Grid",
     "SubGrid",
     "build_uniform_partition",
-    "validate_partition",
     "build_grid",
 ]
 
 # coincidence tolerance for endpoint comparisons, relative to L
 _EPS = 1e-12
+# items an error message lists before it gives only their count
+_SHOWN = 5
 # cell counts build_grid tries beyond the smallest one that meets h_target
 _SNAP_CANDIDATES = 5000
 # nodes a grid may have: 80 MB per array of node values (the largest
@@ -48,17 +51,16 @@ _MAX_SPACE_TIME_VALUES = 5 * 10**7
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered overlapping subdomains of (0, length).
+    """Overlapping subdomains of (0, length), valid once built.
 
-    ``interfaces[(l, m)]`` holds the interior boundary points of subdomain
-    l that fall inside closure(subdomain m); for a valid chain each such
-    set is a single point.  ``neighbor_sets[l]`` is the set of indices m
-    with overlapping interiors.  Indices are 0-based.
+    The constructor checks the module's rules and raises one ValueError
+    that names the ones the subdomains break.  ``interfaces[(l, m)]`` is
+    the interface point of subdomain l inside subdomain m, one float, with
+    the keys in ascending order.  Indices are 0-based.
     """
 
     length: float
     subdomains: tuple[tuple[float, float], ...]
-    neighbor_sets: tuple[frozenset[int], ...] = field(init=False)
     interfaces: dict = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,31 +74,75 @@ class Partition:
             if not lo < hi:
                 raise ValueError(f"empty subdomain ({lo}, {hi})")
         object.__setattr__(self, "subdomains", subs)
-
-        tol = _EPS * self.length
-        neighbor_sets = []
-        for l, (lo, hi) in enumerate(subs):
-            nbs = frozenset(
-                m for m, (lo2, hi2) in enumerate(subs)
-                if m != l and min(hi, hi2) - max(lo, lo2) > tol
-            )
-            neighbor_sets.append(nbs)
-        object.__setattr__(self, "neighbor_sets", tuple(neighbor_sets))
-
-        # interface sets exist only toward neighbors (overlapping interiors)
-        interfaces: dict[tuple[int, int], tuple[float, ...]] = {}
-        for l, (lo, hi) in enumerate(subs):
-            inner = [p for p in (lo, hi) if tol < p < self.length - tol]
-            for m in neighbor_sets[l]:
-                lo2, hi2 = subs[m]
-                pts = tuple(p for p in inner if lo2 - tol <= p <= hi2 + tol)
-                if pts:
-                    interfaces[(l, m)] = pts
+        interfaces, bad = _judge(self.length, subs)
+        if bad:
+            raise ValueError("partition fails validation: " + _first(bad, "; "))
         object.__setattr__(self, "interfaces", interfaces)
 
     @property
     def count(self) -> int:
         return len(self.subdomains)
+
+
+def _judge(length: float, subs: tuple[tuple[float, float], ...]) -> tuple[dict, list[str]]:
+    """The interfaces of ``subs`` and the rules they break, from one pass
+    over their ends sorted by position."""
+    tol = _EPS * length
+    bad = [f"union/overlap: subdomain {l} = ({lo!r}, {hi!r}) is not inside "
+           f"(0, L) = (0, {length:g})"
+           for l, (lo, hi) in enumerate(subs) if lo < -tol or hi > length + tol]
+
+    interfaces: dict[tuple[int, int], float] = {}
+    inside: set[int] = set()  # the subdomains that contain the position x
+    x_prev, inner_prev = 0.0, None  # inner_prev: the last interior end, (x, l)
+
+    def at(p: float) -> float:  # an end within tol of 0 or L is at it
+        return 0.0 if p <= tol else length if p >= length - tol else p
+
+    def segment(a: float, b: float) -> None:
+        if not inside:
+            bad.append(f"union/overlap: no subdomain contains ({a!r}, {b!r})")
+        elif len(inside) > 2:
+            bad.append(f"triple overlap: subdomains {_first(sorted(inside))} all contain "
+                       f"({a!r}, {b!r})")
+
+    # (position, 0 at a right end and 1 at a left end, subdomain): the
+    # subdomains are open, so at one position the right ends go first
+    ends = sorted(end for l, (lo, hi) in enumerate(subs)
+                  for end in ((at(hi), 0, l), (at(lo), 1, l)))
+    for x, group in itertools.groupby(ends, key=lambda end: end[0]):
+        group = list(group)
+        if x > x_prev:
+            segment(x_prev, x)
+        inside.difference_update(l for _, left, l in group if not left)
+        if 0.0 < x < length:
+            # open subdomains that touch leave the point they share uncovered
+            if not inside and group[0][1] == 0 and group[-1][1] == 1:
+                bad.append(f"union/overlap: no subdomain contains {x!r}")
+            host = next(iter(inside)) if len(inside) == 1 else None
+            for _, left, l in group:
+                if inner_prev and x - inner_prev[0] <= tol and inner_prev[1] != l:
+                    bad.append(f"interface coincidence: subdomains {min(l, inner_prev[1])} and "
+                               f"{max(l, inner_prev[1])} share the interior boundary point {x!r}")
+                inner_prev = (x, l)
+                if host is None:
+                    continue
+                interfaces[(l, host)] = x
+                hi = subs[l][1]
+                if left and at(hi) < length and hi < subs[host][1]:
+                    bad.append(f"interface placement: subdomain {l} has 2 interface points "
+                               f"{(x, hi)} in subdomain {host}, but at most one is allowed")
+        inside.update(l for _, left, l in group if left)
+        x_prev = x
+    if x_prev < length:
+        segment(x_prev, length)
+    return dict(sorted(interfaces.items())), bad
+
+
+def _first(items: list, sep: str = ", ") -> str:
+    """``items`` joined by ``sep``; past the first ``_SHOWN``, only their count."""
+    shown = sep.join(str(item) for item in items[:_SHOWN])
+    return shown if len(items) <= _SHOWN else f"{shown}{sep}... ({len(items) - _SHOWN} more)"
 
 
 def build_uniform_partition(length: float, count: int, overlap: float) -> Partition:
@@ -123,73 +169,6 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
         hi = lo + width
         subs.append((0.0 if l == 0 else lo, length if l == count - 1 else hi))
     return Partition(length=length, subdomains=tuple(subs))
-
-
-def validate_partition(part: Partition) -> list[str]:
-    """Check the four structural rules; returns violations (empty = valid)."""
-    tol = _EPS * part.length
-    violations: list[str] = []
-    subs = part.subdomains
-
-    # rule 1: union equals (0, L).  Sweep intervals in order of left end;
-    # the subdomains are open, so consecutive ones must overlap strictly
-    # (touching endpoints leave the shared point uncovered).
-    order = sorted(range(len(subs)), key=lambda l: subs[l][0])
-    gap = subs[order[0]][0] > tol
-    covered_to = subs[order[0]][1]
-    for l in order[1:]:
-        lo, hi = subs[l]
-        if lo > covered_to - tol:  # >=: the point covered_to itself is missed
-            gap = True
-        covered_to = max(covered_to, hi)
-    if gap or covered_to < part.length - tol:
-        violations.append("union/overlap: subdomains do not cover (0, L)")
-
-    # rule 2: interior boundary points must not coincide across subdomains
-    def inner_pts(l: int) -> list[float]:
-        return [p for p in subs[l] if tol < p < part.length - tol]
-
-    for l in range(len(subs)):
-        for m in range(l + 1, len(subs)):
-            for p in inner_pts(l):
-                if any(abs(p - q) <= tol for q in inner_pts(m)):
-                    violations.append(
-                        f"interface coincidence: subdomains {l} and {m} share "
-                        f"the interior boundary point {p!r}"
-                    )
-
-    # rule 3: no triple overlap among the neighbors of any subdomain
-    for l, nbs in enumerate(part.neighbor_sets):
-        nbs = sorted(nbs)
-        for i, m in enumerate(nbs):
-            for m2 in nbs[i + 1:]:
-                lo = max(subs[m][0], subs[m2][0])
-                hi = min(subs[m][1], subs[m2][1])
-                if hi - lo > tol:
-                    violations.append(
-                        f"triple overlap: subdomains {m} and {m2} (both neighbors "
-                        f"of {l}) intersect on ({lo:g}, {hi:g})"
-                    )
-
-    # rule 4: interfaces strictly interior to the neighbor, at most one per
-    # neighbor (the exchange holds one datum per pair (l, m))
-    for (l, m), pts in part.interfaces.items():
-        lo, hi = subs[m]
-        if len(pts) > 1:
-            violations.append(_several_interfaces(l, m, pts))
-        for p in pts:
-            if not (p - lo > tol and hi - p > tol):
-                violations.append(
-                    f"interface placement: point {p!r} of subdomain {l} is not "
-                    f"strictly inside subdomain {m}"
-                )
-    return violations
-
-
-def _several_interfaces(l: int, m: int, pts: tuple[float, ...]) -> str:
-    """Rule 4's message for a subdomain l with more than one interface in m."""
-    return (f"interface placement: subdomain {l} has {len(pts)} interface points "
-            f"{pts} in subdomain {m}; at most one is allowed")
 
 
 @dataclass(frozen=True)
@@ -235,34 +214,30 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     Searches the smallest cell count N >= L/h_target for which all interior
     subdomain endpoints land on nodes (relative tolerance 1e-9); raises
     ValueError when no such N exists within ``_SNAP_CANDIDATES`` more,
-    when a subdomain has two interfaces in one neighbor, when h_target
-    asks for more than ``_MAX_NODES`` nodes, or when the time axis asks
-    for more than ``_MAX_SPACE_TIME_VALUES`` levels x nodes, before
-    anything is allocated.  The optional time axis uses
+    when h_target asks for more than ``_MAX_NODES`` nodes, or when the
+    time axis asks for more than ``_MAX_SPACE_TIME_VALUES`` levels x
+    nodes, before anything is allocated.  The optional time axis uses
     dt = T / ceil(T / dt_target) <= dt_target.
     """
     if not (h_target > 0 and part.length / h_target < math.inf):
         raise ValueError(f"h_target must be positive and L / h_target finite, got {h_target!r}")
-    for (l, m), pts in part.interfaces.items():
-        if len(pts) > 1:
-            raise ValueError(_several_interfaces(l, m, pts))
     length = part.length
-    endpoints = sorted({p for lo_hi in part.subdomains for p in lo_hi
-                        if 0.0 < p < length})
+    endpoints = np.array(sorted({p for lo_hi in part.subdomains for p in lo_hi
+                                 if 0.0 < p < length}))
     n_min = max(2, math.ceil(length / h_target - 1e-12))
     if n_min + 1 > _MAX_NODES:
         raise ValueError(f"h_target {h_target!r} needs {n_min + 1} nodes; at most "
                          f"{_MAX_NODES} are allowed")
     n_cells = None
     for n in range(n_min, n_min + _SNAP_CANDIDATES + 1):
-        idx = np.array(endpoints) * n / length
+        idx = endpoints * n / length
         if np.all(np.abs(idx - np.round(idx)) <= 1e-9 * max(1.0, n)):
             n_cells = n
             break
     if n_cells is None:
         raise ValueError(
-            f"subdomain endpoints {endpoints} not snappable onto a uniform grid "
-            f"with N in [{n_min}, {n_min + _SNAP_CANDIDATES}]"
+            f"subdomain endpoints [{_first(endpoints.tolist())}] not snappable onto a "
+            f"uniform grid with N in [{n_min}, {n_min + _SNAP_CANDIDATES}]"
         )
 
     dt = n_steps = t = None
@@ -288,6 +263,6 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
         return int(round(p * n_cells / length))
 
     sub_ranges = tuple((node_of(lo), node_of(hi)) for lo, hi in part.subdomains)
-    interface_index = {key: node_of(p) for key, (p,) in part.interfaces.items()}
+    interface_index = {key: node_of(p) for key, p in part.interfaces.items()}
     return Grid(h=h, x=x, sub_ranges=sub_ranges, interface_index=interface_index, dt=dt,
                 n_steps=n_steps, t=t)

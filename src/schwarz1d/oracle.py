@@ -177,18 +177,20 @@ def run_tau(problem: ProblemSpec, partition: Partition, links: list) -> float | 
     """The closed-form tau of a run whose errors are this module's model, else None.
 
     That is an elliptic run of the model operator (constant a = 1, b = 3,
-    c = 4, F zero) on two subdomains; neither the source nor the data g
-    enter the errors.  ``links`` are the run's ``transmission.links``,
+    c = 4, F zero) on a chain of two subdomains, each with one interface
+    inside the other; neither the source nor the data g enter the
+    errors.  ``links`` are the run's ``transmission.links``,
     whose ``Link.p`` at each interface, rho applied, is the Robin p or q,
     and None for Dirichlet exchange, whose tau does not depend on them.
     A degenerate tau is None too.
     """
     if (problem.mode != "elliptic" or (problem.a, problem.b, problem.c) != _MODEL
-            or problem.F.lipschitz != 0.0 or partition.count != 2):
+            or problem.F.lipschitz != 0.0 or partition.count != 2
+            or len(partition.interfaces) != 2):
         return None
     left = int(partition.subdomains[1][0] < partition.subdomains[0][0])  # the one at x = 0
     right = 1 - left
-    (L2,), (L1,) = partition.interfaces[(left, right)], partition.interfaces[(right, left)]
+    L2, L1 = partition.interfaces[(left, right)], partition.interfaces[(right, left)]
     p, q = links[left][1].p, links[right][0].p
     try:
         case = AnalyticCase(L=partition.length, L1=L1, L2=L2, p=p or 1.0, q=q or 1.0)

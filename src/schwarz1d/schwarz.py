@@ -56,7 +56,7 @@ from .discretize import (
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
 )
-from .geometry import Grid, Partition, build_grid, validate_partition
+from .geometry import Grid, Partition, build_grid
 from .problem import Fn, ProblemSpec, validate as validate_problem
 
 __all__ = [
@@ -340,15 +340,13 @@ def plan(cfg: SchwarzConfig) -> Plan:
     """Make every check of a run and build its operators; solve nothing.
 
     Every defect of ``cfg`` that would stop a run before its first solve
-    is a ValueError here.
+    is a ValueError here, but for those of its partition, which
+    ``Partition`` raises when it is built.
     """
     prob, part = cfg.problem, cfg.partition
     bad = validate_problem(prob)
     if bad:
         raise ValueError("problem fails validation: " + "; ".join(bad))
-    bad = validate_partition(part)
-    if bad:
-        raise ValueError("partition fails validation: " + "; ".join(bad))
     if abs(part.length - prob.length) > 1e-12 * prob.length:
         raise ValueError("partition length differs from problem domain length")
     parabolic = prob.mode == "parabolic"

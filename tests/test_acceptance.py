@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from schwarz1d.cli import main as cli_main
-from schwarz1d.geometry import Partition, build_grid, build_uniform_partition, validate_partition
+from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
 from schwarz1d.oracle import (
     AnalyticCase,
     asymptotic_tau_large_q,
@@ -291,12 +291,15 @@ def test_criterion_7_property_suites():
     checks["determinism"] = fwd.E == rev.E and all(
         np.array_equal(a, b) for a, b in zip(fwd.final_fields, rev.final_fields[::-1]))
 
-    # partition validation accepts the plain overlap, rejects mutual overlap
+    # a partition is built from the plain overlap, refused for mutual overlap
     good = Partition(length=2.0, subdomains=((0.0, 1.2), (0.8, 2.0)))
-    bad = Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
-    checks["partition rules"] = (validate_partition(good) == []
-                                 and any("triple overlap" in v
-                                         for v in validate_partition(bad)))
+    try:
+        Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
+        refusal = ""
+    except ValueError as exc:
+        refusal = str(exc)
+    checks["partition rules"] = (good.interfaces == {(0, 1): 1.2, (1, 0): 0.8}
+                                 and "triple overlap" in refusal)
 
     # seminorm closed form at quadrature accuracy
     beta, alpha = 2.0, 8.0

@@ -1202,6 +1202,37 @@ def test_nested_subdomain_fails_validation(tmp_path, capsys, intervals):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("intervals, subdomain", [
+    pytest.param([[0.0, 0.6], [0.4, 1.2]], "subdomain 1 = (0.4, 1.2)", id="past-L"),
+    pytest.param([[-0.1, 0.6], [0.4, 1.0]], "subdomain 0 = (-0.1, 0.6)", id="before-0"),
+])
+def test_subdomain_outside_the_domain_fails_validation(tmp_path, capsys, intervals, subdomain):
+    # a subdomain past L used to run cut at L, and one before 0 failed as a
+    # grid too coarse
+    message = (f"partition fails validation: union/overlap: {subdomain} is not inside "
+               f"(0, L) = (0, 1)\n")
+    cfg = laplace_config(str(tmp_path / "o"))
+    cfg["partition"] = {"intervals": intervals}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", cfg_path]) == 1
+    assert capsys.readouterr().out == message
+    assert main(["--quiet", "run", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_subdomain_at_an_outer_end_of_the_one_that_holds_it_runs_and_converges(tmp_path):
+    # neither partition is a chain: subdomain 0 of the first and subdomain 1
+    # of the second share an outer end with the other, so each has one interface
+    for name, intervals in (("left", [[0.0, 0.5], [0.0, 1.0]]),
+                            ("right", [[0.0, 1.0], [0.5, 1.0]])):
+        cfg = laplace_config(str(tmp_path / name))
+        cfg["partition"] = {"intervals": intervals}
+        assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = summary_lines(tmp_path / name)
+        assert "verdict:        converged" in summary and "iterations:     2" in summary
+
+
 @pytest.mark.parametrize("setting, value, message", [
     pytest.param("guard_factor", 0, "guard_factor must be > 1", id="guard_factor-0"),
     pytest.param("guard_factor", 1.0, "guard_factor must be > 1", id="guard_factor-1"),

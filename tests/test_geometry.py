@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schwarz1d import geometry
-from schwarz1d.geometry import (
-    Partition,
-    build_grid,
-    build_uniform_partition,
-    validate_partition,
-)
+from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
+
+
+def violations(length, subdomains) -> list[str]:
+    """The rules ``Partition`` names when it refuses ``subdomains``."""
+    with pytest.raises(ValueError) as err:
+        Partition(length=length, subdomains=subdomains)
+    prefix = "partition fails validation: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix):].split("; ")
 
 
 def test_uniform_two_subdomain_example():
@@ -17,12 +21,11 @@ def test_uniform_two_subdomain_example():
     assert part.interfaces.keys() == {(0, 1), (1, 0)}
     np.testing.assert_allclose(part.interfaces[(0, 1)], [1.1])
     np.testing.assert_allclose(part.interfaces[(1, 0)], [0.9])
-    assert part.neighbor_sets == (frozenset({1}), frozenset({0}))
 
 
 def test_uniform_three_subdomain_chain():
     part = build_uniform_partition(3.0, 3, 0.3)
-    assert part.neighbor_sets[1] == frozenset({0, 2})
+    assert list(part.interfaces) == [(0, 1), (1, 0), (1, 2), (2, 1)]
     (lo0, hi0), _, (lo2, hi2) = part.subdomains
     assert min(hi0, hi2) - max(lo0, lo2) <= 0  # ends do not overlap
     for l in range(2):
@@ -38,43 +41,61 @@ def test_uniform_overlap_too_large_names_the_rule():
 
 def test_validate_accepts_plain_two_subdomain_overlap():
     part = Partition(length=2.0, subdomains=((0.0, 1.2), (0.8, 2.0)))
-    assert validate_partition(part) == []
+    assert part.interfaces == {(0, 1): 1.2, (1, 0): 0.8}
 
 
 def test_validate_rejects_three_mutually_overlapping_intervals():
-    part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
-    out = validate_partition(part)
-    assert any("triple overlap" in v for v in out)
+    assert violations(1.0, ((0.0, 0.6), (0.3, 0.8), (0.5, 1.0))) == [
+        "triple overlap: subdomains 0, 1, 2 all contain (0.5, 0.6)"]
 
 
 def test_validate_rejects_touching_but_disjoint_intervals():
-    part = Partition(length=2.0, subdomains=((0.0, 1.0), (1.0, 2.0)))
-    out = validate_partition(part)
-    assert any("union/overlap" in v for v in out)
-    assert part.interfaces == {}  # no overlap, no interface sets
+    assert violations(2.0, ((0.0, 1.0), (1.0, 2.0))) == [
+        "union/overlap: no subdomain contains 1.0",
+        "interface coincidence: subdomains 0 and 1 share the interior boundary point 1.0"]
 
 
 def test_validate_rejects_coincident_interior_boundaries():
     # third subdomain starts exactly where the first one ends
-    part = Partition(length=2.0, subdomains=((0.0, 1.2), (0.8, 2.0), (1.2, 1.6)))
-    out = validate_partition(part)
-    assert any("interface coincidence" in v for v in out)
+    out = violations(2.0, ((0.0, 1.2), (0.8, 2.0), (1.2, 1.6)))
+    assert "interface coincidence: subdomains 0 and 2 share the interior boundary point 1.2" in out
 
 
 def test_validate_rejects_neighbors_that_overlap_each_other():
-    part = Partition(length=2.0, subdomains=((0.0, 1.5), (1.0, 2.0), (1.4, 1.8)))
-    out = validate_partition(part)
-    assert any("triple overlap" in v for v in out)
+    assert violations(2.0, ((0.0, 1.5), (1.0, 2.0), (1.4, 1.8))) == [
+        "triple overlap: subdomains 0, 1, 2 all contain (1.4, 1.5)"]
 
 
 def test_validate_messages_tell_close_points_apart():
     # subdomains narrower than 1e-6 L: 0.3 and 0.3000000001 print alike
     # under %g, and each of them breaks the same rules
-    part = Partition(1.0, ((0.0, 0.5), (0.3, 0.3000000001), (0.3, 0.3000000001), (0.45, 1.0)))
-    out = validate_partition(part)
-    assert "interface placement: point 0.3000000001 of subdomain 1 is not strictly " \
-        "inside subdomain 2" in out
-    assert len(out) == len(set(out)) == 13
+    out = violations(1.0, ((0.0, 0.5), (0.3, 0.3000000001), (0.3, 0.3000000001), (0.45, 1.0)))
+    assert "interface coincidence: subdomains 1 and 2 share the interior boundary point " \
+        "0.3000000001" in out
+    assert "triple overlap: subdomains 0, 1, 2 all contain (0.3, 0.3000000001)" in out
+    assert len(out) == len(set(out)) == 5
+
+
+@pytest.mark.parametrize("subdomains, message", [
+    pytest.param(((0.0, 0.6), (0.4, 1.2)), "subdomain 1 = (0.4, 1.2)", id="past-L"),
+    pytest.param(((-0.1, 0.6), (0.4, 1.0)), "subdomain 0 = (-0.1, 0.6)", id="before-0"),
+])
+def test_partition_refuses_a_subdomain_outside_the_domain(subdomains, message):
+    assert violations(1.0, subdomains) == [
+        f"union/overlap: {message} is not inside (0, L) = (0, 1)"]
+
+
+def test_partition_takes_ends_within_its_tolerance_of_the_domain_ends():
+    part = Partition(1.0, ((-1e-13, 0.6), (0.4, 1.0 + 1e-13)))
+    assert part.interfaces == {(0, 1): 0.6, (1, 0): 0.4}
+
+
+def test_partition_message_lists_the_first_violations_and_counts_the_rest():
+    # eight disjoint subdomains leave nine gaps of (0, 9)
+    out = violations(9.0, tuple((k + 0.25, k + 0.75) for k in range(1, 9)))
+    assert out[:2] == ["union/overlap: no subdomain contains (0.0, 1.25)",
+                       "union/overlap: no subdomain contains (1.75, 2.25)"]
+    assert out[5:] == ["... (4 more)"]
 
 
 def test_grid_two_subdomain_example():
@@ -108,8 +129,14 @@ def test_grid_time_axis():
 
 def test_grid_unsnappable_endpoints_raise():
     part = Partition(length=1.0, subdomains=((0.0, 1 / np.sqrt(2)), (0.5, 1.0)))
-    with pytest.raises(ValueError, match="not snappable"):
+    with pytest.raises(ValueError, match=r"^subdomain endpoints \[0\.5, 0\.70710678\d+\] "
+                                         r"not snappable onto a uniform grid with N in \[10, "):
         build_grid(part, 0.1)
+    # past the first five endpoints the message gives only their count
+    part = build_uniform_partition(1.0, 2000, 1e-4 / np.pi)
+    with pytest.raises(ValueError, match=r"^subdomain endpoints \[(0\.\d+, ){5}\.\.\. "
+                                         r"\(3993 more\)\] not snappable"):
+        build_grid(part, 1e-4)
 
 
 def test_grid_needs_horizon_with_dt():
@@ -162,25 +189,42 @@ def test_grid_space_time_cap_admits_exactly_its_count(monkeypatch):
         build_grid(part, 0.1, 0.095, time_horizon=1.0)
 
 
-def test_grid_rejects_two_interfaces_in_one_neighbor():
-    # subdomain 1 = (0.3, 0.6) lies inside subdomain 0, so both its ends are
-    # interfaces in 0; the message is validate_partition's rule 4
-    part = Partition(length=1.0, subdomains=((0.0, 1.0), (0.3, 0.6)))
-    message = ("interface placement: subdomain 1 has 2 interface points (0.3, 0.6) in "
-               "subdomain 0; at most one is allowed")
-    assert message in validate_partition(part)
-    with pytest.raises(ValueError) as err:
-        build_grid(part, 0.1)
-    assert str(err.value) == message
+def test_partition_rejects_two_interfaces_in_one_neighbor():
+    # subdomain 1 = (0.3, 0.6) lies inside subdomain 0, so both its ends
+    # would be interfaces in 0, but the exchange holds one datum per pair
+    assert violations(1.0, ((0.0, 1.0), (0.3, 0.6))) == [
+        "interface placement: subdomain 1 has 2 interface points (0.3, 0.6) in "
+        "subdomain 0, but at most one is allowed"]
 
 
-@given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 16)), min_size=2, max_size=6))
-def test_validate_never_repeats_a_message(ends):
-    # every message names its own (l, m, point) or (m, m2, l)
+def test_partition_keeps_a_subdomain_at_an_outer_end_of_one_that_holds_it():
+    # not chains: one subdomain shares an outer end with the one that holds it
+    assert Partition(1.0, ((0.0, 0.5), (0.0, 1.0))).interfaces == {(0, 1): 0.5}
+    assert Partition(1.0, ((0.0, 1.0), (0.5, 1.0))).interfaces == {(1, 0): 0.5}
+
+
+@given(st.integers(0, 1), st.lists(st.tuples(st.integers(-1, 16), st.integers(1, 16)),
+                                   min_size=2, max_size=6))
+@example(0, [(0, 5), (3, 5)])  # a chain
+@example(0, [(0, 4), (0, 8)])  # one subdomain at the outer end of another
+@example(1, [(0, 5), (3, 5)])  # an end past L
+def test_partition_accepts_exactly_the_partitions_the_rules_describe(cut, ends):
+    # on the 1/8 lattice the rules read directly: the subdomains over each
+    # segment's midpoint, the interior ends, the ends and strict nesting
     subs = tuple((lo / 8, (lo + width) / 8) for lo, width in ends)
-    part = Partition(length=max(hi for _, hi in subs), subdomains=subs)
-    out = validate_partition(part)
-    assert len(out) == len(set(out))
+    cells = max(1, max(lo + width for lo, width in ends) - cut)
+    length = cells / 8
+    cover = [sum(lo < (2 * k + 1) / 16 < hi for lo, hi in subs) for k in range(cells)]
+    inner = [p for sub in subs for p in sub if 0 < p < length]
+    valid = (all(c in (1, 2) for c in cover)
+             and len(inner) == len(set(inner))
+             and all(0 <= p <= length for sub in subs for p in sub)
+             and not any(lo2 < lo and hi < hi2 for lo, hi in subs for lo2, hi2 in subs
+                         if 0 < lo and hi < length))
+    if valid:
+        Partition(length=length, subdomains=subs)
+    else:
+        assert violations(length, subs)
 
 
 @given(
@@ -191,11 +235,9 @@ def test_validate_never_repeats_a_message(ends):
 def test_uniform_partition_round_trip(length, count, frac):
     overlap = frac * length / (2 * count)
     part = build_uniform_partition(length, count, overlap)
-    assert validate_partition(part) == []
-    # chain neighbor structure
-    for l in range(count):
-        expected = {m for m in (l - 1, l + 1) if 0 <= m < count}
-        assert part.neighbor_sets[l] == frozenset(expected)
+    # a chain: each subdomain has one interface in each of its neighbours
+    assert list(part.interfaces) == sorted((l, m) for l in range(count)
+                                           for m in (l - 1, l + 1) if 0 <= m < count)
 
 
 @given(st.integers(2, 4), st.sampled_from([0.05, 0.1, 0.15, 0.125]))

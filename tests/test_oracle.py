@@ -358,3 +358,10 @@ def test_run_tau_is_none_on_three_subdomains_and_for_a_degenerate_tau():
     # exp(4 x) overflows a float on (0, 200), which the tau command reports
     long = Partition(200.0, ((0.0, 199.5), (199.0, 200.0)))
     assert run_tau(replace(model, length=200.0), long, divergent_plan().links) is None
+
+
+def test_run_tau_is_none_off_a_chain():
+    # subdomain 1 holds all of subdomain 0, so only 0 has an interface
+    p = divergent_plan(transmission=TransmissionSpec.robin(1.0),
+                       subdomains=((0.0, 1.0), (0.0, 2.0)))
+    assert run_tau(p.cfg.problem, p.cfg.partition, p.links) is None

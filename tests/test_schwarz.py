@@ -441,10 +441,8 @@ def test_engine_rejects_invalid_setup():
                               transmission=TransmissionSpec.dirichlet()))
     with pytest.raises(ValueError, match="run_elliptic needs a elliptic problem, got parabolic"):
         run_elliptic(heat)
-    bad_part = Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
-    with pytest.raises(ValueError, match="partition"):
-        run_elliptic(plan(SchwarzConfig(problem=prob, partition=bad_part, h_target=0.01,
-                                        transmission=TransmissionSpec.dirichlet())))
+    with pytest.raises(ValueError, match="^partition fails validation: triple overlap"):
+        Partition(length=1.0, subdomains=((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
     with pytest.raises(ValueError, match="^partition length differs from problem domain length$"):
         plan(SchwarzConfig(problem=prob, partition=build_uniform_partition(2.0, 2, 0.2),
                            h_target=0.01, transmission=TransmissionSpec.dirichlet()))
