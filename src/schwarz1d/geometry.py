@@ -41,6 +41,9 @@ _EPS = 1e-12
 _SHOWN = 5
 # cell counts build_grid tries beyond the smallest one that meets h_target
 _SNAP_CANDIDATES = 5000
+# endpoint x candidate tests build_grid makes at once: one endpoint against
+# all 5,001 candidates, and more endpoints as fewer candidates are left
+_SNAP_BLOCK = 1 << 16
 # nodes a grid may have: 80 MB per array of node values (the largest
 # benchmarked grid has 2e4 nodes)
 _MAX_NODES = 10**7
@@ -212,8 +215,9 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     """Uniform grid with h <= h_target and every endpoint snapped to a node.
 
     Searches the smallest cell count N >= L/h_target for which all interior
-    subdomain endpoints land on nodes (relative tolerance 1e-9); raises
-    ValueError when no such N exists within ``_SNAP_CANDIDATES`` more,
+    subdomain endpoints land on nodes (relative tolerance 1e-9), filtering
+    the candidates by a block of endpoints at a time; raises ValueError as
+    soon as no N within ``_SNAP_CANDIDATES`` more is left,
     when h_target asks for more than ``_MAX_NODES`` nodes, or when the
     time axis asks for more than ``_MAX_SPACE_TIME_VALUES`` levels x
     nodes, before anything is allocated.  The optional time axis uses
@@ -228,17 +232,20 @@ def build_grid(part: Partition, h_target: float, dt_target: float | None = None,
     if n_min + 1 > _MAX_NODES:
         raise ValueError(f"h_target {h_target!r} needs {n_min + 1} nodes; at most "
                          f"{_MAX_NODES} are allowed")
-    n_cells = None
-    for n in range(n_min, n_min + _SNAP_CANDIDATES + 1):
-        idx = endpoints * n / length
-        if np.all(np.abs(idx - np.round(idx)) <= 1e-9 * max(1.0, n)):
-            n_cells = n
-            break
-    if n_cells is None:
+    # keep the candidates N that snap each block of endpoints in turn
+    candidates = np.arange(n_min, n_min + _SNAP_CANDIDATES + 1)
+    lo = 0
+    while candidates.size and lo < endpoints.size:
+        hi = lo + max(1, _SNAP_BLOCK // candidates.size)
+        idx = endpoints[lo:hi, None] * candidates / length
+        snapped = np.abs(idx - np.round(idx)) <= 1e-9 * np.maximum(1.0, candidates)
+        candidates, lo = candidates[snapped.all(axis=0)], hi
+    if not candidates.size:
         raise ValueError(
             f"subdomain endpoints [{_first(endpoints.tolist())}] not snappable onto a "
             f"uniform grid with N in [{n_min}, {n_min + _SNAP_CANDIDATES}]"
         )
+    n_cells = int(candidates[0])
 
     dt = n_steps = t = None
     if dt_target is not None:

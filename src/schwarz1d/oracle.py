@@ -24,9 +24,12 @@ which crosses 1 at  L1* = ln((exp(5L) + 1) / 2) / 5:  placing the right
 subdomain's interface beyond L1* makes large-q Robin exchange diverge,
 while rescaling both parameters by a large enough rho restores tau < 1.
 
-The Dirichlet (trace-exchange) factors for the same model and the
-classical two-subdomain factor for -u'' = 0 are included as baselines
-for validating the numerical engine.  ``run_tau`` decides from a run's
+Both transmissions come from one crossed ratio: each factor is
+B(one profile) / B(the other) at its interface, with B(v) = v' + p v for
+Robin exchange (p, or -q at L1) and B(v) = v for Dirichlet (trace)
+exchange, the Robin map's p, q -> infinity limit.  The classical
+two-subdomain factor for -u'' = 0 is included for validating the
+numerical engine.  ``run_tau`` decides from a run's
 operator and partition whether its errors are this model's, and if so
 gives its Robin or Dirichlet tau.
 """
@@ -104,40 +107,38 @@ class AnalyticCase:
             raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
 
 
-def _phi(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
-    """The left (vanishing at 0) or right (at L) error profile and its
-    derivative, at x; a ValueError when it overflows, as on a long domain."""
-    rp, rm = roots
-    anchor = 0.0 if side == "left" else case.L
-    try:
-        ep, em = math.exp(rp * (x - anchor)), math.exp(rm * (x - anchor))
-    except OverflowError:
-        raise ValueError(f"the {side} error profile overflows a float at x = {x:g} "
-                         f"(L = {case.L:g})") from None
-    return ep - em, rp * ep - rm * em
+def _crossed_ratio(case: AnalyticCase, x: float, num: str, p: float | None, roots) -> float:
+    """B(the ``num`` error profile) / B(the other one) at x, with B(v) = v' + p v
+    at a Robin end and B(v) = v at a Dirichlet end (p None).
 
-
-def _phi_with_slope(case: AnalyticCase, x: float, side: str, roots) -> tuple[float, float]:
-    """``_phi``, and a ValueError too when only its derivative overflows: a
-    root times a finite exponential can leave the float range."""
-    value, slope = _phi(case, x, side, roots)
-    if math.isinf(slope):
-        raise ValueError(f"the derivative of the {side} error profile overflows a float "
-                         f"at x = {x:g} (L = {case.L:g})")
-    return value, slope
-
-
-def _checked_ratio(num: float, den: float, *terms: float) -> float:
-    """num / den, or a ValueError when ``den``, the sum of ``terms``, cancels
-    to within 1e-14 of its largest term.
-
-    The scale is the denominator's own terms, not the numerator: the
-    profiles are not normalized, so on a long domain a legitimate ratio
+    The left profile vanishes at 0, the right one at L.  A ValueError when
+    a profile overflows a float, as on a long domain, when B reads a slope
+    that does (a root times a finite exponential can leave the float
+    range), or when the denominator cancels to within 1e-14 of its largest
+    term: the scale is its own terms, not the numerator, since the
+    profiles are not normalized and on a long domain a legitimate ratio
     can exceed 1e14.
     """
+    rp, rm = roots
+    b = {}  # side: (B(profile), its terms)
+    for side, anchor in (("left", 0.0), ("right", case.L)):
+        try:
+            ep, em = math.exp(rp * (x - anchor)), math.exp(rm * (x - anchor))
+        except OverflowError:
+            raise ValueError(f"the {side} error profile overflows a float at x = {x:g} "
+                             f"(L = {case.L:g})") from None
+        value, slope = ep - em, rp * ep - rm * em
+        if p is None:
+            b[side] = value, (value,)
+        elif math.isinf(slope):
+            raise ValueError(f"the derivative of the {side} error profile overflows a float "
+                             f"at x = {x:g} (L = {case.L:g})")
+        else:
+            b[side] = slope + p * value, (slope, p * value)
+    top, (den, terms) = b[num][0], b["left" if num == "right" else "right"]
     if abs(den) <= 1e-14 * max(map(abs, terms)):
-        raise ValueError(f"interface-map denominator vanishes (num={num:g}, den={den:g})")
-    return num / den
+        raise ValueError(f"interface-map denominator vanishes (num={top:g}, den={den:g})")
+    return top / den
 
 
 def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
@@ -153,23 +154,15 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
         if not math.isfinite(scaled):
             raise ValueError(f"Robin parameter rho * {name} = {case.rho!r} * {value!r} "
                              f"is not finite")
-    v1, d1 = _phi_with_slope(case, case.L2, "left", roots)
-    w1, e1 = _phi_with_slope(case, case.L2, "right", roots)
-    tau1 = _checked_ratio(e1 + p * w1, d1 + p * v1, d1, p * v1)
-    v2, d2 = _phi_with_slope(case, case.L1, "left", roots)
-    w2, e2 = _phi_with_slope(case, case.L1, "right", roots)
-    tau2 = _checked_ratio(d2 - q * v2, e2 - q * w2, e2, q * w2)
+    tau1 = _crossed_ratio(case, case.L2, "right", p, roots)
+    tau2 = _crossed_ratio(case, case.L1, "left", -q, roots)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 
 def dirichlet_tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
-    """Trace-exchange (Dirichlet) factors for the same two-subdomain model."""
-    v1, _ = _phi(case, case.L2, "left", roots)
-    w1, _ = _phi(case, case.L2, "right", roots)
-    v2, _ = _phi(case, case.L1, "left", roots)
-    w2, _ = _phi(case, case.L1, "right", roots)
-    tau1 = _checked_ratio(w1, v1, v1)
-    tau2 = _checked_ratio(v2, w2, w2)
+    """Trace-exchange (Dirichlet) factors: ``tau_factors``' ratios with B(v) = v."""
+    tau1 = _crossed_ratio(case, case.L2, "right", None, roots)
+    tau2 = _crossed_ratio(case, case.L1, "left", None, roots)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 

@@ -101,7 +101,8 @@ class SchwarzConfig:
     interface data from it through the same transmission stencil as
     every later sweep.
     ``alpha`` is the decay rate of the parabolic time weight and the
-    left end of the seminorm window.  The subdomains are solved one after
+    left end of the seminorm window; ``plan`` refuses a parabolic run
+    unless (10 alpha + 1) T is finite.  The subdomains are solved one after
     another in one thread; each sweep reads only the previous iterate, so
     their order does not change the result.
     """
@@ -354,6 +355,10 @@ def plan(cfg: SchwarzConfig) -> Plan:
         raise ValueError("parabolic runs need dt_target (grid.dt)")
     if not parabolic and cfg.dt_target is not None:
         raise ValueError("elliptic runs take no dt_target (grid.dt)")
+    # the norms weight a level at time t by exp(-y t) for y up to 10 alpha + 1
+    if parabolic and not math.isfinite((10.0 * cfg.alpha + 1.0) * prob.time_horizon):
+        raise ValueError(f"alpha (run.alpha) = {cfg.alpha!r} is too large for T = "
+                         f"{prob.time_horizon!r}: (10 alpha + 1) T must be finite")
     grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
 
     links = tx.links(cfg.transmission, grid, prob)
@@ -392,19 +397,14 @@ def exchange(plan: Plan, fields: list[np.ndarray]) -> list[list]:
 
     An outer end gets the problem's boundary value g, an interface end
     ``transmission.extract`` of its neighbor's field, handed off as a run
-    hands off each new field.
+    hands off each new field, or None when ``fields`` is empty.
     """
-    data = _outer_data(plan)
+    outer = plan.cfg.problem.boundary_values()
+    data = [[g if link is None else None for link, g in zip(pair, outer)]
+            for pair in plan.links]
     for m, field in enumerate(fields):
         _hand_off(plan, m, field, data)
     return data
-
-
-def _outer_data(plan: Plan) -> list[list]:
-    """Boundary data with g at every outer end and None at every interface end."""
-    outer = plan.cfg.problem.boundary_values()
-    return [[g if link is None else None for link, g in zip(pair, outer)]
-            for pair in plan.links]
 
 
 def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
@@ -507,7 +507,7 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
               for ref, op in zip(refs, plan.ops)]
     data = exchange(plan, fields)
     fields = [] if parabolic else fields  # a parabolic run drops each field
-    outer = _outer_data(plan)  # every sweep hands off into a copy
+    outer = exchange(plan, [])  # g at the outer ends; every sweep hands off into a copy
 
     E: list[float] = []
     sub_norms: list[list[float]] = []

@@ -150,3 +150,30 @@ def plain_picard_march(op, left, right, u, t, dt=None, picard_tol=1e-10, picard_
             steps.append(step)
         levels.append(u)
     return np.array(levels).T, steps
+
+
+def snapped_cell_count(endpoints, length, n_min, candidates=5000):
+    """The smallest N in n_min .. n_min + candidates that puts every endpoint p
+    on a node, p N / L within 1e-9 max(1, N) of an integer; None if none does.
+
+    Every candidate is tried against every endpoint, in order.
+    """
+    for n in range(n_min, n_min + candidates + 1):
+        if all(abs(p * n / length - round(p * n / length)) <= 1e-9 * max(1.0, n)
+               for p in endpoints):
+            return n
+    return None
+
+
+def lattice_chain(rng, length, count, denominator):
+    """A random chain of ``count`` overlapping subdomains of (0, length) whose
+    interior ends are distinct points length * j / denominator.
+
+    With the interior ends sorted, s_0 < s_1 < ..., subdomain i is
+    (s_{2i-2}, s_{2i+1}), from 0 for the first and to ``length`` for the
+    last: it overlaps its successor on (s_{2i}, s_{2i+1}), and no point is
+    in three subdomains.
+    """
+    js = sorted(rng.choice(np.arange(1, denominator), size=2 * count - 2, replace=False))
+    s = [length * int(j) / denominator for j in js]
+    return tuple(zip([0.0, *s[0::2]], [*s[1::2], length]))

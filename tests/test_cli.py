@@ -854,6 +854,23 @@ def test_validate_prints_what_run_prints_before_its_first_solve(tmp_path, capsys
     assert capsys.readouterr().out == err[len("error: "):]
 
 
+@pytest.mark.parametrize("name", ["heat_robin", "heat_dirichlet"])
+def test_alpha_whose_norm_arithmetic_overflows_exits_one_naming_it(tmp_path, capsys, name):
+    # the norms weight a level at time t by exp(-y t), y up to 10 alpha + 1: at
+    # alpha = 1e308 the Robin seminorm's window starts overflowed (the run ended
+    # diverged after no iteration) and so did the weight of the Dirichlet run's
+    # sup norm (it converged at iteration 1 with E = 0)
+    cfg = shipped_config(name, str(tmp_path / "o"))
+    cfg["run"]["alpha"] = 1e308
+    path = write_config(tmp_path, cfg)
+    message = "alpha (run.alpha) = 1e+308 is too large for T = 2.0: (10 alpha + 1) T must be finite"
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["--quiet", "run", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_prints_each_operator_warning(tmp_path, capsys):
     # h = 0.02 is above the diagonal-dominance threshold h* = 2 a / |b| = 0.01
     cfg = laplace_config(str(tmp_path / "o"))

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from schwarz1d import geometry
 from schwarz1d.geometry import Partition, build_grid, build_uniform_partition
+
+from helpers import lattice_chain, snapped_cell_count
 
 
 def violations(length, subdomains) -> list[str]:
@@ -137,6 +141,25 @@ def test_grid_unsnappable_endpoints_raise():
     with pytest.raises(ValueError, match=r"^subdomain endpoints \[(0\.\d+, ){5}\.\.\. "
                                          r"\(3993 more\)\] not snappable"):
         build_grid(part, 1e-4)
+
+
+def test_grid_picks_the_cell_count_of_a_brute_force_search():
+    # random lattice chains; no candidate N is a multiple of 7919, so a chain
+    # on that lattice is not snappable
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        count = int(rng.integers(2, 7))
+        denominator = int(rng.choice([*range(2 * count - 1, 41), 997, 7919]))
+        length = float(rng.choice([1.0, 2.0, 0.7, 3.3]))
+        part = Partition(length=length, subdomains=lattice_chain(rng, length, count, denominator))
+        h_target = length / float(rng.uniform(2.0, 400.0))
+        ends = sorted({p for lo_hi in part.subdomains for p in lo_hi if 0.0 < p < length})
+        expected = snapped_cell_count(ends, length, max(2, math.ceil(length / h_target - 1e-12)))
+        if expected is None:
+            with pytest.raises(ValueError, match="not snappable"):
+                build_grid(part, h_target)
+        else:
+            assert build_grid(part, h_target).x.size - 1 == expected
 
 
 def test_grid_needs_horizon_with_dt():

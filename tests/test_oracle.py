@@ -311,6 +311,25 @@ DIVERGENT = AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)
 DIVERGENT_TABLE = {(0, 1): 1.0, (1, 0): 50.0}
 
 
+@pytest.mark.parametrize("L, L1, L2", [(DIVERGENT.L, DIVERGENT.L1, DIVERGENT.L2),
+                                       (1.0, 0.4, 0.6), (3.0, 0.5, 2.5)])
+def test_dirichlet_factors_are_the_robin_limit_of_large_parameters(L, L1, L2):
+    # B(v) = v' + P v over P tends to B(v) = v: at L2, with the left profile v
+    # and slope d and the right profile w and slope e,
+    # tau1(P) = (e + P w) / (d + P v) = (w / v) (1 + c / P + ...), and tau2
+    # alike, so the relative gap to each Dirichlet factor falls as 1 / P
+    dirichlet = dirichlet_tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=1.0, q=1.0))
+    gaps = {}
+    for P in (1e2, 1e4, 1e6, 1e8):
+        robin = tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=P, q=P))
+        gaps[P] = [abs(r / d - 1.0) for r, d in zip(robin, dirichlet)]
+    np.testing.assert_allclose(robin, dirichlet, rtol=1e-6)
+    for P in (1e4, 1e6, 1e8):
+        assert all(gap < earlier for gap, earlier in zip(gaps[P], gaps[P / 100]))
+    np.testing.assert_allclose(np.multiply(gaps[1e8], 1e8), np.multiply(gaps[1e6], 1e6),
+                               rtol=1e-2)
+
+
 def divergent_plan(problem=None, transmission=TransmissionSpec.robin(DIVERGENT_TABLE),
                    subdomains=((0.0, 1.95), (1.9, 2.0))):
     """The plan of an elliptic run of ``problem`` (example31) on (0, 2)."""

@@ -773,6 +773,8 @@ def test_sweep_with_one_nan_datum_returns_none(monkeypatch, case):
 
     def poisoned(p, fields):
         data = exchange(p, fields)
+        if not fields:  # a run's outer data, which every sweep hands off into
+            return data
         assert all(np.isfinite(datum).all() for pair in data for datum in pair)
         datum = np.array(data[0][1], dtype=float)
         datum.flat[-1] = np.nan  # the last time level of a parabolic datum
