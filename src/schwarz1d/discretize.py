@@ -24,6 +24,14 @@ freeze u in F, solve the linear system, repeat.  With c > Lipschitz(F)
 contraction.  Time stepping is implicit Euler: unconditionally stable,
 first order in dt.
 
+The module raises builtin errors only, and its messages say what went
+wrong: an ``Operator`` that cannot be built (a grid too coarse, a Robin
+stencil point that cannot be eliminated, a zero pivot) is a ValueError,
+and a Picard loop that spends its budget is a RuntimeError that names
+the budget, the last difference and, in a parabolic solve, the time
+level.  A solve that succeeds returns its field unchecked: a field that
+is not finite is the caller's to judge.
+
 The matrix of a subdomain never changes during a run: which end is a
 Robin row, the Robin parameters and 1/dt fix it; only the boundary data
 change from sweep to sweep.  An ``Operator`` assembles it once and
@@ -72,8 +80,6 @@ from .problem import ProblemSpec
 
 __all__ = [
     "Operator",
-    "SingularSystemError",
-    "PicardError",
     "solve_banded",
     "solve_semilinear_elliptic",
     "solve_semilinear_parabolic",
@@ -106,17 +112,6 @@ _flapack = _load_flapack()
 _gttrf, _gttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
-class SingularSystemError(RuntimeError):
-    """The operator cannot be factored: a zero pivot, or a Robin stencil
-    point that cannot be eliminated.  Only building an ``Operator`` raises
-    it; a solve returns its field, finite or not."""
-
-
-class PicardError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance; the message names the
-    time level (parabolic), the budget and the last difference."""
-
-
 class Operator:
     """Factored tridiagonal matrix of -(a u')' + b u' + (c + c_shift) u with its
     boundary rows.
@@ -134,8 +129,10 @@ class Operator:
     it before writing.
     ``warnings`` holds a warning when h exceeds the diagonal-dominance
     threshold h* = 2 lambda / max|b|, with lambda the least a on the nodes
-    and midpoints.  Raises SingularSystemError when the matrix has a zero
-    pivot.
+    and midpoints.  Raises ValueError when the matrix cannot be built: a
+    subdomain grid of fewer than 5 nodes, a Robin stencil point that cannot
+    be eliminated, or a zero pivot.  A solve never raises for its matrix; it
+    returns its field, finite or not.
     """
 
     def __init__(self, spec: ProblemSpec, sg: SubGrid, robin_p: tuple,
@@ -182,14 +179,14 @@ class Operator:
             row, near, far = (1, sub, sup) if end == 0 else (n - 2, sup, sub)
             pivot = far[row]
             if abs(pivot) < 1e-300:
-                raise SingularSystemError("cannot eliminate Robin stencil point")
+                raise ValueError("cannot eliminate Robin stencil point")
             main[end] = 3 * alpha + p - alpha * near[row] / pivot
             far[end] = -4 * alpha - alpha * main[row] / pivot
             self._ends.append((end, row, float(alpha), float(pivot)))
         self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
         dl, d, du, du2, ipiv, info = _gttrf(self._sub, self._main, self._sup)
         if info > 0:
-            raise SingularSystemError(f"singular operator: zero pivot in row {info}")
+            raise ValueError(f"singular operator: zero pivot in row {info}")
         self.lu = (dl, d, du, du2, ipiv)
         self.source = None
         if not callable(spec.source):
@@ -291,11 +288,9 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
                 # a spent budget still accepts the level within picard_tol *
                 # max|u|, since the solve's round-off grows with the field
                 if diff > picard_tol * absolute(u, work).max():
-                    message = (f"Picard iteration did not reach {picard_tol:g} in "
-                               f"{picard_max} steps (last diff {diff:g})")
-                    if dt is None:
-                        raise PicardError(message)
-                    raise PicardError(f"time level {m} (t = {t[m]:g}): {message}")
+                    level = "" if dt is None else f"time level {m} (t = {t[m]:g}): "
+                    raise RuntimeError(f"{level}Picard iteration did not reach {picard_tol:g} "
+                                       f"in {picard_max} steps (last diff {diff:g})")
         if field is not None:
             field[m] = u
     return u, steps
@@ -311,7 +306,7 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     when None) and stops once a step changes the field by at most
     ``picard_tol`` (max norm); when ``picard_max`` steps are spent, a last
     change of at most ``picard_tol * max|u|`` is accepted too, and a larger
-    one raises PicardError.  With c > Lipschitz(F) the iteration contracts
+    one raises RuntimeError.  With c > Lipschitz(F) the iteration contracts
     at rate ~ C / min(c).  Returns the field and the number of Picard
     steps.  The field is not checked: a step whose change is not finite
     ends the loop, and the non-finite field is returned for the caller to
@@ -342,7 +337,8 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     ``right`` is the Dirichlet value or the Robin flux of each end, one
     scalar or one value per time level of ``t``.  Each level solves a
     semilinear elliptic problem with the previous level folded into the
-    source, and runs the Picard loop of ``solve_semilinear_elliptic``.
+    source, and runs the Picard loop of ``solve_semilinear_elliptic``; a
+    level that spends its budget raises RuntimeError naming the level.
     The source is ``op.source`` at every level unless it is callable.
     Returns the (nodes, len(t)) space-time field, the transposed view of
     the march's time-major buffer (not C-contiguous: each level is a
@@ -376,7 +372,9 @@ def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
 
     Iteration errors measured against this field contain no discretization
     component: a restriction of the result is an exact fixed point of the
-    multi-domain sweep.
+    multi-domain sweep.  It fails as the solves do, a ValueError for an
+    operator that cannot be built and a RuntimeError for a spent Picard
+    budget, and returns its field unchecked.
     """
     sg = grid.monodomain()
     g0, gL = spec.boundary_values()

@@ -41,6 +41,7 @@ magnitudes and E_k oscillates between parities.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
@@ -50,8 +51,6 @@ import numpy as np
 from . import transmission as tx
 from .discretize import (
     Operator,
-    PicardError,
-    SingularSystemError,
     reference_solve,
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
@@ -78,8 +77,10 @@ __all__ = [
 
 
 class SchwarzRunError(RuntimeError):
-    """A solve failed; the message begins "iteration k, subdomain l:" (1-based
-    l) or "reference solve:".
+    """A solve failed; the message is "iteration k, subdomain l: " (1-based
+    l) or "reference solve: " followed by the failed solve's message, or by
+    its exception's type name when that has no message.  Any exception a
+    solve raises becomes one, as does a reference that is not finite.
 
     When a sweep of ``run_elliptic`` or ``run_parabolic`` failed,
     ``history`` holds the iterations before it, with verdict "error";
@@ -102,9 +103,11 @@ class SchwarzConfig:
     every later sweep.
     ``alpha`` is the decay rate of the parabolic time weight and the
     left end of the seminorm window; ``plan`` refuses a parabolic run
-    unless (10 alpha + 1) T is finite.  The subdomains are solved one after
-    another in one thread; each sweep reads only the previous iterate, so
-    their order does not change the result.
+    unless (10 alpha + 1) T is finite and exp(-alpha dt) is a normal
+    float, so that the time levels after t = 0 carry a weight.  The
+    subdomains are solved one after another in one thread; each sweep
+    reads only the previous iterate, so their order does not change the
+    result.
     """
 
     problem: ProblemSpec
@@ -360,6 +363,12 @@ def plan(cfg: SchwarzConfig) -> Plan:
         raise ValueError(f"alpha (run.alpha) = {cfg.alpha!r} is too large for T = "
                          f"{prob.time_horizon!r}: (10 alpha + 1) T must be finite")
     grid = build_grid(part, cfg.h_target, cfg.dt_target, prob.time_horizon)
+    # below the least normal float, e^2 exp(-alpha t) is subnormal or 0 for
+    # |e| <= 1 at every level after t = 0, and every run would converge
+    if parabolic and math.exp(-cfg.alpha * grid.dt) < sys.float_info.min:
+        raise ValueError(f"alpha (run.alpha) = {cfg.alpha!r} is too large for dt (grid.dt) = "
+                         f"{grid.dt:g}: exp(-alpha dt) underflows, so no time level after "
+                         f"t = 0 carries a weight")
 
     links = tx.links(cfg.transmission, grid, prob)
     ops = []
@@ -368,27 +377,33 @@ def plan(cfg: SchwarzConfig) -> Plan:
         try:
             ops.append(Operator(prob, grid.subgrid(l), robin_p,
                                 1.0 / grid.dt if parabolic else 0.0))
-        except (SingularSystemError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"subdomain {l + 1}: {exc}") from exc
     norm_kind = ("sup" if not parabolic else "laplace-seminorm2"
                  if cfg.transmission.is_robin else "weighted-sup2")
     return Plan(cfg, grid, links, ops, norm_kind)
 
 
+def _labelled(label: str, exc: Exception) -> SchwarzRunError:
+    """``SchwarzRunError("<label>: <message>")`` for the failure ``exc``, whose
+    message is its type name when it has none (a bare MemoryError)."""
+    return SchwarzRunError(f"{label}: {str(exc) or type(exc).__name__}")
+
+
 def solve_reference(plan: Plan) -> np.ndarray:
     """The monodomain reference of ``plan``'s run, on its whole grid.
 
-    A failed solve, or a reference that is not finite, is
+    Any failure of its solve, or a reference that is not finite, is
     ``SchwarzRunError("reference solve: ...")``: every error norm of the
     run is measured against it.
     """
     cfg = plan.cfg
     try:
         reference = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
-    except (PicardError, SingularSystemError) as exc:
-        raise SchwarzRunError(f"reference solve: {exc}") from exc
-    if not np.isfinite(reference).all():
-        raise SchwarzRunError("reference solve: banded solve produced non-finite values")
+        if not np.isfinite(reference).all():
+            raise FloatingPointError("banded solve produced non-finite values")
+    except Exception as exc:
+        raise _labelled("reference solve", exc) from exc
     return reference
 
 
@@ -447,7 +462,7 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
                 field = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
                                                   cfg.picard_max, u_start=starts[l])[0]
         except Exception as exc:
-            raise SchwarzRunError(f"iteration {k}, subdomain {l + 1}: {exc}") from exc
+            raise _labelled(f"iteration {k}, subdomain {l + 1}", exc) from exc
         yield field
 
 

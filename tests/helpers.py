@@ -3,8 +3,9 @@
 Everything here is deliberately written against the math, not against the
 package internals: dense Gaussian elimination for linear solves,
 hand-differentiated manufactured solutions, the closed-form contraction
-factors in their published algebraic form, and the Picard march written
-plainly, one new array per operation.
+factors in their published algebraic form, the Picard march written
+plainly, one new array per operation, and the matrix of the discrete
+interface map, read off the public sweep one unit datum at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from schwarz1d.discretize import solve_banded
 from schwarz1d.problem import ProblemSpec
+from schwarz1d.schwarz import exchange, sweep
 
 
 def dense_solve(A, b):
@@ -177,3 +179,30 @@ def lattice_chain(rng, length, count, denominator):
     js = sorted(rng.choice(np.arange(1, denominator), size=2 * count - 2, replace=False))
     s = [length * int(j) / denominator for j in js]
     return tuple(zip([0.0, *s[0::2]], [*s[1::2], length]))
+
+
+def interface_map(plan) -> np.ndarray:
+    """The matrix M of one Jacobi sweep's map on the interface data of a
+    linear elliptic ``plan``; the iteration converges iff rho(M) < 1.
+
+    The map is affine, S(d) = M d + S(0), so column j of M is
+    S(e_j) - S(0).  S(d) writes ``d`` into the interface slots (the Nones)
+    of ``exchange(plan, [])``, solves one sweep from those data and reads
+    the same slots of the data that the new fields give.
+    """
+    problem = plan.cfg.problem
+    assert problem.mode == "elliptic" and problem.F.kind == "zero", "S must be affine"
+    template = exchange(plan, [])
+    slots = [(l, end) for l, pair in enumerate(template)
+             for end, datum in enumerate(pair) if datum is None]
+    starts = [None] * len(plan.ops)
+
+    def S(d):
+        data = [list(pair) for pair in template]
+        for (l, end), value in zip(slots, d):
+            data[l][end] = float(value)
+        new = exchange(plan, list(sweep(plan, data, starts)))
+        return np.array([float(new[l][end]) for l, end in slots])
+
+    base = S(np.zeros(len(slots)))
+    return np.column_stack([S(e) - base for e in np.eye(len(slots))])

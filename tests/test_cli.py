@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from schwarz1d.cli import _PARTITIONS, build_schwarz_config, main
-from schwarz1d.discretize import PicardError
 from schwarz1d.geometry import build_uniform_partition
 from schwarz1d.oracle import AnalyticCase, tau_factors
 from schwarz1d.problem import REQUIRED, Fn, Nonlinearity
@@ -303,7 +302,6 @@ def counted_reference_solves(monkeypatch, fail_first: bool = False) -> list:
     """Count the engine's monodomain reference solves; with ``fail_first``
     the first one fails."""
     import schwarz1d.schwarz as engine
-    from schwarz1d.discretize import SingularSystemError
 
     calls = []
     original = engine.reference_solve
@@ -311,7 +309,7 @@ def counted_reference_solves(monkeypatch, fail_first: bool = False) -> list:
     def counted(*args, **kwargs):
         calls.append(1)
         if fail_first and len(calls) == 1:
-            raise SingularSystemError("synthetic reference failure")
+            raise RuntimeError("synthetic reference failure")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "reference_solve", counted)
@@ -871,6 +869,33 @@ def test_alpha_whose_norm_arithmetic_overflows_exits_one_naming_it(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("alpha", [1e6, 7.1e5])
+@pytest.mark.parametrize("name", ["heat_robin", "heat_dirichlet"])
+def test_alpha_whose_norm_weights_underflow_exits_one_naming_it(tmp_path, capsys, name, alpha):
+    # at dt = 1e-3, exp(-alpha dt) is below the least normal float once
+    # alpha dt > 708.4: no level after t = 0 carries a weight, and a run
+    # would converge at iteration 1 with E = 0 whatever its iterate
+    cfg = shipped_config(name, str(tmp_path / "o"))
+    cfg["run"]["alpha"] = alpha
+    path = write_config(tmp_path, cfg)
+    message = (f"alpha (run.alpha) = {alpha!r} is too large for dt (grid.dt) = 0.001: "
+               "exp(-alpha dt) underflows, so no time level after t = 0 carries a weight")
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["--quiet", "run", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["heat_robin", "heat_dirichlet"])
+def test_alpha_below_the_underflow_bound_passes_validate(tmp_path, capsys, name):
+    # alpha dt = 700: exp(-700) is a normal float
+    cfg = shipped_config(name, str(tmp_path / "o"))
+    cfg["run"]["alpha"] = 7e5
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out == "ok: every check run makes before its first solve passed\n"
+
+
 def test_validate_prints_each_operator_warning(tmp_path, capsys):
     # h = 0.02 is above the diagonal-dominance threshold h* = 2 a / |b| = 0.01
     cfg = laplace_config(str(tmp_path / "o"))
@@ -1074,7 +1099,7 @@ def test_subdomain_failure_mid_run_keeps_the_finite_iterations(tmp_path, capsys,
 
     def failing(*args, **kwargs):
         if next(calls) == 79:
-            raise PicardError("Picard iteration did not reach 1e-10 in 200 steps")
+            raise RuntimeError("Picard iteration did not reach 1e-10 in 200 steps")
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_semilinear_elliptic", failing)
@@ -1224,8 +1249,8 @@ def test_nested_subdomain_fails_validation(tmp_path, capsys, intervals):
     pytest.param([[-0.1, 0.6], [0.4, 1.0]], "subdomain 0 = (-0.1, 0.6)", id="before-0"),
 ])
 def test_subdomain_outside_the_domain_fails_validation(tmp_path, capsys, intervals, subdomain):
-    # a subdomain past L used to run cut at L, and one before 0 failed as a
-    # grid too coarse
+    # a subdomain that reaches past L or before 0 lies outside (0, L), and
+    # validation names that rule and the subdomain
     message = (f"partition fails validation: union/overlap: {subdomain} is not inside "
                f"(0, L) = (0, 1)\n")
     cfg = laplace_config(str(tmp_path / "o"))
@@ -1258,7 +1283,8 @@ def test_subdomain_at_an_outer_end_of_the_one_that_holds_it_runs_and_converges(t
 ])
 def test_run_rejects_verdict_settings_out_of_range(tmp_path, capsys, setting, value, message):
     # with guard_factor <= 1 this Dirichlet run, which contracts, would be
-    # called diverged; rate_window < 1 used to be clamped silently
+    # called diverged; rate_window < 1 leaves no iteration pair to fit the
+    # rate on
     cfg = json.loads((CONFIGS / "laplace_dirichlet.json").read_text())
     cfg["run"][setting] = value
     cfg["output"]["dir"] = str(tmp_path / "o")

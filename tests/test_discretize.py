@@ -8,8 +8,6 @@ import pytest
 from schwarz1d import discretize
 from schwarz1d.discretize import (
     Operator,
-    PicardError,
-    SingularSystemError,
     reference_solve,
     solve_banded,
     solve_semilinear_elliptic,
@@ -133,7 +131,7 @@ def test_singular_system_raises():
     # Neumann rows at both ends of -u'' = 0: constants span the kernel
     spec = catalog_lookup("laplace1d")
     for n_cells in (4, 8, 16):
-        with pytest.raises(SingularSystemError, match="zero pivot"):
+        with pytest.raises(ValueError, match="zero pivot"):
             Operator(spec, subgrid(1.0, n_cells), (0.0, 0.0))
     with pytest.raises(ValueError, match="too coarse"):
         Operator(spec, subgrid(1.0, 3), (None, None))
@@ -551,8 +549,8 @@ def test_picard_step_count_mesh_independent():
 
 def test_picard_failure_names_its_budget_and_last_difference():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x, t: np.ones_like(x))
-    with pytest.raises(PicardError, match=r"^Picard iteration did not reach 1e-10 in 2 steps "
-                                          r"\(last diff \d"):
+    with pytest.raises(RuntimeError, match=r"^Picard iteration did not reach 1e-10 in 2 steps "
+                                           r"\(last diff \d"):
         solve_semilinear_elliptic(dirichlet(spec, subgrid(1.0, 32)), 0.0, 0.0, picard_max=2)
 
 
@@ -561,7 +559,7 @@ def test_a_spent_picard_budget_accepts_a_change_within_tol_times_max_u():
     # within picard_tol * max|u| only for the field of size 1e6
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(2.0), source=lambda x, t: np.ones_like(x))
     op = dirichlet(spec, subgrid(1.0, 32))
-    with pytest.raises(PicardError, match="in 4 steps"):
+    with pytest.raises(RuntimeError, match="in 4 steps"):
         solve_semilinear_elliptic(op, 0.5, 0.0, picard_max=4)
     u, steps = solve_semilinear_elliptic(op, 1e6, 0.0, picard_max=4)
     converged, more = solve_semilinear_elliptic(op, 1e6, 0.0)
@@ -635,7 +633,7 @@ def test_parabolic_picard_failure_names_the_level():
     spec = replace(catalog_lookup("heat-semilinear"), time_horizon=0.1)
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
-    with pytest.raises(PicardError, match="time level"):
+    with pytest.raises(RuntimeError, match="time level"):
         solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), 0.0, 0.0,
                                    np.sin(np.pi * sg.x), 0.01, t, picard_max=1)
 
@@ -646,7 +644,7 @@ def test_parabolic_picard_failure_at_an_interior_level_names_it():
     op = heat_operator(Nonlinearity.sine(1.0), robin_p=(None, None))
     t = np.linspace(0, 0.1, 11)
     left = np.where(np.arange(11) >= 5, 1.0, 0.0)
-    with pytest.raises(PicardError) as err:
+    with pytest.raises(RuntimeError) as err:
         solve_semilinear_parabolic(op, left, 0.0, np.zeros(op.n), 0.01, t, picard_max=3)
     assert str(err.value).startswith(
         "time level 5 (t = 0.05): Picard iteration did not reach 1e-10 in 3 steps (last diff ")

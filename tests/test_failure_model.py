@@ -1,8 +1,13 @@
 """The package's failure model, read from its source.
 
-An exception class exists only where some code of the package catches it
-by that name.  Every other failure is a builtin error, a ValueError for a
-setup defect, whose message is all the CLI prints.
+The package defines one exception class, SchwarzRunError, and catches it
+by that name where a run keeps its history and where the CLI writes it.
+A solve raises builtin errors: a ValueError for an operator that cannot
+be built, a RuntimeError for a spent Picard budget.  The engine turns any
+failed solve into a SchwarzRunError with one labelling rule, so it names
+no class of the package where it catches a solve's error.  Every other
+failure is a builtin error, a ValueError for a setup defect, whose
+message is all the CLI prints.
 """
 
 import ast
@@ -45,5 +50,14 @@ def test_every_exception_class_is_caught_by_its_own_name():
         exceptions = found
     caught = set().union(*(caught_names(node.type) for node in nodes
                            if isinstance(node, ast.ExceptHandler)))
-    assert exceptions == {"SingularSystemError", "PicardError", "SchwarzRunError"}
+    assert exceptions == {"SchwarzRunError"}
     assert sorted(exceptions - caught) == []
+
+
+def test_the_engine_catches_only_builtin_errors():
+    tree = ast.parse((SRC / "schwarz.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("plan", "solve_reference", "sweep"):
+        caught = set().union(*(caught_names(node.type) for node in ast.walk(functions[name])
+                               if isinstance(node, ast.ExceptHandler)))
+        assert caught and all(map(is_builtin_exception, caught)), (name, caught)

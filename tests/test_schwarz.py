@@ -336,15 +336,44 @@ def test_bad_initial_guess_rejected_before_any_solve(monkeypatch):
 
 def test_reference_failure_is_labelled(monkeypatch):
     import schwarz1d.schwarz as engine
-    from schwarz1d.discretize import SingularSystemError
 
     def boom(*args, **kwargs):
-        raise SingularSystemError("synthetic reference failure")
+        raise RuntimeError("synthetic reference failure")
 
     monkeypatch.setattr(engine, "reference_solve", boom)
     with pytest.raises(SchwarzRunError, match=r"^reference solve: synthetic") as err:
         run_elliptic(plan(laplace_cfg()))
     assert err.value.history is None
+
+
+def test_a_reference_failure_of_any_type_is_labelled(monkeypatch):
+    # a TypeError is no solver error, and is labelled as every other failure
+    import schwarz1d.schwarz as engine
+
+    def boom(*args, **kwargs):
+        raise TypeError("synthetic reference failure")
+
+    monkeypatch.setattr(engine, "reference_solve", boom)
+    with pytest.raises(SchwarzRunError) as err:
+        solve_reference(plan(laplace_cfg()))
+    assert str(err.value) == "reference solve: synthetic reference failure"
+    assert isinstance(err.value.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("target, label", [
+    ("reference_solve", "reference solve"),
+    ("solve_semilinear_elliptic", "iteration 1, subdomain 1"),
+])
+def test_a_failure_without_a_message_is_labelled_with_its_type_name(monkeypatch, target, label):
+    import schwarz1d.schwarz as engine
+
+    def boom(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, target, boom)
+    with pytest.raises(SchwarzRunError) as err:
+        run_elliptic(plan(laplace_cfg()))
+    assert str(err.value) == f"{label}: MemoryError"
 
 
 @pytest.mark.parametrize("F", [Nonlinearity.zero(), Nonlinearity.sine(1.0)], ids=["zero", "sine"])
@@ -765,10 +794,10 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", SWEEP_CASES)
-def test_sweep_with_one_nan_datum_returns_none(monkeypatch, case):
-    # named for the None that sweep once returned: it now yields the field
-    # its solve computed, not finite where the NaN reaches it, and a run
-    # whose first data carry that NaN ends "diverged" at that field's norm
+def test_one_nan_datum_gives_a_non_finite_field_and_a_diverged_run(monkeypatch, case):
+    # sweep yields the field its solve computed, not finite where the NaN
+    # reaches it, and a run whose first data carry that NaN ends "diverged"
+    # at that field's norm, with no iteration recorded
     import schwarz1d.schwarz as engine
 
     def poisoned(p, fields):
