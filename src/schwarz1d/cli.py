@@ -39,10 +39,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import oracle, transmission as tx
 from .geometry import Partition, build_uniform_partition
@@ -149,14 +148,9 @@ def build_schwarz_config(cfg: dict) -> tuple[SchwarzConfig, str]:
 # report writing
 # --------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if np.isnan(v):
-            return ""
-        return format(v, ".17g")
-    return str(v)
+def _fmt(v: float | None) -> str:
+    """``v`` with 17 significant digits; empty for None and NaN."""
+    return "" if v is None or math.isnan(v) else format(v, ".17g")
 
 
 def _out_dir(cfg: dict, out: str | None = None) -> Path:
@@ -183,7 +177,7 @@ def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
     lines = [
         f"problem:        {problem_id}",
         f"transmission:   {p.cfg.transmission.kind}",
-        f"norm:           {hist.norm_kind}",
+        f"norm:           {p.norm_kind}",
         f"verdict:        {hist.verdict}",
         f"iterations:     {hist.iterations}",
         f"final E:        {_fmt(hist.E[-1]) if hist.E else ''}",

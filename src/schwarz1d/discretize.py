@@ -75,7 +75,6 @@ from importlib.machinery import PathFinder
 import numpy as np
 import scipy
 
-from .geometry import SubGrid
 from .problem import ProblemSpec
 
 __all__ = [
@@ -114,14 +113,17 @@ _gttrf, _gttrs = _flapack.dgttrf, _flapack.dgttrs
 
 class Operator:
     """Factored tridiagonal matrix of -(a u')' + b u' + (c + c_shift) u with its
-    boundary rows.
+    boundary rows, on the uniform nodes ``x`` of step ``h``.
 
-    ``robin_p`` (left, right) is the Robin parameter of each end, None for a
-    Dirichlet end; ``c_shift`` is 1/dt in time stepping.  The matrix does not
-    depend on the boundary data, so the engine builds one Operator per
-    subdomain per run; its LU factors ``lu`` serve every Picard step, time
-    level and Schwarz iteration, and ``system`` fills in only the boundary
-    rows of a right-hand side.  Both Robin ends come from one formula, so
+    ``x`` is a subdomain's nodes, ``grid.x[grid.nodes(l)]``, or the whole
+    grid's for the reference; the operator keeps it as ``op.x`` and its
+    size as ``op.n``.  ``robin_p`` (left, right) is the Robin parameter of
+    each end, None for a Dirichlet end; ``c_shift`` is a constant added to
+    c, 1/dt in time stepping.  The matrix does not depend on the boundary
+    data, so the engine builds one Operator per subdomain per run; its LU
+    factors ``lu`` serve every Picard step, time level and Schwarz
+    iteration, and ``system`` fills in only the boundary rows of a
+    right-hand side.  Both Robin ends come from one formula, so
     the right end's row is the left end's mirrored.  ``source`` is the
     source sampled on the nodes when it is None or an Fn, which cannot
     depend on time, and None for a callable ``f(x, t)``, which the solves
@@ -135,23 +137,22 @@ class Operator:
     returns its field, finite or not.
     """
 
-    def __init__(self, spec: ProblemSpec, sg: SubGrid, robin_p: tuple,
+    def __init__(self, spec: ProblemSpec, x: np.ndarray, h: float, robin_p: tuple,
                  c_shift: float = 0.0):
-        if sg.n < 5:
-            raise ValueError(f"subdomain grid too coarse ({sg.n} nodes, need >= 5)")
-        self.sg = sg
-        self.n = sg.n
+        n = x.size
+        if n < 5:
+            raise ValueError(f"subdomain grid too coarse ({n} nodes, need >= 5)")
+        self.x, self.n = x, n
         self.spec = spec
         self.robin_p = tuple(robin_p)
         self.c_shift = c_shift
-        x, h, L = sg.x, sg.h, spec.length
+        L = spec.length
         xh = 0.5 * (x[:-1] + x[1:])
         a_half = spec.a.value(xh, L)
         b = spec.b.value(x, L)
         c = spec.c.value(x, L) + c_shift
         a_nodes = spec.a.value(x, L)
 
-        n = sg.n
         sub = np.zeros(n)  # sub[i] multiplies u_{i-1} in row i
         main = np.zeros(n)
         sup = np.zeros(n)  # sup[i] multiplies u_{i+1} in row i
@@ -252,7 +253,7 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
     """
     if picard_max < 1:
         raise ValueError(f"picard_max must be >= 1, got {picard_max}")
-    F, x, lu, source, system = op.spec.F, op.sg.x, op.lu, op.source, op.system
+    F, x, lu, source, system = op.spec.F, op.x, op.lu, op.source, op.system
     add, subtract, absolute = np.add, np.subtract, np.abs
     # a ufunc takes a 0-d array operand faster than a Python float, same bits
     shift = None if dt is None else np.array(dt)
@@ -374,16 +375,17 @@ def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
     component: a restriction of the result is an exact fixed point of the
     multi-domain sweep.  It fails as the solves do, a ValueError for an
     operator that cannot be built and a RuntimeError for a spent Picard
-    budget, and returns its field unchecked.
+    budget, and returns its field unchecked.  It reads the nodes ``x``,
+    the step ``h`` and, in a parabolic solve, the time axis ``t`` and
+    ``dt`` of ``grid``.
     """
-    sg = grid.monodomain()
     g0, gL = spec.boundary_values()
     if spec.mode == "elliptic":
-        u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, None)), g0, gL,
+        u, _ = solve_semilinear_elliptic(Operator(spec, grid.x, grid.h, (None, None)), g0, gL,
                                          picard_tol, picard_max)
         return u
     if grid.t is None:
         raise ValueError("parabolic reference needs a grid with a time axis")
-    op = Operator(spec, sg, (None, None), c_shift=1.0 / grid.dt)
-    return solve_semilinear_parabolic(op, g0, gL, spec.g.value(sg.x, spec.length), grid.dt,
+    op = Operator(spec, grid.x, grid.h, (None, None), c_shift=1.0 / grid.dt)
+    return solve_semilinear_parabolic(op, g0, gL, spec.g.value(grid.x, spec.length), grid.dt,
                                       grid.t, picard_tol, picard_max)

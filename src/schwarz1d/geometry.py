@@ -15,7 +15,10 @@ one other subdomain m, and that point is the interface Gamma_{l,m}.  The
 partitions need not be chains: a subdomain may share an outer end of the
 domain with one that contains it, as in (0, 0.5), (0, 1).  Endpoints are
 compared with the tolerance 1e-12 L.  Grids snap every subdomain endpoint
-onto a node so interface data can be exchanged without interpolation.
+onto a node so interface data can be exchanged without interpolation.  A
+grid holds the nodes of the whole domain and each subdomain's range of
+them: subdomain l's nodes are the view ``grid.x[grid.nodes(l)]``, which
+with the step ``grid.h`` is all a subdomain operator reads of the grid.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 __all__ = [
     "Partition",
     "Grid",
-    "SubGrid",
     "build_uniform_partition",
     "build_grid",
 ]
@@ -175,20 +177,13 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
 
 
 @dataclass(frozen=True)
-class SubGrid:
-    """Nodes of one subdomain (or of the whole domain)."""
-
-    x: np.ndarray
-    h: float
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-
-@dataclass(frozen=True)
 class Grid:
-    """Uniform global grid with all subdomain endpoints on nodes."""
+    """Uniform global grid with all subdomain endpoints on nodes.
+
+    ``x`` holds every node and ``sub_ranges[l]`` subdomain l's first and
+    last, so ``x[nodes(l)]`` is subdomain l's nodes; the time axis ``t``
+    (``n_steps`` steps of ``dt``) is None for an elliptic grid.
+    """
 
     h: float
     x: np.ndarray
@@ -202,12 +197,6 @@ class Grid:
         """Slice of the global nodes that belong to subdomain l."""
         lo, hi = self.sub_ranges[l]
         return slice(lo, hi + 1)
-
-    def subgrid(self, l: int) -> SubGrid:
-        return SubGrid(x=self.x[self.nodes(l)], h=self.h)
-
-    def monodomain(self) -> SubGrid:
-        return SubGrid(x=self.x, h=self.h)
 
 
 def build_grid(part: Partition, h_target: float, dt_target: float | None = None,

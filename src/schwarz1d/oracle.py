@@ -114,10 +114,11 @@ def _crossed_ratio(case: AnalyticCase, x: float, num: str, p: float | None, root
     The left profile vanishes at 0, the right one at L.  A ValueError when
     a profile overflows a float, as on a long domain, when B reads a slope
     that does (a root times a finite exponential can leave the float
-    range), or when the denominator cancels to within 1e-14 of its largest
-    term: the scale is its own terms, not the numerator, since the
-    profiles are not normalized and on a long domain a legitimate ratio
-    can exceed 1e14.
+    range) or a Robin term p v that does (a finite p near the float range
+    times a profile value above 1), or when the denominator cancels to
+    within 1e-14 of its largest term: the scale is its own terms, not the
+    numerator, since the profiles are not normalized and on a long domain
+    a legitimate ratio can exceed 1e14.
     """
     rp, rm = roots
     b = {}  # side: (B(profile), its terms)
@@ -133,6 +134,9 @@ def _crossed_ratio(case: AnalyticCase, x: float, num: str, p: float | None, root
         elif math.isinf(slope):
             raise ValueError(f"the derivative of the {side} error profile overflows a float "
                              f"at x = {x:g} (L = {case.L:g})")
+        elif math.isinf(p * value):
+            raise ValueError(f"the Robin term p v = {p:g} * {value:g} of the {side} error "
+                             f"profile overflows a float at x = {x:g} (L = {case.L:g})")
         else:
             b[side] = slope + p * value, (slope, p * value)
     top, (den, terms) = b[num][0], b["left" if num == "right" else "right"]

@@ -13,10 +13,11 @@ time, and a loop written by hand is ``list(sweep(...))``.  (One Jacobi
 sweep is not the CLI's ``sweep`` command, which re-runs a whole
 configuration along one parameter axis.)
 Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
-past ``guard_factor`` times E_1 or stops being finite (diverged; so does
-a subdomain whose norm is not finite, which is how a run judges a field
-that is not finite, and that iteration is not recorded), or the
-iteration budget runs out (stalled).
+past ``guard_factor`` times E_1 (diverged; so does a subdomain whose field
+is not finite, which its norm shows, and that iteration is not
+recorded), or the iteration budget runs out (stalled).  A norm that
+overflows a float while its field and reference are finite is no
+verdict but a ``SchwarzRunError``.
 
 Error norms per mode and transmission kind:
 
@@ -77,10 +78,13 @@ __all__ = [
 
 
 class SchwarzRunError(RuntimeError):
-    """A solve failed; the message is "iteration k, subdomain l: " (1-based
-    l) or "reference solve: " followed by the failed solve's message, or by
-    its exception's type name when that has no message.  Any exception a
-    solve raises becomes one, as does a reference that is not finite.
+    """A solve failed, or an error norm overflowed; the message is
+    "iteration k, subdomain l: " (1-based l) or "reference solve: "
+    followed by the failed solve's message, or by its exception's type
+    name when that has no message.  Any exception a solve raises becomes
+    one, as does a reference that is not finite, and so does an error norm
+    that is not finite though its field and reference are: a finite
+    iterate whose e^2 or seminorm overflows a float has no verdict.
 
     When a sweep of ``run_elliptic`` or ``run_parabolic`` failed,
     ``history`` holds the iterations before it, with verdict "error";
@@ -155,7 +159,6 @@ class IterationHistory:
     solve, or an error norm that is not finite.
     """
 
-    norm_kind: str
     E: list[float]
     sub_norms: list[list[float]]
     wall_times: list[float]
@@ -345,7 +348,8 @@ def plan(cfg: SchwarzConfig) -> Plan:
 
     Every defect of ``cfg`` that would stop a run before its first solve
     is a ValueError here, but for those of its partition, which
-    ``Partition`` raises when it is built.
+    ``Partition`` raises when it is built.  Among them is a ``u0`` that is
+    not finite on the grid's nodes.
     """
     prob, part = cfg.problem, cfg.partition
     bad = validate_problem(prob)
@@ -369,13 +373,16 @@ def plan(cfg: SchwarzConfig) -> Plan:
         raise ValueError(f"alpha (run.alpha) = {cfg.alpha!r} is too large for dt (grid.dt) = "
                          f"{grid.dt:g}: exp(-alpha dt) underflows, so no time level after "
                          f"t = 0 carries a weight")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is this message
+        if cfg.u0 != "reference" and not np.isfinite(cfg.u0.value(grid.x, prob.length)).all():
+            raise ValueError("u0 (run.u0) is not finite on the grid")
 
     links = tx.links(cfg.transmission, grid, prob)
     ops = []
     for l, pair in enumerate(links):
         robin_p = tuple(None if link is None else link.p for link in pair)
         try:
-            ops.append(Operator(prob, grid.subgrid(l), robin_p,
+            ops.append(Operator(prob, grid.x[grid.nodes(l)], grid.h, robin_p,
                                 1.0 / grid.dt if parabolic else 0.0))
         except ValueError as exc:
             raise ValueError(f"subdomain {l + 1}: {exc}") from exc
@@ -455,7 +462,7 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
     for l, (op, (left, right)) in enumerate(zip(plan.ops, data)):
         try:
             if prob.mode == "parabolic":
-                initial = prob.g.value(op.sg.x, prob.length)
+                initial = prob.g.value(op.x, prob.length)
                 field = solve_semilinear_parabolic(op, left, right, initial, grid.dt, grid.t,
                                                    cfg.picard_tol, cfg.picard_max, out=out)
             else:
@@ -478,7 +485,7 @@ def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
     if plan.norm_kind == "weighted-sup2":
         return weighted_sup_norm(field, alpha, t, ref)
     if plan.norm_kind == "laplace-seminorm2":
-        return float(np.trapezoid(seminorm_sq_profile(field, alpha, t, ref), op.sg.x))
+        return float(np.trapezoid(seminorm_sq_profile(field, alpha, t, ref), op.x))
     err = np.subtract(field, ref, work[:op.n])
     np.abs(err, err)
     # argmax stops at the first NaN, as np.max would return it
@@ -497,7 +504,13 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     change the result.  The norm is the one judge of a field: a field
     that is not finite has a norm that is not finite, which ends the run
     "diverged" at once, before that field is handed off, and the sweep is
-    not recorded.
+    not recorded.  A norm (or E_k) that is not finite while the field and
+    its reference restriction are finite overflowed a float: that is a
+    ``SchwarzRunError`` naming the iteration, whose ``history`` keeps the
+    iterations before it.  Everything from sampling ``u0`` to the last
+    norm runs under one ``np.errstate`` that silences numpy's overflow,
+    invalid-value and division warnings, since the norms judge every
+    value that is not finite.
 
     A parabolic field is then dead.  The run allocates one ``work``
     buffer of the largest subdomain's size, which dies with the run:
@@ -518,47 +531,54 @@ def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistor
     refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
     n_max = max(op.n for op in plan.ops)
     work = np.empty(n_max * grid.t.size if parabolic else n_max)
-    fields = [ref if cfg.u0 == "reference" else cfg.u0.value(op.sg.x, cfg.problem.length)
-              for ref, op in zip(refs, plan.ops)]
-    data = exchange(plan, fields)
-    fields = [] if parabolic else fields  # a parabolic run drops each field
-    outer = exchange(plan, [])  # g at the outer ends; every sweep hands off into a copy
 
     E: list[float] = []
     sub_norms: list[list[float]] = []
     wall: list[float] = []
 
     def history(verdict: str, final: list[np.ndarray]) -> IterationHistory:
-        return IterationHistory(plan.norm_kind, E, sub_norms, wall, verdict, final,
+        return IterationHistory(E, sub_norms, wall, verdict, final,
                                 double_sweep_ratio(E, cfg.rate_window))
 
-    try:
-        for k in range(1, cfg.k_max + 1):
-            tic = time.perf_counter()
-            handed = [pair.copy() for pair in outer]
-            norms = []
-            for l, field in enumerate(sweep(plan, data, fields, k, work)):
-                norm = _error_norm(plan, plan.ops[l], field, refs[l], work)
-                if not math.isfinite(norm):
-                    return history("diverged", [])
-                norms.append(norm)
-                _hand_off(plan, l, field, handed)
-                if not parabolic:
-                    fields[l] = field
-            data = handed
-            Ek = float(sum(norms)) if plan.norm_kind == "laplace-seminorm2" else float(max(norms))
-            if not math.isfinite(Ek):
-                return history("diverged", [])
-            E.append(Ek)
-            sub_norms.append(norms)
-            wall.append(time.perf_counter() - tic)
-            if Ek <= cfg.stop_tol:
-                return history("converged", fields)
-            if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
-                return history("diverged", fields)
-    except SchwarzRunError as exc:
-        exc.history = history("error", [])
-        raise
+    # the norms judge every value that is not finite, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fields = [ref if cfg.u0 == "reference" else cfg.u0.value(op.x, cfg.problem.length)
+                  for ref, op in zip(refs, plan.ops)]
+        data = exchange(plan, fields)
+        fields = [] if parabolic else fields  # a parabolic run drops each field
+        outer = exchange(plan, [])  # g at the outer ends; every sweep hands off into a copy
+        try:
+            for k in range(1, cfg.k_max + 1):
+                tic = time.perf_counter()
+                handed = [pair.copy() for pair in outer]
+                norms = []
+                for l, field in enumerate(sweep(plan, data, fields, k, work)):
+                    norm = _error_norm(plan, plan.ops[l], field, refs[l], work)
+                    if not math.isfinite(norm):
+                        if np.isfinite(field).all() and np.isfinite(refs[l]).all():
+                            raise SchwarzRunError(
+                                f"iteration {k}, subdomain {l + 1}: the error norm overflows "
+                                "a float, though the field and the reference are finite")
+                        return history("diverged", [])
+                    norms.append(norm)
+                    _hand_off(plan, l, field, handed)
+                    if not parabolic:
+                        fields[l] = field
+                data = handed
+                Ek = float(sum(norms) if plan.norm_kind == "laplace-seminorm2" else max(norms))
+                if not math.isfinite(Ek):  # every norm is finite, so their sum overflowed
+                    raise SchwarzRunError(f"iteration {k}: the error norm E_k overflows a "
+                                          "float, though every subdomain norm is finite")
+                E.append(Ek)
+                sub_norms.append(norms)
+                wall.append(time.perf_counter() - tic)
+                if Ek <= cfg.stop_tol:
+                    return history("converged", fields)
+                if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
+                    return history("diverged", fields)
+        except SchwarzRunError as exc:
+            exc.history = history("error", [])
+            raise
     return history("stalled", fields)
 
 

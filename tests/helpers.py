@@ -129,7 +129,7 @@ def plain_picard_march(op, left, right, u, t, dt=None, picard_tol=1e-10, picard_
     max|u_new - u| <= picard_tol.  ``u`` is level 0 (None: zero).  Returns the
     levels as a (nodes, len(t)) array and the Picard steps of each level.
     """
-    spec, x = op.spec, op.sg.x
+    spec, x = op.spec, op.x
     left, right = (np.broadcast_to(np.asarray(v, dtype=float), (len(t),)) for v in (left, right))
     u = np.zeros(op.n) if u is None else np.array(u, dtype=float)
     levels, steps = [u], []

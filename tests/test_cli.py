@@ -202,17 +202,26 @@ def test_tau_rejects_robin_parameters_that_run_rejects(capsys, flag, value, mess
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["--p", "1e200", "--q", "50"], "rho * p = 1e+200 * 1e+200", id="rho-p"),
-    pytest.param(["--p", "1", "--q", "1e200"], "rho * q = 1e+200 * 1e+200", id="rho-q"),
-])
-def test_tau_names_an_overflowed_robin_parameter(capsys, argv, message):
     # each value is finite, their product is not: the error names the
     # product, as run and validate do, not a vanishing denominator
-    assert main(["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95", "--rho", "1e200"]
-                + argv) == 1
+    pytest.param(["--p", "1e200", "--q", "50", "--rho", "1e200"],
+                 "Robin parameter rho * p = 1e+200 * 1e+200 is not finite", id="rho-p"),
+    pytest.param(["--p", "1", "--q", "1e200", "--rho", "1e200"],
+                 "Robin parameter rho * q = 1e+200 * 1e+200 is not finite", id="rho-q"),
+    # p and q are finite, a Robin term p v is not: not tau2 = -inf and tau =
+    # inf, nor a vanishing denominator (num=-3.95319e+307, den=inf)
+    pytest.param(["--p", "1", "--q", "1.7e308"],
+                 "the Robin term p v = -1.7e+308 * 1998.05 of the left error profile "
+                 "overflows a float at x = 1.9 (L = 2)", id="q-v"),
+    pytest.param(["--p", "1.7e308", "--q", "50"],
+                 "the Robin term p v = 1.7e+308 * 2440.46 of the left error profile "
+                 "overflows a float at x = 1.95 (L = 2)", id="p-v"),
+])
+def test_tau_names_an_overflowed_robin_parameter(capsys, argv, message):
+    assert main(["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: Robin parameter {message} is not finite\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_sweep_rho_locates_empirical_threshold(tmp_path, capsys):
@@ -362,12 +371,26 @@ def laplace_sweep_config(out_dir: str, axis: str, values: list) -> dict:
     return cfg
 
 
+def inline31_sweep_config(out_dir: str, axis: str, values: list) -> dict:
+    # example31 written inline at h = 5e-3, so its entries are dotted paths
+    # that the config writes
+    cfg = shipped_config("counterexample_divergent", out_dir)
+    cfg["problem"] = {"mode": "elliptic", "L": 2, "a": 1, "b": 3, "c": 4,
+                      "source": {"sine": {"amplitude": -1}}}
+    cfg["grid"]["h"] = 5e-3
+    cfg["sweep"] = {"axis": axis, "values": values}
+    return cfg
+
+
 @pytest.mark.parametrize("make, axis, values", [
     pytest.param(robin_sweep_config, "transmission.rho", [1, 2, 4, 8],
                  id="transmission.rho-values0"),
     pytest.param(robin_sweep_config, "grid.h", [0.01, 0.005], id="grid.h-values1"),
     # a key the run section reads but the config does not write
     pytest.param(laplace_sweep_config, "run.rate_window", [4, 8], id="run.rate_window-unwritten"),
+    # a dotted path into an inline problem: c = 6 stalls after 250 iterations
+    # at rate 1.0925928, c = 16 converges after 183 at 0.7767807
+    pytest.param(inline31_sweep_config, "problem.c", [6, 16], id="problem.c-dotted-path"),
 ])
 def test_sweep_points_equal_their_own_runs_bitwise(tmp_path, make, axis, values):
     from schwarz1d.cli import _apply_axis
@@ -510,6 +533,35 @@ def test_run_without_guard_ends_diverged_at_first_non_finite_iterate(tmp_path):
     assert {r[5] for r in rows} == {"diverged"}
     assert float(rows[-1][3]) > 1e300
     assert "verdict:        diverged" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("name, edit, code, iterations, err", [
+    # a u0 past the float range makes the interface data inf
+    pytest.param("counterexample_divergent", lambda c: c["run"].update(u0=1.7e308), 2, 0, "",
+                 id="u0-max-diverges"),
+    # so does a Robin term p u past it, after two finite iterations
+    pytest.param("counterexample_divergent",
+                 lambda c: c["transmission"]["robin"]["p"].update({"1,0": 1.7e308}), 2, 2, "",
+                 id="robin-p-max-diverges"),
+    # a finite iterate whose e^2 overflows has no verdict
+    pytest.param("heat_dirichlet", lambda c: c["run"].update(u0=1e160), 1, 0,
+                 "error: iteration 1, subdomain 1: the error norm overflows a float, though "
+                 "the field and the reference are finite\n", id="heat-u0-norm-overflows"),
+])
+def test_a_non_finite_iterate_diverges_and_an_overflowing_norm_is_an_error(
+        tmp_path, capsys, name, edit, code, iterations, err):
+    out = tmp_path / "o"
+    cfg = shipped_config(name, str(out))
+    edit(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would leak to stderr
+        assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == code
+    assert capsys.readouterr() == ("", err)
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * iterations and all(math.isfinite(float(r.split(",")[3]))
+                                               for r in rows)
+    if code == 2:  # a Robin q past the float range has no closed-form tau, not tau = inf
+        assert "inf" not in (out / "summary.txt").read_text()
 
 
 def test_subdomain_operator_failure_names_the_subdomain(tmp_path, capsys):
@@ -733,6 +785,14 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
       for role, key in (("coefficient", "a"), ("coefficient", "b"), ("coefficient", "c"),
                         ("data", "g"), ("data", "source"))),
     pytest.param(lambda c: c["run"].update(u0=True), "bad data u0 spec: True", id="u0-true"),
+    # a u0 that overflows on the grid, sampled once when the run is planned
+    pytest.param(lambda c: c["run"].update(u0={"scaled-exp": {"value": 1, "rate": 1000}}),
+                 "u0 (run.u0) is not finite on the grid", id="u0-not-finite"),
+    # a kind that no table reads
+    pytest.param(lambda c: c.update(transmission={"neumann": {}}),
+                 "unknown transmission kind 'neumann'", id="transmission-kind-unknown"),
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "a": {"cubic": 1}}),
+                 "unknown coefficient a kind 'cubic'", id="coefficient-kind-unknown"),
     pytest.param(lambda c: c["partition"]["uniform"].update(overlpa=0.1),
                  "unknown uniform partition setting(s) ['overlpa'] (known: ['count', "
                  "'overlap'])",

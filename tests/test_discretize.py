@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from schwarz1d.discretize import (
     solve_semilinear_elliptic,
     solve_semilinear_parabolic,
 )
-from schwarz1d.geometry import SubGrid, build_grid, build_uniform_partition
+from schwarz1d.geometry import build_grid, build_uniform_partition
 from schwarz1d.problem import (
     Fn,
     Nonlinearity,
@@ -28,6 +31,10 @@ from helpers import (
     manufactured_parabolic,
     plain_picard_march,
 )
+
+
+# the nodes and step of a uniform grid on (0, length), which Operator takes
+SubGrid = namedtuple("SubGrid", "x h")
 
 
 def subgrid(length: float, n_cells: int) -> SubGrid:
@@ -49,12 +56,12 @@ def simple_spec(a=1.0, b=0.0, c=0.0, F=None, length=1.0, source=None) -> Problem
 
 
 def dirichlet(spec, sg, c_shift=0.0) -> Operator:
-    return Operator(spec, sg, (None, None), c_shift)
+    return Operator(spec, *sg, (None, None), c_shift)
 
 
 def frozen_rhs(op: Operator, frozen_u, left: float, right: float) -> np.ndarray:
     """Right-hand side of the linearized system with F frozen at ``frozen_u``."""
-    x = op.sg.x
+    x = op.x
     rhs = op.spec.source_values(x) + np.atleast_1d(op.spec.F(x, frozen_u)) + np.zeros(op.n)
     return op.system(rhs, left, right)
 
@@ -69,7 +76,7 @@ def random_operator(rng, robin_p=None) -> Operator:
         robin_p = tuple(None if rng.random() < 0.5 else float(rng.uniform(0.1, 10.0))
                         for _ in range(2))
     c_shift = 0.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 100.0))
-    return Operator(spec, subgrid(length, n_cells), robin_p, c_shift)
+    return Operator(spec, *subgrid(length, n_cells), robin_p, c_shift)
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +102,8 @@ def test_discrete_laplacian_exact_for_quadratic():
     # and has du*/dn = -1 there, so the Dirichlet data are 0 and the Robin fluxes -1
     shift = 3.0
     for robin_p in ((None, None), (1.5, None), (None, 0.5), (2.0, 3.0)):
-        op = Operator(simple_spec(), subgrid(1.0, 8), robin_p, c_shift=shift)
-        x = op.sg.x
+        op = Operator(simple_spec(), *subgrid(1.0, 8), robin_p, c_shift=shift)
+        x = op.x
         exact = x * (1 - x)
         left, right = (0.0 if p is None else -1.0 for p in robin_p)
         rhs = op.system(2.0 + shift * exact, left, right)
@@ -132,9 +139,9 @@ def test_singular_system_raises():
     spec = catalog_lookup("laplace1d")
     for n_cells in (4, 8, 16):
         with pytest.raises(ValueError, match="zero pivot"):
-            Operator(spec, subgrid(1.0, n_cells), (0.0, 0.0))
+            Operator(spec, *subgrid(1.0, n_cells), (0.0, 0.0))
     with pytest.raises(ValueError, match="too coarse"):
-        Operator(spec, subgrid(1.0, 3), (None, None))
+        Operator(spec, *subgrid(1.0, 3), (None, None))
 
 
 def test_reused_operator_reproduces_a_fresh_solve_bitwise():
@@ -143,8 +150,8 @@ def test_reused_operator_reproduces_a_fresh_solve_bitwise():
     t = np.linspace(0, 0.1, 11)
     left, right = np.linspace(0.0, 0.1, 11), np.ones(11)
     initial = np.sin(np.pi * sg.x)
-    op = Operator(spec, sg, (None, 2.0), c_shift=1.0 / 0.01)
-    fresh = solve_semilinear_parabolic(Operator(spec, sg, (None, 2.0), c_shift=1.0 / 0.01),
+    op = Operator(spec, *sg, (None, 2.0), c_shift=1.0 / 0.01)
+    fresh = solve_semilinear_parabolic(Operator(spec, *sg, (None, 2.0), c_shift=1.0 / 0.01),
                                        left, right, initial, 0.01, t)
     for _ in range(2):
         reused = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
@@ -202,10 +209,10 @@ def test_operator_source_survives_repeated_solves(F):
     # place; it must do so on a copy of the operator's sampled source
     spec = simple_spec(b=1.0, c=4.0, F=F, source=Fn.sine(-3.0, 2))
     sg = subgrid(1.0, 24)
-    op = Operator(spec, sg, (None, 2.0))
+    op = Operator(spec, *sg, (None, 2.0))
     for left, right in ((0.0, 0.0), (5.0, -2.0), (-1.0, 7.0)):
         u, _ = solve_semilinear_elliptic(op, left, right)
-    fresh, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, 2.0)), -1.0, 7.0)
+    fresh, _ = solve_semilinear_elliptic(Operator(spec, *sg, (None, 2.0)), -1.0, 7.0)
     assert np.array_equal(u, fresh)
     assert np.array_equal(op.source, -3.0 * np.sin(2 * np.pi * sg.x))
 
@@ -232,7 +239,7 @@ def test_a_type_error_inside_a_source_surfaces_its_own_message():
 
 
 def test_parabolic_solve_rejects_operator_of_other_shift():
-    op = Operator(simple_spec(c=1.0), subgrid(1.0, 10), (None, 2.0))
+    op = Operator(simple_spec(c=1.0), *subgrid(1.0, 10), (None, 2.0))
     with pytest.raises(ValueError, match="shift"):
         solve_semilinear_parabolic(op, 0.0, 1.0, np.zeros(op.n), 0.01,
                                    np.linspace(0, 0.1, 11))
@@ -242,7 +249,7 @@ def test_parabolic_solve_rejects_operator_of_other_shift():
 def test_non_finite_data_reach_the_elliptic_field(F):
     # a solve returns what it computed; its first Picard difference is not
     # finite, which ends the loop after one step
-    op = Operator(simple_spec(c=4.0, F=F), subgrid(1.0, 10), (None, None))
+    op = Operator(simple_spec(c=4.0, F=F), *subgrid(1.0, 10), (None, None))
     for value in (np.inf, np.nan):
         u, steps = solve_semilinear_elliptic(op, value, 0.0)
         assert not np.isfinite(u).any() and steps == 1
@@ -254,7 +261,7 @@ def test_parabolic_solve_into_a_given_buffer_is_the_solve_bitwise(F):
     # larger buffer's tail is left alone
     op = heat_operator(F)
     t = np.linspace(0, 0.1, 11)
-    args = (op, 1.0, np.linspace(0.0, 1.0, 11), np.sin(np.pi * op.sg.x), 0.01, t)
+    args = (op, 1.0, np.linspace(0.0, 1.0, 11), np.sin(np.pi * op.x), 0.01, t)
     fresh = solve_semilinear_parabolic(*args)
     out = np.full(t.size * op.n + 7, -1.0)
     u = solve_semilinear_parabolic(*args, out=out)
@@ -266,7 +273,7 @@ def test_parabolic_solve_into_a_given_buffer_is_the_solve_bitwise(F):
 
 def heat_operator(F, robin_p=(None, 2.0), n_cells=20, dt=0.01, source=None) -> Operator:
     spec = replace(catalog_lookup("heat-semilinear"), F=F, time_horizon=0.1, source=source)
-    return Operator(spec, subgrid(1.0, n_cells), robin_p, c_shift=1.0 / dt)
+    return Operator(spec, *subgrid(1.0, n_cells), robin_p, c_shift=1.0 / dt)
 
 
 def assert_non_finite_from_level(field, clean, m):
@@ -284,7 +291,7 @@ def test_non_finite_datum_at_an_interior_time_level_reaches_the_field(F, value):
     # without a numpy warning (sin(inf) and inf - inf would give one)
     op = heat_operator(F)
     t = np.linspace(0, 0.1, 11)
-    initial = np.sin(np.pi * op.sg.x)
+    initial = np.sin(np.pi * op.x)
     clean = solve_semilinear_parabolic(op, np.zeros(11), 0.0, initial, 0.01, t)
     left = np.zeros(11)
     left[4] = value
@@ -302,7 +309,7 @@ def test_non_finite_source_at_an_interior_node_reaches_the_field(F):
 
     t = np.linspace(0, 0.1, 11)
     assert t[4] == 0.04
-    initial = np.sin(np.pi * heat_operator(F).sg.x)
+    initial = np.sin(np.pi * heat_operator(F).x)
     clean = solve_semilinear_parabolic(heat_operator(F), 0.0, 0.0, initial, 0.01, t)
     field = solve_semilinear_parabolic(heat_operator(F, source=source), 0.0, 0.0, initial,
                                        0.01, t)
@@ -316,7 +323,7 @@ def test_nan_only_in_the_last_entry_of_the_picard_difference_is_found(monkeypatc
     # Picard step is NaN in its last entry alone, which ends level 1 after
     # that step.  The NaN stays in the returned field, at level 0
     op = heat_operator(F, robin_p=(2.0, None))
-    initial = np.sin(np.pi * op.sg.x)
+    initial = np.sin(np.pi * op.x)
     initial[-1] = np.nan
     solves = []
     original = discretize.solve_banded
@@ -365,7 +372,7 @@ def test_parabolic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, so
     op = heat_operator(MARCH_F[F], robin_p=MARCH_ENDS[ends], n_cells=24,
                        source=MARCH_SOURCES[source])
     t = np.linspace(0, 0.1, 11)
-    initial = np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x
+    initial = np.sin(np.pi * op.x) + 0.3 * op.x
     for left, right in ((0.25, -1.0), (np.linspace(0.0, 1.0, 11), np.cos(5.0 * t))):
         calls = counted_solves(monkeypatch)
         field = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
@@ -381,10 +388,10 @@ def test_parabolic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, so
 @pytest.mark.parametrize("F", MARCH_F)
 def test_elliptic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, source):
     spec = simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=MARCH_SOURCES[source])
-    op = Operator(spec, subgrid(1.0, 24), MARCH_ENDS[ends])
+    op = Operator(spec, *subgrid(1.0, 24), MARCH_ENDS[ends])
     # zero data with the -0.0 source give a field of signed zeros
     for (left, right), start in itertools.product(((0.25, -1.0), (0.0, 0.0)),
-                                                  (None, np.cos(op.sg.x))):
+                                                  (None, np.cos(op.x))):
         calls = counted_solves(monkeypatch)
         u, iters = solve_semilinear_elliptic(op, left, right, u_start=start)
         plain, steps = plain_picard_march(op, left, right, start, (0.0, 0.0))
@@ -393,8 +400,8 @@ def test_elliptic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, sou
 
 
 def test_solve_banded_overwrites_its_rhs_with_the_solution():
-    op = Operator(simple_spec(c=4.0), subgrid(1.0, 24), (1.5, None))
-    rhs = op.system(np.cos(op.sg.x), 0.25, -1.0)
+    op = Operator(simple_spec(c=4.0), *subgrid(1.0, 24), (1.5, None))
+    rhs = op.system(np.cos(op.x), 0.25, -1.0)
     expected = dense_solve(op.dense(), rhs.copy())
     x = solve_banded(op.lu, rhs)
     assert x is rhs
@@ -407,17 +414,17 @@ def test_march_never_writes_into_the_start_vector(F, ends):
     # a read-only start raises on any write; warm starts and u0 = "reference"
     # hand the solves arrays they do not own
     elliptic = Operator(simple_spec(b=1.0, c=4.0, F=MARCH_F[F], source=Fn.sine(-3.0, 2)),
-                        subgrid(1.0, 24), MARCH_ENDS[ends])
-    start = np.cos(elliptic.sg.x)
+                        *subgrid(1.0, 24), MARCH_ENDS[ends])
+    start = np.cos(elliptic.x)
     start.setflags(write=False)
     u, _ = solve_semilinear_elliptic(elliptic, 0.25, -1.0, u_start=start)
-    assert np.array_equal(start, np.cos(elliptic.sg.x)) and not np.shares_memory(u, start)
+    assert np.array_equal(start, np.cos(elliptic.x)) and not np.shares_memory(u, start)
 
     op = heat_operator(MARCH_F[F], robin_p=MARCH_ENDS[ends], n_cells=24)
-    initial = np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x
+    initial = np.sin(np.pi * op.x) + 0.3 * op.x
     initial.setflags(write=False)
     field = solve_semilinear_parabolic(op, 0.25, -1.0, initial, 0.01, np.linspace(0, 0.1, 11))
-    assert np.array_equal(initial, np.sin(np.pi * op.sg.x) + 0.3 * op.sg.x)
+    assert np.array_equal(initial, np.sin(np.pi * op.x) + 0.3 * op.x)
     assert np.array_equal(field[:, 0], initial)
 
 
@@ -448,7 +455,7 @@ def test_robin_right_end_exact_for_linear_solution():
     p, g0 = 1.0, 3.0
     spec = simple_spec()
     sg = subgrid(1.0, 16)
-    u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, p)), 0.0, g0)
+    u, _ = solve_semilinear_elliptic(Operator(spec, *sg, (None, p)), 0.0, g0)
     np.testing.assert_allclose(u, g0 * sg.x / (1 + p), atol=1e-12)
     # the solved field satisfies the one-sided Robin relation itself
     h = sg.h
@@ -464,8 +471,8 @@ def test_robin_end_rows_mirror_each_other_bitwise(c, n_cells, left_p, right_p):
     # the right end's rows are the left end's, entry for entry
     b = 3.0
     sg = subgrid(1.0, n_cells)
-    op = Operator(simple_spec(b=b, c=c), sg, (left_p, right_p))
-    mirror = Operator(simple_spec(b=-b, c=c), sg, (right_p, left_p))
+    op = Operator(simple_spec(b=b, c=c), *sg, (left_p, right_p))
+    mirror = Operator(simple_spec(b=-b, c=c), *sg, (right_p, left_p))
     assert np.array_equal(op.dense(), mirror.dense()[::-1, ::-1])
     rhs = np.random.default_rng(n_cells).standard_normal(op.n)
     filled = op.system(rhs.copy(), 1.25, -0.5)
@@ -480,7 +487,7 @@ def test_robin_discretization_second_order():
     errs, hs = [], []
     for n in (25, 50, 100, 200):
         sg = subgrid(1.0, n)
-        u, _ = solve_semilinear_elliptic(Operator(spec, sg, (None, p)), 2.0, flux)
+        u, _ = solve_semilinear_elliptic(Operator(spec, *sg, (None, p)), 2.0, flux)
         errs.append(np.max(np.abs(u - (np.sin(sg.x) + 2.0))))
         hs.append(sg.h)
     assert fitted_order(hs, errs) >= 1.9
@@ -608,7 +615,7 @@ def test_zero_data_gives_zero_field():
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
     field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), np.zeros(11), 0.0,
-                                       np.zeros(sg.n), 0.01, t)
+                                       np.zeros(sg.x.size), 0.01, t)
     assert np.max(np.abs(field)) == 0.0
 
 
@@ -687,6 +694,13 @@ def test_reference_restriction_solves_subdomain_system():
     grid = build_grid(part, 0.01)
     u = reference_solve(spec, grid)
     lo, hi = grid.sub_ranges[0]
-    op = dirichlet(spec, grid.subgrid(0))
+    op = dirichlet(spec, SubGrid(grid.x[grid.nodes(0)], grid.h))
     res = op.dense() @ u[lo:hi + 1] - frozen_rhs(op, u[lo:hi + 1], u[lo], u[hi])
     assert np.max(np.abs(res)) < 1e-9
+
+
+def test_discretize_reads_no_module_of_the_package_but_problem():
+    # an operator takes its nodes and step, not a grid object
+    tree = ast.parse(Path(discretize.__file__).read_text(encoding="utf-8"))
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == {"problem"}

@@ -498,7 +498,7 @@ def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     cfg = laplace_cfg(transmission=TransmissionSpec.robin(2.0))
     p = plan(cfg)
     assert p.cfg is cfg and p.norm_kind == "sup" and cfg.u0 == Fn.constant(1.0)
-    assert [op.sg.x.tolist() for op in p.ops] == [p.grid.subgrid(l).x.tolist() for l in (0, 1)]
+    assert [op.x.tolist() for op in p.ops] == [p.grid.x[p.grid.nodes(l)].tolist() for l in (0, 1)]
     (outer0, link0), (link1, outer1) = p.links
     assert outer0 is None and outer1 is None
     assert (link0.m, link0.p, link1.m, link1.p) == (1, 2.0, 0, 2.0)
@@ -555,19 +555,31 @@ def heat_cfg(**kw):
 
 
 def test_parabolic_dirichlet_weighted_norm_decays_geometrically():
-    hist = run_parabolic(plan(heat_cfg()))
-    assert hist.norm_kind == "weighted-sup2"
+    p = plan(heat_cfg())
+    hist = run_parabolic(p)
+    assert p.norm_kind == "weighted-sup2"
     assert hist.verdict == "converged"
     ratios = [b / a for a, b in zip(hist.E[1:], hist.E[2:])]
     assert all(r < 1.0 for r in ratios)
 
 
 def test_parabolic_robin_seminorm_history_decreases():
-    hist = run_parabolic(plan(heat_cfg(transmission=TransmissionSpec.robin(1.0))))
-    assert hist.norm_kind == "laplace-seminorm2"
+    p = plan(heat_cfg(transmission=TransmissionSpec.robin(1.0)))
+    hist = run_parabolic(p)
+    assert p.norm_kind == "laplace-seminorm2"
     assert hist.verdict == "converged"
     tail = hist.E[1:]
     assert all(b < a for a, b in zip(tail, tail[1:]))
+
+
+def test_an_overflowing_sum_of_finite_seminorms_is_an_error_not_a_verdict(monkeypatch):
+    # a Robin run's E_k sums its subdomain norms: finite ones can sum to inf
+    import schwarz1d.schwarz as engine
+
+    monkeypatch.setattr(engine, "_error_norm", lambda *args: 1e308)
+    with pytest.raises(SchwarzRunError, match=r"^iteration 1: the error norm E_k overflows") as err:
+        run_parabolic(plan(heat_cfg(transmission=TransmissionSpec.robin(1.0))))
+    assert (err.value.history.verdict, err.value.history.iterations) == ("error", 0)
 
 
 def test_parabolic_reference_initial_guess_is_fixed_point():
@@ -746,7 +758,7 @@ def error_norm(p, l: int, field, ref) -> float:
     if p.norm_kind == "weighted-sup2":
         return weighted_sup_norm(field, alpha, t, ref)
     if p.norm_kind == "laplace-seminorm2":
-        return float(np.trapezoid(seminorm_sq_profile(field - ref, alpha, t), p.ops[l].sg.x))
+        return float(np.trapezoid(seminorm_sq_profile(field - ref, alpha, t), p.ops[l].x))
     return float(np.max(np.abs(field - ref)))
 
 
@@ -760,7 +772,7 @@ def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     # keeps none)
     cfg = SWEEP_CASES[case](k_max=5, stop_tol=1e-300)
     p = plan(cfg)
-    fields = [cfg.u0.value(op.sg.x, cfg.problem.length) for op in p.ops]
+    fields = [cfg.u0.value(op.x, cfg.problem.length) for op in p.ops]
     iterates = []
     for _ in range(5):
         fields = list(sweep(p, exchange(p, fields), fields))
@@ -811,7 +823,7 @@ def test_one_nan_datum_gives_a_non_finite_field_and_a_diverged_run(monkeypatch, 
         return data
 
     p = plan(SWEEP_CASES[case]())
-    fields = [p.cfg.u0.value(op.sg.x, p.cfg.problem.length) for op in p.ops]
+    fields = [p.cfg.u0.value(op.x, p.cfg.problem.length) for op in p.ops]
     swept = list(sweep(p, poisoned(p, fields), fields))
     assert not np.isfinite(swept[0]).all()
     assert all(np.isfinite(field).all() for field in swept[1:])
@@ -828,12 +840,12 @@ def test_parabolic_sweep_starts_from_the_initial_state_the_reference_starts_from
     # gives the run's first-iteration norms bit for bit
     p = plan(shipped_cfg(name, k_max=1))
     prob = p.cfg.problem
-    fields = [p.cfg.u0.value(op.sg.x, prob.length) for op in p.ops]
+    fields = [p.cfg.u0.value(op.x, prob.length) for op in p.ops]
     fields = list(sweep(p, exchange(p, fields), fields))
     reference = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
     for op, ref in zip(p.ops, refs):
-        assert prob.g.value(op.sg.x, prob.length).tobytes() == ref[:, 0].tobytes()
+        assert prob.g.value(op.x, prob.length).tobytes() == ref[:, 0].tobytes()
     norms = [error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))]
     assert run_parabolic(p, reference).sub_norms == [norms]
 
