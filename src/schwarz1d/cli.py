@@ -219,8 +219,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    case = oracle.AnalyticCase(L=args.L, L1=args.L1, L2=args.L2, p=args.p, q=args.q,
-                               rho=args.rho)
+    case = oracle.AnalyticCase(L=args.L, L1=args.L1, L2=args.L2, p=args.p, q=args.q)
     f = oracle.tau_factors(case)
     print(f"tau1 = {_fmt(f.tau1)}")
     print(f"tau2 = {_fmt(f.tau2)}")
@@ -280,7 +279,7 @@ def _cmd_sweep(args) -> int:
     rows = ["axis,value,verdict,iterations,rate_double,tau,error"]
     first_converged, verdicts = None, 0
     # the last reference solved and its plan's reference_key: an axis that
-    # leaves the problem, partition and grid alone (rho, p, alpha) solves it once
+    # leaves the problem, partition and grid alone (a Robin scale, p, alpha) solves it once
     reference = key = None
     for value, label in zip(values, labels):
         point = _apply_axis(cfg, axis, value)
@@ -332,8 +331,21 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, as every other
+    failure does; its subparsers are of its class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    """Run the command of ``argv`` (default: the process's) and return its exit code.
+
+    Any failure, a usage error among them, prints one ``error: ...`` line
+    on stderr and returns 1; ``--help`` prints its text and exits 0.
+    """
+    parser = _Parser(
         prog="schwarz1d",
         description="Overlapping Schwarz experiments on 1D semilinear problems",
     )
@@ -350,7 +362,6 @@ def main(argv=None) -> int:
     p_tau.add_argument("--L2", type=float, required=True)
     p_tau.add_argument("--p", type=float, required=True)
     p_tau.add_argument("--q", type=float, required=True)
-    p_tau.add_argument("--rho", type=float, default=1.0)
 
     p_sweep = sub.add_parser("sweep", help="run a config along one parameter axis")
     p_sweep.add_argument("--config", required=True)
@@ -359,11 +370,10 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="make every check run makes before its first solve")
     p_val.add_argument("--config", required=True)
 
-    args = parser.parse_args(argv)
-    handler = {"run": _cmd_run, "tau": _cmd_tau, "sweep": _cmd_sweep,
-               "validate": _cmd_validate}[args.command]
+    handlers = {"run": _cmd_run, "tau": _cmd_tau, "sweep": _cmd_sweep, "validate": _cmd_validate}
     try:
-        return handler(args)
+        args = parser.parse_args(argv)
+        return handlers[args.command](args)
     except Exception as exc:  # one line, never a traceback; a bare MemoryError has no text
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

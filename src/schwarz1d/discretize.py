@@ -133,10 +133,14 @@ class Operator:
     threshold h* = 2 lambda / max|b|, with lambda the least a on the nodes
     and midpoints.  Raises ValueError when the matrix cannot be built: a
     subdomain grid of fewer than 5 nodes, a Robin stencil point that cannot
-    be eliminated, or a zero pivot.  A solve never raises for its matrix; it
+    be eliminated, an entry that overflows a float (such as a / h^2 for a
+    huge a), or a zero pivot.  The assembly runs under an ``np.errstate``
+    that silences numpy's overflow and invalid-value warnings, since the
+    finiteness check names them.  A solve never raises for its matrix; it
     returns its field, finite or not.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, spec: ProblemSpec, x: np.ndarray, h: float, robin_p: tuple,
                  c_shift: float = 0.0):
         n = x.size
@@ -184,6 +188,9 @@ class Operator:
             main[end] = 3 * alpha + p - alpha * near[row] / pivot
             far[end] = -4 * alpha - alpha * main[row] / pivot
             self._ends.append((end, row, float(alpha), float(pivot)))
+        if not all(np.isfinite(v).all() for v in (sub, main, sup)):
+            raise ValueError(f"a matrix entry overflows a float: a / h^2, b / h or c is not "
+                             f"finite at h = {h:g}")
         self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
         dl, d, du, du2, ipiv, info = _gttrf(self._sub, self._main, self._sup)
         if info > 0:

@@ -154,7 +154,12 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
     """Equal-width chain where consecutive subdomains overlap by ``overlap``.
 
     Requires 0 < overlap < length / (2 * count), which keeps interfaces
-    apart and rules out triple overlap with a wide margin.
+    apart and rules out triple overlap with a wide margin, and overlap >=
+    length / (``_MAX_NODES`` - 1): interfaces ``overlap`` apart sit on
+    distinct nodes only when h <= overlap (``build_grid``'s snapping
+    tolerance aside), which a finer overlap would ask of a grid of more
+    than ``_MAX_NODES`` nodes.  Both are checked before any subdomain is
+    built.
     """
     if count < 2:
         raise ValueError("need at least two subdomains")
@@ -167,6 +172,9 @@ def build_uniform_partition(length: float, count: int, overlap: float) -> Partit
             f"overlap {overlap:g} too large: requires overlap < L/(2I) = {limit:g} "
             "to keep interfaces separated and avoid triple overlap"
         )
+    if overlap < length / (_MAX_NODES - 1):
+        raise ValueError(f"overlap {overlap:g} too small: interfaces that close need h <= "
+                         f"overlap, more than {_MAX_NODES} grid nodes on L = {length:g}")
     width = (length + (count - 1) * overlap) / count
     subs = []
     for l in range(count):

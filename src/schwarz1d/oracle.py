@@ -22,7 +22,8 @@ factor has magnitude exp(-4L) * 1 exactly, and for q -> infinity
 
 which crosses 1 at  L1* = ln((exp(5L) + 1) / 2) / 5:  placing the right
 subdomain's interface beyond L1* makes large-q Robin exchange diverge,
-while rescaling both parameters by a large enough rho restores tau < 1.
+while multiplying both parameters by a large enough rho restores tau < 1
+(the caller passes the products as p and q).
 
 Both transmissions come from one crossed ratio: each factor is
 B(one profile) / B(the other) at its interface, with B(v) = v' + p v for
@@ -85,10 +86,10 @@ class AnalyticCase:
     """Two-subdomain geometry (0, L2) | (L1, L) with Robin parameters.
 
     ``p`` acts at x = L2 (left subdomain's interface), ``q`` at x = L1
-    (right subdomain's interface); ``rho`` rescales both.  All three must
-    be positive finite numbers, the rule a run applies to its Robin
-    parameters; a non-positive q can make the right subdomain's problem
-    singular.  The lengths L1 < L2 < L must be finite too.
+    (right subdomain's interface); a rho rescue passes rho p and rho q.
+    Both must be positive finite numbers, the rule a run applies to its
+    Robin parameters; a non-positive q can make the right subdomain's
+    problem singular.  The lengths L1 < L2 < L must be finite too.
     """
 
     L: float
@@ -96,15 +97,12 @@ class AnalyticCase:
     L2: float
     p: float
     q: float
-    rho: float = 1.0
 
     def __post_init__(self) -> None:
         _check_lengths(self.L, self.L1, self.L2)
         if not (is_positive_number(self.p) and is_positive_number(self.q)):
             raise ValueError(f"Robin parameters p and q must be positive finite numbers, "
                              f"got p={self.p!r}, q={self.q!r}")
-        if not is_positive_number(self.rho):
-            raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
 
 
 def _crossed_ratio(case: AnalyticCase, x: float, num: str, p: float | None, roots) -> float:
@@ -149,17 +147,10 @@ def tau_factors(case: AnalyticCase, roots=ROOTS) -> TauFactors:
     """Signed Robin interface-map factors and their double-sweep product.
 
     tau1 applies v' + p v at L2 to the right profile over the left one;
-    tau2 applies v' - q v at L1 the other way around.  ``case.rho``
-    multiplies both p and q.
+    tau2 applies v' - q v at L1 the other way around.
     """
-    p = case.rho * case.p
-    q = case.rho * case.q
-    for name, value, scaled in (("p", case.p, p), ("q", case.q, q)):
-        if not math.isfinite(scaled):
-            raise ValueError(f"Robin parameter rho * {name} = {case.rho!r} * {value!r} "
-                             f"is not finite")
-    tau1 = _crossed_ratio(case, case.L2, "right", p, roots)
-    tau2 = _crossed_ratio(case, case.L1, "left", -q, roots)
+    tau1 = _crossed_ratio(case, case.L2, "right", case.p, roots)
+    tau2 = _crossed_ratio(case, case.L1, "left", -case.q, roots)
     return TauFactors(tau1=tau1, tau2=tau2, tau=abs(tau1 * tau2))
 
 
@@ -176,10 +167,11 @@ def run_tau(problem: ProblemSpec, partition: Partition, links: list) -> float | 
     That is an elliptic run of the model operator (constant a = 1, b = 3,
     c = 4, F zero) on a chain of two subdomains, each with one interface
     inside the other; neither the source nor the data g enter the
-    errors.  ``links`` are the run's ``transmission.links``,
-    whose ``Link.p`` at each interface, rho applied, is the Robin p or q,
-    and None for Dirichlet exchange, whose tau does not depend on them.
-    A degenerate tau is None too.
+    errors.  ``links`` are the run's ``transmission.links``, whose
+    ``Link.p`` at each interface is the Robin p or q, the very number the
+    run's Robin rows use (a config's rho already applied), and None for
+    Dirichlet exchange, whose tau does not depend on them.  A degenerate
+    tau is None too.
     """
     if (problem.mode != "elliptic" or (problem.a, problem.b, problem.c) != _MODEL
             or problem.F.lipschitz != 0.0 or partition.count != 2
@@ -190,7 +182,8 @@ def run_tau(problem: ProblemSpec, partition: Partition, links: list) -> float | 
     L2, L1 = partition.interfaces[(left, right)], partition.interfaces[(right, left)]
     p, q = links[left][1].p, links[right][0].p
     try:
-        case = AnalyticCase(L=partition.length, L1=L1, L2=L2, p=p or 1.0, q=q or 1.0)
+        case = AnalyticCase(L=partition.length, L1=L1, L2=L2, p=1.0 if p is None else p,
+                            q=1.0 if q is None else q)
         # both are looked up at call time: perfbench's tracer patches them by name
         return (dirichlet_tau_factors(case) if p is None else tau_factors(case)).tau
     except ValueError:

@@ -402,11 +402,13 @@ def solve_reference(plan: Plan) -> np.ndarray:
 
     Any failure of its solve, or a reference that is not finite, is
     ``SchwarzRunError("reference solve: ...")``: every error norm of the
-    run is measured against it.
+    run is measured against it.  The solve runs under ``_run``'s
+    ``np.errstate``, since that finiteness check judges its result.
     """
     cfg = plan.cfg
     try:
-        reference = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reference = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
         if not np.isfinite(reference).all():
             raise FloatingPointError("banded solve produced non-finite values")
     except Exception as exc:

@@ -4,7 +4,7 @@ Interface data for the receiving subdomain l at its interface point gamma
 inside neighbor m is one of
 
     Dirichlet:    u_m(gamma)
-    Robin:        a(gamma) du_m/dn(gamma) + rho * p * u_m(gamma)
+    Robin:        a(gamma) du_m/dn(gamma) + p * u_m(gamma)
 
 where n is the outward normal of the *receiving* subdomain (+1 at its
 right end, -1 at its left end), and the same operator appears on both
@@ -17,13 +17,12 @@ exactly, not just to O(h^2).  ``links`` resolves and checks every
 interface once per run; ``extract`` only does arithmetic on a neighbor's
 field, and the engine's Robin rows read the same ``Link.p`` it uses.
 
-``rho`` (default 1) is the Robin operator's scale: Robin with p and rho is
-by construction the same operator as Robin with rho*p.
+A Robin config body's ``rho`` (default 1) scales every p: ``robin`` applies
+it once, so Robin with p and rho is the same spec as Robin with rho*p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,20 +54,27 @@ def _pair(key) -> tuple[int, int]:
                          "(receiving and neighbor subdomain index)") from None
 
 
+def _check_p(p, what: str) -> None:
+    """A ValueError unless ``p``, one number or a table of them, holds only
+    positive finite numbers."""
+    if not all(map(is_positive_number, p.values() if isinstance(p, dict) else (p,))):
+        raise ValueError(f"Robin parameters {what} must be positive finite numbers, got {p!r}")
+
+
 @dataclass(frozen=True)
 class TransmissionSpec:
     """Which operator each interface uses.
 
-    ``p`` is one positive number for every interface or a table keyed by
-    the (receiving, neighbor) pair of exactly the interfaces.  ``rho``
-    rescales every Robin parameter; Dirichlet ignores both.
+    ``p`` is one positive finite number for every interface or a table
+    keyed by the (receiving, neighbor) pair of exactly the interfaces;
+    Dirichlet ignores it.  A Robin body's ``rho`` is no field: ``robin``
+    stores every p already multiplied by it.
     """
 
     kind: str  # "dirichlet" | "robin"
     p: float | dict = 1.0
-    rho: float = 1.0
 
-    # read_form's table; __post_init__ checks p and rho
+    # read_form's table; robin checks p and rho
     _FORMS = {"dirichlet": (None, {}),
               "robin": (None, {"p": (_read_p, REQUIRED), "rho": (lambda rho, _: rho, 1.0)})}
 
@@ -77,12 +83,7 @@ class TransmissionSpec:
         if self.kind not in self._FORMS:
             raise ValueError(f"unknown transmission kind {self.kind!r}")
         if self.kind != "dirichlet":
-            values = self.p.values() if isinstance(self.p, dict) else (self.p,)
-            if not all(is_positive_number(v) for v in values):
-                raise ValueError(f"Robin parameters p must be positive finite numbers, "
-                                 f"got {self.p!r}")
-            if not is_positive_number(self.rho):
-                raise ValueError(f"rho must be a positive finite number, got {self.rho!r}")
+            _check_p(self.p, "p")
 
     @classmethod
     def dirichlet(cls) -> "TransmissionSpec":
@@ -90,7 +91,20 @@ class TransmissionSpec:
 
     @classmethod
     def robin(cls, p, rho: float = 1.0) -> "TransmissionSpec":
-        return cls(kind="robin", p=p, rho=rho)
+        """Robin exchange with every p multiplied by ``rho``, so that
+        ``robin(p, rho) == robin(p * rho)``.
+
+        A ValueError names a raw p or rho that is not a positive finite
+        number, checked before they are multiplied (a bool, a string or an
+        integer past the float range never reaches ``*``), and then a
+        product that is not, one that overflows or underflows to 0.
+        """
+        _check_p(p, "p")
+        if not is_positive_number(rho):
+            raise ValueError(f"rho must be a positive finite number, got {rho!r}")
+        p = {k: v * rho for k, v in p.items()} if isinstance(p, dict) else p * rho
+        _check_p(p, f"p * rho (rho = {rho!r})")
+        return cls(kind="robin", p=p)
 
     @property
     def is_robin(self) -> bool:
@@ -99,13 +113,13 @@ class TransmissionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "TransmissionSpec":
         kind, entries = read_form(d, cls._FORMS, "transmission")
-        return cls(kind, **entries)
+        return cls.robin(**entries) if kind == "robin" else cls(kind)
 
 
 class Link(NamedTuple):
     """Interface end of a receiving subdomain: neighbor ``m``, node ``j`` among
     its nodes, outward ``normal`` (+1 right, -1 left), a(gamma) and the Robin
-    ``p`` with rho applied (None for Dirichlet), and the grid step ``h``."""
+    ``p`` (None for Dirichlet), and the grid step ``h``."""
 
     m: int
     j: int
@@ -119,9 +133,10 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
     """(left, right) ``Link`` of every subdomain, None on the outer boundary.
 
     Raises ValueError when an interface lies fewer nodes inside its neighbor
-    than the stencil needs (1 for Dirichlet, 2 for Robin), when a
-    Robin table does not name exactly the interfaces, or when p * rho
-    overflows.
+    than the stencil needs (1 for Dirichlet, 2 for Robin) or when a
+    Robin table does not name exactly the interfaces.  Each Robin ``Link.p``
+    is the spec's p as a float: ``TransmissionSpec.robin`` has applied rho
+    and checked the product.
     """
     if tspec.is_robin and isinstance(tspec.p, dict):
         missing = [k for k in grid.interface_index if k not in tspec.p]
@@ -143,10 +158,7 @@ def links(tspec: TransmissionSpec, grid: Grid, spec: ProblemSpec) -> list[tuple]
         a = p = None
         if tspec.is_robin:
             a = float(spec.a.value(grid.x[idx], spec.length))
-            p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p) * tspec.rho
-            if not math.isfinite(p):
-                raise ValueError(f"Robin parameter p * rho of the interface of "
-                                 f"subdomain {l} in neighbor {m} is not finite")
+            p = float(tspec.p[(l, m)] if isinstance(tspec.p, dict) else tspec.p)
         right = idx == grid.sub_ranges[l][1]
         ends[l][right] = Link(m, idx - lo, 1 if right else -1, a, p, grid.h)
     return [tuple(pair) for pair in ends]

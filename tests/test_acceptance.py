@@ -129,7 +129,10 @@ def test_criterion_3_rho_rescue():
         cfg = two_subdomain_cfg(**DIVERGENT, h=1e-3, rho=rho,
                                 stop_tol=1e-9, k_max=200)
         verdicts.append(run_elliptic(plan(cfg)).verdict)
-    taus = [tau_factors(AnalyticCase(L=2.0, **DIVERGENT, rho=rho)).tau for rho in rhos]
+    # the closed form takes the scaled parameters, as the run's Robin rows do
+    taus = [tau_factors(AnalyticCase(L=2.0, L1=DIVERGENT["L1"], L2=DIVERGENT["L2"],
+                                     p=rho * DIVERGENT["p"], q=rho * DIVERGENT["q"])).tau
+            for rho in rhos]
 
     converged_idx = [i for i, v in enumerate(verdicts) if v == "converged"]
     oracle_idx = [i for i, t in enumerate(taus) if t < 1.0]

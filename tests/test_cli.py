@@ -140,8 +140,9 @@ def test_tau_divergent_regime(capsys):
 
 
 def test_tau_rho_rescues_divergent_case(capsys):
+    # a config's rho = 64 on p = 1, q = 50: tau takes the scaled parameters
     assert main(["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95",
-                 "--p", "1", "--q", "50", "--rho", "64"]) == 0
+                 "--p", "64", "--q", "3200"]) == 0
     assert "verdict: converge" in capsys.readouterr().out
 
 
@@ -181,7 +182,6 @@ def test_tau_degenerate_exits_one(capsys):
 
 
 _BAD_PQ = "Robin parameters p and q must be positive finite numbers"
-_BAD_RHO = "rho must be a positive finite number"
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -189,11 +189,9 @@ _BAD_RHO = "rho must be a positive finite number"
     pytest.param("--p", "-1", _BAD_PQ, id="p-negative"),
     pytest.param("--q", "inf", _BAD_PQ, id="q-inf"),
     pytest.param("--q", "0", _BAD_PQ, id="q-zero"),
-    pytest.param("--rho", "inf", _BAD_RHO, id="rho-inf"),
-    pytest.param("--rho", "nan", _BAD_RHO, id="rho-nan"),
 ])
 def test_tau_rejects_robin_parameters_that_run_rejects(capsys, flag, value, message):
-    values = {"--p": "1", "--q": "50", "--rho": "1", flag: value}
+    values = {"--p": "1", "--q": "50", flag: value}
     argv = ["tau", "--L", "2", "--L1", "1.9", "--L2", "1.95"]
     assert main(argv + [s for item in values.items() for s in item]) == 1
     captured = capsys.readouterr()
@@ -202,12 +200,6 @@ def test_tau_rejects_robin_parameters_that_run_rejects(capsys, flag, value, mess
 
 
 @pytest.mark.parametrize("argv, message", [
-    # each value is finite, their product is not: the error names the
-    # product, as run and validate do, not a vanishing denominator
-    pytest.param(["--p", "1e200", "--q", "50", "--rho", "1e200"],
-                 "Robin parameter rho * p = 1e+200 * 1e+200 is not finite", id="rho-p"),
-    pytest.param(["--p", "1", "--q", "1e200", "--rho", "1e200"],
-                 "Robin parameter rho * q = 1e+200 * 1e+200 is not finite", id="rho-q"),
     # p and q are finite, a Robin term p v is not: not tau2 = -inf and tau =
     # inf, nor a vanishing denominator (num=-3.95319e+307, den=inf)
     pytest.param(["--p", "1", "--q", "1.7e308"],
@@ -564,6 +556,17 @@ def test_a_non_finite_iterate_diverges_and_an_overflowing_norm_is_an_error(
         assert "inf" not in (out / "summary.txt").read_text()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_reference_solve_that_overflows_is_one_error_line(tmp_path, capsys):
+    # u / dt overflows in the reference march; its finiteness check names it
+    cfg = shipped_config("heat_dirichlet", str(tmp_path / "o"))
+    cfg["problem"] = {"mode": "parabolic", "L": 1.0, "T": 2.0, "a": 1.0, "b": 0.0, "c": 0.0,
+                      "F": {"sine": {"param": 1.0}}, "g": {"sine": {"amplitude": 1e308}}}
+    assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: reference solve: banded solve produced non-finite values\n")
+
+
 def test_subdomain_operator_failure_names_the_subdomain(tmp_path, capsys):
     cfg = singular_robin_config(str(tmp_path / "o"))
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
@@ -822,10 +825,24 @@ def test_sweep_value_beyond_float_range_exits_one(tmp_path, capsys):
                  id="output-dir-number"),
     pytest.param(lambda c: c["output"].update(dir=None), "output dir must be a string, got None",
                  id="output-dir-null"),
-    # each value is finite, but p * rho is not
+    # each value is finite, but p * rho is not: it overflows, or underflows to 0
     pytest.param(lambda c: c.update(transmission={"robin": {"p": 1e200, "rho": 1e200}}),
-                 "Robin parameter p * rho of the interface of subdomain 0 in neighbor 1 is not "
-                 "finite", id="robin-p-rho-overflow"),
+                 "Robin parameters p * rho (rho = 1e+200) must be positive finite numbers, "
+                 "got inf", id="robin-p-rho-overflow"),
+    pytest.param(lambda c: c.update(transmission={"robin": {"p": {"0,1": 1e-300, "1,0": 50},
+                                                            "rho": 1e-30}}),
+                 "Robin parameters p * rho (rho = 1e-30) must be positive finite numbers, "
+                 "got {(0, 1): 0.0, (1, 0): 5.0000000000000004e-29}",
+                 id="robin-p-rho-underflow"),
+    # a / h^2 past the float range: named, not a zero pivot, and no numpy warning
+    pytest.param(lambda c: c.update(problem={**LAPLACE_INLINE, "a": 1e305}),
+                 "subdomain 1: a matrix entry overflows a float: a / h^2, b / h or c is not "
+                 "finite at h = 0.01", id="a-overflow",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # interfaces 1e-9 apart would need 1e9 nodes: refused before any subdomain is built
+    pytest.param(lambda c: c["partition"]["uniform"].update(count=1000000, overlap=1e-9),
+                 "overlap 1e-09 too small: interfaces that close need h <= overlap, more than "
+                 "10000000 grid nodes on L = 1", id="uniform-overlap-tiny"),
     # cell and level counts past the float range
     pytest.param(lambda c: c["grid"].update(h=1e-320),
                  "h_target must be positive and L / h_target finite, got 1e-320", id="grid-h-tiny"),
@@ -1441,6 +1458,26 @@ def test_any_failure_is_one_error_line_without_traceback(tmp_path, capsys, monke
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["validate", "--config", cfg_path]) == 1
     assert capsys.readouterr() == (f"{message}\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run"], id="run-without-config"),
+    pytest.param(["run", "--config", "c.json", "--quiet"], id="flag-after-the-command"),
+    pytest.param(["tau", "--L", "x", "--L1", "1.9", "--L2", "1.95", "--p", "1", "--q", "50"],
+                 id="tau-length-not-a-number"),
+])
+def test_a_usage_error_is_one_error_line_and_exit_one(capsys, argv):
+    # not argparse's usage text and exit 2, which is run's "diverged"
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--help"])
+    assert exc.value.code == 0
+    assert "--q" in capsys.readouterr().out
 
 
 def test_large_linear_nonlinearity_converges(tmp_path):

@@ -699,6 +699,13 @@ def test_reference_restriction_solves_subdomain_system():
     assert np.max(np.abs(res)) < 1e-9
 
 
+def test_parabolic_reference_needs_a_time_axis():
+    spec = catalog_lookup("heat-semilinear")
+    grid = build_grid(build_uniform_partition(spec.length, 2, 0.2), 0.05)  # no dt
+    with pytest.raises(ValueError, match="^parabolic reference needs a grid with a time axis$"):
+        reference_solve(spec, grid)
+
+
 def test_discretize_reads_no_module_of_the_package_but_problem():
     # an operator takes its nodes and step, not a grid object
     tree = ast.parse(Path(discretize.__file__).read_text(encoding="utf-8"))

@@ -205,7 +205,7 @@ def test_threshold_large_domain_expansion():
 def test_rho_rescue_at_oracle_level():
     case = AnalyticCase(L=2.0, L1=1.9, L2=1.95, p=1.0, q=50.0)
     assert tau_factors(case).tau > 1.0
-    taus = [tau_factors(replace(case, rho=2.0 ** k)).tau for k in range(11)]
+    taus = [tau_factors(replace(case, p=2.0 ** k, q=50.0 * 2.0 ** k)).tau for k in range(11)]
     assert any(t < 1.0 for t in taus)
     crossing = next(k for k, t in enumerate(taus) if t < 1.0)
     assert crossing <= 10
@@ -258,8 +258,6 @@ def test_classical_rate_rejects_an_infinite_length():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         AnalyticCase(L=1.0, L1=0.8, L2=0.5, p=1.0, q=1.0)
-    with pytest.raises(ValueError):
-        AnalyticCase(L=1.0, L1=0.2, L2=0.5, p=1.0, q=1.0, rho=-1.0)
 
 
 def test_infinite_length_is_rejected_as_not_finite():
@@ -349,8 +347,9 @@ def test_run_tau_of_the_model_operator_whatever_its_data():
     assert planned_tau(model) == want
     # the errors see neither the source nor g
     assert planned_tau(replace(model, source=None, g=Fn.constant(3.0))) == want
+    # the closed form takes the numbers the run's Robin rows use, rho applied
     assert planned_tau(model, TransmissionSpec.robin(DIVERGENT_TABLE, 4.0)) == (
-        tau_factors(replace(DIVERGENT, rho=4.0)).tau)
+        tau_factors(replace(DIVERGENT, p=4.0, q=200.0)).tau)
     assert planned_tau(model, TransmissionSpec.dirichlet()) == (
         dirichlet_tau_factors(DIVERGENT).tau)
 

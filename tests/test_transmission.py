@@ -43,6 +43,13 @@ def test_spec_requires_positive_parameters():
         TransmissionSpec.robin(1.0, rho=0.0)
 
 
+def test_robin_applies_rho_once():
+    # the spec stores the products, so a rho rescue is the scaled spec itself
+    assert TransmissionSpec.robin(1.0, rho=4.0) == TransmissionSpec.robin(4.0)
+    assert TransmissionSpec.robin({(0, 1): 1.0, (1, 0): 50.0}, rho=4.0) == (
+        TransmissionSpec.robin({(0, 1): 4.0, (1, 0): 200.0}))
+
+
 def test_dirichlet_extracts_the_trace(setup):
     spec, part, grid = setup
     field = neighbor_values(grid, 1, lambda x: np.full_like(x, 5.0))
