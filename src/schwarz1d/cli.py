@@ -214,8 +214,7 @@ def _cmd_run(args) -> int:
         return 0
     if hist.verdict == "diverged":
         return 2
-    print("no verdict within max_iters (stalled)", file=sys.stderr)
-    return 1
+    raise RuntimeError("no verdict within max_iters (stalled)")
 
 
 def _cmd_tau(args) -> int:
@@ -300,7 +299,7 @@ def _cmd_sweep(args) -> int:
             verdicts += hist.verdict in ("converged", "diverged")
         except Exception as exc:  # record the failure, keep sweeping
             rows.append(",".join([axis, label, "error", "", "", _fmt(tau),
-                                  str(exc).replace(",", ";")]))
+                                  (str(exc) or type(exc).__name__).replace(",", ";")]))
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     if not args.quiet:
@@ -308,8 +307,7 @@ def _cmd_sweep(args) -> int:
         if first_converged is not None:
             print(f"# first converged at {axis} = {first_converged}")
     if not verdicts:
-        print("error: no sweep point reached a verdict", file=sys.stderr)
-        return 1
+        raise RuntimeError("no sweep point reached a verdict")
     return 0
 
 

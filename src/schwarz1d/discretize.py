@@ -148,7 +148,6 @@ class Operator:
             raise ValueError(f"subdomain grid too coarse ({n} nodes, need >= 5)")
         self.x, self.n = x, n
         self.spec = spec
-        self.robin_p = tuple(robin_p)
         self.c_shift = c_shift
         L = spec.length
         xh = 0.5 * (x[:-1] + x[1:])
@@ -169,7 +168,7 @@ class Operator:
         # None for Dirichlet.  alpha and pivot are Python floats, whose
         # arithmetic in system() is cheaper than numpy scalars' and the same
         self._ends = []
-        for end, p in ((0, self.robin_p[0]), (n - 1, self.robin_p[1])):
+        for end, p in ((0, robin_p[0]), (n - 1, robin_p[1])):
             if p is None:  # u = value; the row's other entries stay 0
                 main[end] = 1.0
                 self._ends.append((end, None, None, None))
@@ -191,8 +190,7 @@ class Operator:
         if not all(np.isfinite(v).all() for v in (sub, main, sup)):
             raise ValueError(f"a matrix entry overflows a float: a / h^2, b / h or c is not "
                              f"finite at h = {h:g}")
-        self._sub, self._main, self._sup = sub[1:], main, sup[:-1]
-        dl, d, du, du2, ipiv, info = _gttrf(self._sub, self._main, self._sup)
+        dl, d, du, du2, ipiv, info = _gttrf(sub[1:], main, sup[:-1])
         if info > 0:
             raise ValueError(f"singular operator: zero pivot in row {info}")
         self.lu = (dl, d, du, du2, ipiv)
@@ -220,13 +218,6 @@ class Operator:
         rhs[end0] = left if row0 is None else left - alpha0 * rhs.item(row0) / pivot0
         rhs[end1] = right if row1 is None else right - alpha1 * rhs.item(row1) / pivot1
         return rhs
-
-    def dense(self) -> np.ndarray:
-        """The matrix as a dense array (an oracle view; the solves never build it)."""
-        m = np.diag(self._main)
-        m[np.arange(1, self.n), np.arange(self.n - 1)] = self._sub
-        m[np.arange(self.n - 1), np.arange(1, self.n)] = self._sup
-        return m
 
 
 def solve_banded(lu, rhs: np.ndarray) -> Field:
@@ -310,11 +301,11 @@ def solve_semilinear_elliptic(op: Operator, left: float, right: float,
     """Solve -(a u')' + b u' + c u = F(x, u) + source on ``op``'s subdomain.
 
     ``left``/``right`` is the Dirichlet value or the Robin flux of each end,
-    as ``op.robin_p`` says.  The Picard loop starts from ``u_start`` (zero
-    when None) and stops once a step changes the field by at most
-    ``picard_tol`` (max norm); when ``picard_max`` steps are spent, a last
-    change of at most ``picard_tol * max|u|`` is accepted too, and a larger
-    one raises RuntimeError.  With c > Lipschitz(F) the iteration contracts
+    as the ``robin_p`` that built ``op`` says.  The Picard loop starts from
+    ``u_start`` (zero when None) and stops once a step changes the field by
+    at most ``picard_tol`` (max norm); when ``picard_max`` steps are spent, a
+    last change of at most ``picard_tol * max|u|`` is accepted too, and a
+    larger one raises RuntimeError.  With c > Lipschitz(F) the iteration contracts
     at rate ~ C / min(c).  Returns the field and the number of Picard
     steps.  The field is not checked: a step whose change is not finite
     ends the loop, and the non-finite field is returned for the caller to

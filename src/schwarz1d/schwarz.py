@@ -71,7 +71,6 @@ __all__ = [
     "exchange",
     "sweep",
     "weighted_sup_norm",
-    "laplace_seminorm",
     "seminorm_sq_profile",
     "double_sweep_ratio",
 ]
@@ -283,12 +282,6 @@ def seminorm_sq_profile(u: np.ndarray, alpha: float, t: np.ndarray, ref=0.0) -> 
     windows = np.square(transforms, transforms).reshape(nodes, starts.size, offsets.size)
     return np.max([_simpson(windows[:, i], 1.0 / _WINDOW_INTERVALS)
                    for i in range(starts.size)], axis=0)
-
-
-def laplace_seminorm(series: np.ndarray, alpha: float, t: np.ndarray) -> float:
-    """Seminorm |f|_alpha of one time series on the truncated horizon."""
-    sq = seminorm_sq_profile(np.asarray(series)[None, :], alpha, t)
-    return float(np.sqrt(max(sq[0], 0.0)))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately written against the math, not against the
-package internals: dense Gaussian elimination for linear solves,
+package internals: dense Gaussian elimination for linear solves, the
+finite-difference matrix written from its formulas row by row,
 hand-differentiated manufactured solutions, the closed-form contraction
 factors in their published algebraic form, the Picard march written
 plainly, one new array per operation, and the matrix of the discrete
@@ -40,6 +41,40 @@ def dense_solve(A, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - A[row, row + 1:] @ x[row + 1:]) / A[row, row]
     return x
+
+
+def difference_matrix(spec: ProblemSpec, x, h: float, robin_p, c_shift: float = 0.0):
+    """The finite-difference matrix of -(a u')' + b u' + (c + c_shift) u on the
+    uniform nodes ``x`` of step ``h``, one row at a time from the formulas.
+
+    Interior row i is the flux form with a at the midpoints and a centered
+    b u':  (-a_{i-1/2} u_{i-1} + (a_{i-1/2} + a_{i+1/2}) u_i - a_{i+1/2} u_{i+1}) / h^2
+    + b_i (u_{i+1} - u_{i-1}) / (2h) + (c_i + c_shift) u_i.  An end whose
+    ``robin_p`` entry is None is the Dirichlet row u_end.  A Robin end with
+    parameter p is the three-point relation a (3 u_end - 4 u_next + u_third)
+    / (2h) + p u_end, with a at the end node, left as it is (nothing
+    eliminated), so the matrix is not tridiagonal there.  The right-hand
+    side is the interior rows' data with each end's row holding its
+    Dirichlet value or Robin flux.
+    """
+    n, L = len(x), spec.length
+    A = np.zeros((n, n))
+    for i in range(1, n - 1):
+        a_lo = spec.a.value(0.5 * (x[i - 1] + x[i]), L)
+        a_hi = spec.a.value(0.5 * (x[i] + x[i + 1]), L)
+        b, c = spec.b.value(x[i], L), spec.c.value(x[i], L) + c_shift
+        A[i, i - 1] = -a_lo / h**2 - b / (2 * h)
+        A[i, i] = (a_lo + a_hi) / h**2 + c
+        A[i, i + 1] = -a_hi / h**2 + b / (2 * h)
+    for end, step, p in ((0, 1, robin_p[0]), (n - 1, -1, robin_p[1])):
+        if p is None:
+            A[end, end] = 1.0
+            continue
+        a = spec.a.value(x[end], L)
+        A[end, end] = 3 * a / (2 * h) + p
+        A[end, end + step] = -4 * a / (2 * h)
+        A[end, end + 2 * step] = a / (2 * h)
+    return A
 
 
 def tau_exponent5(L, L1, L2, p, q):

@@ -25,10 +25,10 @@ from schwarz1d.oracle import (
 from schwarz1d.problem import catalog_ids, catalog_lookup
 from schwarz1d.schwarz import (
     SchwarzConfig,
-    laplace_seminorm,
     plan,
     run_elliptic,
     run_parabolic,
+    seminorm_sq_profile,
 )
 from schwarz1d.transmission import TransmissionSpec, extract, links
 
@@ -308,7 +308,7 @@ def test_criterion_7_property_suites():
     # seminorm closed form at quadrature accuracy
     beta, alpha = 2.0, 8.0
     t = np.linspace(0.0, 3.0, 6001)
-    got = laplace_seminorm(np.exp(-beta * t), alpha, t) ** 2
+    got = seminorm_sq_profile(np.exp(-beta * t)[None, :], alpha, t)[0]
     expected = 1.0 / (beta + alpha) - 1.0 / (beta + alpha + 1.0)
     checks["seminorm closed form"] = abs(got - expected) < 1e-6
 

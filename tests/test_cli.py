@@ -484,10 +484,13 @@ def test_unreadable_config_path_exits_one(tmp_path, capsys):
 
 
 def test_run_stalled_exits_one(tmp_path, capsys):
+    # one error line, as for every failure, after both reports are written
     cfg = laplace_config(str(tmp_path / "o"))
     cfg["run"]["max_iters"] = 3  # cannot converge that fast
     assert main(["--quiet", "run", "--config", write_config(tmp_path, cfg)]) == 1
-    assert "stalled" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no verdict within max_iters (stalled)\n"
+    assert "verdict:        stalled\n" in (tmp_path / "o" / "summary.txt").read_text()
+    assert (tmp_path / "o" / "history.csv").read_text().endswith(",stalled\n")
 
 
 def test_run_engine_failure_reports_error_without_traceback(tmp_path, capsys):
@@ -625,6 +628,23 @@ def test_sweep_point_without_robin_p_is_recorded_not_raised(tmp_path, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["error", "error"]
     assert all("needs a 'p' entry" in r.split(",", 6)[6] for r in rows)
+
+
+def test_sweep_point_failure_without_a_message_is_named_by_its_type(tmp_path, capsys,
+                                                                   monkeypatch):
+    import schwarz1d.cli as cli
+
+    def no_memory(sc):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "plan", no_memory)
+    out = tmp_path / "out"
+    cfg = divergent_config(str(out))
+    cfg["sweep"] = {"axis": "transmission.rho", "values": [1, 2]}
+    assert main(["--quiet", "sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "error: no sweep point reached a verdict\n"
+    assert (out / "sweep.csv").read_text().splitlines()[1:] == [
+        f"transmission.rho,{rho},error,,,,MemoryError" for rho in (1, 2)]
 
 
 def test_sweep_point_whose_plan_fails_has_no_tau(tmp_path):

@@ -26,6 +26,7 @@ from schwarz1d.problem import (
 
 from helpers import (
     dense_solve,
+    difference_matrix,
     fitted_order,
     manufactured_elliptic,
     manufactured_parabolic,
@@ -59,15 +60,23 @@ def dirichlet(spec, sg, c_shift=0.0) -> Operator:
     return Operator(spec, *sg, (None, None), c_shift)
 
 
-def frozen_rhs(op: Operator, frozen_u, left: float, right: float) -> np.ndarray:
-    """Right-hand side of the linearized system with F frozen at ``frozen_u``."""
-    x = op.x
-    rhs = op.spec.source_values(x) + np.atleast_1d(op.spec.F(x, frozen_u)) + np.zeros(op.n)
-    return op.system(rhs, left, right)
+def frozen_rhs(spec: ProblemSpec, x, frozen_u, left: float, right: float) -> np.ndarray:
+    """Right-hand side of the difference formulas with F frozen at ``frozen_u``:
+    source + F in the interior rows, the boundary data in the end rows."""
+    rhs = spec.source_values(x) + np.atleast_1d(spec.F(x, frozen_u)) + np.zeros(x.size)
+    rhs[0], rhs[-1] = left, right
+    return rhs
 
 
-def random_operator(rng, robin_p=None) -> Operator:
-    """An operator with random coefficients, end kinds, Robin p and shift."""
+def roundoff(u) -> float:
+    """Round-off bound of a solved field ``u``: the condition number of a
+    second-difference matrix grows as its size squared."""
+    return 10 * np.finfo(float).eps * u.size**2 * np.max(np.abs(u))
+
+
+def random_operator(rng, robin_p=None) -> tuple[Operator, np.ndarray]:
+    """An operator with random coefficients, end kinds, Robin p and shift,
+    and the difference matrix of the same problem."""
     n_cells = int(rng.integers(4, 50))
     length = float(rng.uniform(0.5, 2.0))
     spec = simple_spec(a=rng.uniform(0.5, 2.0), b=rng.uniform(-5.0, 5.0),
@@ -76,7 +85,8 @@ def random_operator(rng, robin_p=None) -> Operator:
         robin_p = tuple(None if rng.random() < 0.5 else float(rng.uniform(0.1, 10.0))
                         for _ in range(2))
     c_shift = 0.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 100.0))
-    return Operator(spec, *subgrid(length, n_cells), robin_p, c_shift)
+    sg = subgrid(length, n_cells)
+    return Operator(spec, *sg, robin_p, c_shift), difference_matrix(spec, *sg, robin_p, c_shift)
 
 
 # --------------------------------------------------------------------------
@@ -85,15 +95,17 @@ def random_operator(rng, robin_p=None) -> Operator:
 
 def test_dirichlet_rows_are_identity_rows():
     # a Dirichlet end is the row u = value; the fill writes the data there and
-    # leaves the interior rows as given
+    # leaves the interior rows as given, and the solve returns the data at the
+    # ends to round-off: a pivoting gttrf need not return them bit for bit
     rng = np.random.default_rng(3)
     for _ in range(20):
-        op = random_operator(rng, robin_p=(None, None))
-        np.testing.assert_array_equal(op.dense()[[0, -1]], np.eye(op.n)[[0, -1]])
+        op, _ = random_operator(rng, robin_p=(None, None))
         interior = rng.uniform(-5, 5, op.n)
         left, right = rng.uniform(-5, 5, 2)
         rhs = op.system(interior.copy(), left, right)
         np.testing.assert_array_equal(rhs, np.r_[left, interior[1:-1], right])
+        u = solve_banded(op.lu, rhs)
+        np.testing.assert_allclose(u[[0, -1]], [left, right], rtol=0, atol=roundoff(u))
 
 
 def test_discrete_laplacian_exact_for_quadratic():
@@ -111,24 +123,27 @@ def test_discrete_laplacian_exact_for_quadratic():
 
 
 def test_against_dense_elimination_oracle():
+    # the tridiagonal solve, its Robin rows eliminated, against Gaussian
+    # elimination of the difference formulas with the three-point Robin rows
     rng = np.random.default_rng(7)
     for _ in range(100):
-        op = random_operator(rng)
+        op, A = random_operator(rng)
         # a solution of order one keeps the absolute bound as strict as for
         # matrices with entries of order one, whatever 1/h^2 is
-        rhs = op.dense() @ rng.uniform(-5, 5, op.n)
-        x_banded = solve_banded(op.lu, rhs.copy())  # the solve overwrites its rhs
-        x_dense = dense_solve(op.dense(), rhs)
+        rhs = A @ rng.uniform(-5, 5, op.n)
+        x_banded = solve_banded(op.lu, op.system(rhs.copy(), rhs[0], rhs[-1]))
+        x_dense = dense_solve(A, rhs)
         assert np.max(np.abs(x_banded - x_dense)) <= 1e-10
 
 
 def test_residual_postcondition():
+    # the solved field satisfies every difference formula, the un-eliminated
+    # Robin rows among them, to round-off of the solution's scale
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        op = random_operator(rng)
+    for _ in range(100):
+        op, A = random_operator(rng)
         rhs = rng.uniform(-5, 5, op.n)
-        x = solve_banded(op.lu, rhs.copy())  # the solve overwrites its rhs
-        A = op.dense()
+        x = solve_banded(op.lu, op.system(rhs.copy(), rhs[0], rhs[-1]))
         res = np.max(np.abs(A @ x - rhs))
         norm_a = np.max(np.sum(np.abs(A), axis=1))
         assert res <= 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
@@ -400,9 +415,11 @@ def test_elliptic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, sou
 
 
 def test_solve_banded_overwrites_its_rhs_with_the_solution():
-    op = Operator(simple_spec(c=4.0), *subgrid(1.0, 24), (1.5, None))
+    spec, sg = simple_spec(c=4.0), subgrid(1.0, 24)
+    op = Operator(spec, *sg, (1.5, None))
     rhs = op.system(np.cos(op.x), 0.25, -1.0)
-    expected = dense_solve(op.dense(), rhs.copy())
+    expected = dense_solve(difference_matrix(spec, *sg, (1.5, None)),
+                           np.r_[0.25, np.cos(op.x)[1:-1], -1.0])
     x = solve_banded(op.lu, rhs)
     assert x is rhs
     np.testing.assert_allclose(x, expected, atol=1e-12)
@@ -468,15 +485,19 @@ def test_robin_right_end_exact_for_linear_solution():
 @pytest.mark.parametrize("left_p, right_p", [(2.5, None), (2.5, 0.75)], ids=["one", "both"])
 def test_robin_end_rows_mirror_each_other_bitwise(c, n_cells, left_p, right_p):
     # x -> L - x turns b into -b and swaps the ends: with constant a and c
-    # the right end's rows are the left end's, entry for entry
+    # the right end's rows are the left end's, so the boundary rows of a
+    # right-hand side fill entry for entry, and the solutions mirror each
+    # other to round-off (gttrf pivots the two matrices in different rows)
     b = 3.0
     sg = subgrid(1.0, n_cells)
     op = Operator(simple_spec(b=b, c=c), *sg, (left_p, right_p))
     mirror = Operator(simple_spec(b=-b, c=c), *sg, (right_p, left_p))
-    assert np.array_equal(op.dense(), mirror.dense()[::-1, ::-1])
     rhs = np.random.default_rng(n_cells).standard_normal(op.n)
     filled = op.system(rhs.copy(), 1.25, -0.5)
-    assert np.array_equal(filled, mirror.system(rhs[::-1].copy(), -0.5, 1.25)[::-1])
+    mirrored = mirror.system(rhs[::-1].copy(), -0.5, 1.25)
+    assert np.array_equal(filled, mirrored[::-1])
+    u, v = solve_banded(op.lu, filled), solve_banded(mirror.lu, mirrored)
+    np.testing.assert_allclose(u, v[::-1], rtol=0, atol=roundoff(u))
 
 
 def test_robin_discretization_second_order():
@@ -529,8 +550,8 @@ def test_picard_iteration_ratio_bounded_by_s_over_c():
     op = dirichlet(spec, subgrid(1.0, 100))
     op_diffs = []
     u = np.zeros(op.n)
-    for _ in range(12):
-        u_new = solve_banded(op.lu, frozen_rhs(op, u, 0.0, 0.0))
+    for _ in range(12):  # with Dirichlet ends the formulas' right-hand side is the system's
+        u_new = solve_banded(op.lu, frozen_rhs(spec, op.x, u, 0.0, 0.0))
         op_diffs.append(np.max(np.abs(u_new - u)))
         u = u_new
     ratios = [d2 / d1 for d1, d2 in zip(op_diffs[1:-1], op_diffs[2:]) if d1 > 1e-14]
@@ -539,9 +560,10 @@ def test_picard_iteration_ratio_bounded_by_s_over_c():
 
 def test_sine_nonlinearity_residual_small():
     spec = simple_spec(c=4.0, F=Nonlinearity.sine(1.0), source=lambda x, t: np.sin(np.pi * x))
-    op = dirichlet(spec, subgrid(1.0, 80))
-    u, _ = solve_semilinear_elliptic(op, 0.0, 0.0)
-    residual = np.max(np.abs(op.dense() @ u - frozen_rhs(op, u, 0.0, 0.0)))
+    sg = subgrid(1.0, 80)
+    u, _ = solve_semilinear_elliptic(dirichlet(spec, sg), 0.0, 0.0)
+    A = difference_matrix(spec, *sg, (None, None))
+    residual = np.max(np.abs(A @ u - frozen_rhs(spec, sg.x, u, 0.0, 0.0)))
     assert residual <= 1e-8
 
 
@@ -688,14 +710,16 @@ def test_reference_laplace_ramp_exact():
 
 
 def test_reference_restriction_solves_subdomain_system():
-    # plugging the reference into a subdomain operator leaves no residual
+    # plugging the reference into a subdomain's difference formulas leaves no
+    # residual
     spec = catalog_lookup("example31")
     part = build_uniform_partition(spec.length, 2, 0.2)
     grid = build_grid(part, 0.01)
     u = reference_solve(spec, grid)
     lo, hi = grid.sub_ranges[0]
-    op = dirichlet(spec, SubGrid(grid.x[grid.nodes(0)], grid.h))
-    res = op.dense() @ u[lo:hi + 1] - frozen_rhs(op, u[lo:hi + 1], u[lo], u[hi])
+    x, v = grid.x[grid.nodes(0)], u[lo:hi + 1]
+    A = difference_matrix(spec, x, grid.h, (None, None))
+    res = A @ v - frozen_rhs(spec, x, v, u[lo], u[hi])
     assert np.max(np.abs(res)) < 1e-9
 
 

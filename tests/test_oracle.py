@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schwarz1d.oracle import (
     AnalyticCase,
@@ -339,6 +339,24 @@ def divergent_plan(problem=None, transmission=TransmissionSpec.robin(DIVERGENT_T
 def planned_tau(*args):
     p = divergent_plan(*args)
     return run_tau(p.cfg.problem, p.cfg.partition, p.links)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.floats(0.1, 20.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 10.0),
+       st.floats(-10.0, -0.05), st.floats(math.log(1e-3), math.log(1e3)))
+def test_equal_robin_parameters_contract_for_any_overlap_and_roots(L, s1, s2, rp, rm, log_p):
+    # a candidate condition, not a result quoted from a source: the same p
+    # on both sides of the overlap gives tau < 1 for -u'' + b u' + c u with
+    # c > 0 (roots of opposite signs).  The margin 1 - tau falls to 0 with
+    # the overlap and p, so a tau within round-off of 1 decides nothing
+    L1, L2 = sorted((s1 * L, s2 * L))
+    p = math.exp(log_p)
+    try:
+        tau = tau_factors(AnalyticCase(L=L, L1=L1, L2=L2, p=p, q=p), (rp, rm)).tau
+    except ValueError:  # lengths out of order, or a profile the floats cannot hold
+        assume(False)
+    assume(abs(1.0 - tau) > 1e-12)
+    assert tau < 1.0, (L, L1, L2, rp, rm, p, tau)
 
 
 def test_run_tau_of_the_model_operator_whatever_its_data():

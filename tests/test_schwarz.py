@@ -25,7 +25,6 @@ from schwarz1d.schwarz import (
     _trapezoid_weights,
     double_sweep_ratio,
     exchange,
-    laplace_seminorm,
     plan,
     run_elliptic,
     run_parabolic,
@@ -78,28 +77,29 @@ def test_laplace_seminorm_closed_form_decaying_exponential():
     t = np.linspace(0.0, 3.0, 6001)
     f = np.exp(-beta * t)
     expected_sq = 1.0 / (beta + alpha) - 1.0 / (beta + alpha + 1.0)
-    got = laplace_seminorm(f, alpha, t)
-    assert abs(got**2 - expected_sq) < 1e-6
-    np.testing.assert_allclose(got**2, expected_sq, rtol=1e-4)
+    got_sq = seminorm_sq_profile(f[None, :], alpha, t)[0]
+    assert abs(got_sq - expected_sq) < 1e-6
+    np.testing.assert_allclose(got_sq, expected_sq, rtol=1e-4)
 
 
 def test_laplace_seminorm_zero_and_homogeneity():
     t = np.linspace(0.0, 2.0, 801)
-    assert laplace_seminorm(np.zeros_like(t), 10.0, t) == 0.0
+    assert seminorm_sq_profile(np.zeros((1, t.size)), 10.0, t)[0] == 0.0
     f = np.exp(-t) * np.sin(3 * t)
-    base = laplace_seminorm(f, 10.0, t)
+    base = seminorm_sq_profile(f[None, :], 10.0, t)[0]
     for c in (-4.0, 0.5):
-        np.testing.assert_allclose(laplace_seminorm(c * f, 10.0, t), abs(c) * base,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(seminorm_sq_profile(c * f[None, :], 10.0, t)[0],
+                                   c**2 * base, rtol=1e-12)
 
 
 def test_seminorm_profile_matches_scalar_function():
     t = np.linspace(0.0, 2.0, 401)
     rows = np.vstack([np.exp(-t), np.exp(-2 * t) * np.cos(t)])
+    # each row of a profile is that row's own one-row profile
     prof = seminorm_sq_profile(rows, 9.0, t)
     for i in range(2):
-        np.testing.assert_allclose(math.sqrt(prof[i]),
-                                   laplace_seminorm(rows[i], 9.0, t), rtol=1e-12)
+        np.testing.assert_allclose(prof[i], seminorm_sq_profile(rows[i][None, :], 9.0, t)[0],
+                                   rtol=1e-12)
 
 
 def _polynomial_integrals(x, degree, rng):
@@ -502,7 +502,6 @@ def test_plan_builds_every_operator_and_solves_nothing(monkeypatch):
     (outer0, link0), (link1, outer1) = p.links
     assert outer0 is None and outer1 is None
     assert (link0.m, link0.p, link1.m, link1.p) == (1, 2.0, 0, 2.0)
-    assert [op.robin_p for op in p.ops] == [(None, 2.0), (2.0, None)]
 
 
 @pytest.mark.parametrize("setting", ["stop_tol", "alpha", "picard_tol"])
@@ -864,3 +863,48 @@ def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
                                  r"reach 1e-10 in 1 steps") as err:
             list(sweep(p, exchange(p, fields), fields, *args))
         assert err.value.history is None
+
+
+# --------------------------------------------------------------------------
+# a nonlinearity that decides the Robin verdict
+# --------------------------------------------------------------------------
+
+def semilinear_robin_cfg(F=None, p=None) -> SchwarzConfig:
+    """The divergent counterexample's partition and Robin table 1 / 50 on
+    example31 with c = 12 and ``F``, at h = 5e-3, u0 "one", 400 iterations;
+    ``p``, when given, is one Robin parameter for every interface end."""
+    cfg = load_config(CONFIGS / "counterexample_divergent.json")
+    cfg["problem"] = {"mode": "elliptic", "L": 2, "a": 1, "b": 3, "c": 12,
+                      "source": {"sine": {"amplitude": -1}}, **({} if F is None else {"F": F})}
+    cfg["grid"]["h"] = 5e-3
+    cfg["run"]["max_iters"] = 400
+    if p is not None:
+        cfg["transmission"] = {"robin": {"p": p}}
+    return build_schwarz_config(cfg)[0]
+
+
+def test_a_sine_nonlinearity_holds_robin_exchange_on_a_period_four_cycle():
+    # c = 12 exceeds the Lipschitz bound 6 of F = 6 sin(u), so the run is
+    # valid, but the linear factor at c - 6 is above 1: the fixed point
+    # repels, while |F| <= 6 keeps the iterate bounded.  E settles on a
+    # cycle of period 4, not 2: its pairs two apart differ by 2.1e-3
+    # relative, its pairs four apart by 3.0e-10 at iteration 381, falling
+    # as the orbit approaches the cycle
+    hist = run_elliptic(plan(semilinear_robin_cfg({"sine": {"param": 6}})))
+    assert hist.verdict == "stalled" and hist.iterations == 400
+    E = np.array(hist.E)
+    assert np.all(E[-20:] > 1.0)
+    assert np.all(np.abs(E[-20:] - E[-24:-4]) <= 1e-9 * E[-20:])
+    assert np.max(np.abs(E[-20:] - E[-22:-2]) / E[-20:]) > 1e-3
+
+
+@pytest.mark.parametrize("F, p, iterations, rate", [
+    pytest.param({"sine": {"param": -6}}, None, 151, 0.7172, id="F=-6sin"),
+    pytest.param(None, None, 337, 0.8720, id="F=0"),
+    pytest.param({"sine": {"param": 6}}, 1.0, 61, 0.4792, id="uniform-p"),
+])
+def test_the_cycling_robin_case_converges_with_another_sign_no_F_or_one_p(F, p, iterations,
+                                                                            rate):
+    hist = run_elliptic(plan(semilinear_robin_cfg(F, p)))
+    assert hist.verdict == "converged" and hist.iterations == iterations
+    assert hist.rate_per_double == pytest.approx(rate, abs=1e-4)
