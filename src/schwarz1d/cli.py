@@ -69,8 +69,7 @@ SCHEMA_VERSION = 1
 
 def load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -161,19 +160,20 @@ def _out_dir(cfg: dict, out: str | None = None) -> Path:
 
 def _write_history_csv(out: Path, hist: IterationHistory) -> None:
     """Write ``out``/history.csv, making ``out``: a row (k, l, norm, E_k, rate,
-    verdict) per iteration k and subdomain l, 1-based, where ``rate`` is
-    E_k / E_{k-1}, empty for k = 1 and where E_{k-1} = 0."""
+    verdict) per record k of ``hist`` and subdomain l, 1-based, where ``rate``
+    is E_k / E_{k-1}, empty for k = 1 and where E_{k-1} = 0."""
     lines = ["k,l,norm,E_k,rate,verdict"]
-    for k, (ek, norms) in enumerate(zip(hist.E, hist.sub_norms), start=1):
-        rate = ek / hist.E[k - 2] if k >= 2 and hist.E[k - 2] != 0.0 else None
-        for l, norm in enumerate(norms, start=1):
-            lines.append(",".join([str(k), str(l), _fmt(norm), _fmt(ek), _fmt(rate),
-                                   hist.verdict]))
+    for rec, last in zip(hist.records, [0.0] + hist.E):  # E_0 = 0: no rate at k = 1
+        rate = rec.E / last if last != 0.0 else None
+        lines += [",".join([str(rec.k), str(l), _fmt(norm), _fmt(rec.E), _fmt(rate),
+                            hist.verdict]) for l, norm in enumerate(rec.norms, start=1)]
     out.mkdir(parents=True, exist_ok=True)
     (out / "history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
+def _summary_text(problem_id: str, p: Plan, hist: IterationHistory, reference_steps: int) -> str:
+    """The lines of summary.txt; ``picard steps`` totals the records' Picard
+    steps (one per ``solve_banded`` call) and names the reference's."""
     lines = [
         f"problem:        {problem_id}",
         f"transmission:   {p.cfg.transmission.kind}",
@@ -182,7 +182,8 @@ def _summary_text(problem_id: str, p: Plan, hist: IterationHistory) -> str:
         f"iterations:     {hist.iterations}",
         f"final E:        {_fmt(hist.E[-1]) if hist.E else ''}",
         f"rate/double:    {_fmt(hist.rate_per_double)}",
-        f"wall time (s):  {sum(hist.wall_times):.3f}",
+        f"picard steps:   {sum(sum(r.steps) for r in hist.records)} (reference {reference_steps})",
+        f"wall time (s):  {sum(rec.wall for rec in hist.records):.3f}",
     ]
     tau = oracle.run_tau(p.cfg.problem, p.cfg.partition, p.links)
     if tau is not None:
@@ -199,22 +200,20 @@ def _cmd_run(args) -> int:
     sc, problem_id = build_schwarz_config(cfg)
     p = plan(sc)
     out = _out_dir(cfg, args.out)
+    reference, reference_steps = solve_reference(p)
     try:
-        hist = run_parabolic(p) if sc.problem.mode == "parabolic" else run_elliptic(p)
-    except SchwarzRunError as exc:
-        if exc.history is not None:  # keep the iterations before the failed sweep
-            _write_history_csv(out, exc.history)
+        hist = (run_parabolic if sc.problem.mode == "parabolic" else run_elliptic)(p, reference)
+    except SchwarzRunError as exc:  # a sweep failed: keep the iterations before it
+        _write_history_csv(out, exc.history)
         raise
     _write_history_csv(out, hist)
-    summary = _summary_text(problem_id, p, hist)
+    summary = _summary_text(problem_id, p, hist, reference_steps)
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     if not args.quiet:
         print(summary, end="")
-    if hist.verdict == "converged":
-        return 0
-    if hist.verdict == "diverged":
-        return 2
-    raise RuntimeError("no verdict within max_iters (stalled)")
+    if hist.verdict == "stalled":
+        raise RuntimeError("no verdict within max_iters (stalled)")
+    return 0 if hist.verdict == "converged" else 2
 
 
 def _cmd_tau(args) -> int:
@@ -289,7 +288,7 @@ def _cmd_sweep(args) -> int:
             tau = oracle.run_tau(sc.problem, sc.partition, p.links)
             if p.reference_key != key:
                 reference = key = None  # freed before the next one is solved
-                reference, key = solve_reference(p), p.reference_key
+                reference, key = solve_reference(p)[0], p.reference_key
             run = run_parabolic if sc.problem.mode == "parabolic" else run_elliptic
             hist = run(p, reference)
             rows.append(",".join([axis, label, hist.verdict, str(hist.iterations),
@@ -343,10 +342,8 @@ def main(argv=None) -> int:
     Any failure, a usage error among them, prints one ``error: ...`` line
     on stderr and returns 1; ``--help`` prints its text and exits 0.
     """
-    parser = _Parser(
-        prog="schwarz1d",
-        description="Overlapping Schwarz experiments on 1D semilinear problems",
-    )
+    parser = _Parser(prog="schwarz1d",
+                     description="Overlapping Schwarz experiments on 1D semilinear problems")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -355,11 +352,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory (default: config output.dir)")
 
     p_tau = sub.add_parser("tau", help="closed-form contraction factors")
-    p_tau.add_argument("--L", type=float, required=True)
-    p_tau.add_argument("--L1", type=float, required=True)
-    p_tau.add_argument("--L2", type=float, required=True)
-    p_tau.add_argument("--p", type=float, required=True)
-    p_tau.add_argument("--q", type=float, required=True)
+    for name in ("--L", "--L1", "--L2", "--p", "--q"):
+        p_tau.add_argument(name, type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a config along one parameter axis")
     p_sweep.add_argument("--config", required=True)

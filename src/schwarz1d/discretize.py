@@ -48,7 +48,9 @@ per Picard step: ``gttrs`` solves in place, into the right-hand side,
 and the Picard loop rotates two such buffers, so it never writes into
 the caller's start vector.  Each Picard step calls ``solve_banded``
 once, through this module's attribute, which a tracer may replace: the
-count of those calls is the number of Picard steps.  A parabolic march
+count of those calls is the number of Picard steps.  Every solve
+returns its field with that count, its Picard total: the march adds
+each level's steps once the level is done.  A parabolic march
 writes each level into one row of a time-major (levels, nodes) buffer,
 and the solve returns that buffer's transposed view: a (nodes, levels)
 field that is not C-contiguous, with no copy made.  The buffer is the
@@ -146,9 +148,7 @@ class Operator:
         n = x.size
         if n < 5:
             raise ValueError(f"subdomain grid too coarse ({n} nodes, need >= 5)")
-        self.x, self.n = x, n
-        self.spec = spec
-        self.c_shift = c_shift
+        self.x, self.n, self.spec, self.c_shift = x, n, spec, c_shift
         L = spec.length
         xh = 0.5 * (x[:-1] + x[1:])
         a_half = spec.a.value(xh, L)
@@ -156,9 +156,7 @@ class Operator:
         c = spec.c.value(x, L) + c_shift
         a_nodes = spec.a.value(x, L)
 
-        sub = np.zeros(n)  # sub[i] multiplies u_{i-1} in row i
-        main = np.zeros(n)
-        sup = np.zeros(n)  # sup[i] multiplies u_{i+1} in row i
+        sub, main, sup = np.zeros((3, n))  # sub[i] / sup[i] multiplies u_{i-1} / u_{i+1} in row i
         i = np.arange(1, n - 1)
         sub[i] = -a_half[i - 1] / h**2 - b[i] / (2 * h)
         main[i] = (a_half[i - 1] + a_half[i]) / h**2 + c[i]
@@ -202,10 +200,8 @@ class Operator:
         lam = float(np.minimum(a_half.min(), a_nodes.min()))  # a NaN stays, as min() may drop it
         b_max = float(np.max(np.abs(b)))
         h_star = np.inf if b_max == 0.0 else 2.0 * lam / b_max
-        self.warnings = []
-        if h > h_star:
-            self.warnings.append(f"h = {h:g} above diagonal-dominance threshold "
-                                 f"h* = {h_star:g}")
+        self.warnings = ([f"h = {h:g} above diagonal-dominance threshold h* = {h_star:g}"]
+                         if h > h_star else [])
 
     def system(self, rhs: np.ndarray, left: float, right: float) -> np.ndarray:
         """``rhs`` with its boundary rows set from the data of both ends.
@@ -237,7 +233,8 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
            dt: float | None, picard_tol: float, picard_max: int,
            field: np.ndarray | None = None) -> tuple[Field, int]:
     """Solve the levels m = 1, 2, ... of ``t`` in turn; return the last one's
-    field and Picard steps.
+    field and the Picard steps of all levels (one for a level with F zero),
+    which is the number of ``solve_banded`` calls.
 
     ``left``/``right``/``t`` hold one entry per level, entry 0 unused.  The
     fixed part of a level's right-hand side is its source at t[m] plus the
@@ -261,7 +258,7 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
         rhs, spare, work = np.empty(op.n), np.empty(op.n), np.empty(op.n)
         if u is None:
             u = np.zeros(op.n)
-    steps = 1
+    steps, total = 1, 0  # a level with F zero takes one step
     for m in range(1, len(t)):
         src = op.spec.source_values(x, float(t[m])) if source is None else source
         if shift is None:
@@ -290,9 +287,10 @@ def _march(op: Operator, left: Sequence[float], right: Sequence[float], t, u: Fi
                     level = "" if dt is None else f"time level {m} (t = {t[m]:g}): "
                     raise RuntimeError(f"{level}Picard iteration did not reach {picard_tol:g} "
                                        f"in {picard_max} steps (last diff {diff:g})")
+        total += steps
         if field is not None:
             field[m] = u
-    return u, steps
+    return u, total
 
 
 def solve_semilinear_elliptic(op: Operator, left: float, right: float,
@@ -329,7 +327,8 @@ def _per_level(value, levels: int) -> Sequence[float]:
 
 def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: float,
                                t: np.ndarray, picard_tol: float = 1e-10,
-                               picard_max: int = 200, out: np.ndarray | None = None) -> Field:
+                               picard_max: int = 200,
+                               out: np.ndarray | None = None) -> tuple[Field, int]:
     """March d/dt u - (a u')' + b u' + c u = F(x,u) + source by implicit Euler.
 
     ``op`` is the subdomain's operator with the shift 1/dt.  ``left``/
@@ -341,7 +340,8 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
     The source is ``op.source`` at every level unless it is callable.
     Returns the (nodes, len(t)) space-time field, the transposed view of
     the march's time-major buffer (not C-contiguous: each level is a
-    contiguous column).  The field is not checked: a level that is not
+    contiguous column), and the Picard steps of all its levels.  The
+    field is not checked: a level that is not
     finite is marched on, as the later levels that it makes non-finite.
     ``out``, a float64 vector of at least len(t) * op.n values, is the
     buffer when given: the field overwrites its leading values, so it
@@ -352,22 +352,20 @@ def solve_semilinear_parabolic(op: Operator, left, right, initial: Field, dt: fl
         raise ValueError(f"operator built for shift {op.c_shift:g}, not 1/dt = {1.0 / dt:g}")
     levels = len(t)
     # time-major, so each level's row is contiguous
-    if out is None:
-        field = np.empty((levels, op.n))
-    else:
-        field = out[:levels * op.n].reshape(levels, op.n)
+    field = np.empty((levels, op.n)) if out is None else out[:levels * op.n].reshape(levels, op.n)
     field[0] = np.asarray(initial, dtype=float)
     # an inf level turns the later ones NaN (sin(inf), inf - inf), which
     # the caller's error norm judges, so numpy need not warn
     with np.errstate(invalid="ignore"):
-        _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0], dt,
-               picard_tol, picard_max, field)
-    return field.T
+        steps = _march(op, _per_level(left, levels), _per_level(right, levels), t, field[0],
+                       dt, picard_tol, picard_max, field)[1]
+    return field.T, steps
 
 
 def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
-                    picard_max: int = 200) -> Field:
-    """Monodomain solve with the same discretization as the subdomain solves.
+                    picard_max: int = 200) -> tuple[Field, int]:
+    """Monodomain solve with the same discretization as the subdomain solves;
+    returns the field and its Picard steps, as the solves do.
 
     Iteration errors measured against this field contain no discretization
     component: a restriction of the result is an exact fixed point of the
@@ -379,9 +377,8 @@ def reference_solve(spec: ProblemSpec, grid, picard_tol: float = 1e-10,
     """
     g0, gL = spec.boundary_values()
     if spec.mode == "elliptic":
-        u, _ = solve_semilinear_elliptic(Operator(spec, grid.x, grid.h, (None, None)), g0, gL,
+        return solve_semilinear_elliptic(Operator(spec, grid.x, grid.h, (None, None)), g0, gL,
                                          picard_tol, picard_max)
-        return u
     if grid.t is None:
         raise ValueError("parabolic reference needs a grid with a time axis")
     op = Operator(spec, grid.x, grid.h, (None, None), c_shift=1.0 / grid.dt)

@@ -5,19 +5,26 @@ solved from the interface data of the neighbors' previous iterate (the
 initial iterate u^0 for the first sweep), so their order does not change
 the result, and each new field is compared against a monodomain
 reference computed once with the same discretization.  ``sweep`` yields
-the subdomains' new fields one at a time, from the data that
-``exchange`` gives of an iterate; a run consumes it, taking each field's
-norm and extracting the data its neighbors read next before the next
-subdomain is solved, so a parabolic run holds one subdomain field at a
-time, and a loop written by hand is ``list(sweep(...))``.  (One Jacobi
-sweep is not the CLI's ``sweep`` command, which re-runs a whole
-configuration along one parameter axis.)
-Stopping: the error norm E_k falls below ``stop_tol`` (converged), grows
-past ``guard_factor`` times E_1 (diverged; so does a subdomain whose field
-is not finite, which its norm shows, and that iteration is not
-recorded), or the iteration budget runs out (stalled).  A norm that
-overflows a float while its field and reference are finite is no
-verdict but a ``SchwarzRunError``.
+the subdomains' new fields one at a time, each with its Picard total,
+from the data that ``exchange`` gives of an iterate, and a loop written
+by hand is ``[field for field, _ in sweep(...)]``.  (One Jacobi sweep is
+not the CLI's ``sweep`` command, which re-runs a whole configuration
+along one parameter axis.)
+
+A run is one stream of records: ``iterate`` consumes ``sweep``, taking
+each field's norm and extracting the data its neighbors read next
+before the next subdomain is solved, so a parabolic run holds one
+subdomain field at a time, and it yields one ``Record`` per sweep: k,
+each subdomain's norm and Picard total, E_k and the wall time.
+``verdict`` is the stopping rule, a function of E_1, E_k and k alone:
+E_k at or below ``stop_tol`` is converged; from the second sweep on,
+E_k past ``guard_factor`` times a positive E_1 is diverged, and so is
+an E_k that is not finite at any sweep (a subdomain
+whose field is not finite, which its norm shows; that iteration is not
+recorded); the iteration budget ``k_max`` spent is stalled.
+``run_elliptic`` and ``run_parabolic`` read the stream until a verdict
+into an ``IterationHistory``.  A norm that overflows a float while its
+field and reference are finite is no verdict but a ``SchwarzRunError``.
 
 Error norms per mode and transmission kind:
 
@@ -61,6 +68,7 @@ from .problem import Fn, ProblemSpec, validate as validate_problem
 
 __all__ = [
     "SchwarzConfig",
+    "Record",
     "IterationHistory",
     "SchwarzRunError",
     "Plan",
@@ -70,6 +78,8 @@ __all__ = [
     "run_parabolic",
     "exchange",
     "sweep",
+    "iterate",
+    "verdict",
     "weighted_sup_norm",
     "seminorm_sq_profile",
     "double_sweep_ratio",
@@ -146,10 +156,27 @@ class SchwarzConfig:
             raise ValueError("rate_window must be >= 1")
 
 
+class Record(NamedTuple):
+    """One sweep of a run, as ``iterate`` yields it: its number ``k``, each
+    subdomain's error norm ``norms[l]`` and Picard total ``steps[l]`` (the
+    ``solve_banded`` calls of its solve), the error norm ``E`` of the
+    sweep, E_k, and its wall time in seconds.  It holds numbers, never
+    fields."""
+
+    k: int
+    norms: list[float]
+    steps: list[int]
+    E: float
+    wall: float
+
+
 @dataclass
 class IterationHistory:
-    """Per-iteration record of one Schwarz run.
+    """The recorded sweeps of one Schwarz run and its verdict.
 
+    ``records`` are ``iterate``'s, but for a last one whose E is not
+    finite; ``E`` and ``rate_per_double`` (over ``rate_window`` pairs) are
+    read off them.
     ``final_fields`` is the iterate the run keeps between sweeps, as of
     the last recorded iteration: one field per subdomain of an elliptic
     run, whose fields start the next Picard loops, and empty for a
@@ -158,16 +185,22 @@ class IterationHistory:
     solve, or an error norm that is not finite.
     """
 
-    E: list[float]
-    sub_norms: list[list[float]]
-    wall_times: list[float]
+    records: list[Record]
     verdict: str
     final_fields: list[np.ndarray]
-    rate_per_double: float
+    rate_window: int
+
+    @property
+    def E(self) -> list[float]:
+        return [rec.E for rec in self.records]
 
     @property
     def iterations(self) -> int:
-        return len(self.E)
+        return len(self.records)
+
+    @property
+    def rate_per_double(self) -> float:
+        return double_sweep_ratio(self.E, self.rate_window)
 
 
 # --------------------------------------------------------------------------
@@ -295,14 +328,12 @@ def double_sweep_ratio(E, window: int) -> float:
     factors; parity oscillations of E cancel out of it exactly.
     """
     E = [float(v) for v in E]
-    pairs = [(E[k], E[k - 2]) for k in range(2, len(E))]
-    pairs = pairs[-max(int(window), 1):]
+    pairs = list(zip(E[2:], E[:-2]))[-max(int(window), 1):]  # (E_k, E_{k-2})
     if not pairs:
         return float("nan")
     if any(num <= 0.0 or den <= 0.0 for num, den in pairs):
         return 0.0
-    logs = [np.log(num / den) for num, den in pairs]
-    return float(np.exp(np.mean(logs)))
+    return float(np.exp(np.mean([np.log(num / den) for num, den in pairs])))
 
 
 # --------------------------------------------------------------------------
@@ -390,23 +421,24 @@ def _labelled(label: str, exc: Exception) -> SchwarzRunError:
     return SchwarzRunError(f"{label}: {str(exc) or type(exc).__name__}")
 
 
-def solve_reference(plan: Plan) -> np.ndarray:
-    """The monodomain reference of ``plan``'s run, on its whole grid.
+def solve_reference(plan: Plan) -> tuple[np.ndarray, int]:
+    """The monodomain reference of ``plan``'s run, on its whole grid, and
+    the Picard total of its solve.
 
     Any failure of its solve, or a reference that is not finite, is
     ``SchwarzRunError("reference solve: ...")``: every error norm of the
-    run is measured against it.  The solve runs under ``_run``'s
-    ``np.errstate``, since that finiteness check judges its result.
+    run is measured against it.  The solve runs under the ``np.errstate``
+    of ``iterate``'s sweeps, since that finiteness check judges its result.
     """
     cfg = plan.cfg
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reference = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
-        if not np.isfinite(reference).all():
+            solved = reference_solve(cfg.problem, plan.grid, cfg.picard_tol, cfg.picard_max)
+        if not np.isfinite(solved[0]).all():
             raise FloatingPointError("banded solve produced non-finite values")
     except Exception as exc:
         raise _labelled("reference solve", exc) from exc
-    return reference
+    return solved
 
 
 def exchange(plan: Plan, fields: list[np.ndarray]) -> list[list]:
@@ -438,9 +470,10 @@ def _hand_off(plan: Plan, m: int, field: np.ndarray, data: list[list]) -> None:
 
 
 def sweep(plan: Plan, data: list, starts: list, k: int = 1,
-          out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """One Jacobi sweep: yields subdomain l's new field, solved from its
-    boundary data ``data[l]`` as ``exchange`` gives it, for l = 0, 1, ...
+          out: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, int]]:
+    """One Jacobi sweep: yields subdomain l's new field and its Picard total,
+    solved from its boundary data ``data[l]`` as ``exchange`` gives it, for
+    l = 0, 1, ...
 
     ``starts`` is the previous iterate, only read: ``starts[l]``, read after
     field l - 1 is yielded, starts subdomain l's elliptic Picard loop (None
@@ -458,14 +491,14 @@ def sweep(plan: Plan, data: list, starts: list, k: int = 1,
         try:
             if prob.mode == "parabolic":
                 initial = prob.g.value(op.x, prob.length)
-                field = solve_semilinear_parabolic(op, left, right, initial, grid.dt, grid.t,
-                                                   cfg.picard_tol, cfg.picard_max, out=out)
+                solved = solve_semilinear_parabolic(op, left, right, initial, grid.dt, grid.t,
+                                                    cfg.picard_tol, cfg.picard_max, out=out)
             else:
-                field = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
-                                                  cfg.picard_max, u_start=starts[l])[0]
+                solved = solve_semilinear_elliptic(op, left, right, cfg.picard_tol,
+                                                   cfg.picard_max, u_start=starts[l])
         except Exception as exc:
             raise _labelled(f"iteration {k}, subdomain {l + 1}", exc) from exc
-        yield field
+        yield solved
 
 
 def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
@@ -487,94 +520,117 @@ def _error_norm(plan: Plan, op: Operator, field: np.ndarray, ref: np.ndarray,
     return err.item(err.argmax())
 
 
-def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
-    """Sweep ``plan`` until a verdict, handing on each field ``sweep`` yields.
+def iterate(plan: Plan, reference: np.ndarray, fields: list) -> Iterator[Record]:
+    """The sweeps k = 1, 2, ... of ``plan``'s run, one ``Record`` each, without end.
 
     Sweep k solves subdomain l from the data of sweep k - 1 (``exchange``
-    of the initial iterate for k = 1); the run takes the norm of its error
-    against the reference restriction and hands it off (``_hand_off``
-    writes every datum its neighbors read into the data of sweep k + 1)
-    before ``sweep`` solves the next subdomain.  Every solve still
-    reads the previous iterate's data, so the subdomain order does not
-    change the result.  The norm is the one judge of a field: a field
-    that is not finite has a norm that is not finite, which ends the run
-    "diverged" at once, before that field is handed off, and the sweep is
-    not recorded.  A norm (or E_k) that is not finite while the field and
-    its reference restriction are finite overflowed a float: that is a
-    ``SchwarzRunError`` naming the iteration, whose ``history`` keeps the
-    iterations before it.  Everything from sampling ``u0`` to the last
-    norm runs under one ``np.errstate`` that silences numpy's overflow,
-    invalid-value and division warnings, since the norms judge every
-    value that is not finite.
+    of the initial iterate for k = 1); the stream takes the norm of its
+    error against the reference restriction and hands it off
+    (``_hand_off`` writes every datum its neighbors read into the data of
+    sweep k + 1) before ``sweep`` solves the next subdomain.  Every solve
+    still reads the previous iterate's data, so the subdomain order does
+    not change the result.  The norm is the one judge of a field: a field
+    that is not finite has a norm that is not finite, which ends the sweep
+    at once, before that field is handed off; its record holds the norms
+    so far, its E is not finite, and it is the stream's last.  A norm (or
+    E_k) that is not finite while the field and its reference restriction
+    are finite overflowed a float: that is a ``SchwarzRunError`` naming
+    the iteration.  Sampling ``u0`` and every sweep run under an
+    ``np.errstate`` that silences numpy's overflow, invalid-value and
+    division warnings, since the norms judge every value that is not
+    finite; the consumer runs without it between two records.
 
-    A parabolic field is then dead.  The run allocates one ``work``
-    buffer of the largest subdomain's size, which dies with the run:
+    The list ``fields`` receives the iterate the run keeps, as of the last
+    record: an elliptic run's fields, which start the next Picard loops.
+    A parabolic run keeps none, and neither does a sweep whose E is not
+    finite.  A parabolic field is dead once handed off: the stream
+    allocates one ``work`` buffer of the largest subdomain's size,
     ``sweep`` writes every parabolic field there, time-major, from the
-    problem's initial state, and the elliptic sup norm forms the
-    error there; both parabolic norms form it a block of time levels at
-    a time.  An elliptic run keeps its iterate, which starts the next
-    Picard loops.  The reference is only read.  So a parabolic run's
-    working set is the reference and one subdomain field, with either
-    exchange.
+    problem's initial state, and the elliptic sup norm forms the error
+    there; both parabolic norms form it a block of time levels at a time.
+    The reference is only read.  So a parabolic run's working set is the
+    reference and one subdomain field, with either exchange.
     """
     cfg, grid = plan.cfg, plan.grid
+    parabolic = cfg.problem.mode == "parabolic"
+    refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
+    work = np.empty(max(op.n for op in plan.ops) * (grid.t.size if parabolic else 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fields[:] = [ref if cfg.u0 == "reference" else cfg.u0.value(op.x, cfg.problem.length)
+                     for ref, op in zip(refs, plan.ops)]
+        data = exchange(plan, fields)
+    if parabolic:  # a parabolic run drops each field
+        fields.clear()
+    k, Ek = 0, 0.0
+    while math.isfinite(Ek):
+        k, tic = k + 1, time.perf_counter()
+        # the sweep reads the data of sweep k - 1, and its fields hand off into
+        # the next data, which start from g at the outer ends
+        swept, data = sweep(plan, data, fields, k, work), exchange(plan, [])
+        norms, steps = [], []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for l, (field, picard) in enumerate(swept):
+                norms.append(_error_norm(plan, plan.ops[l], field, refs[l], work))
+                steps.append(picard)
+                if not math.isfinite(norms[-1]):
+                    if np.isfinite(field).all() and np.isfinite(refs[l]).all():
+                        raise SchwarzRunError(
+                            f"iteration {k}, subdomain {l + 1}: the error norm overflows "
+                            "a float, though the field and the reference are finite")
+                    fields.clear()
+                    break
+                _hand_off(plan, l, field, data)
+                if not parabolic:
+                    fields[l] = field
+        Ek = float(sum(norms) if plan.norm_kind == "laplace-seminorm2" else max(norms))
+        # a norm that is not finite ends the sweep, so it is the last; max skips a NaN
+        Ek = Ek if math.isfinite(norms[-1]) else norms[-1]
+        if math.isfinite(norms[-1]) and not math.isfinite(Ek):  # finite norms overflowed
+            raise SchwarzRunError(f"iteration {k}: the error norm E_k overflows a float, "
+                                  "though every subdomain norm is finite")
+        yield Record(k, norms, steps, Ek, time.perf_counter() - tic)
+
+
+def verdict(k: int, E_1: float, E_k: float, stop_tol: float, guard_factor: float,
+            k_max: int) -> str | None:
+    """The verdict on a run at its k-th error norm ``E_k``, its first being
+    ``E_1``, or None while it goes on.
+
+    In this order: E_k <= ``stop_tol`` is "converged"; an E_k that is not
+    finite is "diverged" (the run does not record that sweep), and from
+    k = 2 on, with E_1 > 0, so is E_k > ``guard_factor`` E_1; k >=
+    ``k_max`` is "stalled".
+    """
+    if math.isfinite(E_k) and E_k <= stop_tol:
+        return "converged"
+    if not math.isfinite(E_k) or k >= 2 and E_1 > 0.0 and E_k > guard_factor * E_1:
+        return "diverged"
+    return "stalled" if k >= k_max else None
+
+
+def _run(plan: Plan, mode: str, reference: np.ndarray | None) -> IterationHistory:
+    """Read ``iterate(plan, ...)`` until ``verdict`` gives one, recording
+    every record whose E is finite, with the iterate the stream keeps.
+
+    A ``SchwarzRunError`` from the stream keeps the records before it as
+    its ``history``.
+    """
+    cfg = plan.cfg
     if cfg.problem.mode != mode:
         raise ValueError(f"run_{mode} needs a {mode} problem, got {cfg.problem.mode}")
-    parabolic = mode == "parabolic"
-    if reference is None:
-        reference = solve_reference(plan)
-    refs = [reference[grid.nodes(l)] for l in range(len(plan.ops))]
-    n_max = max(op.n for op in plan.ops)
-    work = np.empty(n_max * grid.t.size if parabolic else n_max)
-
-    E: list[float] = []
-    sub_norms: list[list[float]] = []
-    wall: list[float] = []
-
-    def history(verdict: str, final: list[np.ndarray]) -> IterationHistory:
-        return IterationHistory(E, sub_norms, wall, verdict, final,
-                                double_sweep_ratio(E, cfg.rate_window))
-
-    # the norms judge every value that is not finite, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fields = [ref if cfg.u0 == "reference" else cfg.u0.value(op.x, cfg.problem.length)
-                  for ref, op in zip(refs, plan.ops)]
-        data = exchange(plan, fields)
-        fields = [] if parabolic else fields  # a parabolic run drops each field
-        outer = exchange(plan, [])  # g at the outer ends; every sweep hands off into a copy
-        try:
-            for k in range(1, cfg.k_max + 1):
-                tic = time.perf_counter()
-                handed = [pair.copy() for pair in outer]
-                norms = []
-                for l, field in enumerate(sweep(plan, data, fields, k, work)):
-                    norm = _error_norm(plan, plan.ops[l], field, refs[l], work)
-                    if not math.isfinite(norm):
-                        if np.isfinite(field).all() and np.isfinite(refs[l]).all():
-                            raise SchwarzRunError(
-                                f"iteration {k}, subdomain {l + 1}: the error norm overflows "
-                                "a float, though the field and the reference are finite")
-                        return history("diverged", [])
-                    norms.append(norm)
-                    _hand_off(plan, l, field, handed)
-                    if not parabolic:
-                        fields[l] = field
-                data = handed
-                Ek = float(sum(norms) if plan.norm_kind == "laplace-seminorm2" else max(norms))
-                if not math.isfinite(Ek):  # every norm is finite, so their sum overflowed
-                    raise SchwarzRunError(f"iteration {k}: the error norm E_k overflows a "
-                                          "float, though every subdomain norm is finite")
-                E.append(Ek)
-                sub_norms.append(norms)
-                wall.append(time.perf_counter() - tic)
-                if Ek <= cfg.stop_tol:
-                    return history("converged", fields)
-                if k >= 2 and E[0] > 0.0 and Ek > cfg.guard_factor * E[0]:
-                    return history("diverged", fields)
-        except SchwarzRunError as exc:
-            exc.history = history("error", [])
-            raise
-    return history("stalled", fields)
+    reference = solve_reference(plan)[0] if reference is None else reference
+    records, fields = [], []
+    try:
+        for rec in iterate(plan, reference, fields):
+            end = verdict(rec.k, (records[0] if records else rec).E, rec.E, cfg.stop_tol,
+                          cfg.guard_factor, cfg.k_max)
+            if math.isfinite(rec.E):
+                records.append(rec)
+            if end:
+                return IterationHistory(records, end, fields, cfg.rate_window)
+    except SchwarzRunError as exc:
+        exc.history = IterationHistory(records, "error", [], cfg.rate_window)
+        raise
 
 
 def run_elliptic(plan: Plan, reference: np.ndarray | None = None) -> IterationHistory:

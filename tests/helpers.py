@@ -236,7 +236,7 @@ def interface_map(plan) -> np.ndarray:
         data = [list(pair) for pair in template]
         for (l, end), value in zip(slots, d):
             data[l][end] = float(value)
-        new = exchange(plan, list(sweep(plan, data, starts)))
+        new = exchange(plan, [field for field, _ in sweep(plan, data, starts)])
         return np.array([float(new[l][end]) for l, end in slots])
 
     base = S(np.zeros(len(slots)))

@@ -240,7 +240,7 @@ def test_criterion_6_discretization_order():
         t = np.linspace(0.0, 1.0, steps + 1)
         dt = 1.0 / steps
         op = Operator(spec, *sg, (None, None), c_shift=1.0 / dt)
-        field = solve_semilinear_parabolic(op, 0.0, 0.0, np.sin(np.pi * sg.x), dt, t)
+        field, _ = solve_semilinear_parabolic(op, 0.0, 0.0, np.sin(np.pi * sg.x), dt, t)
         exact = np.exp(-t)[None, :] * np.sin(np.pi * sg.x)[:, None]
         errs.append(float(np.max(np.abs(field - exact))))
         dts.append(1.0 / steps)

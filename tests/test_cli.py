@@ -1430,6 +1430,23 @@ def test_shipped_runs_off_the_oracle_model_print_no_oracle_tau(shipped_run, name
     assert not [line for line in summary_lines(out) if line.startswith("oracle tau:")]
 
 
+@pytest.mark.parametrize("name, iterations, subdomain, reference", [
+    # F zero: one step per solve, 58 iterations of 2 subdomains, and the reference's one
+    ("laplace_dirichlet", 58, 116, 1),
+    # one step is one solve_banded call: 325,809 + 5,792 and 76,219 + 5,792
+    # are the 331,601 and 82,011 calls that the benchmark's tracer counts
+    ("heat_dirichlet", 29, 325809, 5792),
+    ("heat_robin", 4, 76219, 5792),
+])
+def test_shipped_runs_report_their_picard_totals(shipped_run, name, iterations, subdomain,
+                                                 reference):
+    code, out = shipped_run(name)
+    assert code == 0
+    summary = summary_lines(out)
+    assert f"iterations:     {iterations}" in summary
+    assert f"picard steps:   {subdomain} (reference {reference})" in summary
+
+
 # Recorded with `schwarz1d --quiet <command> --config configs/<name>.json
 # --out tests/data/<name>`.  Measured columns are compared to 1e-12 relative
 # because another LAPACK build may round the last digit differently.

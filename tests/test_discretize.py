@@ -166,10 +166,10 @@ def test_reused_operator_reproduces_a_fresh_solve_bitwise():
     left, right = np.linspace(0.0, 0.1, 11), np.ones(11)
     initial = np.sin(np.pi * sg.x)
     op = Operator(spec, *sg, (None, 2.0), c_shift=1.0 / 0.01)
-    fresh = solve_semilinear_parabolic(Operator(spec, *sg, (None, 2.0), c_shift=1.0 / 0.01),
-                                       left, right, initial, 0.01, t)
+    fresh, _ = solve_semilinear_parabolic(Operator(spec, *sg, (None, 2.0), c_shift=1.0 / 0.01),
+                                          left, right, initial, 0.01, t)
     for _ in range(2):
-        reused = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
+        reused, _ = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
         assert np.array_equal(reused, fresh)
 
 
@@ -277,9 +277,10 @@ def test_parabolic_solve_into_a_given_buffer_is_the_solve_bitwise(F):
     op = heat_operator(F)
     t = np.linspace(0, 0.1, 11)
     args = (op, 1.0, np.linspace(0.0, 1.0, 11), np.sin(np.pi * op.x), 0.01, t)
-    fresh = solve_semilinear_parabolic(*args)
+    fresh, steps = solve_semilinear_parabolic(*args)
     out = np.full(t.size * op.n + 7, -1.0)
-    u = solve_semilinear_parabolic(*args, out=out)
+    u, steps_out = solve_semilinear_parabolic(*args, out=out)
+    assert steps_out == steps
     assert np.shares_memory(u, out)
     assert u.shape == fresh.shape and u.tobytes() == fresh.tobytes()
     assert np.array_equal(out[:t.size * op.n], fresh.T.ravel())
@@ -307,10 +308,10 @@ def test_non_finite_datum_at_an_interior_time_level_reaches_the_field(F, value):
     op = heat_operator(F)
     t = np.linspace(0, 0.1, 11)
     initial = np.sin(np.pi * op.x)
-    clean = solve_semilinear_parabolic(op, np.zeros(11), 0.0, initial, 0.01, t)
+    clean, _ = solve_semilinear_parabolic(op, np.zeros(11), 0.0, initial, 0.01, t)
     left = np.zeros(11)
     left[4] = value
-    field = solve_semilinear_parabolic(op, left, 0.0, initial, 0.01, t)
+    field, _ = solve_semilinear_parabolic(op, left, 0.0, initial, 0.01, t)
     assert_non_finite_from_level(field, clean, 4)
 
 
@@ -325,9 +326,9 @@ def test_non_finite_source_at_an_interior_node_reaches_the_field(F):
     t = np.linspace(0, 0.1, 11)
     assert t[4] == 0.04
     initial = np.sin(np.pi * heat_operator(F).x)
-    clean = solve_semilinear_parabolic(heat_operator(F), 0.0, 0.0, initial, 0.01, t)
-    field = solve_semilinear_parabolic(heat_operator(F, source=source), 0.0, 0.0, initial,
-                                       0.01, t)
+    clean, _ = solve_semilinear_parabolic(heat_operator(F), 0.0, 0.0, initial, 0.01, t)
+    field, _ = solve_semilinear_parabolic(heat_operator(F, source=source), 0.0, 0.0, initial,
+                                          0.01, t)
     assert_non_finite_from_level(field, clean, 4)
 
 
@@ -348,7 +349,7 @@ def test_nan_only_in_the_last_entry_of_the_picard_difference_is_found(monkeypatc
         return solves[-1]
 
     monkeypatch.setattr(discretize, "solve_banded", recorded)
-    field = solve_semilinear_parabolic(op, 0.0, 0.0, initial, 0.01, np.linspace(0, 0.1, 11))
+    field, _ = solve_semilinear_parabolic(op, 0.0, 0.0, initial, 0.01, np.linspace(0, 0.1, 11))
     assert np.isfinite(solves[0]).all()
     assert field[:, 1].tobytes() == solves[0].tobytes()
     assert np.isnan(field[-1, 0]) and np.isfinite(field).sum() == field.size - 1
@@ -390,10 +391,10 @@ def test_parabolic_march_is_the_plain_algorithm_bitwise(monkeypatch, F, ends, so
     initial = np.sin(np.pi * op.x) + 0.3 * op.x
     for left, right in ((0.25, -1.0), (np.linspace(0.0, 1.0, 11), np.cos(5.0 * t))):
         calls = counted_solves(monkeypatch)
-        field = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
+        field, total = solve_semilinear_parabolic(op, left, right, initial, 0.01, t)
         plain, steps = plain_picard_march(op, left, right, initial, t, dt=0.01)
         assert field.tobytes() == plain.tobytes()
-        assert len(calls) == sum(steps)
+        assert total == len(calls) == sum(steps)
         if F != "zero":
             assert max(steps) > 1
 
@@ -440,7 +441,7 @@ def test_march_never_writes_into_the_start_vector(F, ends):
     op = heat_operator(MARCH_F[F], robin_p=MARCH_ENDS[ends], n_cells=24)
     initial = np.sin(np.pi * op.x) + 0.3 * op.x
     initial.setflags(write=False)
-    field = solve_semilinear_parabolic(op, 0.25, -1.0, initial, 0.01, np.linspace(0, 0.1, 11))
+    field, _ = solve_semilinear_parabolic(op, 0.25, -1.0, initial, 0.01, np.linspace(0, 0.1, 11))
     assert np.array_equal(initial, np.sin(np.pi * op.x) + 0.3 * op.x)
     assert np.array_equal(field[:, 0], initial)
 
@@ -617,8 +618,8 @@ def test_heat_mode_decay_matches_eigenvalue_oracle():
     n, dt = 50, 0.01
     sg = subgrid(1.0, n)
     t = np.linspace(0, 0.05, 6)
-    field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), np.zeros(6), 0.0,
-                                       np.sin(np.pi * sg.x), dt, t)
+    field, _ = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), np.zeros(6), 0.0,
+                                          np.sin(np.pi * sg.x), dt, t)
     mu_h = 2.0 / sg.h**2 * (1 - math.cos(math.pi * sg.h))
     lam = 1.0 / (1.0 + dt * mu_h)
     inner = slice(1, -1)
@@ -636,8 +637,8 @@ def test_zero_data_gives_zero_field():
     )
     sg = subgrid(1.0, 20)
     t = np.linspace(0, 0.1, 11)
-    field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), np.zeros(11), 0.0,
-                                       np.zeros(sg.x.size), 0.01, t)
+    field, _ = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / 0.01), np.zeros(11), 0.0,
+                                          np.zeros(sg.x.size), 0.01, t)
     assert np.max(np.abs(field)) == 0.0
 
 
@@ -650,8 +651,8 @@ def test_manufactured_parabolic_first_order_in_dt():
     for steps in (25, 50, 100):
         dt = 1.0 / steps
         t = np.linspace(0, 1.0, steps + 1)
-        field = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), 0.0, 0.0,
-                                           np.sin(np.pi * sg.x), dt, t)
+        field, _ = solve_semilinear_parabolic(dirichlet(spec, sg, 1.0 / dt), 0.0, 0.0,
+                                              np.sin(np.pi * sg.x), dt, t)
         exact = np.exp(-t)[None, :] * np.sin(np.pi * sg.x)[:, None]
         errs.append(np.max(np.abs(field - exact)))
         dts.append(dt)
@@ -697,7 +698,7 @@ def test_reference_matches_manufactured_solution():
     spec, sol = manufactured_elliptic(catalog_lookup("example31"))
     part = build_uniform_partition(spec.length, 2, 0.2)
     grid = build_grid(part, 0.01)
-    u = reference_solve(spec, grid)
+    u, _ = reference_solve(spec, grid)
     assert np.max(np.abs(u - sol.u(grid.x))) < 5e-4  # O(h^2) at h = 0.01
 
 
@@ -705,8 +706,9 @@ def test_reference_laplace_ramp_exact():
     spec = replace(catalog_lookup("laplace1d"), g=Fn.polynomial([0.0, 1.0]))
     part = build_uniform_partition(1.0, 2, 0.2)
     grid = build_grid(part, 0.05)
-    u = reference_solve(spec, grid)
+    u, steps = reference_solve(spec, grid)
     np.testing.assert_allclose(u, grid.x, atol=1e-12)
+    assert steps == 1  # F zero: one solve
 
 
 def test_reference_restriction_solves_subdomain_system():
@@ -715,7 +717,7 @@ def test_reference_restriction_solves_subdomain_system():
     spec = catalog_lookup("example31")
     part = build_uniform_partition(spec.length, 2, 0.2)
     grid = build_grid(part, 0.01)
-    u = reference_solve(spec, grid)
+    u, _ = reference_solve(spec, grid)
     lo, hi = grid.sub_ranges[0]
     x, v = grid.x[grid.nodes(0)], u[lo:hi + 1]
     A = difference_matrix(spec, x, grid.h, (None, None))

@@ -38,10 +38,10 @@ def test_hand_written_sweep_example_is_the_runs_first_iteration():
     assert out.getvalue() == block.splitlines()[-1].split("# (nodes, time levels): ")[1] + "\n"
     p, fields = names["plan"], names["fields"]
     assert p.norm_kind == "weighted-sup2"
-    reference = solve_reference(p)
+    reference, _ = solve_reference(p)
     norms = [weighted_sup_norm(field, p.cfg.alpha, p.grid.t, reference[p.grid.nodes(l)])
              for l, field in enumerate(fields)]
-    assert run_parabolic(p, reference).sub_norms[0] == norms
+    assert run_parabolic(p, reference).records[0].norms == norms
 
 
 def test_readme_names_every_config_key():

@@ -25,15 +25,19 @@ from schwarz1d.schwarz import (
     _trapezoid_weights,
     double_sweep_ratio,
     exchange,
+    iterate,
     plan,
     run_elliptic,
     run_parabolic,
     seminorm_sq_profile,
     solve_reference,
     sweep,
+    verdict,
     weighted_sup_norm,
 )
 from schwarz1d.transmission import TransmissionSpec
+
+from helpers import interface_map
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def test_a_non_finite_value_in_the_last_block_makes_the_seminorm_and_the_run_div
     # against a poisoned reference ends "diverged" at its first norm
     p = plan(heat_cfg(transmission=TransmissionSpec.robin(1.0), dt_target=0.001))
     assert p.grid.t.size > _LAPLACE_BLOCK
-    reference = solve_reference(p)
+    reference, _ = solve_reference(p)
     reference[reference.shape[0] // 2, -1] = last
     hist = run_parabolic(p, reference)
     assert hist.verdict == "diverged" and hist.iterations == 0
@@ -421,7 +425,7 @@ def test_jacobi_order_determinism_bitwise_parabolic():
     rev = run(Partition(length=part.length, subdomains=part.subdomains[::-1]))
     assert fwd.iterations == 6
     assert fwd.E == rev.E
-    assert fwd.sub_norms == [norms[::-1] for norms in rev.sub_norms]
+    assert [r.norms for r in fwd.records] == [r.norms[::-1] for r in rev.records]
 
 
 def test_divergent_robin_run_matches_oracle_and_guard():
@@ -602,7 +606,7 @@ def test_a_given_reference_is_read_and_left_untouched(monkeypatch, mode):
     else:
         p, run = plan(heat_cfg(**settings)), run_parabolic
     expected = run(p)
-    reference = solve_reference(p)
+    reference, _ = solve_reference(p)
     kept = reference.copy()
     reference.setflags(write=False)
 
@@ -621,6 +625,100 @@ def test_parabolic_needs_time_axis():
 
 
 # --------------------------------------------------------------------------
+# the record stream and the verdict rule
+# --------------------------------------------------------------------------
+
+def first_verdict(E, stop_tol=1e-8, guard_factor=1e3, k_max=5):
+    """(k, verdict) at the first k of ``E`` whose verdict is not None, as a
+    run reads its error norms one by one; None if no k has one."""
+    for k, E_k in enumerate(E, start=1):
+        end = verdict(k, E[0], E_k, stop_tol, guard_factor, k_max)
+        if end:
+            return k, end
+    return None
+
+
+@pytest.mark.parametrize("E, settings, expected", [
+    pytest.param([1.0, 0.5, 1e-9], {}, (3, "converged"), id="converged"),
+    pytest.param([1e-8], {}, (1, "converged"), id="converged-at-stop-tol-at-k1"),
+    # 1e-8 is above guard_factor * E_1 = 5e-9, and at most stop_tol (a run
+    # takes guard_factor > 1, so that both hold needs a pure call)
+    pytest.param([2e-8, 1e-8], {"guard_factor": 0.25}, (2, "converged"),
+                 id="converged-before-the-guard"),
+    pytest.param([1.0, 10.0, 1000.1], {}, (3, "diverged"), id="guard"),
+    pytest.param([1.0, 1000.0, 1000.0, 1000.0, 1000.0], {}, (5, "stalled"),
+                 id="guard-is-strict"),
+    # a guard_factor below 1 would end any run at k = 1 if the guard read it
+    pytest.param([1.0, 0.9], {"guard_factor": 0.5}, (2, "diverged"), id="guard-from-k2"),
+    # no stop_tol is below a zero E_1, so only a negative one lets E_1 = 0 go on
+    pytest.param([0.0, 1.0, 1e300, 1e300, 1e300], {"stop_tol": -1.0}, (5, "stalled"),
+                 id="guard-needs-positive-E1"),
+    pytest.param([1.0, math.inf], {"guard_factor": 1e308}, (2, "diverged"), id="inf"),
+    pytest.param([1.0, math.nan], {}, (2, "diverged"), id="nan"),
+    pytest.param([math.nan], {}, (1, "diverged"), id="nan-at-k1"),
+    pytest.param([math.inf], {"k_max": 1}, (1, "diverged"), id="inf-at-k-max"),
+    pytest.param([1.0] * 5, {}, (5, "stalled"), id="stalled"),
+    pytest.param([1.0], {"k_max": 1}, (1, "stalled"), id="stalled-at-k1"),
+    pytest.param([1.0, 1.0, 1.0, 1.0, 1e-9], {}, (5, "converged"), id="converged-at-k-max"),
+    pytest.param([1.0, 1.0, 1.0, 1.0, 2e3], {}, (5, "diverged"), id="diverged-at-k-max"),
+    pytest.param([1.0, 0.9, 0.8], {}, None, id="going-on"),
+])
+def test_verdict_rule(E, settings, expected):
+    assert first_verdict(E, **settings) == expected
+
+
+def test_a_non_finite_sweep_ends_the_stream_and_is_not_recorded():
+    # the divergent Robin table with no guard in reach: the interface data
+    # grow until a solve overflows; the stream's last record is that sweep,
+    # which the run does not record
+    prob = catalog_lookup("example31")
+    part = Partition(length=2.0, subdomains=((0.0, 1.95), (1.9, 2.0)))
+    cfg = SchwarzConfig(problem=prob, partition=part, h_target=0.01,
+                        transmission=TransmissionSpec.robin({(0, 1): 0.1, (1, 0): 500.0}),
+                        u0="one", k_max=20000, guard_factor=1e308)
+    p = plan(cfg)
+    fields = []
+    stream = list(iterate(p, solve_reference(p)[0], fields))
+    hist = run_elliptic(p)
+    assert not math.isfinite(stream[-1].E) and fields == []
+    assert all(math.isfinite(rec.E) for rec in stream[:-1])
+    assert [rec[:4] for rec in hist.records] == [rec[:4] for rec in stream[:-1]]  # no wall
+    assert hist.verdict == "diverged"
+
+
+@pytest.mark.parametrize("make_cfg", [
+    pytest.param(partial(laplace_cfg, problem=catalog_lookup("elliptic-semilinear")),
+                 id="elliptic"),
+    pytest.param(heat_cfg, id="parabolic-dirichlet"),
+    pytest.param(partial(heat_cfg, transmission=TransmissionSpec.robin(1.0)),
+                 id="parabolic-robin"),
+])
+def test_picard_totals_count_every_solve_banded_call(monkeypatch, make_cfg):
+    # one Picard step is one solve_banded call, whatever the steps per level
+    import schwarz1d.discretize as discretize
+
+    calls = []
+    original = discretize.solve_banded
+
+    def counted(lu, rhs):
+        calls.append(1)
+        return original(lu, rhs)
+
+    monkeypatch.setattr(discretize, "solve_banded", counted)
+    p = plan(make_cfg(k_max=4, stop_tol=1e-300))
+    reference, steps = solve_reference(p)
+    assert steps == len(calls) > 0
+    records = list(itertools.islice(iterate(p, reference, []), 4))
+    assert sum(sum(rec.steps) for rec in records) == len(calls) - steps
+    assert all(len(rec.steps) == len(p.ops) and min(rec.steps) >= 1 for rec in records)
+    assert max(max(rec.steps) for rec in records) > 1  # F is not zero
+    # the run reads the same stream: the same records, but the wall times
+    hist = (run_parabolic if p.cfg.problem.mode == "parabolic" else run_elliptic)(p, reference)
+    assert [rec[:4] for rec in hist.records] == [rec[:4] for rec in records]
+    assert [rec.k for rec in records] == [1, 2, 3, 4]
+
+
+# --------------------------------------------------------------------------
 # final iterate and working set
 # --------------------------------------------------------------------------
 
@@ -629,10 +727,10 @@ def test_final_fields_are_the_last_recorded_iterate():
     hist = run_elliptic(plan(cfg))
     assert hist.verdict == "converged"
     grid = build_grid(cfg.partition, cfg.h_target)
-    reference = reference_solve(cfg.problem, grid)
+    reference, _ = reference_solve(cfg.problem, grid)
     assert len(hist.final_fields) == 2
     assert [float(np.max(np.abs(f - reference[grid.nodes(l)])))
-            for l, f in enumerate(hist.final_fields)] == hist.sub_norms[-1]
+            for l, f in enumerate(hist.final_fields)] == hist.records[-1].norms
 
 
 def test_final_fields_are_empty_after_a_non_finite_sweep():
@@ -774,16 +872,16 @@ def test_hand_loop_of_exchange_and_sweep_is_the_run(case):
     fields = [cfg.u0.value(op.x, cfg.problem.length) for op in p.ops]
     iterates = []
     for _ in range(5):
-        fields = list(sweep(p, exchange(p, fields), fields))
+        fields = [field for field, _ in sweep(p, exchange(p, fields), fields)]
         iterates.append(fields)
-    reference = solve_reference(p)
+    reference, _ = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
     norms = [[error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(iterate, refs))]
              for iterate in iterates]
     parabolic = cfg.problem.mode == "parabolic"
     hist = (run_parabolic if parabolic else run_elliptic)(p)
     assert hist.iterations == 5 and hist.verdict == "stalled"
-    assert hist.sub_norms == norms
+    assert [rec.norms for rec in hist.records] == norms
     kept = [] if parabolic else fields
     assert [f.tobytes() for f in kept] == [f.tobytes() for f in hist.final_fields]
 
@@ -795,9 +893,9 @@ def test_reference_restrictions_are_a_fixed_point_of_one_sweep(case):
     # the Picard tolerance, relative to the largest value (Laplace's
     # reference is zero, and so must the sweep be)
     p = plan(SWEEP_CASES[case](picard_tol=1e-12))
-    reference = solve_reference(p)
+    reference, _ = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
-    fields = list(sweep(p, exchange(p, refs), refs))
+    fields = [field for field, _ in sweep(p, exchange(p, refs), refs)]
     scale = float(np.max(np.abs(reference)))
     for field, ref in zip(fields, refs):
         assert np.max(np.abs(field - ref)) <= 1e-12 * scale
@@ -823,7 +921,7 @@ def test_one_nan_datum_gives_a_non_finite_field_and_a_diverged_run(monkeypatch, 
 
     p = plan(SWEEP_CASES[case]())
     fields = [p.cfg.u0.value(op.x, p.cfg.problem.length) for op in p.ops]
-    swept = list(sweep(p, poisoned(p, fields), fields))
+    swept = [field for field, _ in sweep(p, poisoned(p, fields), fields)]
     assert not np.isfinite(swept[0]).all()
     assert all(np.isfinite(field).all() for field in swept[1:])
     monkeypatch.setattr(engine, "exchange", poisoned)
@@ -840,13 +938,13 @@ def test_parabolic_sweep_starts_from_the_initial_state_the_reference_starts_from
     p = plan(shipped_cfg(name, k_max=1))
     prob = p.cfg.problem
     fields = [p.cfg.u0.value(op.x, prob.length) for op in p.ops]
-    fields = list(sweep(p, exchange(p, fields), fields))
-    reference = solve_reference(p)
+    fields = [field for field, _ in sweep(p, exchange(p, fields), fields)]
+    reference, _ = solve_reference(p)
     refs = [reference[p.grid.nodes(l)] for l in range(len(p.ops))]
     for op, ref in zip(p.ops, refs):
         assert prob.g.value(op.x, prob.length).tobytes() == ref[:, 0].tobytes()
     norms = [error_norm(p, l, f, ref) for l, (f, ref) in enumerate(zip(fields, refs))]
-    assert run_parabolic(p, reference).sub_norms == [norms]
+    assert [rec.norms for rec in run_parabolic(p, reference).records] == [norms]
 
 
 def test_sweep_names_the_iteration_and_subdomain_whose_picard_loop_fails():
@@ -896,6 +994,27 @@ def test_a_sine_nonlinearity_holds_robin_exchange_on_a_period_four_cycle():
     assert np.all(E[-20:] > 1.0)
     assert np.all(np.abs(E[-20:] - E[-24:-4]) <= 1e-9 * E[-20:])
     assert np.max(np.abs(E[-20:] - E[-22:-2]) / E[-20:]) > 1e-3
+
+
+def test_the_parabolic_twin_of_the_cycling_case_converges_at_the_linear_rate():
+    # the elliptic case above cycles; with d/dt and the time weight alpha = 10
+    # the same operator, F and Robin table converge, at the linear witness
+    # of c - C + alpha = 12 - 6 + 10: the fourth power of the spectral
+    # radius of that elliptic map (E is a squared seminorm)
+    cfg = load_config(CONFIGS / "counterexample_divergent.json")
+    cfg["problem"] = {"mode": "parabolic", "L": 2, "T": 1, "a": 1, "b": 3, "c": 12,
+                      "F": {"sine": {"param": 6}}, "source": {"sine": {"amplitude": -1}}}
+    cfg["grid"] = {"h": 1e-2, "dt": 0.02}
+    cfg["run"] = {"alpha": 10, "stop_tol": 1e-8, "u0": "one", "max_iters": 80}
+    hist = run_parabolic(plan(build_schwarz_config(cfg)[0]))
+    assert hist.verdict == "converged" and hist.iterations == 43
+    cfg["problem"] = {"mode": "elliptic", "L": 2, "a": 1, "b": 3, "c": 16,
+                      "source": {"sine": {"amplitude": -1}}}
+    del cfg["grid"]["dt"]
+    linear = plan(build_schwarz_config(cfg)[0])
+    witness = float(np.max(np.abs(np.linalg.eigvals(interface_map(linear))))) ** 4
+    assert witness == pytest.approx(0.6037, abs=1e-4)
+    assert hist.rate_per_double == pytest.approx(witness, rel=0.03)
 
 
 @pytest.mark.parametrize("F, p, iterations, rate", [
